@@ -113,14 +113,13 @@ def run_large_point(mode: str) -> dict:
     from repro.core.payload import PAYLOAD_STATS
     from repro.cluster.topology import build_star
     from repro.obs import registry_for
-    from repro.roce import burst
+    from repro.runmode import override
     from repro.sim import Simulator
 
     reps = LARGE_REPS[mode]
 
-    def execute(fold: bool) -> dict:
+    def execute() -> dict:
         env = Simulator()
-        burst.set_burst_mode(env, fold)
         cluster = build_star(env, 2, nic_config=NIC_100G, seed=1)
         a, b = cluster.hosts
         qpn_a, _ = cluster.connect(a, b)
@@ -152,8 +151,10 @@ def run_large_point(mode: str) -> dict:
                               if k.endswith(".burst.folded_packets"))
         return marks
 
-    plain = execute(False)
-    folded = execute(True)
+    with override(fold=False):
+        plain = execute()
+    with override(fold=True):
+        folded = execute()
     moved = 2 * reps * LARGE_SIZE
     return {
         "write_gbps": 8e12 * reps * LARGE_SIZE / plain["write_ps"] / 1e9,

@@ -65,6 +65,7 @@ from repro.config import NIC_100G  # noqa: E402
 from repro.core.payload import PAYLOAD_STATS  # noqa: E402
 from repro.host import build_fabric  # noqa: E402
 from repro.obs import observe, registry_for, trace_for  # noqa: E402
+from repro.runmode import override  # noqa: E402
 from repro.sim.channels import Stream  # noqa: E402
 from repro.sim.core import Simulator  # noqa: E402
 from repro.sim.timebase import MS  # noqa: E402
@@ -177,13 +178,11 @@ def _rdma_large(n: int, kind: str, fold: bool = False) -> float:
     """End-to-end 256 KiB verbs on the 100 G two-node fabric; returns
     payload bytes per wall-second (``n`` only scales the repeat count).
     The per-scenario payload-plane delta and events-per-simulated-byte
-    are captured for the report.  ``fold`` forces the burst fast path
-    on (off otherwise, regardless of the ``REPRO_BURST`` environment,
-    so the pair measures the fold speedup on equal footing)."""
-    from repro.roce import burst
+    are captured for the report.  ``fold`` selects the burst fast path
+    or the per-packet reference, so the pair measures the fold speedup
+    on equal footing."""
     reps = 16 if n <= 64_000 else 40
     sim = Simulator()
-    burst.set_burst_mode(sim, fold)
     fabric = build_fabric(sim, nic_config=NIC_100G)
     src = fabric.client.alloc(RDMA_SIZE, "src")
     dst = fabric.server.alloc(RDMA_SIZE, "dst")
@@ -205,9 +204,10 @@ def _rdma_large(n: int, kind: str, fold: bool = False) -> float:
 
     proc = sim.process(driver())
     before = PAYLOAD_STATS.snapshot()
-    start = time.perf_counter()
-    sim.run_until_complete(proc, limit=10_000 * MS)
-    rate = RDMA_SIZE * reps / (time.perf_counter() - start)
+    with override(fold=fold):
+        start = time.perf_counter()
+        sim.run_until_complete(proc, limit=10_000 * MS)
+        rate = RDMA_SIZE * reps / (time.perf_counter() - start)
     after = PAYLOAD_STATS.snapshot()
     name = f"rdma_{kind}_256k" + ("_burst" if fold else "")
     PAYLOAD_DELTAS[name] = {

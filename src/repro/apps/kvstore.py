@@ -94,16 +94,29 @@ class KvServer:
         return vaddr
 
     def insert(self, key: int, value: bytes) -> None:
-        """Insert (host-side, as Pilaf does: writes go through the server
-        CPU; only GETs are one-sided)."""
+        """Insert or update (host-side, as Pilaf does: writes go through
+        the server CPU; only GETs are one-sided)."""
         if key == EMPTY_KEY:
             raise ValueError("key 0 is reserved as the empty marker")
         space = self.node.space
         slot_addr = self.slot_vaddr(key)
         entry = space.read(slot_addr, ENTRY_BYTES)
-        existing_key, _, next_ptr, _ = unpack_entry(entry)
+        head_key, head_ptr, next_ptr, head_len = unpack_entry(entry)
+        # An existing key is repointed in place, so the chain (and every
+        # reader's walk) keeps exactly one match.
+        address, entry_key, entry_next = slot_addr, head_key, next_ptr
+        for _ in range(4096):
+            if entry_key == key:
+                space.write(address, pack_entry(
+                    key, self._store_value(value), entry_next, len(value)))
+                return
+            address = entry_next
+            if address == 0:
+                break
+            entry_key, _, entry_next, _ = unpack_entry(
+                space.read(address, ENTRY_BYTES))
         value_ptr = self._store_value(value)
-        if existing_key == EMPTY_KEY:
+        if head_key == EMPTY_KEY:
             space.write(slot_addr,
                         pack_entry(key, value_ptr, 0, len(value)))
         else:
@@ -115,7 +128,6 @@ class KvServer:
             self._next_chain_slot += 1
             space.write(chain_addr,
                         pack_entry(key, value_ptr, next_ptr, len(value)))
-            head_key, head_ptr, _, head_len = unpack_entry(entry)
             space.write(slot_addr,
                         pack_entry(head_key, head_ptr, chain_addr,
                                    head_len))

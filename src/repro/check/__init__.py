@@ -9,9 +9,10 @@ workloads whose end state is checked against ground truth.
 
 Enable monitors one of two ways:
 
-- ``REPRO_CHECK=1`` in the environment: every :class:`~repro.sim.
-  Simulator` built afterwards gets a checker (the CI flaky-guard runs
-  the whole tier-1 suite this way);
+- ``REPRO_CHECK=1`` in the environment (the run-mode table in
+  :mod:`repro.runmode` and README): every :class:`~repro.sim.Simulator`
+  built afterwards gets a checker (the CI flaky-guard runs the whole
+  tier-1 suite this way);
 - :func:`install_monitors` on a specific simulator before building the
   topology (what the conformance harness does, so violations carry the
   run's seed and a replay command line).
@@ -26,7 +27,6 @@ from .monitors import (
     InvariantViolation,
     checker_for,
     install_monitors,
-    monitors_enabled_by_env,
 )
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "InvariantViolation",
     "checker_for",
     "install_monitors",
-    "monitors_enabled_by_env",
 ]

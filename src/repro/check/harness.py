@@ -34,10 +34,9 @@ import sys
 from typing import Dict, List, Optional
 
 from ..algos.hashing import fnv1a64
-from ..core.payload import copy_validation
+from ..runmode import active, override
 from ..sim import SEC, SimulationError, Simulator
-from .monitors import (InvariantViolation, install_monitors,
-                       monitors_enabled_by_env)
+from .monitors import InvariantViolation, install_monitors
 
 #: Sizes exercising every packetizer shape: sub-header, exactly one MTU,
 #: first/last, first/middle/last, and large multi-packet messages.
@@ -177,13 +176,12 @@ def _run_burst(rng: random.Random, run_seed: int,
     checker legitimately disables folding).  Completion timestamps, end
     memory, and every non-burst metric must be bit-identical, and the
     folding run must actually fold.  Half the mixes inject a reverse
-    WRITE mid-flight so the unfold path is exercised too.  Because both
-    modes run internally, the row is byte-identical regardless of the
-    ``REPRO_BURST`` environment."""
+    WRITE mid-flight so the unfold path is exercised too.  Both modes
+    are selected with :func:`repro.runmode.override`, so the row does
+    not depend on the environment."""
     from ..cluster.topology import build_pair
     from ..config import NIC_100G
     from ..obs.runtime import registry_for
-    from ..roce import burst
     from ..sim.timebase import US
 
     region_bytes = max(_BURST_SIZES)
@@ -196,9 +194,8 @@ def _run_burst(rng: random.Random, run_seed: int,
     interfere_at = rng.randrange(2, 30) * US if rng.random() < 0.5 \
         else None
 
-    def execute(fold_on: bool):
+    def execute():
         env = Simulator()
-        burst.set_burst_mode(env, fold_on)
         cluster = build_pair(env, nic_config=NIC_100G, seed=run_seed)
         client, server = cluster.hosts
         local = client.alloc(region_bytes, "burst_local")
@@ -239,8 +236,10 @@ def _run_burst(rng: random.Random, run_seed: int,
                   bytes(client.space.read(echo.vaddr, 2048)))
         return times, memory, metrics, folds, unfolds, env.now
 
-    times_off, mem_off, met_off, _, _, end_off = execute(False)
-    times_on, mem_on, met_on, folds, unfolds, end_on = execute(True)
+    with override(fold=False):
+        times_off, mem_off, met_off, _, _, end_off = execute()
+    with override(fold=True):
+        times_on, mem_on, met_on, folds, unfolds, end_on = execute()
 
     failures: List[str] = []
     if times_off != times_on or end_off != end_on:
@@ -256,7 +255,7 @@ def _run_burst(rng: random.Random, run_seed: int,
         failures.append(
             f"metric {key} diverged between per-packet and folded "
             f"execution ({met_off.get(key)} vs {met_on.get(key)})")
-    if folds == 0 and not monitors_enabled_by_env():
+    if folds == 0 and not active().check:
         # Under a global REPRO_CHECK=1 every simulator carries a checker
         # and the burst plane correctly refuses to fold; the dual run is
         # then per-packet vs per-packet, still a valid determinism check.
@@ -525,14 +524,14 @@ def run_one(base_seed: int, index: int) -> Dict[str, int]:
     if roll < 0.15:
         # Burst-equivalence runs drive their own pair of simulators
         # (folding must engage, so no monitors on these).
-        with copy_validation(True):
+        with override(validate=True):
             row = _run_burst(rng, run_seed, replay)
         row.update(run=index, seed=run_seed)
         return row
     env = Simulator()
     checker = install_monitors(env, seed=run_seed, replay=replay)
     try:
-        with copy_validation(True):
+        with override(validate=True):
             # Preserve the original 40/60 raw/kv split over the rest.
             if roll < 0.49:
                 row = _run_raw(env, rng, run_seed, replay, checker)

@@ -68,14 +68,14 @@ would be invisible to them.  Installing a checker sets ``nic.check``
 treats as a slow-path condition — folding is refused on any NIC or
 switch with a checker attached, and the ``REPRO_CHECK=1`` tier-1 leg
 therefore exercises the pure per-packet schedule.  Burst correctness
-has its own dedicated leg instead: ``REPRO_BURST_VALIDATE=1`` runs the
+is covered by the ``REPRO_VALIDATE=1`` leg instead, which runs the
 per-packet shadow schedule beside every fold and asserts bit-identical
-timestamps.
+timestamps (both switches: the run-mode table in :mod:`repro.runmode`
+and README).
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -83,11 +83,10 @@ from ..core.payload import PayloadRef
 from ..roce.opcodes import Opcode, is_read_response
 from ..roce.packetizer import read_response_packet_count
 from ..roce.qp import psn_add, psn_distance
+from ..runmode import active
 
 #: Attribute used to attach the checker to a Simulator.
 _CHECK_ATTR = "_check_monitors"
-#: Environment variable turning monitors on for every new Simulator.
-_CHECK_ENV = "REPRO_CHECK"
 
 #: Half the PSN space: ``psn_distance(a, b) <= _HALF`` means ``a`` is
 #: at-or-behind ``b`` under RoCE's modular comparison.
@@ -516,11 +515,6 @@ class InvariantChecker:
             self._verify_switch(switch)
 
 
-def monitors_enabled_by_env() -> bool:
-    """Whether ``REPRO_CHECK`` asks for monitors on every simulator."""
-    return os.environ.get(_CHECK_ENV, "") not in ("", "0")
-
-
 def checker_for(env) -> Optional[InvariantChecker]:
     """The simulator's checker, or None when monitors are off.
 
@@ -529,7 +523,7 @@ def checker_for(env) -> Optional[InvariantChecker]:
     :func:`repro.obs.runtime.trace_for`.
     """
     checker = getattr(env, _CHECK_ATTR, None)
-    if checker is None and monitors_enabled_by_env():
+    if checker is None and active().check:
         checker = InvariantChecker(env)
         setattr(env, _CHECK_ATTR, checker)
     return checker

@@ -31,9 +31,6 @@ from .payload import (
     PayloadAliasingError,
     PayloadRef,
     as_bytes,
-    copy_validate_enabled,
-    copy_validation,
-    set_copy_validate,
 )
 from .registry import KernelRegistry
 from .rpc import (
@@ -81,11 +78,8 @@ __all__ = [
     "RpcPreamble",
     "StromKernel",
     "as_bytes",
-    "copy_validate_enabled",
-    "copy_validation",
     "is_rpc_error",
     "pack_params",
     "params_body",
     "rpc_error_bytes",
-    "set_copy_validate",
 ]

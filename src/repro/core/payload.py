@@ -31,33 +31,32 @@ fetch time.  Two source classes exist:
 
 Copy-validation mode
 --------------------
-Set ``REPRO_COPY_VALIDATE=1`` (or call :func:`set_copy_validate`) to
-restore the copy-every-hop behaviour: every :class:`PayloadRef` snapshots
-its bytes eagerly at creation (the old fetch-time copy) and delivers the
-snapshot at materialization points.  For *stable* sources it additionally
-asserts that the live view still equals the snapshot — a mismatch raises
-:class:`PayloadAliasingError` naming the divergence instead of silently
-corrupting results.  Racy sources deliver the snapshot without asserting
-(a mid-flight local write is a legal race, not an aliasing bug).  CI
-runs the tier-1 suite once in this mode.
+Under ``REPRO_VALIDATE`` (the run-mode table in :mod:`repro.runmode`
+and README; scoped in code with :func:`repro.runmode.override`) the
+copy-every-hop behaviour comes back: every :class:`PayloadRef`
+snapshots its bytes eagerly at creation (the old fetch-time copy) and
+delivers the snapshot at materialization points.  For *stable* sources
+it additionally asserts that the live view still equals the snapshot —
+a mismatch raises :class:`PayloadAliasingError` naming the divergence
+instead of silently corrupting results.  Racy sources deliver the
+snapshot without asserting (a mid-flight local write is a legal race,
+not an aliasing bug).
 
 Accounting
 ----------
 :data:`PAYLOAD_STATS` counts payload bytes materialized as fresh copies
 vs. handed across the memory boundary by reference; benchmarks print the
 per-scenario delta and tests assert the clean datapath performs zero
-per-hop copies.  This module is intentionally stdlib-only so every layer
-(memory, nic, roce, net) can import it without cycles.
+per-hop copies.  This module imports only the stdlib and the equally
+stdlib-only :mod:`repro.runmode`, so every layer (memory, nic, roce,
+net) can import it without cycles.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Iterable, List, Tuple, Union
 
-#: Environment variable enabling copy-validation mode at import time.
-COPY_VALIDATE_ENV = "REPRO_COPY_VALIDATE"
+from ..runmode import active
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -100,31 +99,6 @@ class PayloadPlaneStats:
 #: The global payload-plane accounting instance.
 PAYLOAD_STATS = PayloadPlaneStats()
 
-_copy_validate = os.environ.get(COPY_VALIDATE_ENV, "") not in ("", "0")
-
-
-def copy_validate_enabled() -> bool:
-    """True while copy-validation mode is active."""
-    return _copy_validate
-
-
-def set_copy_validate(enabled: bool) -> None:
-    """Switch copy-validation mode on or off (affects new refs only)."""
-    global _copy_validate
-    _copy_validate = bool(enabled)
-
-
-@contextmanager
-def copy_validation(enabled: bool = True):
-    """Context manager scoping copy-validation mode (test helper)."""
-    previous = _copy_validate
-    set_copy_validate(enabled)
-    try:
-        yield
-    finally:
-        set_copy_validate(previous)
-
-
 class PayloadRef:
     """A payload as an ordered sequence of buffer views.
 
@@ -146,7 +120,7 @@ class PayloadRef:
         self._segments = segs
         self._length = sum(len(s) for s in segs)
         self._stable = stable
-        if snapshot is None and _copy_validate:
+        if snapshot is None and active().validate:
             # Eager fetch-time copy: the old per-hop behaviour, kept as
             # the reference the view path is checked against.
             snapshot = self._join()
@@ -168,7 +142,7 @@ class PayloadRef:
         for ref in refs:
             segments.extend(ref._segments)
         snapshot = None
-        if _copy_validate:
+        if active().validate:
             snapshot = b"".join(
                 r._snapshot if r._snapshot is not None else r._join()
                 for r in refs)
@@ -236,7 +210,7 @@ class PayloadRef:
         In copy-validation mode this returns the fetch-time snapshot
         after asserting the live views still match it.
         """
-        if self._snapshot is not None and _copy_validate:
+        if self._snapshot is not None and active().validate:
             return self._validate()
         segs = self._segments
         if len(segs) == 1 and isinstance(segs[0], bytes):
@@ -252,7 +226,7 @@ class PayloadRef:
         """The underlying views, for scatter-gather consumption
         (:meth:`repro.memory.PhysicalMemory.write_views`).  Validated
         (and replaced by the snapshot) in copy-validation mode."""
-        if self._snapshot is not None and _copy_validate:
+        if self._snapshot is not None and active().validate:
             return (self._validate(),)
         return self._segments
 
@@ -265,7 +239,7 @@ class PayloadRef:
         if offset == 0 and length == self._length:
             return self
         snapshot = None
-        if self._snapshot is not None and _copy_validate:
+        if self._snapshot is not None and active().validate:
             snapshot = self._snapshot[offset:offset + length]
         stable = self._stable
         parts: List[Buffer] = []

@@ -14,6 +14,8 @@ Usage::
 ``--trace-out`` writes a Chrome trace-event file (load it at
 https://ui.perfetto.dev); ``--metrics-out`` writes the merged metrics
 snapshot of every simulation the run built (see :mod:`repro.obs`).
+A malformed ``REPRO_*`` variable (:mod:`repro.runmode`) ends the run
+with a one-line error naming it.
 
 The EXPERIMENTS.md paper-vs-measured records were produced by this
 runner.
@@ -31,6 +33,7 @@ from typing import Callable, Dict, List
 from ..obs import observe
 
 from ..config import NIC_10G, NIC_100G
+from ..runmode import RunModeError, active
 from ..sim import MS
 from .ablations import (
     datapath_width_ablation,
@@ -169,6 +172,10 @@ def print_metrics_report(path: str, stream=None) -> None:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    try:
+        active()
+    except RunModeError as error:
+        raise SystemExit(f"error: {error}") from None
     if argv and argv[0] == "conformance":
         # The conformance harness owns its own flags (--runs,
         # --first-run, ...) which the experiment parser doesn't know.

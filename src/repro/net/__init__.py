@@ -9,7 +9,6 @@ from .headers import (
     parse_ip,
 )
 from .link import (
-    FAULT_SEED_ENV,
     Cable,
     GilbertElliott,
     LinkFaults,
@@ -19,7 +18,6 @@ from .link import (
 
 __all__ = [
     "Cable",
-    "FAULT_SEED_ENV",
     "GilbertElliott",
     "effective_fault_seed",
     "link_seed",

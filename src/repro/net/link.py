@@ -25,33 +25,30 @@ Fault model (see DESIGN.md, "Fault model & recovery"):
 
 All stochastic draws come from one seeded RNG per cable; with per-link
 seed derivation (:func:`link_seed`) every cable in a topology owns an
-independent, reproducible fault schedule.  Set ``REPRO_FAULT_SEED`` in
-the environment to pin every link to one known seed when reproducing a
-stress-test failure (the tests print the effective seeds on failure).
+independent, reproducible fault schedule.  Set ``REPRO_FAULT_SEED`` (the
+run-mode table in :mod:`repro.runmode` and README) to pin every link to
+one known seed when reproducing a stress-test failure (the tests print
+the effective seeds on failure).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..obs.runtime import registry_for, trace_for
+from ..runmode import active
 from ..sim import Simulator, Stream, timebase
-
-#: Environment variable pinning every link's fault seed (reproduction
-#: aid: protocol-stress failures print the effective seed; exporting it
-#: re-runs the exact same fault schedule regardless of derivation).
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
 
 
 def effective_fault_seed(seed: int) -> int:
-    """``seed``, unless :data:`FAULT_SEED_ENV` pins a global override."""
-    pinned = os.environ.get(FAULT_SEED_ENV)
-    if pinned is not None:
-        return int(pinned, 0)
-    return seed
+    """``seed``, unless the run mode's ``fault_seed`` pins a global
+    override (reproduction aid: protocol-stress failures print the
+    effective seed; pinning it re-runs the exact same fault schedule
+    regardless of derivation)."""
+    pinned = active().fault_seed
+    return seed if pinned is None else pinned
 
 
 def link_seed(seed: int, link_name: str) -> int:

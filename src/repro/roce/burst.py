@@ -51,18 +51,20 @@ landing at *exactly* the same picosecond as a column entry treats that
 entry as already-elapsed (``bisect_right`` tie semantics), where the
 per-packet interleaving at that instant would depend on event ids.
 
-``REPRO_BURST`` enables folding; ``REPRO_BURST_VALIDATE`` additionally
-re-walks every committed schedule with the real per-packet arithmetic
-(real :class:`RocePacket` sizes, explicit max-chains, a stepped
-:class:`ResponderState` clone) and asserts bit-identity.
+Folding is on by default; the gates above choose the per-packet path.
+Under ``REPRO_VALIDATE`` (the run-mode table in :mod:`repro.runmode`
+and README) every committed schedule is re-walked with the real
+per-packet arithmetic (real :class:`RocePacket` sizes, explicit
+max-chains, a stepped :class:`ResponderState` clone) and asserted
+bit-identical.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from typing import Callable, List, Optional
 
+from ..runmode import active
 from ..sim import timebase
 from .headers import Aeth, Bth, Reth
 from .opcodes import carries_aeth, is_last, is_only
@@ -75,40 +77,11 @@ from .qp import ResponderState, psn_add
 #: saved events.
 FOLD_MIN_PACKETS = 4
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 # Flight states.
 _FOLDED = 0      # in flight, analytic schedule authoritative
 _DELIVERED = 1   # all packets arrived (E2 ran); write-backs pending
 _UNFOLDED = 2    # mid-flight unfold: per-packet machinery took over
 _DONE = 3        # E3 ran (or flushed): nothing pending
-
-
-def _env_on(name: str) -> bool:
-    value = os.environ.get(name)
-    return value is not None and value.strip().lower() in _TRUTHY
-
-
-def burst_enabled(env) -> bool:
-    """Folding enabled for this simulator?  A per-simulator override via
-    :func:`set_burst_mode` wins; otherwise ``REPRO_BURST`` /
-    ``REPRO_BURST_VALIDATE`` in the environment."""
-    mode = getattr(env, "_burst_mode", None)
-    if mode is not None:
-        return mode
-    return _env_on("REPRO_BURST") or _env_on("REPRO_BURST_VALIDATE")
-
-
-def set_burst_mode(env, on: Optional[bool]) -> None:
-    """Force folding on/off for one simulator (tests, conformance
-    harness); ``None`` restores the environment-variable default."""
-    env._burst_mode = on
-
-
-def validate_enabled() -> bool:
-    """Shadow-validation mode: re-walk every fold per-packet and assert
-    schedule equality."""
-    return _env_on("REPRO_BURST_VALIDATE")
 
 
 def unfold_pending(env) -> None:
@@ -369,7 +342,7 @@ class BurstFlight:
         env.timeout(self.C[-1] - now).callbacks.append(self._on_e1)
         env.timeout(self.A[-1] - now).callbacks.append(self._on_e2)
         env.timeout(self.wend[-1] - now).callbacks.append(self._on_e3)
-        if validate_enabled():
+        if active().validate:
             self._shadow_check()
 
     # ------------------------------------------------------------------
@@ -1109,7 +1082,7 @@ def try_fold_write(nic, command, qp, segments, first_psn, fetch,
                    gate) -> bool:
     """Attempt to fold one requester WRITE; True = folded (the caller's
     per-packet loop must not run)."""
-    if not burst_enabled(nic.env):
+    if not active().fold:
         return False
     if segments is None or len(segments) < FOLD_MIN_PACKETS:
         return False
@@ -1158,7 +1131,7 @@ def try_fold_write(nic, command, qp, segments, first_psn, fetch,
 def try_fold_read(nic, qp, packet, segments, fetch, gate) -> bool:
     """Attempt to fold one responder READ-response stream; True =
     folded (the caller's per-packet serve loop must not run)."""
-    if not burst_enabled(nic.env):
+    if not active().fold:
         return False
     if len(segments) < FOLD_MIN_PACKETS:
         return False

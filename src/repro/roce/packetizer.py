@@ -90,7 +90,7 @@ def l3_bytes_for_segments(segments: List[Segment],
     payload + ICRC) without materializing packets — the burst fast path
     sizes a whole message analytically from its segment list.  Must stay
     bit-identical to :attr:`repro.roce.packet.RocePacket.l3_bytes`;
-    ``REPRO_BURST_VALIDATE=1`` asserts exactly that."""
+    ``REPRO_VALIDATE=1`` asserts exactly that."""
     from .opcodes import carries_aeth
     base = (config.IPV4_HEADER_BYTES + config.UDP_HEADER_BYTES
             + config.BTH_BYTES + config.ICRC_BYTES)

@@ -55,6 +55,35 @@ def test_collision_chaining():
     assert store.slot_is_empty(0) in (True, False)  # smoke
 
 
+def test_insert_existing_key_updates_in_place():
+    """Re-inserting a key (head of its slot or deeper in the chain)
+    updates that entry: every GET path sees the new value, the key is
+    counted once, and the chain keeps its layout."""
+    env, fabric, store = make_store(num_slots=2)
+    store.deploy_traversal_kernel()
+    for key in (1, 2, 3, 4):
+        store.insert(key, bytes([key]) * 32)
+    depths = {key: store.chain_length(key) for key in (1, 2, 3, 4)}
+    head = next(k for k, depth in depths.items() if depth == 1)
+    deep = max(depths, key=depths.get)
+    assert depths[deep] >= 2
+    for key in (head, deep):
+        store.insert(key, bytes([key + 100]) * 32)
+    assert store.size == 4
+    assert {key: store.chain_length(key) for key in depths} == depths
+    client = KvClient(fabric, store)
+
+    def proc(key):
+        by_reads = yield from client.get_via_reads(key)
+        by_strom = yield from client.get_via_strom(key, 32)
+        return by_reads.value, by_strom.value
+
+    for key in (1, 2, 3, 4):
+        want = bytes([key + 100 if key in (head, deep) else key]) * 32
+        assert store.lookup_local(key) == want
+        assert run_proc(env, proc(key)) == (want, want)
+
+
 def test_chain_length_empty_slot():
     _env, _fabric, store = make_store()
     assert store.chain_length(12345) == 0

@@ -16,22 +16,21 @@ import random
 
 import pytest
 
-from repro.check.monitors import monitors_enabled_by_env
-from repro.core.payload import copy_validate_enabled
 from repro.cluster.topology import build_pair, build_star
 from repro.config import (MAX_PAYLOAD_NO_RETH, MAX_PAYLOAD_WITH_RETH,
                           NIC_100G)
 from repro.obs import registry_for
 from repro.roce import burst
+from repro.runmode import active, override
 from repro.sim import MS, US, Simulator
 
 # Invariant monitors hook every per-packet edge, so the burst plane
 # refuses to fold while a checker is attached (see repro.check.monitors)
 # — under REPRO_CHECK=1 both runs are per-packet and the folds>0
 # assertions below cannot hold.  Burst correctness has its own CI leg
-# (REPRO_BURST_VALIDATE=1).
+# (REPRO_VALIDATE=1).
 pytestmark = pytest.mark.skipif(
-    monitors_enabled_by_env(),
+    active().check,
     reason="monitors disable burst folding by design")
 
 MTU_PAYLOAD = 1456
@@ -61,8 +60,10 @@ def _unfolds(sim):
 def _dual(scenario, *args):
     """Run ``scenario`` with folding off and on; assert equivalence.
     Returns the folding-on simulator for fold/unfold-count asserts."""
-    rows_off, mem_off, sim_off = scenario(False, *args)
-    rows_on, mem_on, sim_on = scenario(True, *args)
+    with override(fold=False):
+        rows_off, mem_off, sim_off = scenario(*args)
+    with override(fold=True):
+        rows_on, mem_on, sim_on = scenario(*args)
     assert rows_on == rows_off
     assert mem_on == mem_off
     snap_off, snap_on = _snapshot(sim_off), _snapshot(sim_on)
@@ -86,17 +87,16 @@ def _drive(sim, driver, extras=()):
 # Direct cable (build_pair)
 # ---------------------------------------------------------------------------
 
-def _pair(on):
+def _pair():
     sim = Simulator()
-    burst.set_burst_mode(sim, on)
     cluster = build_pair(sim, nic_config=NIC_100G)
     return sim, cluster, cluster.hosts[0], cluster.hosts[1]
 
 
-def _pair_scenario(on, seed):
+def _pair_scenario(seed):
     """Seeded random verb mix straddling the fold threshold, both
     directions, with occasional back-to-back ops."""
-    sim, cluster, client, server = _pair(on)
+    sim, cluster, client, server = _pair()
     rng = random.Random(seed)
     sizes = [1, 1456, 3 * MTU_PAYLOAD, 4 * MTU_PAYLOAD, 8192,
              40_000, 64 * 1024, BIG]
@@ -136,8 +136,8 @@ def _write_size_for(packets):
     return MAX_PAYLOAD_WITH_RETH + (packets - 1) * MAX_PAYLOAD_NO_RETH
 
 
-def _threshold_scenario(on, packets):
-    sim, cluster, client, server = _pair(on)
+def _threshold_scenario(packets):
+    sim, cluster, client, server = _pair()
     size = _write_size_for(packets)
     src = client.alloc(size, "src")
     dst = server.alloc(size, "dst")
@@ -159,9 +159,9 @@ def test_fold_threshold_straddle(packets):
     assert (_folds(sim) > 0) == (packets >= burst.FOLD_MIN_PACKETS)
 
 
-def _interfered_pair_scenario(on, offset_ps, interfere):
+def _interfered_pair_scenario(offset_ps, interfere):
     """One big WRITE with a slow-path trigger injected mid-flight."""
-    sim, cluster, client, server = _pair(on)
+    sim, cluster, client, server = _pair()
     src = client.alloc(BIG, "src")
     dst = server.alloc(BIG, "dst")
     back = server.alloc(4096, "back")
@@ -242,7 +242,7 @@ _OFFSETS_US = [1, 5, 12, 20]
 @pytest.mark.parametrize("trigger", sorted(_PAIR_TRIGGERS))
 @pytest.mark.parametrize("offset_us", _OFFSETS_US)
 def test_pair_unfold_triggers(trigger, offset_us):
-    if trigger == "source_store" and copy_validate_enabled():
+    if trigger == "source_store" and active().validate:
         # Copy-validation mode treats any mid-flight send-buffer store
         # as an aliasing error, in per-packet and folded runs alike.
         pytest.skip("mid-flight send-buffer stores are illegal under "
@@ -260,10 +260,9 @@ def test_unfold_counter_increments():
 # One-switch leg (build_star)
 # ---------------------------------------------------------------------------
 
-def _star_scenario(on, offset_ps, interfere):
+def _star_scenario(offset_ps, interfere):
     """h0 -> h1 big WRITE through the switch, with interference."""
     sim = Simulator()
-    burst.set_burst_mode(sim, on)
     cluster = build_star(sim, 3, nic_config=NIC_100G)
     h0, h1, h2 = cluster.hosts
     qp01, _ = cluster.connect(h0, h1)
@@ -350,7 +349,7 @@ def test_star_third_host_unfolds():
     assert _unfolds(sim) > 0
 
 
-def _symmetric_posts_scenario(on):
+def _symmetric_posts_scenario():
     """Two senders post multi-packet WRITEs to one receiver at the
     same instant (the incast pattern): the first poster's fold must be
     handed back to the per-packet machinery at the second sender's
@@ -358,7 +357,6 @@ def _symmetric_posts_scenario(on):
     the replay loses every same-picosecond event-order tie the
     per-packet schedule would have won."""
     sim = Simulator()
-    burst.set_burst_mode(sim, on)
     cluster = build_star(sim, 3, nic_config=NIC_100G)
     h0, h1, h2 = cluster.hosts
     qp01, _ = cluster.connect(h0, h1)

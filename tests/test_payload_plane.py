@@ -11,7 +11,7 @@ The plane's correctness argument has three legs, each tested here:
    :class:`PayloadAliasingError` instead of silent corruption.
 3. **Equivalence** — for random segment layouts the view path delivers
    byte-identical wire traffic and destination memory to the eager
-   copy-every-hop path (``REPRO_COPY_VALIDATE=1``).
+   copy-every-hop path (``REPRO_VALIDATE=1``).
 """
 
 import random
@@ -20,9 +20,10 @@ import pytest
 
 from repro.config import NIC_100G
 from repro.core.payload import (PAYLOAD_STATS, PayloadAliasingError,
-                                PayloadRef, as_bytes, copy_validation)
+                                PayloadRef, as_bytes)
 from repro.host import build_fabric
 from repro.memory.physical import PhysicalMemory
+from repro.runmode import override
 from repro.sim import MS, US, Simulator
 
 PAGE = 4096
@@ -73,7 +74,7 @@ class TestPayloadRef:
             ref.slice(-1, 2)
 
     def test_tobytes_counts_copy_only_when_joining(self):
-        with copy_validation(False):
+        with override(validate=False):
             PAYLOAD_STATS.reset()
             single = PayloadRef.wrap(b"already-bytes")
             assert single.tobytes() == b"already-bytes"
@@ -119,7 +120,7 @@ class TestPhysicalMemoryViews:
         mem = _mem()
         data = bytes((i * 7) % 256 for i in range(3 * PAGE))
         mem.write(100, data)
-        with copy_validation(False):
+        with override(validate=False):
             ref = mem.read_view(100, len(data))
             assert len(ref.segments()) == 4
         assert ref == data
@@ -163,7 +164,7 @@ class TestPhysicalMemoryViews:
 class TestCopyValidation:
     def test_stable_ref_mutation_raises(self):
         buf = bytearray(b"\xAA" * 32)
-        with copy_validation():
+        with override(validate=True):
             ref = PayloadRef.wrap(buf, stable=True)
             buf[3] = 0xBB
             with pytest.raises(PayloadAliasingError):
@@ -171,7 +172,7 @@ class TestCopyValidation:
 
     def test_racy_ref_delivers_fetch_time_snapshot_silently(self):
         buf = bytearray(b"\xAA" * 32)
-        with copy_validation():
+        with override(validate=True):
             ref = PayloadRef.wrap(buf, stable=False)
             buf[3] = 0xBB
             # A READ-vs-local-write race is legal: hardware pins the
@@ -179,7 +180,7 @@ class TestCopyValidation:
             assert ref.tobytes() == b"\xAA" * 32
 
     def test_untouched_stable_ref_passes(self):
-        with copy_validation():
+        with override(validate=True):
             ref = PayloadRef.wrap(bytearray(b"ok"), stable=True)
             assert ref.tobytes() == b"ok"
             assert ref.segments() == (b"ok",)
@@ -218,7 +219,7 @@ class TestMidFlightMutation:
         # packets still in flight — exactly like hardware DMA-ing from a
         # buffer the application reused too early.
         env = Simulator()
-        with copy_validation(False):
+        with override(validate=False):
             fabric, dst, proc = _mutating_write(env, 4 * US)
             env.run_until_complete(proc, limit=10 * MS)
             env.run()  # drain posted DMA commits past the ACK
@@ -229,7 +230,7 @@ class TestMidFlightMutation:
     def test_copy_validation_catches_the_mutation(self):
         env = Simulator()
         fabric, dst, proc = _mutating_write(env, 4 * US)
-        with copy_validation():
+        with override(validate=True):
             with pytest.raises(PayloadAliasingError):
                 env.run_until_complete(proc, limit=10 * MS)
                 env.run()
@@ -254,7 +255,7 @@ class TestMidFlightMutation:
 
         env.process(local_writer())
         proc = env.process(reader())
-        with copy_validation():
+        with override(validate=True):
             env.run_until_complete(proc, limit=10 * MS)
         landed = fabric.client.space.read(dst.vaddr, SIZE_64K)
         assert set(landed) <= {0xCC, 0xDD}
@@ -282,7 +283,9 @@ def _capture_wire(cable):
 
 
 def _random_transfer_run(seed, validate):
-    """Random page-straddling WRITEs + READs; returns (wire, memories)."""
+    """Random page-straddling WRITEs + READs; returns (wire, memories).
+    Runs per-packet: folded frames bypass the cable receivers the wire
+    capture taps."""
     rng = random.Random(seed)
     env = Simulator()
     fabric = build_fabric(env, nic_config=NIC_100G)
@@ -309,7 +312,7 @@ def _random_transfer_run(seed, validate):
                 fabric.client_qpn, rdst.vaddr + offset,
                 dst.vaddr + offset, length)
 
-    with copy_validation(validate):
+    with override(fold=False, validate=validate):
         env.run_until_complete(env.process(driver()), limit=100 * MS)
     return wire, (fabric.server.space.read(dst.vaddr, span),
                   fabric.client.space.read(rdst.vaddr, span))
@@ -345,7 +348,7 @@ def test_clean_path_performs_zero_payload_copies():
 
     proc = env.process(driver())
     PAYLOAD_STATS.reset()
-    with copy_validation(False):
+    with override(validate=False):
         env.run_until_complete(proc, limit=100 * MS)
     stats = PAYLOAD_STATS.snapshot()
     assert stats["copy_events"] == 0, stats

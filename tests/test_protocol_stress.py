@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.host import build_fabric
-from repro.net import FAULT_SEED_ENV, LinkFaults
+from repro.net import LinkFaults
 from repro.obs import registry_for
+from repro.runmode import FAULT_SEED_ENV
 from repro.sim import MS, Simulator
 
 
