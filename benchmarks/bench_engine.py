@@ -31,11 +31,9 @@ Scenarios
 ``rdma_write_256k`` / ``rdma_read_256k``
     End-to-end 256 KiB RDMA WRITE/READ over the two-node 100 G fabric,
     reported in *payload bytes per wall-second*: the large-message gate
-    of the zero-copy payload plane.  The baseline additionally records
-    the rates of the pre-zero-copy (copy-per-hop) datapath
-    (``copy_rdma_*_256k``) for the speedup line, and the payload-plane
-    counters are printed per scenario — the clean path must show zero
-    per-hop copy bytes.
+    of the zero-copy payload plane.  The payload-plane counters are
+    printed per scenario — the clean path must show zero per-hop copy
+    bytes.
 
 Usage::
 
@@ -74,6 +72,9 @@ BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "bench_engine_baseline.json")
 BURST = 64
 RDMA_SIZE = 256 * 1024
+#: Minimum speedup of the folded 256 KiB WRITE/READ over the per-packet
+#: run measured in the same invocation.
+FOLD_SPEEDUP_GATE = 4
 
 
 def timeout_loop(n: int) -> float:
@@ -315,14 +316,6 @@ def main(argv=None) -> int:
         speedup = results["stream_bulk"] / seed
         print(f"\nword-batched bulk path vs seed engine ping-pong "
               f"({seed:,.0f}/s): {speedup:.1f}x")
-    if baseline and "copy_rdma_write_256k" in baseline:
-        # The recorded rates of the copy-per-hop datapath this plane
-        # replaced; the zero-copy acceptance line is >= 1.5x on both.
-        for kind in ("write", "read"):
-            old = baseline[f"copy_rdma_{kind}_256k"]
-            new = results[f"rdma_{kind}_256k"]
-            print(f"zero-copy 256 KiB {kind} vs copy-per-hop datapath "
-                  f"({old / 1e6:.2f} MB/s): {new / old:.2f}x")
     for name, delta in PAYLOAD_DELTAS.items():
         print(f"payload plane [{name}]: "
               f"{delta['bytes_copied']:,} B copied "
@@ -333,8 +326,9 @@ def main(argv=None) -> int:
         print(f"event cost [{name}]: {cost['events_per_kib']:.2f} "
               f"events/KiB, folded_packets={cost['folded_packets']:,}")
     # Burst fast-path acceptance: the folded datapath must actually
-    # fold, copy nothing, and beat the per-packet run by >= 1.5x on the
-    # same machine in the same invocation.
+    # fold, copy nothing, and beat the per-packet run by >= the fold
+    # gate on the same machine in the same invocation (a ratio, so host
+    # speed cancels out).
     for kind in ("write", "read"):
         plain_name = f"rdma_{kind}_256k"
         burst_name = f"{plain_name}_burst"
@@ -346,10 +340,10 @@ def main(argv=None) -> int:
         if PAYLOAD_DELTAS[burst_name]["bytes_copied"] != 0:
             failed.append((f"{burst_name} (copied bytes on the clean "
                            f"path)", 0, results[plain_name]))
-        if speedup < 1.5:
-            failed.append((f"{burst_name} (< 1.5x over per-packet)",
-                           results[burst_name],
-                           results[plain_name] * 1.5))
+        if speedup < FOLD_SPEEDUP_GATE:
+            failed.append((f"{burst_name} (< {FOLD_SPEEDUP_GATE}x over "
+                           f"per-packet)", results[burst_name],
+                           results[plain_name] * FOLD_SPEEDUP_GATE))
 
     # In-run overhead guard: the disabled-mode hooks must cost less than
     # --obs-threshold of the bare engine loop measured this same run
@@ -368,9 +362,9 @@ def main(argv=None) -> int:
     if args.update_baseline:
         payload = {"rates": results}
         if os.path.exists(BASELINE_PATH):
-            # Historical reference rates (seed engine, copy-per-hop
-            # datapath) are measurements of *replaced* code: carry them
-            # forward, they cannot be re-measured.
+            # Historical reference rates (seed engine) are measurements
+            # of *replaced* code: carry them forward, they cannot be
+            # re-measured.
             old = load_baseline()
             payload.update({key: value for key, value in old.items()
                             if key != "rates"})

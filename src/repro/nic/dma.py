@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
 from ..check import checker_for
@@ -70,13 +71,16 @@ class FetchPlan:
     process, strictly in order.
     """
 
-    __slots__ = ("_dma", "_env", "_chunk_pieces", "_cum", "_start",
-                 "_index", "_stable")
+    __slots__ = ("_dma", "_env", "_vaddr", "_length", "_chunk_pieces",
+                 "_cum", "_start", "_index", "_stable")
 
-    def __init__(self, dma: "DmaEngine", chunk_pieces, cum_ends,
-                 start: int, stable: bool = False) -> None:
+    def __init__(self, dma: "DmaEngine", vaddr: int, length: int,
+                 chunk_pieces, cum_ends, start: int,
+                 stable: bool = False) -> None:
         self._dma = dma
         self._env = dma.env
+        self._vaddr = vaddr
+        self._length = length
         self._chunk_pieces = chunk_pieces
         self._cum = cum_ends
         self._start = start
@@ -92,6 +96,14 @@ class FetchPlan:
         if due > env.now:
             yield env.timeout(due - env.now)
         return self._dma._view_of(self._chunk_pieces[index], self._stable)
+
+    def message_view(self) -> PayloadRef:
+        """The whole fetch as one view (the burst fast path's payload;
+        each chunk's view is the matching slice of it)."""
+        dma = self._dma
+        pieces = dma.tlb.split_run(self._vaddr, (self._length,),
+                                   charge=False)[0]
+        return dma._view_of(pieces, self._stable)
 
 
 class StreamChunks:
@@ -187,6 +199,24 @@ class DmaEngine:
             total += occupancy(self._effective(n, sequential))
         return total
 
+    def _chunk_durations(self, link: BandwidthLink, chunk_pieces,
+                         sequential: bool) -> List[int]:
+        """:meth:`_burst_duration` of each chunk's pieces, computing the
+        occupancy once per distinct piece length."""
+        occupancy = link.occupancy_ps
+        memo = {}
+        durations = []
+        for pieces in chunk_pieces:
+            total = 0
+            for _, n in pieces:
+                duration = memo.get(n)
+                if duration is None:
+                    duration = memo[n] = occupancy(
+                        self._effective(n, sequential))
+                total += duration
+            durations.append(total)
+        return durations
+
     def _burst_perword(self, link: BandwidthLink, piece_lengths,
                        sequential: bool):
         """Per-word validation mode: reserve the burst and replay the
@@ -245,17 +275,6 @@ class DmaEngine:
             self.trace.end_span(span)
         return data
 
-    def _split_chunks(self, vaddr: int, chunk_lengths):
-        chunk_pieces = []
-        cursor = vaddr
-        for chunk_len in chunk_lengths:
-            if chunk_len <= 0:
-                raise ValueError("chunk lengths must be positive")
-            chunk_pieces.append(
-                list(self.tlb.split_command(cursor, chunk_len)))
-            cursor += chunk_len
-        return chunk_pieces, cursor - vaddr
-
     def read_plan(self, vaddr: int, chunk_lengths,
                   sequential: bool = True,
                   stable: bool = False) -> FetchPlan:
@@ -265,15 +284,12 @@ class DmaEngine:
         receives each chunk (as a view) at exactly the time the old
         chunk-delivery process would have put it — without any per-chunk
         or even per-message events."""
-        chunk_pieces, total_bytes = self._split_chunks(vaddr, chunk_lengths)
-        occupancy = self.read_link.occupancy_ps
-        cum_ends = []
-        cum = 0
-        for pieces in chunk_pieces:
-            for _, n in pieces:
-                cum += occupancy(self._effective(n, sequential))
-            cum_ends.append(cum)
+        chunk_pieces = self.tlb.split_run(vaddr, chunk_lengths)
+        total_bytes = sum(chunk_lengths)
         link = self.read_link
+        cum_ends = list(accumulate(
+            self._chunk_durations(link, chunk_pieces, sequential)))
+        cum = cum_ends[-1] if cum_ends else 0
         start = link.reserve_after(
             self.env.now + self.config.pcie_read_latency, cum)
         link.bytes_transferred += total_bytes
@@ -286,7 +302,8 @@ class DmaEngine:
             self.env.timeout(start + cum - self.env.now).callbacks.append(
                 lambda _event, span=span:
                     self.trace.end_span(span, length=total_bytes))
-        return FetchPlan(self, chunk_pieces, cum_ends, start, stable=stable)
+        return FetchPlan(self, vaddr, total_bytes, chunk_pieces, cum_ends,
+                         start, stable=stable)
 
     def read_stream(self, vaddr: int, chunk_lengths, out_stream,
                     sequential: bool = True, stable: bool = False):
@@ -303,13 +320,12 @@ class DmaEngine:
         """
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_stream_read", vaddr=vaddr)
-        chunk_pieces, total_bytes = self._split_chunks(vaddr, chunk_lengths)
+        chunk_pieces = self.tlb.split_run(vaddr, chunk_lengths)
+        total_bytes = sum(chunk_lengths)
         env = self.env
         link = self.read_link
         occupancy = link.occupancy_ps
-        durations = [
-            sum(occupancy(self._effective(n, sequential)) for _, n in pieces)
-            for pieces in chunk_pieces]
+        durations = self._chunk_durations(link, chunk_pieces, sequential)
         per_word = self.config.per_word_accounting
         if per_word:
             yield env.timeout(self.config.pcie_read_latency)
@@ -344,8 +360,12 @@ class DmaEngine:
     # Writes
     # ------------------------------------------------------------------
     def _commit_write(self, vaddr: int, pieces, data, length: int,
-                      span) -> None:
-        """Land ``data`` in the destination pages (burst completion)."""
+                      span, count: int = 1) -> None:
+        """Land ``data`` in the destination pages (burst completion).
+
+        ``count`` is the number of per-packet writes the call stands
+        for: the burst fast path lands a whole folded message, one view
+        per physical piece, and still advances ``writes`` per packet."""
         if self.check is not None:
             self.check.on_dma_commit(self, vaddr, pieces, length)
         memory = self.memory
@@ -366,7 +386,7 @@ class DmaEngine:
             for paddr, n in pieces:
                 memory.write(paddr, view[offset:offset + n])
                 offset += n
-        self.writes.add()
+        self.writes.add(count)
         self.bytes_written.add(length)
         if self.trace is not None:
             self.trace.end_span(span)

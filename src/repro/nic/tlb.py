@@ -5,11 +5,17 @@ entries cover 32 GB of pinned host memory.  The TLB is populated once by
 the driver and never misses at run time — a miss is a configuration error.
 DMA commands that cross a huge-page boundary are split into multiple
 commands, none of which crosses a boundary.
+
+A streaming transfer splits a whole run of back-to-back chunks at once
+(:meth:`Tlb.split_run`): one table probe per page touched, with the
+counters advanced in closed form by exactly what the per-chunk
+:meth:`Tlb.split_command` calls would have added — the host reads them
+as controller registers (``REG_TLB_LOOKUPS``, ``REG_TLB_SPLITS``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..config import NicConfig
 
@@ -33,6 +39,11 @@ class Tlb:
         self._last_vpn: int = -1
         self._last_base: int = 0
         self.cache_hits = 0
+        #: A folded burst charges its destination write-backs lazily (see
+        #: repro.roce.burst); any other charged translation first settles
+        #: the ones the per-packet path would have made by now, so the
+        #: counters and the cache see per-packet order.  None otherwise.
+        self.pending_charge: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -61,6 +72,8 @@ class Tlb:
 
     def translate(self, vaddr: int) -> int:
         """Translate one virtual address; raises :class:`TlbMissError`."""
+        if self.pending_charge is not None:
+            self.pending_charge()
         self.lookups += 1
         vpn, offset = divmod(vaddr, self.page_bytes)
         if vpn == self._last_vpn:
@@ -91,3 +104,80 @@ class Tlb:
             cursor += chunk
             remaining -= chunk
             first = False
+
+    def _base(self, vpn: int) -> int:
+        base = self._entries.get(vpn)
+        if base is None:
+            raise TlbMissError(
+                f"no TLB entry for vaddr {vpn * self.page_bytes:#x}")
+        return base
+
+    def split_run(self, vaddr: int, lengths,
+                  charge: bool = True) -> List[List[Tuple[int, int]]]:
+        """:meth:`split_command` for chunks of ``lengths`` bytes laid out
+        back to back from ``vaddr``: each chunk's (physical, length)
+        pieces, probing the table once per page touched.
+
+        With ``charge`` the counters and the last-translation cache
+        advance exactly as the per-chunk ``split_command`` calls would
+        have; ``charge=False`` is a pure lookup that leaves them to a
+        later :meth:`charge_run`."""
+        if charge and self.pending_charge is not None:
+            self.pending_charge()
+        page = self.page_bytes
+        out: List[List[Tuple[int, int]]] = []
+        vpn, off = divmod(vaddr, page)
+        base = None
+        pieces = 0
+        for n in lengths:
+            if n <= 0:
+                raise ValueError("DMA length must be positive")
+            if off == page:
+                vpn += 1
+                off = 0
+                base = None
+            if base is None:
+                base = self._base(vpn)
+            if off + n <= page:
+                out.append([(base + off, n)])
+                off += n
+                pieces += 1
+                continue
+            chunk = []
+            while n:
+                if off == page:
+                    vpn += 1
+                    off = 0
+                    base = self._base(vpn)
+                take = page - off
+                if take > n:
+                    take = n
+                chunk.append((base + off, take))
+                off += take
+                n -= take
+            out.append(chunk)
+            pieces += len(chunk)
+        if charge and out:
+            self.charge_run(vaddr, vpn * page + off - vaddr, len(out),
+                            pieces)
+        return out
+
+    def charge_run(self, vaddr: int, length: int, chunks: int,
+                   pieces: int) -> None:
+        """Advance the counters and the cache as ``chunks`` back-to-back
+        :meth:`split_command` calls covering [vaddr, vaddr+length) in
+        ``pieces`` pieces would have: one lookup per piece, one split per
+        piece beyond the first of its chunk, and a cache hit for every
+        piece except each page's first — which hits only if it is the
+        page the cache already holds."""
+        page = self.page_bytes
+        first = vaddr // page
+        last = (vaddr + length - 1) // page
+        hits = pieces - (last - first + 1)
+        if first == self._last_vpn:
+            hits += 1
+        self.lookups += pieces
+        self.cache_hits += hits
+        self.splits += pieces - chunks
+        self._last_vpn = last
+        self._last_base = self._base(last)

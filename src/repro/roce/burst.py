@@ -18,9 +18,20 @@ three scheduler events end to end:
   state jumps to its final value and the single coalesced ACK (the one
   the per-packet tail would have triggered) is sent through the real
   ACK path;
-- **E3** at ``wend[n-1]``: the last DMA write-back lands — payload
-  views are committed to the destination pages (zero copy, in per-packet
-  order) and, for READs, the completion fires.
+- **E3** at ``wend[n-1]``: the last DMA write-back lands — the
+  message's payload view is committed to the destination pages, one
+  commit per contiguous physical run (zero copy; ``writes`` still
+  advances per packet) and, for READs, the completion fires.
+
+A folded message costs host work per page touched and per distinct
+packet size, not per packet: the flight holds one message-level
+:class:`~repro.core.payload.PayloadRef` and slices per-packet views only
+for an unfold, a replay or the validation walk; TLB splits come from
+:meth:`~repro.nic.tlb.Tlb.split_run` (one probe per page); the columns
+compute each serialization and streaming time once per distinct size.
+The destination TLB is charged lazily for the write-back translations
+(:attr:`~repro.nic.tlb.Tlb.pending_charge`): by E2 all of them, at an
+unfold only the arrived prefix (the replay translates the rest itself).
 
 The analytic schedule (all integer picoseconds, mirroring the code
 paths in :mod:`repro.nic.nic`, :mod:`repro.net.link` and
@@ -105,6 +116,22 @@ def unfold_pending(env) -> None:
         live.pop().unfold()
 
 
+def _started(generator):
+    """Run ``generator`` to its first yield now and return a process body
+    that waits on that event, then hands over to the generator.
+
+    The replay's first wait must be created at unfold time, not when a
+    new process bootstraps: the per-packet sender created it before the
+    competitor whose post triggered the unfold, and same-picosecond ties
+    go by event-creation order."""
+    first = next(generator)
+
+    def body():
+        yield first
+        yield from generator
+    return body()
+
+
 # ----------------------------------------------------------------------
 # Fold gates
 # ----------------------------------------------------------------------
@@ -163,7 +190,7 @@ class BurstFlight:
     __slots__ = (
         "env", "kind", "src", "dst", "src_qp", "dst_qp", "cable", "side",
         "dest", "segments", "first_psn", "last_psn", "n", "t0", "gate",
-        "views", "addrs", "pieces", "p", "l3", "wire", "total",
+        "view", "run", "pieces", "tlb_charged", "p", "l3", "wire", "total",
         "total_wire", "F", "C", "E1c", "A1", "A", "dur", "wstart", "wend",
         "pre_free1", "pre_wfree", "fetch_start", "fetch_cum",
         "base_addr", "raddr", "msg_length", "completion", "msn0", "ctx",
@@ -202,11 +229,10 @@ class BurstFlight:
         self.entry = None
         self._packets: List[Optional[RocePacket]] = [None] * self.n
         self.c_unfolds = None
-        # Payload views: the same PayloadRef objects the per-packet loop
-        # would have placed into the packets (zero copy end to end).
-        dma = fetch._dma
-        self.views = [dma._view_of(pieces, fetch._stable)
-                      for pieces in fetch._chunk_pieces]
+        # One view of the whole source buffer (zero copy end to end);
+        # packet i's payload is its slice, built only when needed.
+        self.view = fetch.message_view()
+        self.tlb_charged = 0
         self.p = [seg.length for seg in segments]
         self.total = sum(self.p)
 
@@ -223,14 +249,20 @@ class BurstFlight:
         src, cable = self.src, self.cable
         segments = self.segments
         response = self.kind == "read"
-        self.l3 = l3_bytes_for_segments(segments, response=response)
+        self.l3 = l3 = l3_bytes_for_segments(segments, response=response)
         from .. import config as _cfg
-        self.wire = [_cfg.wire_bytes_for_frame(b) for b in self.l3]
+        streaming_time = src.config.streaming_time
+        bps = cable.bits_per_second
+        # Per distinct frame size: (wire bytes, TX charge, serialization).
+        sizes = {}
+        for size in set(l3):
+            wire = _cfg.wire_bytes_for_frame(size)
+            sizes[size] = (wire, streaming_time(size),
+                           timebase.transfer_time_ps(wire, bps))
+        self.wire = [sizes[size][0] for size in l3]
         self.total_wire = sum(self.wire)
 
-        streaming_time = src.config.streaming_time
         tx_delay = src._tx_delay
-        bps = cable.bits_per_second
         prop = cable.propagation + cable.extra_latency \
             + cable._receiver_delay[self.dest]
         fetch_start, fetch_cum = self.fetch_start, self.fetch_cum
@@ -242,13 +274,14 @@ class BurstFlight:
         prev_c = self.t0
         free = self.pre_free1 = cable._free_at[self.side]
         for i in range(self.n):
+            _, charge, serialize = sizes[l3[i]]
             due = fetch_start + fetch_cum[i]
             f = due if due > prev_c else prev_c
-            c = f + streaming_time(self.l3[i])
+            c = f + charge
             s = c + tx_delay
             if s < free:
                 s = free
-            e = s + timebase.transfer_time_ps(self.wire[i], bps)
+            e = s + serialize
             F.append(f)
             C.append(c)
             E1c.append(e)
@@ -265,27 +298,23 @@ class BurstFlight:
         wdma = dst.dma
         wlink = wdma.write_link
         wlat = dst.config.pcie_write_latency
-        self.pieces = []
-        self.addrs = []
-        self.dur = []
+        # Pure lookups: the TLB is charged as the packets arrive
+        # (_settle_tlb), where per-packet write_posted translates.
+        self.pieces = dst.tlb.split_run(self.base_addr, self.p,
+                                        charge=False)
+        self.run = dst.tlb.split_run(self.base_addr, (self.total,),
+                                     charge=False)[0]
+        self.dur = wdma._chunk_durations(wlink, self.pieces, True)
         wstart: List[int] = []
         wend: List[int] = []
         wfree = self.pre_wfree = wlink._free_at
-        addr = self.base_addr
-        for i in range(self.n):
-            pieces = list(dst.tlb.split_command(addr, self.p[i]))
-            dur = wdma._burst_duration(wlink, [n for _, n in pieces], True)
+        for i, dur in enumerate(self.dur):
             ws = arrivals[i] + wlat
             if ws < wfree:
                 ws = wfree
-            we = ws + dur
-            self.pieces.append(pieces)
-            self.addrs.append(addr)
-            self.dur.append(dur)
+            wfree = ws + dur
             wstart.append(ws)
-            wend.append(we)
-            wfree = we
-            addr += self.p[i]
+            wend.append(wfree)
         self.wstart, self.wend = wstart, wend
 
     # ------------------------------------------------------------------
@@ -322,6 +351,7 @@ class BurstFlight:
         # first push the flight back to per-packet commit times.
         src.memory.store_guard = self._dma_guard
         dst.memory.store_guard = self._dma_guard
+        dst.tlb.pending_charge = self._settle_tlb
 
         if self.kind == "write":
             from ..nic.nic import _UnackedEntry
@@ -348,6 +378,10 @@ class BurstFlight:
     # ------------------------------------------------------------------
     # Packet materialization (unfold/replay/validation only)
     # ------------------------------------------------------------------
+    def _view(self, i: int):
+        """Packet ``i``'s payload: its slice of the message view."""
+        return self.view.slice(self.segments[i].offset, self.p[i])
+
     def _packet(self, i: int) -> RocePacket:
         packet = self._packets[i]
         if packet is not None:
@@ -363,13 +397,13 @@ class BurstFlight:
             bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn,
                       ack_request=tail)
             packet = RocePacket(src_ip=self.src.ip, dst_ip=qp.dest_ip,
-                                bth=bth, reth=reth, payload=self.views[i])
+                                bth=bth, reth=reth, payload=self._view(i))
         else:
             aeth = Aeth(syndrome=0, msn=self.msn0) \
                 if carries_aeth(seg.opcode) else None
             bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn)
             packet = RocePacket(src_ip=self.src.ip, dst_ip=qp.dest_ip,
-                                bth=bth, aeth=aeth, payload=self.views[i])
+                                bth=bth, aeth=aeth, payload=self._view(i))
         self._packets[i] = packet
         return packet
 
@@ -436,14 +470,19 @@ class BurstFlight:
             return
         self.state = _DONE
         self._clear_guards()
-        for i in range(self.n):
-            self._commit_index(i)
+        # Every write-back has landed by now and nothing observed the
+        # destination in between (a competing write, watch or store
+        # flushes first): land the message in one commit per physical
+        # run, still counted as one DMA write per packet.
+        self.dst.dma._commit_write(self.base_addr, self.run, self.view,
+                                   self.total, None, count=self.n)
         if self.kind == "read":
             self.dst._finish_read(self.dst_qp, self.ctx)
 
     def _commit_index(self, i: int) -> None:
-        self.dst.dma._commit_write(self.addrs[i], self.pieces[i],
-                                   self.views[i], self.p[i], None)
+        self.dst.dma._commit_write(
+            self.base_addr + self.segments[i].offset, self.pieces[i],
+            self._view(i), self.p[i], None)
 
     # ------------------------------------------------------------------
     # Guards
@@ -464,7 +503,29 @@ class BurstFlight:
         elif self.state is _DELIVERED:
             self._flush_delivered()
 
+    def _settle_tlb(self) -> None:
+        """Charge the destination TLB for the write-back translations
+        the per-packet path has made by now — one ``split_command`` per
+        arrived packet (``bisect_right`` tie semantics, as at every
+        unfold boundary)."""
+        k = bisect_right(self.A, self.env.now)
+        j = self.tlb_charged
+        if k <= j:
+            return
+        self.tlb_charged = k
+        start = self.segments[j].offset
+        self.dst.tlb.charge_run(
+            self.base_addr + start,
+            self.segments[k - 1].offset + self.p[k - 1] - start, k - j,
+            sum(map(len, self.pieces[j:k])))
+
     def _deregister(self) -> None:
+        # E2 (every packet arrived) or an unfold (the arrived prefix;
+        # the replay translates the rest through write_posted).
+        self._settle_tlb()
+        tlb = self.dst.tlb
+        if getattr(tlb.pending_charge, "__self__", None) is self:
+            tlb.pending_charge = None
         if self.cable._pending.get(self.side) is self:
             self.cable._pending[self.side] = None
         try:
@@ -538,7 +599,7 @@ class BurstFlight:
             return
         self.state = _UNFOLDED
         env = self.env
-        t = env.now
+        t = env._burst_unfold_at = env.now
         self._deregister()
         self._clear_guards()
         self.c_unfolds.add()
@@ -575,8 +636,8 @@ class BurstFlight:
         if n_tx < self.n:
             self.cable._free_at[self.side] = \
                 self.E1c[n_tx - 1] if n_tx else self.pre_free1
-            self.env.process(
-                self._replay_tx(n_tx, bisect_right(self.F, t)))
+            self.env.process(_started(
+                self._replay_tx(n_tx, bisect_right(self.F, t))))
         else:
             self._finish_tx()
 
@@ -737,7 +798,8 @@ class BurstFlight:
                 if packet.reth is not None:
                     clone.write_cursor = packet.reth.vaddr
                 cursor = clone.write_cursor
-                assert cursor == self.addrs[i], (i, cursor, self.addrs[i])
+                addr = self.base_addr + self.segments[i].offset
+                assert cursor == addr, (i, cursor, addr)
                 clone.write_cursor = cursor + len(packet.payload)
                 if i == self.n - 1:
                     clone.msn = (clone.msn + 1) & 0xFFFFFF
@@ -858,11 +920,13 @@ class SwitchBurstFlight(BurstFlight):
         depths: List[int] = []
         prev_i = prev_p = 0
         free2 = self.pre_free2 = cable2._free_at[self.side2]
+        serialize = {wire: timebase.transfer_time_ps(wire, bps2)
+                     for wire in set(self.wire)}
         for i in range(self.n):
             a1 = self.A1[i]
             done = (a1 if a1 > prev_i else prev_i) + fwd
             d = done if done > prev_p else prev_p
-            tt = timebase.transfer_time_ps(self.wire[i], bps2)
+            tt = serialize[self.wire[i]]
             s2 = d if d > free2 else free2
             e = s2 + tt
             I.append(done)
@@ -945,7 +1009,7 @@ class SwitchBurstFlight(BurstFlight):
             return
         self.state = _UNFOLDED
         env = self.env
-        t = env.now
+        t = env._burst_unfold_at = env.now
         self._deregister()
         self._clear_guards()
         self.c_unfolds.add()
@@ -1078,11 +1142,20 @@ def _make_flight(leg, *args, **kwargs) -> BurstFlight:
     return SwitchBurstFlight(leg, *args, **kwargs)
 
 
+def _unfolded_now(env) -> bool:
+    """Some flight unfolded at this very picosecond.  Its replay races
+    any fold committed now into the shared hops, and the guards would
+    meet the race only at a same-picosecond tie (the documented
+    approximation) — so the competitor whose post caused the unfold
+    sends per-packet, like the replay it races."""
+    return getattr(env, "_burst_unfold_at", None) == env.now
+
+
 def try_fold_write(nic, command, qp, segments, first_psn, fetch,
                    gate) -> bool:
     """Attempt to fold one requester WRITE; True = folded (the caller's
     per-packet loop must not run)."""
-    if not active().fold:
+    if not active().fold or _unfolded_now(nic.env):
         return False
     if segments is None or len(segments) < FOLD_MIN_PACKETS:
         return False
@@ -1131,7 +1204,7 @@ def try_fold_write(nic, command, qp, segments, first_psn, fetch,
 def try_fold_read(nic, qp, packet, segments, fetch, gate) -> bool:
     """Attempt to fold one responder READ-response stream; True =
     folded (the caller's per-packet serve loop must not run)."""
-    if not active().fold:
+    if not active().fold or _unfolded_now(nic.env):
         return False
     if len(segments) < FOLD_MIN_PACKETS:
         return False

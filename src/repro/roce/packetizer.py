@@ -8,16 +8,15 @@ which is why the MSN Table must remember the DMA cursor (Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple
 
 from .. import config
 from .opcodes import Opcode
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One packet's worth of a message."""
+class Segment(NamedTuple):
+    """One packet's worth of a message (a named tuple: a 256 KiB
+    message builds 181 of them per post, so construction cost counts)."""
 
     opcode: Opcode
     offset: int          # byte offset of this segment's payload
@@ -34,22 +33,17 @@ _RPC_WRITE_SET = (Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_MIDDLE,
 
 
 def _segment(length: int, first_capacity: int, rest_capacity: int,
-             opcode_set) -> List[Segment]:
+             opcode_set, reth: bool = True) -> List[Segment]:
     first_op, middle_op, last_op, only_op = opcode_set
     if length <= first_capacity:
-        return [Segment(opcode=only_op, offset=0, length=length,
-                        carries_reth=True)]
-    segments = [Segment(opcode=first_op, offset=0, length=first_capacity,
-                        carries_reth=True)]
-    offset = first_capacity
-    remaining = length - first_capacity
-    while remaining > rest_capacity:
-        segments.append(Segment(opcode=middle_op, offset=offset,
-                                length=rest_capacity, carries_reth=False))
-        offset += rest_capacity
-        remaining -= rest_capacity
-    segments.append(Segment(opcode=last_op, offset=offset, length=remaining,
-                            carries_reth=False))
+        return [Segment(only_op, 0, length, reth)]
+    segments = [Segment(first_op, 0, first_capacity, reth)]
+    last = length - rest_capacity
+    segments.extend(Segment(middle_op, offset, rest_capacity, False)
+                    for offset in range(first_capacity, last,
+                                        rest_capacity))
+    offset = segments[-1].offset + segments[-1].length
+    segments.append(Segment(last_op, offset, length - offset, False))
     return segments
 
 
@@ -70,10 +64,8 @@ def segment_read_response(length: int) -> List[Segment]:
     if length <= 0:
         raise ValueError("read responses carry at least one byte")
     # Response packets never carry a RETH; FIRST/LAST/ONLY carry an AETH.
-    segments = _segment(length, config.MAX_PAYLOAD_NO_RETH,
-                        config.MAX_PAYLOAD_NO_RETH, _READ_RESP_SET)
-    return [Segment(opcode=s.opcode, offset=s.offset, length=s.length,
-                    carries_reth=False) for s in segments]
+    return _segment(length, config.MAX_PAYLOAD_NO_RETH,
+                    config.MAX_PAYLOAD_NO_RETH, _READ_RESP_SET, reth=False)
 
 
 def segment_rpc_write(length: int) -> List[Segment]:
@@ -108,5 +100,9 @@ def l3_bytes_for_segments(segments: List[Segment],
 def read_response_packet_count(length: int) -> int:
     """Number of packets the responder will send for a READ of ``length``
     bytes — the requester must reserve this many PSNs up front, which is
-    exactly why READ semantics require the length a priori (Section 5.1)."""
-    return len(segment_read_response(length))
+    exactly why READ semantics require the length a priori (Section 5.1).
+    Equal to ``len(segment_read_response(length))``: every response
+    packet holds a full MTU payload except the last."""
+    if length <= 0:
+        raise ValueError("read responses carry at least one byte")
+    return -(-length // config.MAX_PAYLOAD_NO_RETH)

@@ -206,6 +206,25 @@ def test_segment_read_response_no_reth():
     assert read_response_packet_count(10_000) == len(segments)
 
 
+_CAP = config.MAX_PAYLOAD_NO_RETH
+
+
+@pytest.mark.parametrize("length", sorted({
+    1, _CAP - 1, _CAP, _CAP + 1,
+    *(k * _CAP + d for k in (2, 3, 17, 180) for d in (-1, 1)),
+    256 * 1024, 1 << 20}))
+def test_read_response_packet_count_closed_form(length):
+    # The closed form must agree with the segmenter it replaced.
+    assert read_response_packet_count(length) == \
+        len(segment_read_response(length))
+
+
+@pytest.mark.parametrize("length", [0, -1, -_CAP])
+def test_read_response_packet_count_rejects_empty(length):
+    with pytest.raises(ValueError):
+        read_response_packet_count(length)
+
+
 @settings(max_examples=60)
 @given(size=st.integers(min_value=1, max_value=1 << 20))
 def test_segmentation_covers_payload_exactly(size):

@@ -135,3 +135,83 @@ def test_last_translation_cache_does_not_mask_misses():
     with pytest.raises(TlbMissError):
         tlb.translate(page)  # unpinned page after a cached hit
     assert tlb.translate(1) == 1  # cache still valid for page 0
+
+
+def _counters(tlb):
+    return tlb.lookups, tlb.cache_hits, tlb.splits, tlb._last_vpn
+
+
+def _per_chunk(tlb, vaddr, lengths):
+    out = []
+    for n in lengths:
+        out.append(list(tlb.split_command(vaddr, n)))
+        vaddr += n
+    return out
+
+
+@pytest.mark.parametrize("start_offset, lengths, warm_vpn", [
+    (0, [1456] * 8, None),                  # inside one page, cold cache
+    (0, [1456] * 8, 0),                     # ... warm: first piece hits
+    (-3000, [1456] * 5, 1),                 # one chunk straddles
+    (-2912, [1456] * 4, 0),                 # boundary on a chunk edge
+    (-100, [100, 2 * 2 ** 21 + 5, 7], 2),   # a chunk spanning pages
+    (-1, [1, 1, 1], None),                  # one-byte chunks
+])
+def test_split_run_matches_per_chunk_split_command(start_offset, lengths,
+                                                   warm_vpn):
+    """One pass over a run of chunks gives the pieces and the counter
+    and cache state the per-chunk split_command calls would have."""
+    config = NIC_10G
+    page = config.page_bytes
+    scattered = {0: 10 * page, 1: 3 * page, 2: 8 * page, 3: 5 * page}
+    vaddr = page + start_offset
+    expected_tlb, run_tlb = Tlb(config), Tlb(config)
+    for tlb in (expected_tlb, run_tlb):
+        tlb.populate_from(scattered)
+        if warm_vpn is not None:
+            tlb.translate(warm_vpn * page)
+    expected = _per_chunk(expected_tlb, vaddr, lengths)
+    assert run_tlb.split_run(vaddr, lengths) == expected
+    assert _counters(run_tlb) == _counters(expected_tlb)
+
+
+def test_split_run_pure_lookup_then_charge_run():
+    """charge=False leaves counters and cache alone; charge_run later
+    adds exactly what the per-chunk calls would have."""
+    config = NIC_10G
+    page = config.page_bytes
+    expected_tlb, run_tlb = Tlb(config), Tlb(config)
+    for tlb in (expected_tlb, run_tlb):
+        tlb.populate_from({0: 4 * page, 1: 9 * page})
+        tlb.translate(0)
+    lengths = [1456] * 10
+    vaddr = page - 4000
+    before = _counters(run_tlb)
+    pieces = run_tlb.split_run(vaddr, lengths, charge=False)
+    assert _counters(run_tlb) == before
+    expected = _per_chunk(expected_tlb, vaddr, lengths)
+    assert pieces == expected
+    run_tlb.charge_run(vaddr, sum(lengths), len(lengths),
+                       sum(map(len, pieces)))
+    assert _counters(run_tlb) == _counters(expected_tlb)
+
+
+def test_split_run_rejects_empty_chunk_and_misses():
+    tlb, config = make_tlb()
+    page = config.page_bytes
+    tlb.populate(0, 0)
+    with pytest.raises(ValueError):
+        tlb.split_run(0, [64, 0])
+    with pytest.raises(TlbMissError):
+        tlb.split_run(page - 64, [64, 64])  # page 1 never pinned
+
+
+def test_pending_charge_settles_before_a_translation():
+    tlb, config = make_tlb()
+    tlb.populate(0, 0)
+    order = []
+    tlb.pending_charge = lambda: order.append("settle")
+    tlb.translate(0)
+    tlb.split_run(0, [64])
+    tlb.split_run(0, [64], charge=False)  # pure: nothing to order
+    assert order == ["settle", "settle"]
