@@ -160,18 +160,6 @@ class NicCongestionControl:
         machine = self._machines.get(qpn)
         return machine is not None and machine.throttled
 
-    @property
-    def folds_allowed(self) -> bool:
-        """Whether the burst fast path may fold messages on a NIC that
-        carries this CC plane.  Always False: the token-bucket pacer
-        debits per-packet wire bytes and the DCQCN machines sample
-        per-packet arrivals even while a QP is unthrottled, so a fold
-        would silently skip token/rate bookkeeping and diverge the
-        moment any QP on the NIC gets its first CNP.  The burst plane
-        (``repro.roce.burst``) therefore refuses to fold whenever
-        ``nic.cc`` is set, and enabling CC mid-flight unfolds."""
-        return False
-
     def pace(self, qpn: int, wire_bytes: int):
         """Charge ``wire_bytes`` against the QP's allowed rate,
         sleeping as needed.  Zero events while the QP is unthrottled."""

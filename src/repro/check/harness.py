@@ -592,6 +592,8 @@ def conformance_main(argv: Optional[List[str]] = None) -> int:
                         help="where to record the failing seed/replay "
                              "on error (default conformance-failure.json)")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, got {args.runs}")
 
     rows: List[Dict[str, int]] = []
     try:

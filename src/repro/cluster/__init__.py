@@ -4,8 +4,8 @@ The paper's testbed is two hosts on one cable (Section 6.1).  This
 package grows that into a cluster:
 
 - :mod:`~repro.cluster.switch` — a store-and-forward Ethernet switch
-  with MAC learning, flooding, bounded per-port egress queues
-  (tail-drop), and an optional shared-fabric bandwidth limit;
+  with MAC learning, flooding, and bounded per-port egress queues
+  (tail-drop) drained at line rate;
 - :mod:`~repro.cluster.topology` — builders for two-host pairs
   (``build_fabric``'s backend), single-switch stars, and dual-rack
   topologies, with per-link fault-seed derivation;

@@ -30,11 +30,8 @@ Model
   Kmin/Kmax ramp over the *instantaneous* queue depth and sets the CE
   codepoint on a copy of the frame (queued packets alias retransmit
   buffers), feeding the DCQCN loop in :mod:`repro.cc`.
-- **Shared egress bandwidth.**  All output ports drain through one
-  shared switching-fabric link of ``fabric_bps`` (``None`` models an
-  ideal non-blocking fabric).  Each port additionally paces frames at
-  its cable's line rate so the bounded queue, not the cable's stream,
-  is the buffer.
+- **Line-rate egress.**  Each output port paces frames at its cable's
+  line rate so the bounded queue, not the cable's stream, is the buffer.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from ..check import checker_for
 from ..net.arp import mac_for_ip
 from ..net.link import Cable
 from ..obs.runtime import registry_for, trace_for
-from ..sim import BandwidthLink, Simulator, Stream, timebase
+from ..sim import Simulator, Stream, timebase
 from ..sim.timebase import NS
 
 
@@ -62,9 +59,6 @@ class SwitchConfig:
     forwarding_latency: int = 300 * NS
     #: Per-output-port queue depth in frames; tail-drop beyond it.
     buffer_frames: int = 64
-    #: Shared switching-fabric bandwidth in bits/s; ``None`` = ideal
-    #: non-blocking fabric (no shared constraint).
-    fabric_bps: Optional[float] = None
     #: ECN marking at egress enqueue (the DCQCN congestion signal);
     #: ``None`` disables marking — no RNG, no code-path change.
     ecn: Optional[EcnConfig] = None
@@ -141,14 +135,6 @@ class Switch:
         self.name = name
         self.ports: List[SwitchPort] = []
         self._mac_table: Dict[bytes, int] = {}
-        #: Burst flights folded across this switch; any real frame
-        #: entering the switch (or a port/ECN state change) unfolds them
-        #: before it can interleave (see repro.roce.burst).
-        self._pending: List = []
-        self.fabric: Optional[BandwidthLink] = None
-        if config.fabric_bps is not None:
-            self.fabric = BandwidthLink(env, config.fabric_bps,
-                                        name=f"{name}.fabric")
         #: RED/DCQCN marker shared by all output queues (one seeded RNG
         #: per switch); ``None`` when the config carries no ecn entry.
         self.ecn_marker = EcnMarker(config.ecn) if config.ecn else None
@@ -205,19 +191,10 @@ class Switch:
     def enable_ecn(self, config: EcnConfig) -> None:
         """Turn on ECN marking after construction (the cluster-level
         ``enable_congestion_control`` path for already-built fabrics)."""
-        self._unfold_pending()
+        fold = self.env.fold
+        if fold is not None:
+            fold.on_hop(self)
         self.ecn_marker = EcnMarker(config)
-
-    def _unfold_pending(self) -> None:
-        """Unfold every burst flight folded across this switch (a real
-        frame or a state change is about to interleave)."""
-        while self._pending:
-            flight = self._pending[-1]
-            flight.unfold()
-            if self._pending and self._pending[-1] is flight:
-                # unfold() deregisters itself; belt-and-braces against a
-                # stale entry wedging the loop.
-                self._pending.pop()
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -231,7 +208,9 @@ class Switch:
             raise ValueError(f"no such port {port_index}")
         port = self.ports[port_index]
         if port.up != up:
-            self._unfold_pending()
+            fold = self.env.fold
+            if fold is not None:
+                fold.on_hop(self)
             if self.trace is not None:
                 self.trace.record(port.name,
                                   "port_up" if up else "port_blackout")
@@ -251,11 +230,12 @@ class Switch:
         through untouched; only ``wire_bytes`` is ever read."""
         while True:
             packet = yield port.rx.get()
-            if self._pending:
+            fold = self.env.fold
+            if fold is not None:
                 # A real frame must never interleave with an analytic
-                # burst schedule: push pending flights back to the
-                # per-packet machinery first.
-                self._unfold_pending()
+                # burst schedule across this switch: push it back to
+                # the per-packet machinery first.
+                fold.on_hop(self)
             if port._ingress_floor > self.env.now:
                 # An unfold re-injected frames mid-pipeline: pickup may
                 # not begin before the replayed backlog clears.
@@ -313,10 +293,10 @@ class Switch:
                                               len(target.queue))
 
     def _egress_loop(self, port: SwitchPort):
-        """Drain one output queue at the port's line rate through the
-        shared fabric.  The cable serializes in parallel with the pacing
-        delay here, so pacing adds no latency — it only makes the bounded
-        queue (not the cable's unbounded stream) the real buffer."""
+        """Drain one output queue at the port's line rate.  The cable
+        serializes in parallel with the pacing delay here, so pacing adds
+        no latency — it only makes the bounded queue (not the cable's
+        unbounded stream) the real buffer."""
         rate = port.cable.bits_per_second
         while True:
             packet = yield port.queue.get()
@@ -331,8 +311,6 @@ class Switch:
                 self.trace.end_span(port._span_queue.popleft())
             if self.metrics.sampling_enabled:
                 port.depth_gauge.sample(self.env.now, len(port.queue))
-            if self.fabric is not None:
-                yield from self.fabric.transfer(packet.wire_bytes)
             if not port.up:
                 port.blackout_drops.add()
                 self.frames_dropped.add()

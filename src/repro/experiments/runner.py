@@ -152,10 +152,15 @@ def write_markdown_report(results: List[ExperimentResult],
 
 
 def print_metrics_report(path: str, stream=None) -> None:
-    """Pretty-print a ``--metrics-out`` snapshot grouped by component."""
+    """Pretty-print a ``--metrics-out`` snapshot grouped by component.
+    Raises :class:`OSError` for an unreadable file and
+    :class:`ValueError` for one that is not a snapshot."""
     stream = stream or sys.stdout
     with open(path) as handle:
         snapshot = json.load(handle)
+    if not isinstance(snapshot, dict):
+        raise ValueError("not a metrics snapshot (expected a JSON object "
+                         "of metric name -> value)")
     print(f"metrics snapshot: {path} ({len(snapshot)} series)",
           file=stream)
     previous_root = None
@@ -213,6 +218,10 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             # `... report m.json | head` closes stdout early; not an error.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError) as error:
+            # Missing/unreadable file, malformed JSON, or not a snapshot.
+            raise SystemExit(
+                f"error: report {args.experiments[1]}: {error}") from None
         return 0
 
     observing = args.trace_out or args.metrics_out

@@ -208,10 +208,6 @@ class Cable:
         #: Receiver hooks keyed by the *receiving* side; frames fall back
         #: to the rx streams when no hook is registered.
         self._receivers = {"a": None, "b": None}
-        #: Folded burst flight owning a direction (keyed by the sending
-        #: side); any competing send or fault-surface change unfolds it
-        #: first (see repro.roce.burst).
-        self._pending = {"a": None, "b": None}
         #: Receiver-side pipeline delay folded into the arrival callback
         #: (the NIC's RX parse latency), keyed by receiving side.
         self._receiver_delay = {"a": 0, "b": 0}
@@ -274,7 +270,9 @@ class Cable:
         serialization are discarded in both directions (the retransmission
         machinery recovers once the link returns)."""
         if up != self.up:
-            self._unfold_pending()
+            fold = self.env.fold
+            if fold is not None:
+                fold.on_hop(self)
             self.link_flaps.add()
             if self.trace is not None:
                 self.trace.record(self.name,
@@ -286,20 +284,13 @@ class Cable:
         if extra_ps < 0:
             raise ValueError("extra latency must be non-negative")
         if extra_ps != self.extra_latency:
-            self._unfold_pending()
+            fold = self.env.fold
+            if fold is not None:
+                fold.on_hop(self)
             if self.trace is not None:
                 self.trace.record(self.name, "latency_spike",
                                   extra_ps=extra_ps)
         self.extra_latency = extra_ps
-
-    def _unfold_pending(self) -> None:
-        """Unfold any burst flight folded over this cable before a
-        fault-surface change lands (the analytic schedule assumed the
-        old carrier state / latency)."""
-        for side in ("a", "b"):
-            pending = self._pending[side]
-            if pending is not None:
-                pending.unfold()
 
     # ------------------------------------------------------------------
     # Loss draws
@@ -346,12 +337,12 @@ class Cable:
         fault knob, a downed carrier, or active metric sampling routes
         through a serialization-end callback that keeps the per-frame
         RNG draws at the exact times the pump process drew them."""
-        pending = self._pending[side]
-        if pending is not None:
-            # A folded burst owns this direction's serialization cursor;
-            # it must unfold (restoring the true cursor) before this
-            # frame reserves the wire.
-            pending.on_cable_send(self, side)
+        fold = self.env.fold
+        if fold is not None:
+            # A folded burst may own this direction's serialization
+            # cursor; it must unfold (restoring the true cursor) before
+            # this frame reserves the wire.
+            fold.on_cable_send(self, side)
         wire_bytes = packet.wire_bytes
         self.bytes_on_wire.add(wire_bytes)
         duration = timebase.transfer_time_ps(wire_bytes,

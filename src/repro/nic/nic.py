@@ -19,7 +19,7 @@ PCIe latency plus occupancy of the shared PCIe bandwidth link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..check import checker_for
 from ..config import NicConfig
@@ -177,11 +177,6 @@ class StromNic:
         self._cable: Optional[Cable] = None
         self._cable_side: Optional[str] = None
 
-        #: Folded burst flights this NIC participates in (sender or
-        #: receiver); any frame arriving while one is active unfolds it
-        #: (see repro.roce.burst).
-        self._burst_flights: List = []
-
         # Fixed pipeline delays, precomputed once (config is immutable):
         # the TX/RX hot paths run per packet.
         self._tx_delay = config.cycles(
@@ -251,7 +246,9 @@ class StromNic:
         an ``ecn`` entry in the switch config (or use
         :meth:`repro.cluster.topology.Cluster.enable_congestion_control`
         to do both ends at once)."""
-        self._unfold_bursts()
+        fold = self.env.fold
+        if fold is not None:
+            fold.on_hop(self)
         from ..cc.plane import CcConfig, NicCongestionControl
         if config is None:
             config = CcConfig()
@@ -294,7 +291,9 @@ class StromNic:
         """
         if not self.powered:
             return
-        self._unfold_bursts()
+        fold = self.env.fold
+        if fold is not None:
+            fold.on_hop(self)
         self.powered = False
         if self.trace is not None:
             self.trace.record(self.name, "power_off")
@@ -627,25 +626,16 @@ class StromNic:
     # ------------------------------------------------------------------
     def _rx_arrive(self, packet: RocePacket) -> None:
         """Cable receiver hook (RX pipeline delay already charged)."""
-        if self._burst_flights:
-            # A per-packet frame reached a NIC participating in a folded
-            # burst: the analytic schedule no longer owns this NIC's
+        fold = self.env.fold
+        if fold is not None:
+            # A per-packet frame reached a NIC: if it participates in
+            # the folded burst, the analytic schedule no longer owns its
             # arrival order — unfold before dispatching.
-            self._unfold_bursts()
+            fold.on_hop(self)
         if not self.powered:
             self.crash_drops.add()
             return
         self._rx_dispatch(packet)
-
-    def _unfold_bursts(self) -> None:
-        """Unfold every burst flight this NIC participates in."""
-        while self._burst_flights:
-            flight = self._burst_flights[-1]
-            flight.unfold()
-            if self._burst_flights and self._burst_flights[-1] is flight:
-                # unfold() deregisters itself; this is belt-and-braces
-                # against a stale entry wedging the loop.
-                self._burst_flights.pop()
 
     def _rx_dispatch(self, packet: RocePacket) -> None:
         """Classify one received frame.  Runs synchronously so PSN/MSN
@@ -769,10 +759,8 @@ class StromNic:
         yield prev_gate
         from ..roce import burst
         burst.unfold_pending(self.env)
-        if not self.config.per_word_accounting:
-            if burst.try_fold_read(self, qp, packet, segments, fetch,
-                                   gate):
-                return
+        if burst.try_fold_read(self, qp, packet, segments, fetch, gate):
+            return
         span = None if self.trace is None else self.trace.begin_span(
             f"{self.name}.qp{qp.qpn}", "serve_read",
             length=packet.reth.dma_length, psn=packet.bth.psn)

@@ -46,14 +46,22 @@ paths in :mod:`repro.nic.nic`, :mod:`repro.net.link` and
 - write-back slot:      ``wstart[i] = max(wfree, A[i] + pcie_write_latency)``;
   ``wend[i] = wstart[i] + burst_duration(pieces[i])``
 
-Fold *guards* keep the illusion honest: the flight registers itself on
-the cable (:attr:`Cable._pending`), on both NICs
-(:attr:`StromNic._burst_flights`) and on the destination DMA engine
-(:attr:`DmaEngine.burst_guard`).  Any mid-flight slow-path trigger — a
-send on the occupied cable direction, a link flap or latency spike, a
-crash, CC activation, a competing DMA write or watch, any frame
-arriving at a participating NIC — *unfolds* the burst at the correct
-PSN boundary: already-elapsed effects are applied as the per-packet
+Fold *guards* keep the illusion honest.  Every send path unfolds the
+pending flight before it may fold (:func:`unfold_pending`), so a
+simulator holds at most one folded flight, in one slot
+(:attr:`Simulator.fold`).  The flight knows its path (both NICs, the
+cable, and for a switch leg the switch and the second cable); a hop
+with slow-path activity — a frame arriving at a NIC or at switch
+ingress, a crash, CC or ECN activation, a link flap, latency spike or
+port blackout — asks the slot (:meth:`BurstFlight.on_hop`), and a send
+on the folded cable direction asks :meth:`BurstFlight.on_cable_send`.
+The landing resources keep their own guards until E3, because several
+delivered flights may still be landing on disjoint hosts: the DMA
+engines (:attr:`DmaEngine.burst_guard`), both memories
+(:attr:`PhysicalMemory.store_guard`) and the destination TLB
+(:attr:`Tlb.pending_charge`).  Any mid-flight trigger on the path, or
+a competing DMA write or watch, *unfolds* the burst at the correct PSN
+boundary: already-elapsed effects are applied as the per-packet
 path would have left them, in-flight frames are re-scheduled at their
 exact arrival times, not-yet-sent packets are replayed organically
 through the real TX path, and eagerly reserved wire/DMA time beyond the
@@ -96,7 +104,8 @@ _DONE = 3        # E3 ran (or flushed): nothing pending
 
 
 def unfold_pending(env) -> None:
-    """Unfold every in-flight fold before new traffic enters the fabric.
+    """Unfold the in-flight fold, if any, before new traffic enters the
+    fabric.
 
     Called at the head of every message/retransmission send path.  The
     simulator breaks same-picosecond ties by event-creation order, so a
@@ -111,9 +120,9 @@ def unfold_pending(env) -> None:
     loses every tie it should win.  With no pending fold (the common
     case, and any purely sequential workload) this is one attribute
     probe."""
-    live = getattr(env, "_burst_live", None)
-    while live:
-        live.pop().unfold()
+    fold = env.fold
+    if fold is not None:
+        fold.unfold()
 
 
 def _started(generator):
@@ -136,7 +145,12 @@ def _started(generator):
 # Fold gates
 # ----------------------------------------------------------------------
 def _sender_clean(nic, qp) -> bool:
-    """No slow-path feature on the sending NIC."""
+    """No slow-path feature on the sending NIC.  A CC plane always
+    refuses: its token-bucket pacer debits per-packet wire bytes and its
+    DCQCN machines sample per-packet arrivals even while a QP is
+    unthrottled, so a fold would skip that bookkeeping and diverge the
+    moment any QP on the NIC gets its first CNP (enabling CC mid-flight
+    unfolds)."""
     return (nic.powered and nic.cc is None and nic.check is None
             and nic.trace is None
             and not nic.config.per_word_accounting
@@ -147,15 +161,13 @@ def _sender_clean(nic, qp) -> bool:
 
 
 def _cable_clean(cable) -> bool:
-    """No fault knob active and no other flight on either direction."""
+    """No fault knob active."""
     faults = cable.faults
     return (cable.up and cable.extra_latency == 0
             and not faults.drop_probability
             and not faults.corrupt_probability
             and not faults.duplicate_probability
-            and faults.burst is None
-            and cable._pending["a"] is None
-            and cable._pending["b"] is None)
+            and faults.burst is None)
 
 
 def _resolve_receiver(cable, dest: str):
@@ -175,7 +187,6 @@ def _receiver_clean(recv) -> bool:
     return (recv.powered and recv.cc is None and recv.check is None
             and recv.trace is None
             and not recv.config.per_word_accounting
-            and not recv._burst_flights
             and recv.dma.burst_guard is None
             and recv.memory.store_guard is None
             and not recv.dma._watches)
@@ -194,7 +205,7 @@ class BurstFlight:
         "total_wire", "F", "C", "E1c", "A1", "A", "dur", "wstart", "wend",
         "pre_free1", "pre_wfree", "fetch_start", "fetch_cum",
         "base_addr", "raddr", "msg_length", "completion", "msn0", "ctx",
-        "state", "e1_done", "entry", "_packets", "c_unfolds",
+        "state", "e1_done", "entry", "_packets", "c_unfolds", "path",
     )
 
     def __init__(self, kind, src, dst, src_qp, dst_qp, segments,
@@ -209,6 +220,8 @@ class BurstFlight:
         self.cable = src._cable
         self.side = src._cable_side
         self.dest = "b" if self.side == "a" else "a"
+        #: The hops whose slow-path activity unfolds this flight.
+        self.path = (src, dst, self.cable)
         self.segments = segments
         self.first_psn = first_psn
         self.n = len(segments)
@@ -322,6 +335,7 @@ class BurstFlight:
     # ------------------------------------------------------------------
     def commit(self) -> None:
         env = self.env
+        assert env.fold is None, "a simulator holds one folded flight"
         cable, src, dst = self.cable, self.src, self.dst
         # Eager wire reservation: interferers queue behind the whole
         # burst (or unfold it first, which rewinds this cursor).
@@ -332,13 +346,7 @@ class BurstFlight:
         wlink.busy_time += sum(self.dur)
         wlink.bytes_transferred += self.total
 
-        cable._pending[self.side] = self
-        live = getattr(env, "_burst_live", None)
-        if live is None:
-            live = env._burst_live = []
-        live.append(self)
-        src._burst_flights.append(self)
-        dst._burst_flights.append(self)
+        env.fold = self
         dst.dma.burst_guard = self._dma_guard
         if self.kind == "read":
             # Served views are stable=False: a responder-local DMA write
@@ -487,13 +495,22 @@ class BurstFlight:
     # ------------------------------------------------------------------
     # Guards
     # ------------------------------------------------------------------
+    def on_hop(self, hop) -> None:
+        """Slow-path activity at ``hop`` (a NIC, cable or switch): a
+        frame arriving, a crash, a CC/ECN or fault-surface change.  A hop
+        on our path would interleave with the analytic schedule —
+        unfold; any other hop leaves it authoritative."""
+        if hop in self.path:
+            self.unfold()
+
     def on_cable_send(self, cable, side) -> None:
-        """An interferer wants the folded direction of the wire.  After
-        E1 this is benign: all our frames are on the wire and the eager
-        ``free_at`` equals what per-packet operation would show, so the
-        newcomer queues behind bit-identically.  Before E1 it would race
-        our analytically scheduled serialization — unfold."""
-        if self.state is _FOLDED and not self.e1_done:
+        """A frame wants direction ``side`` of ``cable``.  On the folded
+        direction after E1 this is benign: all our frames are on the
+        wire and the eager ``free_at`` equals what per-packet operation
+        would show, so the newcomer queues behind bit-identically.
+        Before E1 it would race our analytically scheduled
+        serialization — unfold."""
+        if cable is self.cable and side == self.side and not self.e1_done:
             self.unfold()
 
     def _dma_guard(self) -> None:
@@ -526,17 +543,9 @@ class BurstFlight:
         tlb = self.dst.tlb
         if getattr(tlb.pending_charge, "__self__", None) is self:
             tlb.pending_charge = None
-        if self.cable._pending.get(self.side) is self:
-            self.cable._pending[self.side] = None
-        try:
-            self.env._burst_live.remove(self)
-        except ValueError:
-            pass
-        for nic in (self.src, self.dst):
-            try:
-                nic._burst_flights.remove(self)
-            except ValueError:
-                pass
+        # Only a _FOLDED flight deregisters, and it owns the slot: the
+        # slot never holds a flight in any other state.
+        self.env.fold = None
 
     def _clear_guards(self) -> None:
         # Compare via __self__: each `self._dma_guard` access builds a
@@ -831,7 +840,7 @@ class _SwitchLeg:
 def _resolve_switch_leg(nic, cable, dest, dest_ip) -> Optional[_SwitchLeg]:
     """When ``dest`` terminates at a switch port, resolve the clean
     two-hop path to the destination NIC, or None to refuse the fold:
-    no ECN/fabric/checker, no pending flight, both ports up and idle
+    no ECN/checker/trace, both ports up and idle
     (empty queues, no in-progress forwarding or pacing window), both
     MACs already learned on the right ports."""
     port_in = cable._switch_ports.get(dest)
@@ -839,8 +848,7 @@ def _resolve_switch_leg(nic, cable, dest, dest_ip) -> Optional[_SwitchLeg]:
         return None
     switch = port_in.switch
     if (switch.check is not None or switch.trace is not None
-            or switch.ecn_marker is not None or switch.fabric is not None
-            or switch._pending):
+            or switch.ecn_marker is not None):
         return None
     from ..net.arp import mac_for_ip
     if switch._mac_table.get(mac_for_ip(nic.ip)) != port_in.index:
@@ -884,8 +892,8 @@ class SwitchBurstFlight(BurstFlight):
 
     plus the output queue's analytic depth at each enqueue (the
     ``max_queue_depth`` gauge the per-packet path would have set).  The
-    flight registers on the switch (any real frame picked up by any
-    ingress loop unfolds it first) and on the second cable; an unfold
+    switch and the second cable join the flight's path (any real frame
+    picked up by any ingress loop unfolds it first); an unfold
     re-injects every stage at its exact per-packet time, using the port
     loops' busy-until floors to resume the pipeline mid-schedule.
     """
@@ -901,6 +909,7 @@ class SwitchBurstFlight(BurstFlight):
         self.cable2 = leg.cable2
         self.side2 = leg.port_out.side
         self.dest2 = leg.dest2
+        self.path += (leg.switch, leg.cable2)
 
     # ------------------------------------------------------------------
     # Schedule
@@ -947,13 +956,11 @@ class SwitchBurstFlight(BurstFlight):
         self._compute_wlane(A2)
 
     # ------------------------------------------------------------------
-    # Commit / registration
+    # Commit
     # ------------------------------------------------------------------
     def commit(self) -> None:
         cable2 = self.cable2
         cable2._free_at[self.side2] = self.E2c[-1]
-        cable2._pending[self.side2] = self
-        self.switch._pending.append(self)
         metrics = self.src.metrics
         metrics.counter(
             f"{self.switch.name}.burst.folded_frames").add(self.n)
@@ -961,19 +968,10 @@ class SwitchBurstFlight(BurstFlight):
             f"{cable2.name}.burst.folded_frames").add(self.n)
         super().commit()
 
-    def _deregister(self) -> None:
-        super()._deregister()
-        if self.cable2._pending.get(self.side2) is self:
-            self.cable2._pending[self.side2] = None
-        try:
-            self.switch._pending.remove(self)
-        except ValueError:
-            pass
-
     def on_cable_send(self, cable, side) -> None:
-        if cable is self.cable:
+        if cable is not self.cable2 or side != self.side2:
             super().on_cable_send(cable, side)
-        elif self.state is _FOLDED and self.env.now < self.D[-1]:
+        elif self.env.now < self.D[-1]:
             # Belt-and-braces: an egress send on the second hop before
             # all our frames are out (the ingress guard normally unfolds
             # first, since any real frame must cross an ingress loop).

@@ -59,6 +59,10 @@ class Simulator:
         #: an id, so saving the ``next()`` dispatch is measurable.
         self._next_eid = self._eid.__next__
         self._active_process: Optional[Process] = None
+        #: The folded burst flight in progress, if any.  Every send path
+        #: unfolds it before it may fold, so there is at most one; hops
+        #: with slow-path activity ask it (see repro.roce.burst).
+        self.fold = None
 
     # ------------------------------------------------------------------
     # Time and scheduling

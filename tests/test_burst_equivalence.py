@@ -384,6 +384,24 @@ _STAR_TRIGGERS = {
 }
 
 
+def _off_path_faults(sim, cluster, h1, h2, qp21, side_src, side_dst):
+    # A link flap, a latency spike and a power cycle on the third host's
+    # access cable and NIC: none is a hop of the h0 -> h1 fold, so the
+    # analytic schedule stays authoritative.
+    cable = cluster.access_cables[h2.name]
+    cable.set_up(False)
+    cable.set_extra_latency(2 * US)
+    h2.nic.power_off()
+
+    def restore():
+        yield sim.timeout(4 * US)
+        h2.nic.power_on()
+        cable.set_extra_latency(0)
+        cable.set_up(True)
+    sim.process(restore())
+    return None
+
+
 def _noop(sim, cluster, h1, h2, qp21, side_src, side_dst):
     return None
 
@@ -397,12 +415,20 @@ def test_star_clean_path_folds():
 @pytest.mark.parametrize("trigger", sorted(_STAR_TRIGGERS))
 @pytest.mark.parametrize("offset_us", _OFFSETS_US)
 def test_star_unfold_triggers(trigger, offset_us):
-    _dual(_star_scenario, offset_us * US, _STAR_TRIGGERS[trigger])
+    sim = _dual(_star_scenario, offset_us * US, _STAR_TRIGGERS[trigger])
+    assert _unfolds(sim) > 0
 
 
 def test_star_third_host_unfolds():
     sim = _dual(_star_scenario, 5 * US, _third_host_write)
     assert _unfolds(sim) > 0
+
+
+@pytest.mark.parametrize("offset_us", [1, 5, 12])
+def test_star_off_path_faults_keep_fold(offset_us):
+    sim = _dual(_star_scenario, offset_us * US, _off_path_faults)
+    assert _folds(sim) == 1
+    assert _unfolds(sim) == 0
 
 
 def _symmetric_posts_scenario():

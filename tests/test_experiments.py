@@ -22,6 +22,7 @@ from repro.experiments import (
     throughput_experiment,
     virtex7_experiment,
 )
+from repro.experiments.runner import main
 
 
 # ---------------------------------------------------------------------------
@@ -140,3 +141,27 @@ def test_runner_selection_and_output():
 def test_runner_unknown_experiment():
     with pytest.raises(SystemExit):
         run_experiments(["figZZ"], stream=io.StringIO())
+
+
+# ---------------------------------------------------------------------------
+# Command line: bad input ends in a one-line error, not a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not-json", "json-list"])
+def test_report_unreadable_input_is_one_line_error(tmp_path, content):
+    path = tmp_path / "metrics.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(path)])
+    message = str(exit_info.value.code)
+    assert message.startswith("error: report ") and "\n" not in message
+
+
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_conformance_rejects_non_positive_runs(runs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["conformance", "--runs", runs])
+    assert exit_info.value.code == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err
