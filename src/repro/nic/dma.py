@@ -35,7 +35,7 @@ from ..core.payload import PayloadRef
 from ..memory import PhysicalMemory
 from ..obs.runtime import registry_for, trace_for
 from ..sim import BandwidthLink, Event, Simulator
-from .tlb import Tlb
+from .tlb import ChunkRun, Tlb
 
 #: Fixed per-TLP overhead on the PCIe link (headers + DLLP traffic).
 PCIE_TLP_OVERHEAD_BYTES = 24
@@ -71,17 +71,17 @@ class FetchPlan:
     process, strictly in order.
     """
 
-    __slots__ = ("_dma", "_env", "_vaddr", "_length", "_chunk_pieces",
+    __slots__ = ("_dma", "_env", "_vaddr", "_length", "_run",
                  "_cum", "_start", "_index", "_stable")
 
     def __init__(self, dma: "DmaEngine", vaddr: int, length: int,
-                 chunk_pieces, cum_ends, start: int,
+                 run: ChunkRun, cum_ends, start: int,
                  stable: bool = False) -> None:
         self._dma = dma
         self._env = dma.env
         self._vaddr = vaddr
         self._length = length
-        self._chunk_pieces = chunk_pieces
+        self._run = run
         self._cum = cum_ends
         self._start = start
         self._index = 0
@@ -95,13 +95,13 @@ class FetchPlan:
         due = self._start + self._cum[index]
         if due > env.now:
             yield env.timeout(due - env.now)
-        return self._dma._view_of(self._chunk_pieces[index], self._stable)
+        return self._dma._view_of(self._run[index], self._stable)
 
     def message_view(self) -> PayloadRef:
         """The whole fetch as one view (the burst fast path's payload;
         each chunk's view is the matching slice of it)."""
         dma = self._dma
-        pieces = dma.tlb.split_run(self._vaddr, (self._length,),
+        pieces = dma.tlb.chunk_run(self._vaddr, (self._length,),
                                    charge=False)[0]
         return dma._view_of(pieces, self._stable)
 
@@ -199,22 +199,19 @@ class DmaEngine:
             total += occupancy(self._effective(n, sequential))
         return total
 
-    def _chunk_durations(self, link: BandwidthLink, chunk_pieces,
+    def _chunk_durations(self, link: BandwidthLink, run: ChunkRun,
                          sequential: bool) -> List[int]:
-        """:meth:`_burst_duration` of each chunk's pieces, computing the
-        occupancy once per distinct piece length."""
+        """:meth:`_burst_duration` of each chunk of ``run``: a memo of
+        the occupancy per distinct chunk length mapped over the lengths,
+        with the few page-straddling chunks patched piece by piece."""
         occupancy = link.occupancy_ps
-        memo = {}
-        durations = []
-        for pieces in chunk_pieces:
-            total = 0
-            for _, n in pieces:
-                duration = memo.get(n)
-                if duration is None:
-                    duration = memo[n] = occupancy(
-                        self._effective(n, sequential))
-                total += duration
-            durations.append(total)
+        memo = dict.fromkeys(run.lengths)
+        for n in memo:
+            memo[n] = occupancy(self._effective(n, sequential))
+        durations = list(map(memo.__getitem__, run.lengths))
+        for i, pieces in run.straddles.items():
+            durations[i] = self._burst_duration(
+                link, [n for _, n in pieces], sequential)
         return durations
 
     def _burst_perword(self, link: BandwidthLink, piece_lengths,
@@ -284,11 +281,11 @@ class DmaEngine:
         receives each chunk (as a view) at exactly the time the old
         chunk-delivery process would have put it — without any per-chunk
         or even per-message events."""
-        chunk_pieces = self.tlb.split_run(vaddr, chunk_lengths)
-        total_bytes = sum(chunk_lengths)
+        run = self.tlb.chunk_run(vaddr, chunk_lengths)
+        total_bytes = run.total
         link = self.read_link
         cum_ends = list(accumulate(
-            self._chunk_durations(link, chunk_pieces, sequential)))
+            self._chunk_durations(link, run, sequential)))
         cum = cum_ends[-1] if cum_ends else 0
         start = link.reserve_after(
             self.env.now + self.config.pcie_read_latency, cum)
@@ -302,8 +299,8 @@ class DmaEngine:
             self.env.timeout(start + cum - self.env.now).callbacks.append(
                 lambda _event, span=span:
                     self.trace.end_span(span, length=total_bytes))
-        return FetchPlan(self, vaddr, total_bytes, chunk_pieces, cum_ends,
-                         start, stable=stable)
+        return FetchPlan(self, vaddr, total_bytes, run, cum_ends, start,
+                         stable=stable)
 
     def read_stream(self, vaddr: int, chunk_lengths, out_stream,
                     sequential: bool = True, stable: bool = False):
@@ -320,12 +317,12 @@ class DmaEngine:
         """
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_stream_read", vaddr=vaddr)
-        chunk_pieces = self.tlb.split_run(vaddr, chunk_lengths)
-        total_bytes = sum(chunk_lengths)
+        run = self.tlb.chunk_run(vaddr, chunk_lengths)
+        total_bytes = run.total
         env = self.env
         link = self.read_link
         occupancy = link.occupancy_ps
-        durations = self._chunk_durations(link, chunk_pieces, sequential)
+        durations = self._chunk_durations(link, run, sequential)
         per_word = self.config.per_word_accounting
         if per_word:
             yield env.timeout(self.config.pcie_read_latency)
@@ -338,7 +335,7 @@ class DmaEngine:
                 env.now + self.config.pcie_read_latency, sum(durations))
             link.bytes_transferred += total_bytes
         due = start
-        for pieces, duration in zip(chunk_pieces, durations):
+        for pieces, duration in zip(run, durations):
             due += duration
             if per_word:
                 for _, n in pieces:

@@ -418,7 +418,7 @@ class StromNic:
         segments = segment_rpc_write(command.length)
         fetch_queue = Stream(self.env)
         self.env.process(self.dma.read_stream(
-            command.laddr, [seg.length for seg in segments], fetch_queue,
+            command.laddr, segments.lengths(), fetch_queue,
             stable=True))
         for i, seg in enumerate(segments):
             chunk = yield fetch_queue.get()
@@ -450,7 +450,7 @@ class StromNic:
             # Streaming payload fetch.  Bursts are served in issue order
             # by the PCIe host->card lanes (FIFO inside the DMA engine),
             # while read latencies overlap between outstanding bursts.
-            lengths = [seg.length for seg in segments if seg.length > 0]
+            lengths = segments.lengths()
             if self.config.per_word_accounting:
                 # Validation mode keeps the explicit chunk-delivery
                 # process (per-word PCIe charges).
@@ -746,7 +746,7 @@ class StromNic:
         prev_gate, gate = self._resp_gate, Event(self.env)
         self._resp_gate = gate
         segments = segment_read_response(packet.reth.dma_length)
-        lengths = [seg.length for seg in segments]
+        lengths = segments.lengths()
         if self.config.per_word_accounting:
             fetch_queue = Stream(self.env)
             self.env.process(self.dma.read_stream(

@@ -7,7 +7,7 @@ DMA commands that cross a huge-page boundary are split into multiple
 commands, none of which crosses a boundary.
 
 A streaming transfer splits a whole run of back-to-back chunks at once
-(:meth:`Tlb.split_run`): one table probe per page touched, with the
+(:meth:`Tlb.chunk_run`): one table probe per page touched, with the
 counters advanced in closed form by exactly what the per-chunk
 :meth:`Tlb.split_command` calls would have added — the host reads them
 as controller registers (``REG_TLB_LOOKUPS``, ``REG_TLB_SPLITS``).
@@ -15,6 +15,9 @@ as controller registers (``REG_TLB_LOOKUPS``, ``REG_TLB_SPLITS``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..config import NicConfig
@@ -112,11 +115,12 @@ class Tlb:
                 f"no TLB entry for vaddr {vpn * self.page_bytes:#x}")
         return base
 
-    def split_run(self, vaddr: int, lengths,
-                  charge: bool = True) -> List[List[Tuple[int, int]]]:
+    def chunk_run(self, vaddr: int, lengths,
+                  charge: bool = True) -> "ChunkRun":
         """:meth:`split_command` for chunks of ``lengths`` bytes laid out
-        back to back from ``vaddr``: each chunk's (physical, length)
-        pieces, probing the table once per page touched.
+        back to back from ``vaddr``, as a :class:`ChunkRun`: each touched
+        page is probed once (a miss raises before anything is charged),
+        and only chunks that cross a page get an explicit piece list.
 
         With ``charge`` the counters and the last-translation cache
         advance exactly as the per-chunk ``split_command`` calls would
@@ -124,43 +128,10 @@ class Tlb:
         later :meth:`charge_run`."""
         if charge and self.pending_charge is not None:
             self.pending_charge()
-        page = self.page_bytes
-        out: List[List[Tuple[int, int]]] = []
-        vpn, off = divmod(vaddr, page)
-        base = None
-        pieces = 0
-        for n in lengths:
-            if n <= 0:
-                raise ValueError("DMA length must be positive")
-            if off == page:
-                vpn += 1
-                off = 0
-                base = None
-            if base is None:
-                base = self._base(vpn)
-            if off + n <= page:
-                out.append([(base + off, n)])
-                off += n
-                pieces += 1
-                continue
-            chunk = []
-            while n:
-                if off == page:
-                    vpn += 1
-                    off = 0
-                    base = self._base(vpn)
-                take = page - off
-                if take > n:
-                    take = n
-                chunk.append((base + off, take))
-                off += take
-                n -= take
-            out.append(chunk)
-            pieces += len(chunk)
-        if charge and out:
-            self.charge_run(vaddr, vpn * page + off - vaddr, len(out),
-                            pieces)
-        return out
+        run = ChunkRun(self, vaddr, lengths)
+        if charge and run.total:
+            self.charge_run(vaddr, run.total, len(lengths), run.pieces)
+        return run
 
     def charge_run(self, vaddr: int, length: int, chunks: int,
                    pieces: int) -> None:
@@ -181,3 +152,78 @@ class Tlb:
         self.splits += pieces - chunks
         self._last_vpn = last
         self._last_base = self._base(last)
+
+
+class ChunkRun(Sequence):
+    """The (physical, length) pieces of back-to-back chunks, none
+    crossing a page (:meth:`Tlb.chunk_run`).  ``run[i]`` is chunk
+    ``i``'s piece list: explicit for the few chunks that straddle a page
+    boundary, computed on demand (one piece) for every other, so a run
+    of N chunks over P pages costs O(P) Python work, not O(N)."""
+
+    __slots__ = ("lengths", "total", "pieces", "straddles", "_page",
+                 "_vaddr", "_starts", "_bases", "_split_at")
+
+    def __init__(self, tlb: Tlb, vaddr: int, lengths) -> None:
+        if lengths and min(lengths) <= 0:
+            raise ValueError("DMA length must be positive")
+        page = self._page = tlb.page_bytes
+        self.lengths = lengths
+        self._vaddr = vaddr
+        #: Chunk start offsets, plus the run's end.
+        self._starts = starts = list(accumulate(lengths, initial=0))
+        self.total = total = starts[-1]
+        first = vaddr // page
+        bases = self._bases = {first: tlb._base(first)} if total else {}
+        #: Chunk index of every page boundary strictly inside a chunk
+        #: (each adds one piece), ascending.
+        self._split_at = split_at = []
+        for vpn in range(first + 1, (vaddr + total - 1) // page + 1):
+            bases[vpn] = tlb._base(vpn)
+            boundary = vpn * page - vaddr
+            i = bisect_right(starts, boundary) - 1
+            if starts[i] != boundary:
+                split_at.append(i)
+        #: Explicit piece lists of the chunks that cross a page.
+        self.straddles: Dict[int, List[Tuple[int, int]]] = {}
+        for i in split_at:
+            if i not in self.straddles:
+                self.straddles[i] = self._pieces(i)
+        #: Pieces of the whole run.
+        self.pieces = len(lengths) + len(split_at)
+
+    def _pieces(self, i: int) -> List[Tuple[int, int]]:
+        page = self._page
+        cursor = self._vaddr + self._starts[i]
+        remaining = self.lengths[i]
+        pieces = []
+        while remaining:
+            vpn, offset = divmod(cursor, page)
+            take = min(remaining, page - offset)
+            pieces.append((self._bases[vpn] + offset, take))
+            cursor += take
+            remaining -= take
+        return pieces
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> List[Tuple[int, int]]:
+        n = len(self.lengths)
+        if not -n <= i < n:
+            raise IndexError("chunk index out of range")
+        if i < 0:
+            i += n
+        pieces = self.straddles.get(i)
+        if pieces is not None:
+            return pieces
+        vpn, offset = divmod(self._vaddr + self._starts[i], self._page)
+        return [(self._bases[vpn] + offset, self.lengths[i])]
+
+    def __iter__(self) -> Iterator[List[Tuple[int, int]]]:
+        return map(self.__getitem__, range(len(self.lengths)))
+
+    def piece_count(self, j: int, k: int) -> int:
+        """Total pieces of chunks ``[j, k)``."""
+        split_at = self._split_at
+        return k - j + bisect_left(split_at, k) - bisect_left(split_at, j)

@@ -24,27 +24,31 @@ three scheduler events end to end:
   advances per packet) and, for READs, the completion fires.
 
 A folded message costs host work per page touched and per distinct
-packet size, not per packet: the flight holds one message-level
-:class:`~repro.core.payload.PayloadRef` and slices per-packet views only
-for an unfold, a replay or the validation walk; TLB splits come from
-:meth:`~repro.nic.tlb.Tlb.split_run` (one probe per page); the columns
-compute each serialization and streaming time once per distinct size.
-The destination TLB is charged lazily for the write-back translations
+packet size, not per packet: its segments are closed form
+(:class:`~repro.roce.packetizer.Segments`: no per-packet objects until
+an unfold, a replay or the validation walk asks for packet ``i``); the
+flight holds one message-level :class:`~repro.core.payload.PayloadRef`;
+TLB splits come from :meth:`~repro.nic.tlb.Tlb.chunk_run` (one probe per
+page, piece lists only for page-straddling chunks); and every column is
+a numpy prefix-max scan over per-size constants (:func:`fifo_ends`),
+converted to Python ints once.  The destination TLB is charged lazily
+for the write-back translations
 (:attr:`~repro.nic.tlb.Tlb.pending_charge`): by E2 all of them, at an
 unfold only the arrived prefix (the replay translates the rest itself).
 
 The analytic schedule (all integer picoseconds, mirroring the code
 paths in :mod:`repro.nic.nic`, :mod:`repro.net.link` and
-:mod:`repro.nic.dma` line for line):
+:mod:`repro.nic.dma` line for line).  Each stage is a FIFO server,
+``end[i] = max(end[i-1], start[i]) + dur[i]``, computed by
+:func:`fifo_ends` as ``cum[i] + max(floor, max_{j<=i} start[j] -
+cum[j-1])``:
 
-- fetch chunk ``i`` ready: ``due[i] = fetch_start + fetch_cum[i]``
-- TX loop resume:       ``F[i] = max(C[i-1], due[i])`` (``C[-1] = t0``)
-- TX charge done:       ``C[i] = F[i] + streaming_time(l3[i])``
-- wire reservation:     ``S[i] = max(free, C[i] + tx_delay)``;
-  ``E1c[i] = S[i] + transfer_time(wire[i])``; ``free = E1c[i]``
-- arrival at receiver:  ``A[i] = E1c[i] + propagation + rx_delay``
-- write-back slot:      ``wstart[i] = max(wfree, A[i] + pcie_write_latency)``;
-  ``wend[i] = wstart[i] + burst_duration(pieces[i])``
+- TX charge done:  ``C = fifo_ends(fetch_start + fetch_cum,
+  streaming_time(l3), t0)``; loop resume ``F = C - streaming_time(l3)``
+- first wire:      ``E1c = fifo_ends(C + tx_delay, transfer_time(wire),
+  free_at)``; arrival ``A = E1c + propagation + rx_delay``
+- write-back slot: ``wend = fifo_ends(A + pcie_write_latency,
+  burst_duration(pieces), wfree)``; ``wstart = wend - dur``
 
 Fold *guards* keep the illusion honest.  Every send path unfolds the
 pending flight before it may fold (:func:`unfold_pending`), so a
@@ -83,6 +87,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, List, Optional
 
+import numpy as np
+
+from ..config import wire_bytes_for_frame
 from ..runmode import active
 from ..sim import timebase
 from .headers import Aeth, Bth, Reth
@@ -95,6 +102,10 @@ from .qp import ResponderState, psn_add
 #: fixed commit cost (column computation + shadow walk) outweighs the
 #: saved events.
 FOLD_MIN_PACKETS = 4
+
+#: Column values stay below this (int64 cumsums wrap silently); a
+#: schedule that could pass it is refused and runs per packet.
+COLUMN_LIMIT_PS = 1 << 62
 
 # Flight states.
 _FOLDED = 0      # in flight, analytic schedule authoritative
@@ -139,6 +150,36 @@ def _started(generator):
         yield first
         yield from generator
     return body()
+
+
+def fifo_ends(start: np.ndarray, dur: np.ndarray, floor: int) -> np.ndarray:
+    """End times of a FIFO server fed jobs in order: ``end[i] =
+    max(end[i-1], start[i]) + dur[i]`` with ``end[-1] = floor``.
+
+    Unrolled, ``end[i] = cum[i] + max(floor, max_{j<=i} start[j] -
+    cum[j-1])`` (``cum`` the running sum of ``dur``): one cumsum and one
+    prefix-max scan over int64.  Raises OverflowError — refusing the
+    fold — when an end could reach :data:`COLUMN_LIMIT_PS`."""
+    if max(floor, int(start.max())) + int(dur.max()) * len(dur) \
+            >= COLUMN_LIMIT_PS:
+        raise OverflowError("schedule exceeds the int64 column range")
+    cum = dur.cumsum()
+    lead = start - cum
+    lead += dur
+    if lead[0] < floor:
+        lead[0] = floor   # the floor joins every prefix max through lead[0]
+    np.maximum.accumulate(lead, out=lead)
+    lead += cum
+    return lead
+
+
+def _per_frame(l3: List[int], fn) -> np.ndarray:
+    """``fn(l3[i])`` for every frame of a folded message, evaluated once
+    per distinct size: the frames are first, middle × (n-2), last."""
+    column = np.full(len(l3), fn(l3[1]), np.int64)
+    column[0] = fn(l3[0])
+    column[-1] = fn(l3[-1])
+    return column
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +246,7 @@ class BurstFlight:
         "total_wire", "F", "C", "E1c", "A1", "A", "dur", "wstart", "wend",
         "pre_free1", "pre_wfree", "fetch_start", "fetch_cum",
         "base_addr", "raddr", "msg_length", "completion", "msn0", "ctx",
-        "state", "e1_done", "entry", "_packets", "c_unfolds", "path",
+        "state", "e1_done", "_packets", "c_unfolds", "path",
     )
 
     def __init__(self, kind, src, dst, src_qp, dst_qp, segments,
@@ -239,96 +280,61 @@ class BurstFlight:
         self.fetch_cum = fetch._cum
         self.state = _FOLDED
         self.e1_done = False
-        self.entry = None
         self._packets: List[Optional[RocePacket]] = [None] * self.n
         self.c_unfolds = None
         # One view of the whole source buffer (zero copy end to end);
         # packet i's payload is its slice, built only when needed.
         self.view = fetch.message_view()
         self.tlb_charged = 0
-        self.p = [seg.length for seg in segments]
+        self.p = segments.lengths()
         self.total = sum(self.p)
 
     # ------------------------------------------------------------------
     # Schedule computation (pure: no side effects; raises to refuse)
     # ------------------------------------------------------------------
     def compute_schedule(self) -> None:
-        self.A1 = self.A = self._compute_tx()
-        self._compute_wlane(self.A)
+        arrivals = self._compute_tx()
+        self.A1 = self.A = arrivals.tolist()
+        self._compute_wlane(arrivals)
 
-    def _compute_tx(self) -> List[int]:
+    def _compute_tx(self) -> np.ndarray:
         """TX-pipeline and first-hop columns; returns the per-packet
         arrival times at the first cable's far side."""
         src, cable = self.src, self.cable
-        segments = self.segments
-        response = self.kind == "read"
-        self.l3 = l3 = l3_bytes_for_segments(segments, response=response)
-        from .. import config as _cfg
-        streaming_time = src.config.streaming_time
+        self.l3 = l3 = l3_bytes_for_segments(
+            self.segments, response=self.kind == "read")
         bps = cable.bits_per_second
-        # Per distinct frame size: (wire bytes, TX charge, serialization).
-        sizes = {}
-        for size in set(l3):
-            wire = _cfg.wire_bytes_for_frame(size)
-            sizes[size] = (wire, streaming_time(size),
-                           timebase.transfer_time_ps(wire, bps))
-        self.wire = [sizes[size][0] for size in l3]
+        self.wire = _per_frame(l3, wire_bytes_for_frame).tolist()
         self.total_wire = sum(self.wire)
+        charge = _per_frame(l3, src.config.streaming_time)
+        serialize = _per_frame(l3, lambda size: timebase.transfer_time_ps(
+            wire_bytes_for_frame(size), bps))
+        due = np.array(self.fetch_cum, np.int64) + self.fetch_start
+        C = fifo_ends(due, charge, self.t0)
+        self.pre_free1 = cable._free_at[self.side]
+        E1c = fifo_ends(C + src._tx_delay, serialize, self.pre_free1)
+        self.F, self.C, self.E1c = \
+            (C - charge).tolist(), C.tolist(), E1c.tolist()
+        return E1c + (cable.propagation + cable.extra_latency
+                      + cable._receiver_delay[self.dest])
 
-        tx_delay = src._tx_delay
-        prop = cable.propagation + cable.extra_latency \
-            + cable._receiver_delay[self.dest]
-        fetch_start, fetch_cum = self.fetch_start, self.fetch_cum
-
-        F: List[int] = []
-        C: List[int] = []
-        E1c: List[int] = []
-        A: List[int] = []
-        prev_c = self.t0
-        free = self.pre_free1 = cable._free_at[self.side]
-        for i in range(self.n):
-            _, charge, serialize = sizes[l3[i]]
-            due = fetch_start + fetch_cum[i]
-            f = due if due > prev_c else prev_c
-            c = f + charge
-            s = c + tx_delay
-            if s < free:
-                s = free
-            e = s + serialize
-            F.append(f)
-            C.append(c)
-            E1c.append(e)
-            A.append(e + prop)
-            prev_c = c
-            free = e
-        self.F, self.C, self.E1c = F, C, E1c
-        return A
-
-    def _compute_wlane(self, arrivals: List[int]) -> None:
+    def _compute_wlane(self, arrivals: np.ndarray) -> None:
         """Destination write-back lane (receiver's card->host PCIe),
         chained in arrival order."""
         dst = self.dst
-        wdma = dst.dma
-        wlink = wdma.write_link
-        wlat = dst.config.pcie_write_latency
+        wlink = dst.dma.write_link
         # Pure lookups: the TLB is charged as the packets arrive
         # (_settle_tlb), where per-packet write_posted translates.
-        self.pieces = dst.tlb.split_run(self.base_addr, self.p,
+        self.pieces = dst.tlb.chunk_run(self.base_addr, self.p,
                                         charge=False)
-        self.run = dst.tlb.split_run(self.base_addr, (self.total,),
+        self.run = dst.tlb.chunk_run(self.base_addr, (self.total,),
                                      charge=False)[0]
-        self.dur = wdma._chunk_durations(wlink, self.pieces, True)
-        wstart: List[int] = []
-        wend: List[int] = []
-        wfree = self.pre_wfree = wlink._free_at
-        for i, dur in enumerate(self.dur):
-            ws = arrivals[i] + wlat
-            if ws < wfree:
-                ws = wfree
-            wfree = ws + dur
-            wstart.append(ws)
-            wend.append(wfree)
-        self.wstart, self.wend = wstart, wend
+        self.dur = dst.dma._chunk_durations(wlink, self.pieces, True)
+        dur = np.array(self.dur, np.int64)
+        self.pre_wfree = wlink._free_at
+        wend = fifo_ends(arrivals + dst.config.pcie_write_latency, dur,
+                         self.pre_wfree)
+        self.wstart, self.wend = (wend - dur).tolist(), wend.tolist()
 
     # ------------------------------------------------------------------
     # Commit: reservations, registrations, the three deferred events
@@ -363,11 +369,12 @@ class BurstFlight:
 
         if self.kind == "write":
             from ..nic.nic import _UnackedEntry
-            self.entry = _UnackedEntry(
+            # The entry points at the flight, never back: a finished
+            # flight is freed by reference counting, not the cycle GC.
+            self.src_qp.requester.unacked.append(_UnackedEntry(
                 first_psn=self.first_psn, last_psn=self.last_psn,
                 kind="write", packet=None, completion=self.completion,
-                is_message_tail=True, burst=self)
-            self.src_qp.requester.unacked.append(self.entry)
+                is_message_tail=True, burst=self))
 
         metrics = src.metrics
         metrics.counter(f"{src.name}.burst.folds").add()
@@ -530,11 +537,11 @@ class BurstFlight:
         if k <= j:
             return
         self.tlb_charged = k
-        start = self.segments[j].offset
+        start = self.segments.offset(j)
         self.dst.tlb.charge_run(
             self.base_addr + start,
-            self.segments[k - 1].offset + self.p[k - 1] - start, k - j,
-            sum(map(len, self.pieces[j:k])))
+            self.segments.offset(k - 1) + self.p[k - 1] - start, k - j,
+            self.pieces.piece_count(j, k))
 
     def _deregister(self) -> None:
         # E2 (every packet arrived) or an unfold (the arrived prefix;
@@ -585,14 +592,11 @@ class BurstFlight:
         (``bisect_right(F, now)``) and let the replay append the rest
         at their exact per-packet times; a NAK's go-back-N snapshot of
         the unacked list must never see not-yet-sent packets."""
-        entry = self.entry
-        if entry is None:
-            return
-        self.entry = None
         unacked = self.src_qp.requester.unacked
-        try:
-            index = unacked.index(entry)
-        except ValueError:
+        for index, entry in enumerate(unacked):
+            if entry.burst is self:
+                break
+        else:
             return
         count = self.n if upto is None else upto
         unacked[index:index + 1] = [self._entry_for(i)
@@ -884,18 +888,19 @@ class SwitchBurstFlight(BurstFlight):
     Adds the switch-leg columns (all integer picoseconds, mirroring
     :class:`~repro.cluster.switch.Switch` line for line):
 
-    - ingress done (lookup + enqueue): ``I[i] = max(A1[i], I[i-1]) + fwd``
-    - egress dequeue/send:  ``D[i] = max(I[i], P[i-1])``; pacing end
-      ``P[i] = D[i] + transfer_time(wire[i])``
-    - second-hop serialization: ``E2c[i] = max(free2, D[i]) + tt``
-    - arrival at the NIC:   ``A2[i] = E2c[i] + prop2 + rx_delay``
+    - ingress done (lookup + enqueue): ``I = fifo_ends(A1, fwd, 0)``
+    - egress pacing end:    ``P = fifo_ends(I, tt, 0)`` with ``tt =
+      transfer_time(wire)``; dequeue/send ``D = P - tt``
+    - second-hop serialization: ``E2c = fifo_ends(D, tt, free2)``
+    - arrival at the NIC:   ``A2 = E2c + prop2 + rx_delay``
 
-    plus the output queue's analytic depth at each enqueue (the
-    ``max_queue_depth`` gauge the per-packet path would have set).  The
-    switch and the second cable join the flight's path (any real frame
-    picked up by any ingress loop unfolds it first); an unfold
-    re-injects every stage at its exact per-packet time, using the port
-    loops' busy-until floors to resume the pipeline mid-schedule.
+    plus the output queue's analytic depth at each enqueue, ``i + 1 -
+    min(i, searchsorted(D, I[i], 'right'))`` (the ``max_queue_depth``
+    gauge the per-packet path would have set).  The switch and the
+    second cable join the flight's path (any real frame picked up by any
+    ingress loop unfolds it first); an unfold re-injects every stage at
+    its exact per-packet time, using the port loops' busy-until floors
+    to resume the pipeline mid-schedule.
     """
 
     __slots__ = ("switch", "port_in", "port_out", "cable2", "side2",
@@ -915,44 +920,31 @@ class SwitchBurstFlight(BurstFlight):
     # Schedule
     # ------------------------------------------------------------------
     def compute_schedule(self) -> None:
-        self.A1 = self._compute_tx()
+        A1 = self._compute_tx()
+        self.A1 = A1.tolist()
         switch, cable2 = self.switch, self.cable2
-        fwd = switch.config.forwarding_latency
         bps2 = cable2.bits_per_second
-        prop2 = cable2.propagation + cable2.extra_latency \
-            + cable2._receiver_delay[self.dest2]
-        I: List[int] = []
-        D: List[int] = []
-        P: List[int] = []
-        E2c: List[int] = []
-        A2: List[int] = []
-        depths: List[int] = []
-        prev_i = prev_p = 0
-        free2 = self.pre_free2 = cable2._free_at[self.side2]
-        serialize = {wire: timebase.transfer_time_ps(wire, bps2)
-                     for wire in set(self.wire)}
-        for i in range(self.n):
-            a1 = self.A1[i]
-            done = (a1 if a1 > prev_i else prev_i) + fwd
-            d = done if done > prev_p else prev_p
-            tt = serialize[self.wire[i]]
-            s2 = d if d > free2 else free2
-            e = s2 + tt
-            I.append(done)
-            D.append(d)
-            P.append(d + tt)
-            E2c.append(e)
-            A2.append(e + prop2)
-            # Queue depth the ingress loop observes at this enqueue:
-            # enqueues so far minus dequeues at-or-before (bisect_right
-            # tie semantics; min() keeps our own later dequeue out).
-            depths.append(i + 1 - min(i, bisect_right(D, done)))
-            prev_i, prev_p, free2 = done, d + tt, e
-        if max(depths) > switch.config.buffer_frames:
+        tt = _per_frame(self.l3, lambda size: timebase.transfer_time_ps(
+            wire_bytes_for_frame(size), bps2))
+        fwd = np.full(self.n, switch.config.forwarding_latency, np.int64)
+        I = fifo_ends(A1, fwd, 0)
+        P = fifo_ends(I, tt, 0)
+        D = P - tt
+        self.pre_free2 = cable2._free_at[self.side2]
+        E2c = fifo_ends(D, tt, self.pre_free2)
+        # Enqueues so far minus dequeues at-or-before (bisect_right tie
+        # semantics; min() keeps our own later dequeue out).
+        index = np.arange(self.n)
+        depths = index + 1 - np.minimum(
+            index, np.searchsorted(D, I, "right"))
+        if depths.max() > switch.config.buffer_frames:
             raise RuntimeError("analytic schedule would tail-drop")
-        self.I, self.D, self.P, self.E2c = I, D, P, E2c
-        self.depths = depths
-        self.A = A2
+        self.I, self.D, self.P, self.E2c = \
+            I.tolist(), D.tolist(), P.tolist(), E2c.tolist()
+        self.depths = depths.tolist()
+        A2 = E2c + (cable2.propagation + cable2.extra_latency
+                    + cable2._receiver_delay[self.dest2])
+        self.A = A2.tolist()
         self._compute_wlane(A2)
 
     # ------------------------------------------------------------------

@@ -8,20 +8,81 @@ which is why the MSN Table must remember the DMA cursor (Section 4.1).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from collections.abc import Sequence
+from typing import Iterator, List, NamedTuple
 
 from .. import config
 from .opcodes import Opcode
 
 
 class Segment(NamedTuple):
-    """One packet's worth of a message (a named tuple: a 256 KiB
-    message builds 181 of them per post, so construction cost counts)."""
+    """One packet's worth of a message."""
 
     opcode: Opcode
     offset: int          # byte offset of this segment's payload
     length: int          # payload bytes in this packet
     carries_reth: bool
+
+
+class Segments(Sequence):
+    """A message's segments in closed form: one ONLY segment, or a FIRST
+    of ``first`` bytes, equal MIDDLEs of ``rest`` bytes and a LAST
+    holding the remainder.  Length, offsets and payload sizes are
+    arithmetic; a :class:`Segment` is built only when indexed or
+    iterated, so a 256 KiB message costs no per-packet objects until
+    something needs packet ``i``."""
+
+    __slots__ = ("_ops", "_n", "_first", "_rest", "_last", "_reth")
+
+    def __init__(self, length: int, first_capacity: int,
+                 rest_capacity: int, opcode_set, reth: bool) -> None:
+        self._ops = opcode_set
+        self._reth = reth
+        self._rest = rest_capacity
+        if length <= first_capacity:
+            self._n = 1
+            self._first = self._last = length
+        else:
+            self._n = 2 + (length - first_capacity - 1) // rest_capacity
+            self._first = first_capacity
+            self._last = length - self.offset(self._n - 1)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def offset(self, i: int) -> int:
+        """Payload offset of segment ``i`` (0 <= i < len)."""
+        return self._first + (i - 1) * self._rest if i else 0
+
+    def lengths(self) -> List[int]:
+        """Every segment's payload length, in order."""
+        n = self._n
+        if n == 1:
+            return [self._first]
+        return [self._first] + [self._rest] * (n - 2) + [self._last]
+
+    def _make(self, i: int) -> Segment:
+        first_op, middle_op, last_op, only_op = self._ops
+        n = self._n
+        if n == 1:
+            return Segment(only_op, 0, self._first, self._reth)
+        if i == 0:
+            return Segment(first_op, 0, self._first, self._reth)
+        if i == n - 1:
+            return Segment(last_op, self.offset(i), self._last, False)
+        return Segment(middle_op, self.offset(i), self._rest, False)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._make(i) for i in range(*index.indices(self._n))]
+        if index < 0:
+            index += self._n
+        if not 0 <= index < self._n:
+            raise IndexError("segment index out of range")
+        return self._make(index)
+
+    def __iter__(self) -> Iterator[Segment]:
+        return map(self._make, range(self._n))
 
 
 _WRITE_SET = (Opcode.WRITE_FIRST, Opcode.WRITE_MIDDLE,
@@ -32,69 +93,58 @@ _RPC_WRITE_SET = (Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_MIDDLE,
                   Opcode.RPC_WRITE_LAST, Opcode.RPC_WRITE_ONLY)
 
 
-def _segment(length: int, first_capacity: int, rest_capacity: int,
-             opcode_set, reth: bool = True) -> List[Segment]:
-    first_op, middle_op, last_op, only_op = opcode_set
-    if length <= first_capacity:
-        return [Segment(only_op, 0, length, reth)]
-    segments = [Segment(first_op, 0, first_capacity, reth)]
-    last = length - rest_capacity
-    segments.extend(Segment(middle_op, offset, rest_capacity, False)
-                    for offset in range(first_capacity, last,
-                                        rest_capacity))
-    offset = segments[-1].offset + segments[-1].length
-    segments.append(Segment(last_op, offset, length - offset, False))
-    return segments
-
-
-def segment_write(length: int) -> List[Segment]:
-    """Segments for an RDMA WRITE of ``length`` payload bytes."""
+def segment_write(length: int) -> Segments:
+    """Segments for an RDMA WRITE of ``length`` payload bytes.
+    Zero-length writes are legal (used as doorbells): one ONLY packet."""
     if length < 0:
         raise ValueError("negative length")
-    if length == 0:
-        # Zero-length writes are legal (used as doorbells); one ONLY packet.
-        return [Segment(opcode=Opcode.WRITE_ONLY, offset=0, length=0,
-                        carries_reth=True)]
-    return _segment(length, config.MAX_PAYLOAD_WITH_RETH,
-                    config.MAX_PAYLOAD_NO_RETH, _WRITE_SET)
+    return Segments(length, config.MAX_PAYLOAD_WITH_RETH,
+                    config.MAX_PAYLOAD_NO_RETH, _WRITE_SET, reth=True)
 
 
-def segment_read_response(length: int) -> List[Segment]:
+def segment_read_response(length: int) -> Segments:
     """Segments for the response stream of an RDMA READ."""
     if length <= 0:
         raise ValueError("read responses carry at least one byte")
     # Response packets never carry a RETH; FIRST/LAST/ONLY carry an AETH.
-    return _segment(length, config.MAX_PAYLOAD_NO_RETH,
+    return Segments(length, config.MAX_PAYLOAD_NO_RETH,
                     config.MAX_PAYLOAD_NO_RETH, _READ_RESP_SET, reth=False)
 
 
-def segment_rpc_write(length: int) -> List[Segment]:
+def segment_rpc_write(length: int) -> Segments:
     """Segments for an RDMA RPC WRITE (payload forwarded to a kernel)."""
     if length <= 0:
         raise ValueError("RPC WRITE needs payload")
-    return _segment(length, config.MAX_PAYLOAD_WITH_RETH,
-                    config.MAX_PAYLOAD_NO_RETH, _RPC_WRITE_SET)
+    return Segments(length, config.MAX_PAYLOAD_WITH_RETH,
+                    config.MAX_PAYLOAD_NO_RETH, _RPC_WRITE_SET, reth=True)
 
 
-def l3_bytes_for_segments(segments: List[Segment],
+def l3_bytes_for_segments(segments: Segments,
                           response: bool = False) -> List[int]:
     """Per-segment L3 frame sizes (IPv4 + UDP + BTH [+RETH] [+AETH] +
     payload + ICRC) without materializing packets — the burst fast path
-    sizes a whole message analytically from its segment list.  Must stay
-    bit-identical to :attr:`repro.roce.packet.RocePacket.l3_bytes`;
-    ``REPRO_VALIDATE=1`` asserts exactly that."""
+    sizes a whole message analytically, in closed form: first, middle ×
+    (n-2), last.  Must stay bit-identical to
+    :attr:`repro.roce.packet.RocePacket.l3_bytes`; ``REPRO_VALIDATE=1``
+    asserts exactly that."""
     from .opcodes import carries_aeth
     base = (config.IPV4_HEADER_BYTES + config.UDP_HEADER_BYTES
             + config.BTH_BYTES + config.ICRC_BYTES)
-    sizes = []
-    for seg in segments:
-        size = base + seg.length
-        if seg.carries_reth:
-            size += config.RETH_BYTES
-        if response and carries_aeth(seg.opcode):
-            size += config.AETH_BYTES
-        sizes.append(size)
-    return sizes
+
+    def size(opcode, length, reth):
+        if reth:
+            length += config.RETH_BYTES
+        if response and carries_aeth(opcode):
+            length += config.AETH_BYTES
+        return base + length
+
+    first_op, middle_op, last_op, only_op = segments._ops
+    n = len(segments)
+    if n == 1:
+        return [size(only_op, segments._first, segments._reth)]
+    return ([size(first_op, segments._first, segments._reth)]
+            + [size(middle_op, segments._rest, False)] * (n - 2)
+            + [size(last_op, segments._last, False)])
 
 
 def read_response_packet_count(length: int) -> int:

@@ -264,6 +264,38 @@ def test_unfold_counter_increments():
     assert _unfolds(sim) > 0
 
 
+def _late_write_scenario():
+    """A 256 KiB WRITE and READ posted at 2**62 ps: the int64 columns
+    could wrap past there, so the fold must refuse and send per
+    packet."""
+    sim, cluster, client, server = _pair()
+    src = client.alloc(BIG, "src")
+    dst = server.alloc(BIG, "dst")
+    client.space.write(src.vaddr, bytes(i % 251 for i in range(BIG)))
+    server.space.write(dst.vaddr, bytes(i % 241 for i in range(BIG)))
+    rows = []
+
+    def driver():
+        yield sim.timeout(burst.COLUMN_LIMIT_PS)
+        yield from client.write_sync(1, src.vaddr, dst.vaddr, BIG)
+        rows.append(("write", sim.now))
+        yield from client.read_sync(1, src.vaddr + 1, dst.vaddr, BIG - 1)
+        rows.append(("read", sim.now))
+
+    main = sim.process(driver())
+    sim.run_until_complete(main,
+                           limit=burst.COLUMN_LIMIT_PS + 10_000 * MS)
+    sim.run()
+    mem = (bytes(client.space.read(src.vaddr, BIG)),
+           bytes(server.space.read(dst.vaddr, BIG)))
+    return rows, mem, cluster
+
+
+def test_write_past_column_range_runs_per_packet():
+    sim = _dual(_late_write_scenario)
+    assert _folds(sim) == 0
+
+
 def _straddle_scenario(offset_ps):
     """WRITE, READ, then a WRITE unfolded mid-flight by a reverse write,
     with every source and destination straddling a huge-page boundary

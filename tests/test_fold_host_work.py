@@ -7,16 +7,26 @@ physical page run, however many packets the message spans.  Each test
 counts the calls into :class:`~repro.memory.PhysicalMemory`'s zero-copy
 entry points during one folded WRITE or READ, and checks that the DMA
 engine still reports one write per packet (``REG_DMA_WRITES``).
+
+Nor does a folded message build per-packet Python objects: its segments
+are closed form (no :class:`~repro.roce.packetizer.Segment` until
+something asks for packet ``i``), its TLB runs hold explicit piece
+lists only for chunks that cross a page, and a finished flight is freed
+without waiting for the cycle collector.
 """
+
+import gc
 
 import pytest
 
 from repro.cluster.topology import build_pair, build_star
 from repro.config import NIC_100G
 from repro.memory import PhysicalMemory
+from repro.nic.tlb import ChunkRun
 from repro.obs import registry_for
-from repro.roce import read_response_packet_count, segment_write
-from repro.runmode import active
+from repro.roce import packetizer, read_response_packet_count, segment_write
+from repro.roce.burst import BurstFlight
+from repro.runmode import active, override
 from repro.sim import MS, Simulator
 
 pytestmark = pytest.mark.skipif(
@@ -49,11 +59,36 @@ def _flat_sum(sim, suffix):
                if k.endswith(suffix))
 
 
-@pytest.mark.parametrize("topology", ["pair", "star"])
-@pytest.mark.parametrize("verb", ["write", "read"])
-@pytest.mark.parametrize("straddle", [False, True])
-def test_folded_transfer_costs_per_page(monkeypatch, topology, verb,
-                                        straddle):
+def _count_objects(monkeypatch):
+    """Count Segment constructions, and per-chunk piece lists handed out
+    by multi-chunk TLB runs (a run over one whole message is a single
+    chunk and not counted); collect every multi-chunk run built."""
+    counts = {"segments": 0, "chunk_lists": 0, "runs": []}
+    segment = packetizer.Segment
+
+    def counted_segment(*args):
+        counts["segments"] += 1
+        return segment(*args)
+    monkeypatch.setattr(packetizer, "Segment", counted_segment)
+    init, getitem = ChunkRun.__init__, ChunkRun.__getitem__
+
+    def counted_init(self, *args):
+        init(self, *args)
+        if len(self) > 1:
+            counts["runs"].append(self)
+
+    def counted_getitem(self, i):
+        if len(self) > 1:
+            counts["chunk_lists"] += 1
+        return getitem(self, i)
+    monkeypatch.setattr(ChunkRun, "__init__", counted_init)
+    monkeypatch.setattr(ChunkRun, "__getitem__", counted_getitem)
+    return counts
+
+
+def _transfer(topology, verb, straddle):
+    """One 256 KiB WRITE or READ between two fresh hosts; returns the
+    simulator, the run closure, and the transfer's facts."""
     sim = Simulator()
     if topology == "pair":
         cluster = build_pair(sim, nic_config=NIC_100G)
@@ -81,23 +116,89 @@ def test_folded_transfer_costs_per_page(monkeypatch, topology, verb,
     payload = bytes(i % 251 for i in range(BIG))
     src_host.space.write(src, payload)
     pages = _pages(src, BIG, page) + _pages(dst, BIG, page)
+
+    def run():
+        def driver():
+            if verb == "write":
+                yield from client.write_sync(qpn, src, dst, BIG)
+            else:
+                yield from client.read_sync(qpn, dst, src, BIG)
+        main = sim.process(driver())
+        sim.run_until_complete(main, limit=100 * MS)
+        sim.run()
+        assert dst_host.space.read(dst, BIG) == payload
+
+    return sim, run, dst_host, packets, pages
+
+
+@pytest.mark.parametrize("topology", ["pair", "star"])
+@pytest.mark.parametrize("verb", ["write", "read"])
+@pytest.mark.parametrize("straddle", [False, True])
+def test_folded_transfer_costs_per_page(monkeypatch, topology, verb,
+                                        straddle):
+    sim, run, dst_host, packets, pages = _transfer(topology, verb,
+                                                   straddle)
     writes_before = int(dst_host.nic.dma.writes)
     calls = _count_calls(monkeypatch)
-
-    def driver():
-        if verb == "write":
-            yield from client.write_sync(qpn, src, dst, BIG)
-        else:
-            yield from client.read_sync(qpn, dst, src, BIG)
-
-    main = sim.process(driver())
-    sim.run_until_complete(main, limit=100 * MS)
-    sim.run()
+    run()
     monkeypatch.undo()
 
     assert _flat_sum(sim, ".burst.folds") == 1
     assert _flat_sum(sim, ".burst.unfolds") == 0
-    assert dst_host.space.read(dst, BIG) == payload
     assert int(dst_host.nic.dma.writes) - writes_before == packets
     assert 0 < calls["read_view"] <= CALLS_PER_PAGE * pages, calls
     assert 0 < calls["write_views"] <= CALLS_PER_PAGE * pages, calls
+
+
+@pytest.mark.parametrize("topology", ["pair", "star"])
+@pytest.mark.parametrize("verb", ["write", "read"])
+@pytest.mark.parametrize("straddle", [False, True])
+def test_folded_transfer_builds_no_per_packet_objects(
+        monkeypatch, topology, verb, straddle):
+    sim, run, _, _, pages = _transfer(topology, verb, straddle)
+    counts = _count_objects(monkeypatch)
+    run()
+    monkeypatch.undo()
+
+    assert _flat_sum(sim, ".burst.folds") == 1
+    if not active().validate:
+        # (The validation walk re-derives every packet by design.)
+        assert counts["segments"] == 0
+    assert counts["chunk_lists"] == 0
+    # Explicit piece lists: only chunks that cross a page, at most one
+    # per page boundary of the source (fetch) and destination (write
+    # lane) buffers.
+    explicit = [pieces for r in counts["runs"]
+                for pieces in r.straddles.values()]
+    assert all(len(pieces) > 1 for pieces in explicit)
+    assert len(explicit) <= pages - 2
+    assert bool(explicit) == straddle
+
+
+@pytest.mark.parametrize("verb", ["write", "read"])
+def test_per_packet_path_builds_one_segment_per_packet(monkeypatch, verb):
+    with override(fold=False):
+        sim, run, _, packets, _ = _transfer("pair", verb, False)
+        counts = _count_objects(monkeypatch)
+        run()
+        monkeypatch.undo()
+    assert _flat_sum(sim, ".burst.folds") == 0
+    assert counts["segments"] == packets
+
+
+@pytest.mark.parametrize("topology", ["pair", "star"])
+@pytest.mark.parametrize("verb", ["write", "read"])
+def test_finished_flight_is_freed_without_the_cycle_collector(topology,
+                                                              verb):
+    """A folded message's columns are freed when it completes, not when
+    a later cycle collection finds them: the flight sits in no
+    reference cycle (its retransmit entry points at it, not back)."""
+    sim, run, _, _, _ = _transfer(topology, verb, False)
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert _flat_sum(sim, ".burst.folds") == 1
+        assert not any(isinstance(o, BurstFlight) for o in gc.get_objects())
+    finally:
+        gc.enable()

@@ -20,6 +20,7 @@ from repro.roce import (
     Reth,
     RocePacket,
     STROM_OPCODES,
+    Segment,
     carries_aeth,
     carries_reth,
     is_rpc,
@@ -32,6 +33,7 @@ from repro.roce import (
     segment_rpc_write,
     segment_write,
 )
+from repro.roce.packetizer import l3_bytes_for_segments
 from repro.sim import US, Simulator
 
 
@@ -242,6 +244,94 @@ def test_segmentation_covers_payload_exactly(size):
         cap = config.MAX_PAYLOAD_WITH_RETH if i == 0 \
             else config.MAX_PAYLOAD_NO_RETH
         assert 0 < s.length <= cap or size == 0
+
+
+def _reference_segments(length, first_capacity, rest_capacity, opcodes,
+                        reth):
+    """The list-building segmenter the closed-form Segments replaced."""
+    first_op, middle_op, last_op, only_op = opcodes
+    if length <= first_capacity:
+        return [Segment(only_op, 0, length, reth)]
+    segments = [Segment(first_op, 0, first_capacity, reth)]
+    last = length - rest_capacity
+    segments.extend(Segment(middle_op, offset, rest_capacity, False)
+                    for offset in range(first_capacity, last,
+                                        rest_capacity))
+    offset = segments[-1].offset + segments[-1].length
+    segments.append(Segment(last_op, offset, length - offset, False))
+    return segments
+
+
+_WITH, _NO = config.MAX_PAYLOAD_WITH_RETH, config.MAX_PAYLOAD_NO_RETH
+_SEGMENTERS = {
+    "write": (segment_write, _WITH, _NO,
+              (Opcode.WRITE_FIRST, Opcode.WRITE_MIDDLE, Opcode.WRITE_LAST,
+               Opcode.WRITE_ONLY), True),
+    "read": (segment_read_response, _NO, _NO,
+             (Opcode.READ_RESPONSE_FIRST, Opcode.READ_RESPONSE_MIDDLE,
+              Opcode.READ_RESPONSE_LAST, Opcode.READ_RESPONSE_ONLY), False),
+    "rpc_write": (segment_rpc_write, _WITH, _NO,
+                  (Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_MIDDLE,
+                   Opcode.RPC_WRITE_LAST, Opcode.RPC_WRITE_ONLY), True),
+}
+_EDGE_LENGTHS = sorted({
+    cap * k + d for cap in (_WITH, _NO) for k in (1, 2, 3, 180)
+    for d in (-1, 0, 1)} | {256 * 1024, 1 << 20})
+
+
+def _check_segments(kind, length, data):
+    segmenter, first, rest, opcodes, reth = _SEGMENTERS[kind]
+    expected = _reference_segments(length, first, rest, opcodes, reth)
+    segments = segmenter(length)
+    assert list(segments) == expected
+    assert len(segments) == len(expected)
+    assert segments.lengths() == [s.length for s in expected]
+    assert [segments.offset(i) for i in range(len(expected))] == \
+        [s.offset for s in expected]
+    index = data.draw(st.integers(-len(expected), len(expected) - 1))
+    assert segments[index] == expected[index]
+    start = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
+    stop = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
+    step = data.draw(st.sampled_from([1, 2, 3, -1, -2]))
+    assert segments[start:stop:step] == expected[start:stop:step]
+    with pytest.raises(IndexError):
+        segments[len(expected)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_SEGMENTERS)),
+       length=st.one_of(st.sampled_from(_EDGE_LENGTHS),
+                        st.integers(min_value=1, max_value=1 << 20)),
+       data=st.data())
+def test_closed_form_segments_match_reference(kind, length, data):
+    _check_segments(kind, length, data)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_zero_length_write_segments_match_reference(data):
+    _check_segments("write", 0, data)
+
+
+@pytest.mark.parametrize("kind", sorted(_SEGMENTERS))
+@pytest.mark.parametrize("packets", [1, 2, 3, 181])
+def test_l3_bytes_closed_form_matches_packets(kind, packets):
+    segmenter, first, rest, _, _ = _SEGMENTERS[kind]
+    length = first + (packets - 1) * rest - 7 if packets > 1 else first
+    segments = segmenter(length)
+    assert len(segments) == packets
+    response = kind == "read"
+    sizes = []
+    for i, seg in enumerate(segments):
+        reth = Reth(vaddr=0x1000, rkey=0, dma_length=length) \
+            if seg.carries_reth else None
+        aeth = Aeth(syndrome=0, msn=1) if carries_aeth(seg.opcode) \
+            else None
+        bth = Bth(opcode=seg.opcode, dest_qp=2, psn=i)
+        sizes.append(RocePacket(src_ip=1, dst_ip=2, bth=bth, reth=reth,
+                                aeth=aeth,
+                                payload=bytes(seg.length)).l3_bytes)
+    assert l3_bytes_for_segments(segments, response=response) == sizes
 
 
 # ---------------------------------------------------------------------------

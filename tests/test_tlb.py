@@ -156,11 +156,13 @@ def _per_chunk(tlb, vaddr, lengths):
     (-2912, [1456] * 4, 0),                 # boundary on a chunk edge
     (-100, [100, 2 * 2 ** 21 + 5, 7], 2),   # a chunk spanning pages
     (-1, [1, 1, 1], None),                  # one-byte chunks
+    (-5, [2 ** 21 + 9, 1456, 1456], 0),     # a chunk larger than a page
 ])
 def test_split_run_matches_per_chunk_split_command(start_offset, lengths,
                                                    warm_vpn):
-    """One pass over a run of chunks gives the pieces and the counter
-    and cache state the per-chunk split_command calls would have."""
+    """One Tlb.chunk_run pass over a run of chunks (a split run) gives
+    the pieces and the counter and cache state the per-chunk
+    split_command calls would have."""
     config = NIC_10G
     page = config.page_bytes
     scattered = {0: 10 * page, 1: 3 * page, 2: 8 * page, 3: 5 * page}
@@ -171,7 +173,15 @@ def test_split_run_matches_per_chunk_split_command(start_offset, lengths,
         if warm_vpn is not None:
             tlb.translate(warm_vpn * page)
     expected = _per_chunk(expected_tlb, vaddr, lengths)
-    assert run_tlb.split_run(vaddr, lengths) == expected
+    run = run_tlb.chunk_run(vaddr, lengths)
+    assert list(run) == expected
+    assert [run[i] for i in range(-len(lengths), 0)] == expected
+    assert all(run.piece_count(j, k) == sum(map(len, expected[j:k]))
+               for j in range(len(lengths))
+               for k in range(j, len(lengths) + 1))
+    # Explicit piece lists exist for exactly the straddling chunks.
+    assert sorted(run.straddles) == [i for i, pieces in enumerate(expected)
+                                     if len(pieces) > 1]
     assert _counters(run_tlb) == _counters(expected_tlb)
 
 
@@ -187,12 +197,12 @@ def test_split_run_pure_lookup_then_charge_run():
     lengths = [1456] * 10
     vaddr = page - 4000
     before = _counters(run_tlb)
-    pieces = run_tlb.split_run(vaddr, lengths, charge=False)
+    run = run_tlb.chunk_run(vaddr, lengths, charge=False)
     assert _counters(run_tlb) == before
     expected = _per_chunk(expected_tlb, vaddr, lengths)
-    assert pieces == expected
+    assert list(run) == expected
     run_tlb.charge_run(vaddr, sum(lengths), len(lengths),
-                       sum(map(len, pieces)))
+                       run.piece_count(0, len(lengths)))
     assert _counters(run_tlb) == _counters(expected_tlb)
 
 
@@ -200,10 +210,14 @@ def test_split_run_rejects_empty_chunk_and_misses():
     tlb, config = make_tlb()
     page = config.page_bytes
     tlb.populate(0, 0)
+    tlb.translate(0)
+    before = _counters(tlb)
     with pytest.raises(ValueError):
-        tlb.split_run(0, [64, 0])
+        tlb.chunk_run(0, [64, 0])
     with pytest.raises(TlbMissError):
-        tlb.split_run(page - 64, [64, 64])  # page 1 never pinned
+        tlb.chunk_run(page - 64, [64, 64])  # page 1 never pinned
+    # A miss raises before anything is charged.
+    assert _counters(tlb) == before
 
 
 def test_pending_charge_settles_before_a_translation():
@@ -212,6 +226,6 @@ def test_pending_charge_settles_before_a_translation():
     order = []
     tlb.pending_charge = lambda: order.append("settle")
     tlb.translate(0)
-    tlb.split_run(0, [64])
-    tlb.split_run(0, [64], charge=False)  # pure: nothing to order
+    tlb.chunk_run(0, [64])
+    tlb.chunk_run(0, [64], charge=False)  # pure: nothing to order
     assert order == ["settle", "settle"]
