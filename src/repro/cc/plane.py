@@ -160,21 +160,31 @@ class NicCongestionControl:
         machine = self._machines.get(qpn)
         return machine is not None and machine.throttled
 
+    def unthrottled(self, qpn: int) -> bool:
+        """The line-rate half of :meth:`pace`, as a plain call: True
+        (with the QP's bucket pinned full) when ``qpn`` needs no pacing.
+        The TX loops call this first and only ``yield from pace`` when
+        it returns False."""
+        machine = self._machines.get(qpn)
+        if machine is not None and machine.throttled:
+            return False
+        # Never throttled (or fully recovered with a full bucket's worth
+        # of headroom guaranteed by the pacer reset): no per-packet
+        # bookkeeping at all on the common path.
+        pacer = self._pacers.get(qpn)
+        if pacer is not None:
+            pacer._tokens = float(pacer.burst_bytes)
+            pacer._last_refill = self.env.now
+        if self.check is not None:
+            self.check.on_pacer_idle(self.name, qpn)
+        return True
+
     def pace(self, qpn: int, wire_bytes: int):
         """Charge ``wire_bytes`` against the QP's allowed rate,
         sleeping as needed.  Zero events while the QP is unthrottled."""
-        machine = self._machines.get(qpn)
-        if machine is None or not machine.throttled:
-            # Never throttled (or fully recovered with a full bucket's
-            # worth of headroom guaranteed by the pacer reset): no
-            # per-packet bookkeeping at all on the common path.
-            pacer = self._pacers.get(qpn)
-            if pacer is not None:
-                pacer._tokens = float(pacer.burst_bytes)
-                pacer._last_refill = self.env.now
-            if self.check is not None:
-                self.check.on_pacer_idle(self.name, qpn)
+        if self.unthrottled(qpn):
             return
+        machine = self._machines[qpn]
         CC_STATS.paced_packets += 1
         pacer = self._pacer_for(qpn)
         yield from pacer.pace(wire_bytes)

@@ -32,12 +32,25 @@ Model
   buffers), feeding the DCQCN loop in :mod:`repro.cc`.
 - **Line-rate egress.**  Each output port paces frames at its cable's
   line rate so the bounded queue, not the cable's stream, is the buffer.
+- **Callback servers, not processes.**  Each port runs two FIFO servers
+  (ingress: pickup + forwarding latency + enqueue; egress: dequeue +
+  pacing) written as plain callbacks.  An idle server parks a callback
+  getter on its stream (``port.rx`` / ``port.queue``, see
+  :meth:`repro.sim.Stream.park`) and each wait is a
+  :meth:`~repro.sim.Simulator.call_at` entry.  They schedule the same
+  entries, at the same points, as the ``while True`` loop processes they
+  replace (including one ``call_soon`` per server at attach, where each
+  process's bootstrap was), so the event stream is unchanged.  Enqueue is
+  still ``port.queue.try_put`` and dequeue ``port.queue.get()``: burst
+  unfold re-injection, the invariant monitors and instance-level queue
+  hooks all see every frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Deque, Dict, List, Optional
 
 from ..cc.ecn import EcnConfig, EcnMarker
@@ -98,6 +111,12 @@ class SwitchPort:
         #: loop's natural resume time, so the wait never fires.
         self._ingress_floor = 0
         self._egress_floor = 0
+        #: The frame each server holds across its current wait.
+        self._ingress_packet = None
+        self._egress_packet = None
+        #: The servers' parked callback getters (set by Switch.attach).
+        self._ingress_getter = None
+        self._egress_getter = None
         #: Bounded output queue: ``try_put`` failure == tail-drop.
         self.queue = Stream(env, capacity=config.buffer_frames,
                             name=f"{name}.q")
@@ -165,8 +184,11 @@ class Switch:
         port.switch = self
         cable._switch_ports[side] = port
         self.ports.append(port)
-        self.env.process(self._ingress_loop(port))
-        self.env.process(self._egress_loop(port))
+        port._ingress_getter = partial(self._ingress_wake, port)
+        port._egress_getter = partial(self._egress_wake, port)
+        # Both servers start idle: their first run parks them.
+        self.env.call_soon(self._ingress_idle, port)
+        self.env.call_soon(self._egress_idle, port)
         return index
 
     # ------------------------------------------------------------------
@@ -222,103 +244,153 @@ class Switch:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def _ingress_loop(self, port: SwitchPort):
-        """Receive frames on one port, learn, look up, enqueue.
+    # Ingress server: pickup (after the floor) -> forwarding latency ->
+    # lookup + enqueue -> next frame.  Each step returns True when the
+    # server is free again at once (the frame was dropped) and False
+    # when it scheduled a wait that resumes the chain.
+    def _ingress_idle(self, port: SwitchPort) -> None:
+        """Serve queued frames until one has to wait; park when empty."""
+        rx = port.rx
+        while len(rx):
+            if not self._ingress_start(port, rx.get().value):
+                return
+        rx.park(port._ingress_getter)
 
-        Forwarding is pure size accounting on the zero-copy payload
-        plane: the packet object (payload views included) is passed
-        through untouched; only ``wire_bytes`` is ever read."""
-        while True:
-            packet = yield port.rx.get()
-            fold = self.env.fold
-            if fold is not None:
-                # A real frame must never interleave with an analytic
-                # burst schedule across this switch: push it back to
-                # the per-packet machinery first.
-                fold.on_hop(self)
-            if port._ingress_floor > self.env.now:
-                # An unfold re-injected frames mid-pipeline: pickup may
-                # not begin before the replayed backlog clears.
-                yield self.env.timeout(
-                    port._ingress_floor - self.env.now)
-            if not port.up:
-                port.blackout_drops.add()
+    def _ingress_wake(self, port: SwitchPort, packet) -> None:
+        if self._ingress_start(port, packet):
+            self._ingress_idle(port)
+
+    def _ingress_start(self, port: SwitchPort, packet) -> bool:
+        fold = self.env.fold
+        if fold is not None:
+            # A real frame must never interleave with an analytic
+            # burst schedule across this switch: push it back to the
+            # per-packet machinery first.
+            fold.on_hop(self)
+        now = self.env.now
+        if port._ingress_floor > now:
+            # An unfold re-injected frames mid-pipeline: pickup may not
+            # begin before the replayed backlog clears.
+            port._ingress_packet = packet
+            self.env.call_at(port._ingress_floor - now,
+                             self._ingress_after_floor, port)
+            return False
+        return self._ingress_pickup(port, packet)
+
+    def _ingress_after_floor(self, port: SwitchPort) -> None:
+        if self._ingress_pickup(port, port._ingress_packet):
+            self._ingress_idle(port)
+
+    def _ingress_pickup(self, port: SwitchPort, packet) -> bool:
+        """Learn and start the lookup.  Forwarding is pure size
+        accounting on the zero-copy payload plane: the packet object
+        (payload views included) is passed through untouched."""
+        if not port.up:
+            port.blackout_drops.add()
+            self.frames_dropped.add()
+            return True
+        port.frames_in.add()
+        self.learn(mac_for_ip(packet.src_ip), port.index)
+        latency = self.config.forwarding_latency
+        port._ingress_floor = self.env.now + latency
+        port._ingress_packet = packet
+        self.env.call_at(latency, self._ingress_forward, port)
+        return False
+
+    def _ingress_forward(self, port: SwitchPort) -> None:
+        """Lookup done: filter, flood or enqueue; then the next frame."""
+        packet = port._ingress_packet
+        out = self._mac_table.get(mac_for_ip(packet.dst_ip))
+        if out == port.index:
+            # Destination lives on the ingress segment: filter.
+            self.frames_filtered.add()
+            self._ingress_idle(port)
+            return
+        if out is None:
+            self.frames_flooded.add()
+            targets = [p for p in self.ports if p.index != port.index]
+        else:
+            self.frames_forwarded.add()
+            targets = [self.ports[out]]
+        for target in targets:
+            depth = len(target.queue)
+            out_packet = packet
+            if self.ecn_marker is not None and not packet.ecn_ce \
+                    and self.ecn_marker.should_mark(depth):
+                # Copy-on-mark: queued packets alias sender-side
+                # retransmit buffers (and, when flooding, each other),
+                # so the CE bit is never set in place.
+                out_packet = replace(packet, ecn_ce=True)
+                target.ce_marks.add()
+                CC_STATS.ce_marks += 1
+            if not target.queue.try_put(out_packet):
+                target.tail_drops.add()
                 self.frames_dropped.add()
-                continue
-            port.frames_in.add()
-            self.learn(mac_for_ip(packet.src_ip), port.index)
-            port._ingress_floor = \
-                self.env.now + self.config.forwarding_latency
-            yield self.env.timeout(self.config.forwarding_latency)
-            out = self._mac_table.get(mac_for_ip(packet.dst_ip))
-            if out == port.index:
-                # Destination lives on the ingress segment: filter.
-                self.frames_filtered.add()
-                continue
-            if out is None:
-                self.frames_flooded.add()
-                targets = [p for p in self.ports if p.index != port.index]
-            else:
-                self.frames_forwarded.add()
-                targets = [self.ports[out]]
-            for target in targets:
-                depth = len(target.queue)
-                out_packet = packet
-                if self.ecn_marker is not None and not packet.ecn_ce \
-                        and self.ecn_marker.should_mark(depth):
-                    # Copy-on-mark: queued packets alias sender-side
-                    # retransmit buffers (and, when flooding, each
-                    # other), so the CE bit is never set in place.
-                    out_packet = replace(packet, ecn_ce=True)
-                    target.ce_marks.add()
-                    CC_STATS.ce_marks += 1
-                if not target.queue.try_put(out_packet):
-                    target.tail_drops.add()
-                    self.frames_dropped.add()
-                    if self.check is not None:
-                        self.check.on_switch_drop(self, target, out_packet)
-                    continue
                 if self.check is not None:
-                    self.check.on_switch_enqueue(self, target, out_packet)
-                depth += 1
-                if depth > target._max_depth:
-                    target._max_depth = depth
-                    target.max_depth_gauge.set(depth)
-                if self.trace is not None:
-                    target._span_queue.append(self.trace.begin_span(
-                        target.name, "queued", psn=packet.bth.psn,
-                        opcode=packet.bth.opcode.name))
-                if self.metrics.sampling_enabled:
-                    target.depth_gauge.sample(self.env.now,
-                                              len(target.queue))
-
-    def _egress_loop(self, port: SwitchPort):
-        """Drain one output queue at the port's line rate.  The cable
-        serializes in parallel with the pacing delay here, so pacing adds
-        no latency — it only makes the bounded queue (not the cable's
-        unbounded stream) the real buffer."""
-        rate = port.cable.bits_per_second
-        while True:
-            packet = yield port.queue.get()
-            if port._egress_floor > self.env.now:
-                # An unfold handed frames back mid-drain: dequeue may
-                # not begin before the analytic pacing window ends.
-                yield self.env.timeout(
-                    port._egress_floor - self.env.now)
-            if self.check is not None:
-                self.check.on_switch_dequeue(self, port, packet)
-            if self.trace is not None and port._span_queue:
-                self.trace.end_span(port._span_queue.popleft())
-            if self.metrics.sampling_enabled:
-                port.depth_gauge.sample(self.env.now, len(port.queue))
-            if not port.up:
-                port.blackout_drops.add()
-                self.frames_dropped.add()
+                    self.check.on_switch_drop(self, target, out_packet)
                 continue
-            port.frames_out.add()
-            # Hand the frame straight to the cable (same instant a
-            # tx-stream put would have reached the pump).
-            port.cable.send(port.side, packet)
-            pacing = timebase.transfer_time_ps(packet.wire_bytes, rate)
-            port._egress_floor = self.env.now + pacing
-            yield self.env.timeout(pacing)
+            if self.check is not None:
+                self.check.on_switch_enqueue(self, target, out_packet)
+            depth += 1
+            if depth > target._max_depth:
+                target._max_depth = depth
+                target.max_depth_gauge.set(depth)
+            if self.trace is not None:
+                target._span_queue.append(self.trace.begin_span(
+                    target.name, "queued", psn=packet.bth.psn,
+                    opcode=packet.bth.opcode.name))
+            if self.metrics.sampling_enabled:
+                target.depth_gauge.sample(self.env.now, len(target.queue))
+        self._ingress_idle(port)
+
+    # Egress server: dequeue (after the floor) -> hand to the cable ->
+    # pacing window -> next frame.  The cable serializes in parallel
+    # with the pacing delay, so pacing adds no latency — it only makes
+    # the bounded queue (not the cable's unbounded stream) the buffer.
+    def _egress_idle(self, port: SwitchPort) -> None:
+        """Drain queued frames until one has to wait; park when empty."""
+        queue = port.queue
+        while len(queue):
+            if not self._egress_start(port, queue.get().value):
+                return
+        queue.park(port._egress_getter)
+
+    def _egress_wake(self, port: SwitchPort, packet) -> None:
+        if self._egress_start(port, packet):
+            self._egress_idle(port)
+
+    def _egress_start(self, port: SwitchPort, packet) -> bool:
+        now = self.env.now
+        if port._egress_floor > now:
+            # An unfold handed frames back mid-drain: dequeue may not
+            # begin before the analytic pacing window ends.
+            port._egress_packet = packet
+            self.env.call_at(port._egress_floor - now,
+                             self._egress_after_floor, port)
+            return False
+        return self._egress_send(port, packet)
+
+    def _egress_after_floor(self, port: SwitchPort) -> None:
+        if self._egress_send(port, port._egress_packet):
+            self._egress_idle(port)
+
+    def _egress_send(self, port: SwitchPort, packet) -> bool:
+        if self.check is not None:
+            self.check.on_switch_dequeue(self, port, packet)
+        if self.trace is not None and port._span_queue:
+            self.trace.end_span(port._span_queue.popleft())
+        if self.metrics.sampling_enabled:
+            port.depth_gauge.sample(self.env.now, len(port.queue))
+        if not port.up:
+            port.blackout_drops.add()
+            self.frames_dropped.add()
+            return True
+        port.frames_out.add()
+        # Hand the frame straight to the cable (same instant a tx-stream
+        # put would have reached the pump).
+        port.cable.send(port.side, packet)
+        pacing = timebase.transfer_time_ps(packet.wire_bytes,
+                                           port.cable.bits_per_second)
+        port._egress_floor = self.env.now + pacing
+        self.env.call_at(pacing, self._egress_idle, port)
+        return False

@@ -336,7 +336,8 @@ class Cable:
         propagation and the receiver's registered pipeline delay; any
         fault knob, a downed carrier, or active metric sampling routes
         through a serialization-end callback that keeps the per-frame
-        RNG draws at the exact times the pump process drew them."""
+        RNG draws at the exact times the pump process drew them.  Both
+        are callback entries (:meth:`Simulator.call_at`)."""
         fold = self.env.fold
         if fold is not None:
             # A folded burst may own this direction's serialization
@@ -360,20 +361,18 @@ class Cable:
         if (faults.drop_probability or faults.corrupt_probability
                 or faults.duplicate_probability or faults.burst is not None
                 or not self.up or self.metrics.sampling_enabled):
-            self.env.timeout(end - now).callbacks.append(
-                lambda _event, packet=packet, side=side, dest=dest:
-                    self._on_serialized(packet, side, dest))
+            self.env.call_at(end - now, self._on_serialized,
+                             (packet, side, dest))
             return
-        self.env.timeout(
+        self.env.call_at(
             end - now + self.propagation + self.extra_latency
-            + self._receiver_delay[dest]
-        ).callbacks.append(
-            lambda _event, packet=packet, dest=dest:
-                self._arrive_direct(packet, dest))
+            + self._receiver_delay[dest], self._arrive, (packet, dest))
 
-    def _arrive_direct(self, packet, dest: str) -> None:
-        """Fast-path arrival: carrier check, then straight into the
-        receiver hook (or rx stream) — pipeline delay already charged."""
+    def _arrive(self, arrival) -> None:
+        """Fast-path arrival of ``(packet, dest)``: carrier check, then
+        straight into the receiver hook (or rx stream) — pipeline delay
+        already charged."""
+        packet, dest = arrival
         if not self.up:
             self.frames_dropped.add()
             self.link_down_drops.add()
@@ -385,9 +384,11 @@ class Cable:
             return
         (self.a_rx if dest == "a" else self.b_rx).put(packet)
 
-    def _on_serialized(self, packet, side: str, dest: str) -> None:
-        """Serialization finished: sample, then run the fault draws in
-        the order (and at the time) the pump process ran them."""
+    def _on_serialized(self, frame) -> None:
+        """Serialization of ``(packet, side, dest)`` finished: sample,
+        then run the fault draws in the order (and at the time) the pump
+        process ran them."""
+        packet, side, dest = frame
         if self.metrics.sampling_enabled:
             self._sample_utilization()
         if not self.up:
@@ -423,15 +424,14 @@ class Cable:
         self._util_anchor_bytes = self.bytes_on_wire.value
 
     def _deliver(self, packet, dest: str) -> None:
-        """Schedule arrival after propagation as a timeout callback (no
+        """Schedule arrival after propagation as a callback entry (no
         per-frame process).  The payload itself is never touched: the
         same packet object — views included — crosses the wire."""
-        self.env.timeout(
-            self.propagation + self.extra_latency).callbacks.append(
-                lambda _event, packet=packet, dest=dest:
-                    self._deliver_now(packet, dest))
+        self.env.call_at(self.propagation + self.extra_latency,
+                         self._deliver_now, (packet, dest))
 
-    def _deliver_now(self, packet, dest: str) -> None:
+    def _deliver_now(self, arrival) -> None:
+        packet, dest = arrival
         if not self.up:
             # Carrier dropped while the frame was in flight.
             self.frames_dropped.add()
@@ -444,8 +444,6 @@ class Cable:
             return
         delay = self._receiver_delay[dest]
         if delay:
-            self.env.timeout(delay).callbacks.append(
-                lambda _event, packet=packet, receiver=receiver:
-                    receiver(packet))
+            self.env.call_at(delay, receiver, packet)
         else:
             receiver(packet)

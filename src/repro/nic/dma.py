@@ -67,18 +67,18 @@ class FetchPlan:
     *zero* scheduler events.  Chunks come out as :class:`PayloadRef`
     views.
 
-    Use with ``chunk = yield from plan.next_chunk()`` from the consuming
-    process, strictly in order.
+    The consumer takes chunks strictly in order: it waits until
+    :meth:`due` (if that is still ahead), then calls :meth:`take` — an
+    inline ``yield env.timeout(...)`` at most, no sub-generator.
     """
 
-    __slots__ = ("_dma", "_env", "_vaddr", "_length", "_run",
+    __slots__ = ("_dma", "_vaddr", "_length", "_run",
                  "_cum", "_start", "_index", "_stable")
 
     def __init__(self, dma: "DmaEngine", vaddr: int, length: int,
                  run: ChunkRun, cum_ends, start: int,
                  stable: bool = False) -> None:
         self._dma = dma
-        self._env = dma.env
         self._vaddr = vaddr
         self._length = length
         self._run = run
@@ -87,14 +87,14 @@ class FetchPlan:
         self._index = 0
         self._stable = stable
 
-    def next_chunk(self):
-        """Process helper: the next chunk, at its PCIe arrival time."""
+    def due(self) -> int:
+        """Absolute time the next chunk has crossed PCIe."""
+        return self._start + self._cum[self._index]
+
+    def take(self):
+        """The next chunk (call once :meth:`due` has passed)."""
         index = self._index
         self._index = index + 1
-        env = self._env
-        due = self._start + self._cum[index]
-        if due > env.now:
-            yield env.timeout(due - env.now)
         return self._dma._view_of(self._run[index], self._stable)
 
     def message_view(self) -> PayloadRef:
@@ -296,11 +296,14 @@ class DmaEngine:
         if self.trace is not None:
             span = self.trace.begin_span(
                 self.name, "dma_stream_read", vaddr=vaddr)
-            self.env.timeout(start + cum - self.env.now).callbacks.append(
-                lambda _event, span=span:
-                    self.trace.end_span(span, length=total_bytes))
+            self.env.call_at(start + cum - self.env.now,
+                             self._end_stream_span, (span, total_bytes))
         return FetchPlan(self, vaddr, total_bytes, run, cum_ends, start,
                          stable=stable)
+
+    def _end_stream_span(self, span_bytes) -> None:
+        span, length = span_bytes
+        self.trace.end_span(span, length=length)
 
     def read_stream(self, vaddr: int, chunk_lengths, out_stream,
                     sequential: bool = True, stable: bool = False):
@@ -425,8 +428,8 @@ class DmaEngine:
     def write_posted(self, vaddr: int, data, sequential: bool = True,
                      on_done: Optional[Callable[[], None]] = None) -> None:
         """Fire-and-forget :meth:`write`: reserve the card->host burst
-        synchronously and commit the data from a timeout callback at the
-        burst's end — the RX hot path's write costs one event and no
+        synchronously and commit the data from a callback entry at the
+        burst's end — the RX hot path's write costs one entry and no
         process.  ``on_done`` (if given) runs right after the data lands,
         at the exact time a ``yield from write(...)`` caller would have
         resumed."""
@@ -454,14 +457,14 @@ class DmaEngine:
         start = link.reserve_after(
             env.now + self.config.pcie_write_latency, total)
         link.bytes_transferred += length
+        env.call_at(start + total - env.now, self._complete_posted,
+                    (vaddr, pieces, data, length, span, on_done))
 
-        def _complete(_event, vaddr=vaddr, pieces=pieces, data=data,
-                      length=length, span=span, on_done=on_done):
-            self._commit_write(vaddr, pieces, data, length, span)
-            if on_done is not None:
-                on_done()
-
-        env.timeout(start + total - env.now).callbacks.append(_complete)
+    def _complete_posted(self, write) -> None:
+        vaddr, pieces, data, length, span, on_done = write
+        self._commit_write(vaddr, pieces, data, length, span)
+        if on_done is not None:
+            on_done()
 
     def _write_then(self, vaddr: int, data, sequential: bool,
                     on_done: Callable[[], None]):

@@ -474,8 +474,12 @@ class StromNic:
                       prev_gate, gate, fetch=None):
         """Emit the message's packets in order behind all previously
         posted messages.  Memory-sourced payloads are fetched over PCIe
-        as a *stream* overlapping transmission (descriptor bypass)."""
+        as a *stream* overlapping transmission (descriptor bypass).
+        The per-packet waits (chunk arrival, pacing, the TX charge) are
+        inline timeouts; only validation mode's per-word charges and a
+        throttled QP's pacer run as sub-generators."""
         payload = command.payload_inline
+        per_word = self.config.per_word_accounting
         yield prev_gate
         from ..roce import burst
         # New traffic claims the fabric: any pending fold must hand
@@ -507,7 +511,13 @@ class StromNic:
                 packet, tail = next(plan_iter)
             else:
                 if fetch is not None and seg.length > 0:
-                    chunk = yield from fetch.next_chunk()
+                    if per_word:
+                        chunk = yield from fetch.next_chunk()
+                    else:
+                        due = fetch.due()
+                        if due > self.env.now:
+                            yield self.env.timeout(due - self.env.now)
+                        chunk = fetch.take()
                 elif payload is not None:
                     chunk = payload[seg.offset:seg.offset + seg.length]
                 else:
@@ -538,10 +548,15 @@ class StromNic:
                     # Go-back-N in flight: hold new packets back until
                     # the rewound window has been resent.
                     yield busy
-                yield from self.cc.pace(qp.qpn, packet.wire_bytes)
+                if not self.cc.unthrottled(qp.qpn):
+                    yield from self.cc.pace(qp.qpn, packet.wire_bytes)
             # II=1 store-and-forward through the TX pipeline (ICRC).
-            yield from self.config.streaming_charge(
-                self.env, packet.l3_bytes)
+            if per_word:
+                yield from self.config.streaming_charge(
+                    self.env, packet.l3_bytes)
+            else:
+                yield self.env.timeout(
+                    self.config.streaming_time(packet.l3_bytes))
             self._tx_deliver(packet, qp)
             if self.cc is not None and not qp.in_error \
                     and self.cc.is_throttled(qp.qpn):
@@ -591,9 +606,14 @@ class StromNic:
         from ..roce import burst
         burst.unfold_pending(self.env)
         qp.requester.unacked.append(entry)
-        if self.cc is not None:
+        if self.cc is not None and not self.cc.unthrottled(qp.qpn):
             yield from self.cc.pace(qp.qpn, packet.wire_bytes)
-        yield from self.config.streaming_charge(self.env, packet.l3_bytes)
+        if self.config.per_word_accounting:
+            yield from self.config.streaming_charge(
+                self.env, packet.l3_bytes)
+        else:
+            yield self.env.timeout(
+                self.config.streaming_time(packet.l3_bytes))
         self._tx_deliver(packet, qp)
         if not qp.in_error:
             self.timer.arm(qp.qpn)
@@ -764,8 +784,15 @@ class StromNic:
         span = None if self.trace is None else self.trace.begin_span(
             f"{self.name}.qp{qp.qpn}", "serve_read",
             length=packet.reth.dma_length, psn=packet.bth.psn)
+        per_word = self.config.per_word_accounting
         for i, seg in enumerate(segments):
-            chunk = yield from fetch.next_chunk()
+            if per_word:
+                chunk = yield from fetch.next_chunk()
+            else:
+                due = fetch.due()
+                if due > self.env.now:
+                    yield self.env.timeout(due - self.env.now)
+                chunk = fetch.take()
             aeth = None
             if carries_aeth(seg.opcode):
                 aeth = Aeth(syndrome=0, msn=qp.responder.msn)
@@ -773,10 +800,14 @@ class StromNic:
                       psn=psn_add(packet.bth.psn, i))
             response = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip,
                                   bth=bth, aeth=aeth, payload=chunk)
-            if self.cc is not None:
+            if self.cc is not None and not self.cc.unthrottled(qp.qpn):
                 yield from self.cc.pace(qp.qpn, response.wire_bytes)
-            yield from self.config.streaming_charge(
-                self.env, response.l3_bytes)
+            if per_word:
+                yield from self.config.streaming_charge(
+                    self.env, response.l3_bytes)
+            else:
+                yield self.env.timeout(
+                    self.config.streaming_time(response.l3_bytes))
             self._tx_deliver(response)
         if self.trace is not None:
             self.trace.end_span(span)
@@ -1003,10 +1034,14 @@ class StromNic:
             if self.trace is not None:
                 self.trace.record(self.name, "retransmit",
                                   psn=entry.first_psn, kind=entry.kind)
-            if self.cc is not None:
+            if self.cc is not None and not self.cc.unthrottled(qp.qpn):
                 yield from self.cc.pace(qp.qpn, entry.packet.wire_bytes)
-            yield from self.config.streaming_charge(
-                self.env, entry.packet.l3_bytes)
+            if self.config.per_word_accounting:
+                yield from self.config.streaming_charge(
+                    self.env, entry.packet.l3_bytes)
+            else:
+                yield self.env.timeout(
+                    self.config.streaming_time(entry.packet.l3_bytes))
             self._tx_deliver(entry.packet, qp)
             if self.cc is not None and not qp.in_error \
                     and self.cc.is_throttled(qp.qpn):

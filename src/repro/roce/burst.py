@@ -384,9 +384,9 @@ class BurstFlight:
         self.c_unfolds = metrics.counter(f"{src.name}.burst.unfolds")
 
         now = env.now
-        env.timeout(self.C[-1] - now).callbacks.append(self._on_e1)
-        env.timeout(self.A[-1] - now).callbacks.append(self._on_e2)
-        env.timeout(self.wend[-1] - now).callbacks.append(self._on_e3)
+        env.call_at(self.C[-1] - now, self._on_e1)
+        env.call_at(self.A[-1] - now, self._on_e2)
+        env.call_at(self.wend[-1] - now, self._on_e3)
         if active().validate:
             self._shadow_check()
 
@@ -425,7 +425,7 @@ class BurstFlight:
     # ------------------------------------------------------------------
     # Deferred events
     # ------------------------------------------------------------------
-    def _on_e1(self, _event) -> None:
+    def _on_e1(self, _arg) -> None:
         if self.state is not _FOLDED or self.e1_done:
             return
         self.src.packets_sent.add(self.n)
@@ -442,7 +442,7 @@ class BurstFlight:
         if not self.gate.triggered:
             self.gate.succeed()
 
-    def _on_e2(self, _event) -> None:
+    def _on_e2(self, _arg) -> None:
         if self.state is not _FOLDED:
             return
         self._deregister()
@@ -480,7 +480,7 @@ class BurstFlight:
         dst.multiqueue.pop(dst_qp.qpn)
         dst._release_read_entry(dst_qp, ctx)
 
-    def _on_e3(self, _event) -> None:
+    def _on_e3(self, _arg) -> None:
         if self.state is not _DELIVERED:
             return
         self.state = _DONE
@@ -625,9 +625,8 @@ class BurstFlight:
 
         # --- frames in flight on the wire --------------------------------
         for i in range(n_arr, n_tx):
-            env.timeout(self.A[i] - t).callbacks.append(
-                lambda _event, packet=self._packet(i), dest=self.dest:
-                    self.cable._arrive_direct(packet, dest))
+            env.call_at(self.A[i] - t, self.cable._arrive,
+                        (self._packet(i), self.dest))
 
         # --- receiver prefix ---------------------------------------------
         if n_arr:
@@ -687,22 +686,22 @@ class BurstFlight:
                 else self.pre_wfree
             wlink.busy_time -= sum(self.dur[n_arr:])
             wlink.bytes_transferred -= sum(self.p[n_arr:])
-        final = n - 1
-        for i in range(n_arr):
-            if self.wend[i] <= t:
-                self._commit_index(i)
-                if i == final and self.kind == "read":
-                    dst._finish_read(self.dst_qp, self.ctx)
-            else:
-                self._schedule_commit(i, i == final)
+        self._land_from(n_arr, t)
 
-    def _schedule_commit(self, i: int, is_final: bool) -> None:
-        def _land(_event, i=i, is_final=is_final):
-            self._commit_index(i)
-            if is_final and self.kind == "read":
-                self.dst._finish_read(self.dst_qp, self.ctx)
-        self.env.timeout(self.wend[i] - self.env.now).callbacks.append(
-            _land)
+    def _land_from(self, count: int, t: int) -> None:
+        """Land packets ``< count``' write-backs at their per-packet
+        times: overdue ones now, in order, the rest as callbacks."""
+        for i in range(count):
+            if self.wend[i] <= t:
+                self._land(i)
+            else:
+                self.env.call_at(self.wend[i] - t, self._land, i)
+
+    def _land(self, i: int) -> None:
+        """Packet ``i``'s write-back lands (at its per-packet time)."""
+        self._commit_index(i)
+        if i == self.n - 1 and self.kind == "read":
+            self.dst._finish_read(self.dst_qp, self.ctx)
 
     def _flush_delivered(self) -> None:
         """All frames arrived, write-backs pending, and someone wants
@@ -711,15 +710,7 @@ class BurstFlight:
         land now, in order, before the interferer proceeds)."""
         self.state = _DONE
         self._clear_guards()
-        t = self.env.now
-        final = self.n - 1
-        for i in range(self.n):
-            if self.wend[i] <= t:
-                self._commit_index(i)
-                if i == final and self.kind == "read":
-                    self.dst._finish_read(self.dst_qp, self.ctx)
-            else:
-                self._schedule_commit(i, i == final)
+        self._land_from(self.n, self.env.now)
 
     def _replay_tx(self, start: int, appended: int):
         """Deliver the not-yet-sent tail through the real TX path:
@@ -1017,9 +1008,8 @@ class SwitchBurstFlight(BurstFlight):
         # In flight on the first hop: organic arrival into the port's rx
         # stream (the real ingress loop takes over from there).
         for i in range(n_a1, n_tx):
-            env.timeout(self.A1[i] - t).callbacks.append(
-                lambda _event, packet=self._packet(i), dest=self.dest:
-                    cable1._arrive_direct(packet, dest))
+            env.call_at(self.A1[i] - t, cable1._arrive,
+                        (self._packet(i), self.dest))
         if n_a1:
             cable1.frames_delivered.add(n_a1)
             self.port_in.frames_in.add(n_a1)
@@ -1032,8 +1022,7 @@ class SwitchBurstFlight(BurstFlight):
         # Mid-lookup frames: synthetic enqueue at the exact time the
         # forwarding-latency window ends.
         for i in range(n_fwd, n_a1):
-            env.timeout(self.I[i] - t).callbacks.append(
-                lambda _event, i=i: self._synthetic_enqueue(i))
+            env.call_at(self.I[i] - t, self._synthetic_enqueue, i)
         # Enqueued but not yet sent: back into the real output queue (in
         # order, ahead of any later enqueue), with the egress pacing
         # floor so the drain resumes at the analytic times.
@@ -1048,9 +1037,8 @@ class SwitchBurstFlight(BurstFlight):
             cable2._free_at[self.side2] = self.pre_free2
         # In flight on the second hop.
         for i in range(n_arr, n_out):
-            env.timeout(self.A[i] - t).callbacks.append(
-                lambda _event, packet=self._packet(i), dest=self.dest2:
-                    cable2._arrive_direct(packet, dest))
+            env.call_at(self.A[i] - t, cable2._arrive,
+                        (self._packet(i), self.dest2))
         if n_arr:
             cable2.frames_delivered.add(n_arr)
             self._receiver_prefix(n_arr)

@@ -43,6 +43,9 @@ def _ip_udp_prefix(src_ip: int, dst_ip: int, transport_len: int,
     return ip.to_bytes() + udp.to_bytes()
 
 
+_IP_UDP_BYTES = Ipv4Header.SIZE + UdpHeader.SIZE
+
+
 @dataclass
 class RocePacket:
     """A single RoCE v2 datagram (the L3 view; Ethernet framing is added
@@ -68,14 +71,19 @@ class RocePacket:
         if carries_aeth(self.bth.opcode) and self.aeth is None:
             raise ValueError(
                 f"{self.bth.opcode.name} requires an AETH")
-        # Sizes are queried on every pipeline stage a packet crosses;
-        # headers and payload never change after construction.
+        # Sizes are read on every pipeline stage a packet crosses, and
+        # headers and payload never change after construction, so they
+        # are plain attributes (``dataclasses.replace`` re-runs this).
         size = Bth.SIZE + len(self.payload) + config.ICRC_BYTES
         if self.reth is not None:
             size += Reth.SIZE
         if self.aeth is not None:
             size += Aeth.SIZE
         self._transport_bytes = size
+        #: IP datagram size.
+        self.l3_bytes = _IP_UDP_BYTES + size
+        #: Bytes on the Ethernet wire incl. framing, preamble and IFG.
+        self.wire_bytes = config.wire_bytes_for_frame(self.l3_bytes)
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -84,16 +92,6 @@ class RocePacket:
     def transport_bytes(self) -> int:
         """BTH + extension headers + payload + ICRC."""
         return self._transport_bytes
-
-    @property
-    def l3_bytes(self) -> int:
-        """IP datagram size."""
-        return Ipv4Header.SIZE + UdpHeader.SIZE + self.transport_bytes
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes on the Ethernet wire incl. framing, preamble and IFG."""
-        return config.wire_bytes_for_frame(self.l3_bytes)
 
     # ------------------------------------------------------------------
     # Serialization

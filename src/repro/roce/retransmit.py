@@ -3,9 +3,20 @@
 Hardware keeps an array of time intervals in on-chip memory and a module
 continuously decrements the active ones; the behavioural equivalent is a
 versioned one-shot timer per QP: re-arming bumps the version so stale
-expirations are ignored, and additionally *interrupts* the pending
-countdown process so hot QPs do not accumulate dead wakeups between
-re-arms (see :meth:`RetransmissionTimer._cancel`).
+expirations are ignored, and additionally *cancels* the pending
+countdown so its wakeup runs no timer logic (see
+:meth:`RetransmissionTimer._cancel`).
+
+The countdown is a chain of callback entries, not a process.  It
+schedules exactly the entries a countdown process did, at the same
+points, so the simulator's event stream (and every same-picosecond tie
+in it) is unchanged: a start entry at arm time (the process bootstrap),
+the deadline entry when the start runs, a cancel entry plus the
+termination entry it schedules when a pending countdown is re-armed or
+disarmed (the interrupt poke), and a termination entry after an expiry.
+A cancelled deadline entry stays queued and returns at once (the stale
+wakeup).  That is four entries per re-arm of a hot QP; removing any of
+them changes the event stream.
 
 Recovery semantics beyond the paper's fixed timeout:
 
@@ -34,16 +45,34 @@ from typing import Callable, Dict, Optional
 from ..algos.hashing import fnv1a64
 from ..obs.runtime import registry_for
 from ..sim import Simulator
-from ..sim.events import Interrupt, Process
+
+
+class _Countdown:
+    """One armed countdown of one QP."""
+
+    __slots__ = ("qpn", "version", "delay", "waiting")
+
+    def __init__(self, qpn: int, version: int, delay: int) -> None:
+        self.qpn = qpn
+        self.version = version
+        self.delay = delay
+        #: True from the start entry until expiry or cancellation.
+        self.waiting = False
+
+
+def _terminated(_arg) -> None:
+    """The entry a finished countdown schedules (it keeps the event
+    stream a countdown process produced)."""
 
 
 class RetransmissionTimer:
     """Per-QP one-shot retransmission timers.
 
-    ``callback(qpn)`` fires in a fresh simulation process when a timer
-    armed for ``qpn`` expires without being re-armed or disarmed.  With a
-    ``max_retries`` budget, ``on_exhausted(qpn)`` replaces the callback
-    once the budget is spent.
+    ``callback(qpn)`` is called when a timer armed for ``qpn`` expires
+    without being re-armed or disarmed; if it returns a generator, that
+    runs as a new simulation process.  With a ``max_retries`` budget,
+    ``on_exhausted(qpn)`` replaces the callback once the budget is
+    spent.
     """
 
     def __init__(self, env: Simulator, timeout: int,
@@ -75,8 +104,11 @@ class RetransmissionTimer:
         self._armed: Dict[int, bool] = {}
         #: Consecutive expirations without progress, per QP.
         self._attempts: Dict[int, int] = {}
-        #: The pending countdown process per QP (cancelled on re-arm).
-        self._procs: Dict[int, Process] = {}
+        #: The latest countdown per QP (cancelled on re-arm).
+        self._countdowns: Dict[int, _Countdown] = {}
+        #: The countdown whose expiry is running (a re-arm from inside
+        #: the callback must not cancel it).
+        self._expiring: Optional[_Countdown] = None
         #: Absolute expiry time of the armed timer, per QP (the burst
         #: fast path gates folds on the deadline landing after the
         #: analytically scheduled completion).
@@ -125,8 +157,9 @@ class RetransmissionTimer:
         self._armed[qpn] = True
         delay = self.next_delay(qpn)
         self._deadline[qpn] = self.env.now + delay
-        self._procs[qpn] = self.env.process(
-            self._countdown(qpn, version, delay))
+        countdown = _Countdown(qpn, version, delay)
+        self._countdowns[qpn] = countdown
+        self.env.call_soon(self._start, countdown)
 
     def disarm(self, qpn: int) -> None:
         """Cancel the timer for ``qpn`` (no-op if not armed)."""
@@ -152,38 +185,56 @@ class RetransmissionTimer:
             self._attempts[qpn] = 0
 
     def _cancel(self, qpn: int) -> None:
-        """Kill the pending countdown so its wakeup never fires (the
-        version bump alone would leave a dead process scheduled until
-        the stale timeout expired)."""
-        proc = self._procs.pop(qpn, None)
-        if proc is not None and proc.is_waiting \
-                and proc is not self.env.active_process:
-            proc.interrupt("re-armed")
+        """Cancel the pending countdown so its wakeup runs no timer
+        logic (the version bump alone would leave it live until the
+        stale deadline)."""
+        countdown = self._countdowns.pop(qpn, None)
+        if countdown is not None and countdown.waiting \
+                and countdown is not self._expiring:
+            countdown.waiting = False
+            self.env.call_soon(self._cancelled)
 
-    def _countdown(self, qpn: int, version: int, delay: int):
-        if self._versions.get(qpn) != version:
-            # Cancelled before the bootstrap resume ran (same-tick
-            # disarm/re-arm): exit without scheduling a wakeup at all.
+    def _cancelled(self, _arg) -> None:
+        self.env.call_soon(_terminated)
+
+    def _start(self, countdown: _Countdown) -> None:
+        if self._versions.get(countdown.qpn) != countdown.version:
+            # Cancelled before it started (same-tick disarm/re-arm):
+            # finish without scheduling a deadline at all.
+            self.env.call_soon(_terminated)
             return
-        try:
-            yield self.env.timeout(delay)
-        except Interrupt:
-            return
-        if self._armed.get(qpn) and self._versions.get(qpn) == version:
-            self._armed[qpn] = False
-            self._deadline.pop(qpn, None)
-            self.expirations.add()
-            attempts = self._attempts.get(qpn, 0) + 1
-            self._attempts[qpn] = attempts
-            if self.max_retries is not None and attempts > self.max_retries:
-                self.exhaustions.add()
-                self._attempts[qpn] = 0
-                handler = self.on_exhausted
-                if handler is None:
-                    return
-                result = handler(qpn)
-            else:
-                result = self.callback(qpn)
-            # Allow generator callbacks (processes) as well as plain calls.
-            if result is not None and hasattr(result, "send"):
-                self.env.process(result)
+        countdown.waiting = True
+        self.env.call_at(countdown.delay, self._expire, countdown)
+
+    def _expire(self, countdown: _Countdown) -> None:
+        if not countdown.waiting:
+            return  # cancelled: a stale wakeup
+        countdown.waiting = False
+        qpn = countdown.qpn
+        if self._armed.get(qpn) and \
+                self._versions.get(qpn) == countdown.version:
+            self._expiring = countdown
+            try:
+                self._fire(qpn)
+            finally:
+                self._expiring = None
+        self.env.call_soon(_terminated)
+
+    def _fire(self, qpn: int) -> None:
+        self._armed[qpn] = False
+        self._deadline.pop(qpn, None)
+        self.expirations.add()
+        attempts = self._attempts.get(qpn, 0) + 1
+        self._attempts[qpn] = attempts
+        if self.max_retries is not None and attempts > self.max_retries:
+            self.exhaustions.add()
+            self._attempts[qpn] = 0
+            handler = self.on_exhausted
+            if handler is None:
+                return
+            result = handler(qpn)
+        else:
+            result = self.callback(qpn)
+        # Allow generator callbacks (processes) as well as plain calls.
+        if result is not None and hasattr(result, "send"):
+            self.env.process(result)

@@ -21,6 +21,12 @@ timestamp, zero heap traffic).  The singleton is reused per stream, so the
 returned event is only valid until the next ``put``/``get`` on the same
 stream: yield it right away (as every caller in this codebase does) or read
 ``.value`` synchronously.  Blocking puts/gets return ordinary events.
+
+Callback getters: a server written as plain callbacks (no process) may
+:meth:`~Stream.park` a function in the getter queue instead of blocking
+on an event.  It waits its turn FIFO with blocked event getters, and the
+hand-off that serves it is one ``call_soon(fn, item)`` drawn at exactly
+the point an event getter's ``succeed`` would draw its entry id.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Marker in the getter queue: a ``get_many`` with no item limit.
 _TAKE_ALL = -1
+#: Marker in the getter queue: a parked callback, served by call_soon.
+_CALLBACK = -2
 
 
 class Stream:
@@ -53,7 +61,8 @@ class Stream:
         self.name = name
         self._items: Deque[Any] = deque()
         #: Blocked getters, FIFO: (event, want) where ``want`` is None for
-        #: a single-item get, _TAKE_ALL or a positive int for get_many.
+        #: a single-item get, _TAKE_ALL or a positive int for get_many;
+        #: (fn, _CALLBACK) for a parked callback getter.
         self._getters: Deque[Tuple[Event, Optional[int]]] = deque()
         #: Blocked putters, FIFO: (event, pending-items list).
         self._putters: Deque[Tuple[Event, List[Any]]] = deque()
@@ -81,8 +90,7 @@ class Stream:
         """Yieldable event that completes once ``item`` is in the FIFO."""
         if self._getters and not self._items:
             # Hand the item straight to the longest-waiting consumer.
-            getter, want = self._getters.popleft()
-            getter.succeed(item if want is None else [item])
+            self._hand_off(item)
         elif self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
         else:
@@ -96,8 +104,7 @@ class Stream:
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False if the FIFO is full."""
         if self._getters and not self._items:
-            getter, want = self._getters.popleft()
-            getter.succeed(item if want is None else [item])
+            self._hand_off(item)
             return True
         if self.is_full:
             return False
@@ -117,6 +124,14 @@ class Stream:
         event = Event(self.env)
         self._getters.append((event, None))
         return event
+
+    def park(self, fn) -> None:
+        """Queue a callback getter: the next item handed to it arrives
+        as ``fn(item)`` from a ``call_soon`` entry.  One-shot, like a
+        blocked :meth:`get`; the caller parks again when it is idle and
+        the stream is empty (take queued items with :meth:`get` first:
+        parking on a non-empty stream would wait for the *next* put)."""
+        self._getters.append((fn, _CALLBACK))
 
     def try_get(self) -> Any:
         """Non-blocking get; returns None if empty (use :meth:`is_empty`
@@ -186,6 +201,9 @@ class Stream:
             if want is None:
                 getter.succeed(pending[index])
                 index += 1
+            elif want == _CALLBACK:
+                self.env.call_soon(getter, pending[index])
+                index += 1
             else:
                 take = total - index if want == _TAKE_ALL \
                     else min(want, total - index)
@@ -240,6 +258,16 @@ class Stream:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _hand_off(self, item: Any) -> None:
+        """Serve the longest-waiting getter with ``item``."""
+        getter, want = self._getters.popleft()
+        if want is None:
+            getter.succeed(item)
+        elif want == _CALLBACK:
+            self.env.call_soon(getter, item)
+        else:
+            getter.succeed([item])
+
     def _admit_waiting_putter(self) -> None:
         """Move items from blocked putters into freed capacity, FIFO."""
         while self._putters and not self.is_full:

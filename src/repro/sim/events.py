@@ -80,7 +80,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        env._ready.append((env._next_eid(), self))
+        env._ready.append((env._next_eid(), None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -92,7 +92,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        env._ready.append((env._next_eid(), self))
+        env._ready.append((env._next_eid(), None, self))
         return self
 
     def __repr__(self) -> str:
@@ -119,7 +119,8 @@ class Timeout(Event):
         self._interrupt = False
         self._waiter = None
         self.delay = delay
-        heappush(env._queue, (env._now + delay, env._next_eid(), self))
+        heappush(env._queue,
+                 (env._now + delay, env._next_eid(), None, self))
 
 
 class Interrupt(Exception):
@@ -151,7 +152,7 @@ class Process(Event):
         bootstrap = Event(env)
         bootstrap._value = None
         bootstrap._waiter = self
-        env._ready.append((env._next_eid(), bootstrap))
+        env._ready.append((env._next_eid(), None, bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -189,11 +190,9 @@ class Process(Event):
         poke._ok = False
         poke._value = Interrupt(cause)
         poke._interrupt = True  # do not treat as a normal failure
-        env._ready.append((env._next_eid(), poke))
+        env._ready.append((env._next_eid(), None, poke))
 
     def _resume(self, event: Event) -> None:
-        env = self.env
-        env._active_process = self
         generator = self._generator
         try:
             while True:
@@ -227,10 +226,8 @@ class Process(Event):
             self._target = None
             self._ok = False
             self._value = exc
-            env._ready.append((env._next_eid(), self))
-            return
-        finally:
-            env._active_process = None
+            env = self.env
+            env._ready.append((env._next_eid(), None, self))
 
 
 class AnyOf(Event):

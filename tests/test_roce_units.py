@@ -531,3 +531,106 @@ def test_timer_validation():
     env = Simulator()
     with pytest.raises(ValueError):
         RetransmissionTimer(env, timeout=0, callback=lambda q: None)
+
+
+# Timer edge cases.  Each run pins the expiry times *and* the number of
+# entries the simulator scheduled (``events_created``): the countdown's
+# bootstrap, re-arm poke, termination and stale-wakeup entries are part
+# of the event stream every same-picosecond tie depends on.
+
+def test_timer_same_tick_arm_disarm_arm():
+    env = Simulator()
+    fired = []
+    timer = RetransmissionTimer(env, timeout=10 * US,
+                                callback=lambda q: fired.append(env.now))
+
+    def churn():
+        yield env.timeout(1 * US)
+        timer.arm(1)
+        timer.disarm(1)
+        timer.arm(1)
+        yield env.timeout(4 * US)
+        timer.arm(1)
+        timer.disarm(1)
+        timer.arm(1)
+
+    env.process(churn())
+    env.run()
+    assert fired == [15 * US]
+    assert int(timer.expirations) == 1
+    assert env.events_created == 15
+
+
+def test_timer_rearm_inside_expiry_callback():
+    """A re-arm from the expiry callback must not cancel the countdown
+    that is running it (the new countdown starts after it)."""
+    env = Simulator()
+    fired = []
+
+    def on_expiry(qpn):
+        fired.append(env.now)
+        if len(fired) < 3:
+            timer.arm(qpn)
+            timer.arm(qpn + 1)
+
+    timer = RetransmissionTimer(env, timeout=10 * US, callback=on_expiry)
+    timer.arm(1)
+    env.run()
+    # qpn 1 at 10 and 30 (doubled), qpn 2 at 20 and 40, qpn 3 at 30.
+    assert fired == [10 * US, 20 * US, 30 * US, 30 * US, 40 * US]
+    assert env.events_created == 15
+
+
+def test_timer_generator_callback_runs_as_process():
+    env = Simulator()
+    log = []
+
+    def on_expiry(qpn):
+        log.append(("expired", env.now))
+        yield env.timeout(3 * US)
+        log.append(("recovered", env.now))
+        timer.arm(qpn)
+        timer.disarm(qpn)
+
+    timer = RetransmissionTimer(env, timeout=10 * US, callback=on_expiry)
+    timer.arm(4)
+    env.run()
+    assert log == [("expired", 10 * US), ("recovered", 13 * US)]
+    assert env.events_created == 8
+
+
+def test_timer_exhaustion_handler_times():
+    env = Simulator()
+    log = []
+
+    def on_expiry(qpn):
+        log.append(("retry", env.now))
+        timer.arm(qpn)
+
+    timer = RetransmissionTimer(
+        env, timeout=10 * US, callback=on_expiry, max_retries=3,
+        on_exhausted=lambda qpn: log.append(("exhausted", env.now)))
+    timer.arm(2)
+    env.run()
+    assert log == [("retry", 10 * US), ("retry", 30 * US),
+                   ("retry", 70 * US), ("exhausted", 150 * US)]
+    assert env.events_created == 12
+
+
+def test_timer_jittered_backoff_times():
+    env = Simulator()
+    fired = []
+
+    def on_expiry(qpn):
+        fired.append(env.now)
+        if len(fired) < 5:
+            timer.arm(qpn)
+
+    timer = RetransmissionTimer(env, timeout=10 * US, callback=on_expiry,
+                                backoff_cap=80 * US, jitter=7 * US,
+                                name="jittered")
+    timer.arm(3)
+    env.run()
+    assert fired == [10_000_000, 33_041_988, 74_828_243, 157_241_975,
+                     243_197_749]
+    assert env.events_created == 15
