@@ -57,30 +57,22 @@ class HyperLogLog:
             self.registers[index] = rank
 
     def add_array(self, values: np.ndarray) -> None:
-        """Bulk-add a uint64 array (vectorized)."""
+        """Bulk-add a uint64 array (vectorized).
+
+        Same registers as :meth:`add` per item: the rank comes from the
+        bit length of the remainder's two 32-bit halves, each exact as a
+        float64 ``frexp`` exponent (0 for a zero half)."""
         if values.size == 0:
             return
         h = murmur64_array(values)
-        shift = np.uint64(64 - self.precision)
-        index = (h >> shift).astype(np.int64)
-        remainder = h & np.uint64((1 << (64 - self.precision)) - 1)
-        # rank = leading zeros of remainder within (64 - p) bits, + 1
         width = 64 - self.precision
-        bit_length = np.zeros(values.shape, dtype=np.int64)
-        nonzero = remainder != 0
-        # bit_length via log2 is unsafe at 2^53; use frexp on float128-free
-        # path: iterate over bytes instead.
-        rem_nz = remainder[nonzero]
-        if rem_nz.size:
-            lengths = np.zeros(rem_nz.shape, dtype=np.int64)
-            work = rem_nz.copy()
-            for shift_amount in (32, 16, 8, 4, 2, 1):
-                mask = work >= (np.uint64(1) << np.uint64(shift_amount))
-                lengths[mask] += shift_amount
-                work[mask] >>= np.uint64(shift_amount)
-            bit_length[nonzero] = lengths + 1
-        rank = np.where(nonzero, width - bit_length + 1, width + 1)
-        rank = rank.astype(np.uint8)
+        index = (h >> np.uint64(width)).astype(np.intp)
+        remainder = h & np.uint64((1 << width) - 1)
+        _, high = np.frexp((remainder >> np.uint64(32)).astype(np.float64))
+        _, low = np.frexp(
+            (remainder & np.uint64(0xFFFFFFFF)).astype(np.float64))
+        bit_length = np.where(high > 0, high + 32, low)
+        rank = (width + 1 - bit_length).astype(np.uint8)
         np.maximum.at(self.registers, index, rank)
 
     def merge(self, other: "HyperLogLog") -> None:

@@ -15,7 +15,8 @@ Usage::
 https://ui.perfetto.dev); ``--metrics-out`` writes the merged metrics
 snapshot of every simulation the run built (see :mod:`repro.obs`).
 A malformed ``REPRO_*`` variable (:mod:`repro.runmode`) ends the run
-with a one-line error naming it.
+with a one-line error naming it; Ctrl-C ends it with ``interrupted
+during <experiment id>`` and exit status 130.
 
 The EXPERIMENTS.md paper-vs-measured records were produced by this
 runner.
@@ -133,7 +134,13 @@ def run_experiments(names: List[str] = None, fast: bool = False,
     results = []
     for name in selected:
         started = time.time()
-        result = registry[name]()
+        try:
+            result = registry[name]()
+        except KeyboardInterrupt:
+            # Ctrl-C mid-sweep: one line naming the experiment, no
+            # traceback, and the shell's exit status for SIGINT.
+            print(f"interrupted during {name}", file=sys.stderr)
+            raise SystemExit(130) from None
         elapsed = time.time() - started
         results.append(result)
         print(result.format_table(), file=stream)

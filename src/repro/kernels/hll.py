@@ -77,25 +77,30 @@ class HllKernel(StromKernel):
         yield from self._session(invocation.qpn, params)
 
     def _session(self, qpn: int, params: HllParams):
-        sketch = HyperLogLog(precision=params.precision)
         yield self.charge_cycles(self.PIPELINE_CYCLES)
         received = 0
-        session_tuples = 0
+        # The usable 8 B tuples of every packet, sketched in one update
+        # at session end: register max is order-free, so the registers
+        # match a per-packet update.  Sized by what arrived, never by the
+        # wire-supplied total_bytes.
+        tuples = bytearray()
         while received < params.total_bytes:
             _qpn, payload, _tail = yield from self.receive_payload()
             offset = received
             received += len(payload)
-            usable = len(payload) - len(payload) % TUPLE_BYTES
-            values = np.frombuffer(payload[:usable], dtype="<u8")
-            session_tuples += values.size
+            tuples += payload[:len(payload) - len(payload) % TUPLE_BYTES]
             # II=1: the sketch update streams at the data-path rate, so
-            # this charge is what guarantees "no overhead" at line rate.
+            # this per-packet charge is what guarantees "no overhead" at
+            # line rate.
             yield self.charge_streaming(len(payload))
-            sketch.add_array(values)
             # Pass-through: the data still lands in host memory, exactly
             # like a plain RDMA WRITE would.
             yield from self.dma_write(params.data_vaddr + offset, payload)
 
+        values = np.frombuffer(tuples, dtype="<u8")
+        session_tuples = values.size
+        sketch = HyperLogLog(precision=params.precision)
+        sketch.add_array(values)
         self.tuples_seen += session_tuples
         self.sessions += 1
         registers = sketch.register_bytes()

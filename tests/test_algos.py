@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algos import (
@@ -19,6 +19,7 @@ from repro.algos import (
     radix_hash,
     radix_hash_array,
 )
+from repro.algos.crc import BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +28,8 @@ from repro.algos import (
 
 def test_crc64_known_properties():
     assert crc64(b"") == 0
-    assert crc64(b"123456789") != 0
+    # CRC-64/ECMA-182 catalogue check value.
+    assert crc64(b"123456789") == 0x6C40DF5F0B497347
     assert crc64(b"abc") != crc64(b"abd")
 
 
@@ -40,18 +42,53 @@ def test_crc64_detects_single_bit_flips():
         assert crc64(bytes(corrupted)) != reference
 
 
-@settings(max_examples=60)
-@given(data=st.binary(min_size=0, max_size=256))
-def test_crc64_table_matches_bitwise_reference(data):
+def _pattern(length):
+    return bytes((7 * i + 3) & 0xFF for i in range(length))
+
+
+# Lengths from empty to past three position-table blocks, so both the
+# byte-at-a-time path and the block path (with partial leading blocks)
+# meet the bit-at-a-time reference; the examples pin the block edges.
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(min_size=0, max_size=4 * BLOCK),
+       initial=st.integers(min_value=0, max_value=2**64 - 1))
+@example(data=_pattern(BLOCK - 1), initial=0x0123456789ABCDEF)
+@example(data=_pattern(BLOCK), initial=2**64 - 1)
+@example(data=_pattern(BLOCK + 1), initial=1)
+@example(data=_pattern(3 * BLOCK), initial=0x8000000000000001)
+@example(data=b"\xff" * (2 * BLOCK + 1), initial=0)
+@example(data=_pattern(4088), initial=0xFEDCBA9876543210)
+def test_crc64_table_matches_bitwise_reference(data, initial):
     assert crc64(data) == crc64_bitwise(data)
+    assert crc64(data, initial) == crc64_bitwise(data, initial)
 
 
-@settings(max_examples=40)
-@given(data=st.binary(min_size=1, max_size=512),
-       split=st.integers(min_value=0, max_value=512))
+@settings(max_examples=40, deadline=None)
+@given(data=st.binary(min_size=1, max_size=4 * BLOCK),
+       split=st.integers(min_value=0, max_value=4 * BLOCK))
+@example(data=_pattern(3 * BLOCK + 5), split=BLOCK - 1)
+@example(data=_pattern(3 * BLOCK + 5), split=BLOCK)
+@example(data=_pattern(3 * BLOCK + 5), split=BLOCK + 1)
+@example(data=_pattern(3 * BLOCK + 5), split=2 * BLOCK - 1)
+@example(data=_pattern(3 * BLOCK + 5), split=2 * BLOCK)
+@example(data=_pattern(3 * BLOCK + 5), split=2 * BLOCK + 1)
 def test_crc64_incremental_equals_whole(data, split):
     split = min(split, len(data))
     assert crc64_incremental([data[:split], data[split:]]) == crc64(data)
+
+
+@pytest.mark.parametrize("length", [9, BLOCK + 9, 3 * BLOCK + 9])
+def test_crc64_accepts_any_bytes_like(length):
+    data = _pattern(length)
+    expected = crc64(data)
+    assert crc64(bytearray(data)) == expected
+    assert crc64(memoryview(data)) == expected
+    assert crc64(memoryview(b"xx" + data)[2:]) == expected
+    assert crc64_incremental([memoryview(data[:5]), bytearray(data[5:])]) \
+        == expected
+    sealed = ChecksummedObject.seal(data)
+    assert ChecksummedObject.verify(bytearray(sealed))
+    assert ChecksummedObject.verify(memoryview(sealed))
 
 
 @settings(max_examples=40)
@@ -149,6 +186,44 @@ def test_hll_scalar_matches_array_updates():
         a.add(v)
     b.add_array(np.array(values, dtype=np.uint64))
     assert np.array_equal(a.registers, b.registers)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _murmur64_inverse(h):
+    """The item whose murmur64 is ``h``: each xor-shift by 33 is its own
+    inverse and each odd multiplier has one modulo 2**64."""
+    h ^= h >> 33
+    h = (h * pow(0xC4CEB9FE1A85EC53, -1, 1 << 64)) & _MASK64
+    h ^= h >> 33
+    h = (h * pow(0xFF51AFD7ED558CCD, -1, 1 << 64)) & _MASK64
+    h ^= h >> 33
+    return h
+
+
+@pytest.mark.parametrize("precision", range(4, 17))
+def test_hll_add_array_matches_per_item_add(precision):
+    """add_array's float-exponent rank equals add()'s bit_length rank,
+    including hashes whose remainder (the low 64 - p bits) is 0, 1,
+    around the 2**32 split, or a lone top bit."""
+    width = 64 - precision
+    remainders = [0, 1, 2, 3, 2**32 - 1, 2**32, 2**32 + 1,
+                  2**(width - 1), 2**width - 1]
+    assert all(murmur64(_murmur64_inverse(r)) == r for r in remainders)
+    rng = np.random.default_rng(precision)
+    indices = rng.integers(0, 1 << precision, size=3 * len(remainders))
+    values = [_murmur64_inverse(int(index) << width | remainder)
+              for index, remainder in zip(indices, remainders * 3)]
+    values += rng.integers(0, 2**64 - 1, size=3000,
+                           dtype=np.uint64).tolist()
+    one_by_one = HyperLogLog(precision)
+    for value in values:
+        one_by_one.add(value)
+    bulk = HyperLogLog(precision)
+    bulk.add_array(np.array(values, dtype=np.uint64))
+    assert np.array_equal(bulk.registers, one_by_one.registers)
+    assert bulk.registers.max() == width + 1  # a zero remainder
 
 
 def test_hll_merge_equals_union():

@@ -2,6 +2,8 @@
 param type answer with an error completion instead of crashing the
 kernel process, and the kernel keeps serving afterwards."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import (
@@ -142,6 +144,39 @@ def test_hll_unaligned_stream_rejected():
     head = invoke_raw(env, fabric, RpcOpcode.HLL, raw, response)
     assert head == RPC_ERROR_BAD_PARAMS
     assert kernel.params_rejected == 1
+
+
+def test_hll_huge_declared_stream_buffers_only_what_arrives():
+    """total_bytes comes off the wire: a session declaring 1 TiB but
+    sending 64 KiB must hold memory for the 64 KiB, not the declared
+    length."""
+    env, fabric, kernel, response = deploy(RpcOpcode.HLL, HllKernel)
+    client, server = fabric.client, fabric.server
+    stream = 64 * 1024
+    source = client.alloc(stream, "src")
+    client.space.write(source.vaddr, bytes(range(256)) * (stream // 256))
+    landing = server.alloc(stream, "landing")
+    params = HllParams(response_vaddr=response.vaddr,
+                       data_vaddr=landing.vaddr, registers_vaddr=0,
+                       total_bytes=1 << 40, precision=14)
+
+    def proc():
+        yield from client.post_rpc(fabric.client_qpn, RpcOpcode.HLL,
+                                   params.pack())
+        yield from client.post_rpc_write(fabric.client_qpn, RpcOpcode.HLL,
+                                         source.vaddr, stream)
+    tracemalloc.start()
+    try:
+        run_proc(env, proc())
+        env.run()  # the session waits for the rest of its "1 TiB"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert server.space.read(landing.vaddr, stream) \
+        == bytes(range(256)) * (stream // 256)
+    assert kernel.sessions == 0
+    # The simulated fabric itself peaks near 3 MB here.
+    assert peak < 8 * 1024 * 1024
 
 
 def test_shuffle_partition_bits_rejected():

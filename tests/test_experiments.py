@@ -22,6 +22,7 @@ from repro.experiments import (
     throughput_experiment,
     virtex7_experiment,
 )
+from repro.experiments import runner
 from repro.experiments.runner import main
 
 
@@ -157,6 +158,35 @@ def test_report_unreadable_input_is_one_line_error(tmp_path, content):
         main(["report", str(path)])
     message = str(exit_info.value.code)
     assert message.startswith("error: report ") and "\n" not in message
+
+
+def test_unknown_experiment_id_is_one_line_error():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figZZ"])
+    message = str(exit_info.value.code)
+    assert message.startswith("unknown experiments: ['figZZ']")
+    assert "\n" not in message
+
+
+def test_keyboard_interrupt_mid_sweep_is_one_line(monkeypatch, capsys):
+    """Ctrl-C during an experiment ends the run with one line naming
+    it and exit status 130, not a KeyboardInterrupt traceback."""
+    registry = runner._registry
+
+    def interrupted(*args, **kwargs):
+        entries = registry(*args, **kwargs)
+
+        def interrupt():
+            raise KeyboardInterrupt
+        entries["sec6.1"] = interrupt
+        return entries
+    monkeypatch.setattr(runner, "_registry", interrupted)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table3", "sec6.1", "fig5a"])
+    assert exit_info.value.code == 130
+    captured = capsys.readouterr()
+    assert captured.err == "interrupted during sec6.1\n"
+    assert "VCU118" in captured.out  # table3 ran and printed first
 
 
 @pytest.mark.parametrize("runs", ["0", "-1"])

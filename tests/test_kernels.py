@@ -465,6 +465,12 @@ def test_hll_kernel_estimates_and_passes_data_through():
     sketch = HyperLogLog.from_register_bytes(
         server.space.read(registers.vaddr, 1 << 14), precision=14)
     assert int(round(sketch.cardinality())) == estimate
+    # The kernel sketches the whole session at once; the register file
+    # it DMA'd is byte-equal to a one-shot sketch of the stream.
+    oneshot = HyperLogLog(precision=14)
+    oneshot.add_array(values)
+    assert server.space.read(registers.vaddr, 1 << 14) \
+        == oneshot.register_bytes()
 
 
 # ---------------------------------------------------------------------------
