@@ -29,11 +29,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
+import numpy as np
+
 from ..check import checker_for
 from ..config import NicConfig
 from ..core.payload import PayloadRef
 from ..memory import PhysicalMemory
 from ..obs.runtime import registry_for, trace_for
+from ..roce.packetizer import Segments
 from ..sim import BandwidthLink, Event, Simulator
 from .tlb import ChunkRun, Tlb
 
@@ -57,6 +60,61 @@ class DmaCommand:
             raise ValueError("negative DMA address")
 
 
+class ChunkDurations:
+    """The PCIe occupancy of each chunk of a :class:`ChunkRun`
+    (:meth:`DmaEngine._burst_duration` per chunk) in closed form: one
+    occupancy per distinct chunk length, plus the few page-straddling
+    chunks' durations patched piece by piece.  Each consumer takes its
+    own representation: a per-packet consumer a list, the burst fast
+    path an int64 column, the reservation only the total."""
+
+    __slots__ = ("run", "memo", "patches")
+
+    def __init__(self, run: ChunkRun, memo, patches) -> None:
+        self.run = run
+        self.memo = memo          # chunk length -> occupancy (ps)
+        self.patches = patches    # straddling chunk index -> duration
+
+    def total(self) -> int:
+        """Sum over the chunks (closed form over a message's
+        :class:`Segments`)."""
+        memo, lengths = self.memo, self.run.lengths
+        if isinstance(lengths, Segments):
+            first, middle, last = map(memo.__getitem__, lengths.sizes())
+            n = len(lengths)
+            total = first if n == 1 else first + middle * (n - 2) + last
+            length = lengths.length
+        else:
+            total = sum(map(memo.__getitem__, lengths))
+            length = lengths.__getitem__
+        return total + sum(duration - memo[length(i)]
+                           for i, duration in self.patches.items())
+
+    def listed(self) -> List[int]:
+        """Each chunk's duration, as a list."""
+        lengths = self.run.lengths
+        if isinstance(lengths, Segments):
+            lengths = lengths.lengths()
+        durations = list(map(self.memo.__getitem__, lengths))
+        for i, duration in self.patches.items():
+            durations[i] = duration
+        return durations
+
+    def column(self) -> np.ndarray:
+        """Each chunk's duration, as an int64 column (no per-chunk
+        Python work over a message's :class:`Segments`)."""
+        memo, lengths = self.memo, self.run.lengths
+        if isinstance(lengths, Segments):
+            durations = lengths.column(*map(memo.__getitem__,
+                                            lengths.sizes()))
+        else:
+            durations = np.fromiter(map(memo.__getitem__, lengths),
+                                    np.int64, len(lengths))
+        for i, duration in self.patches.items():
+            durations[i] = duration
+        return durations
+
+
 class FetchPlan:
     """Chunk source for the zero-copy TX path.
 
@@ -69,27 +127,37 @@ class FetchPlan:
 
     The consumer takes chunks strictly in order: it waits until
     :meth:`due` (if that is still ahead), then calls :meth:`take` — an
-    inline ``yield env.timeout(...)`` at most, no sub-generator.
+    inline ``yield env.timeout(...)`` at most, no sub-generator.  The
+    cumulative ends stay in closed form (:class:`ChunkDurations`) until
+    a consumer asks: a per-packet consumer's first :meth:`due` lists
+    them, and the burst fast path takes them as an int64 column
+    (:meth:`ends_column`) — each without the other's work.
     """
 
-    __slots__ = ("_dma", "_vaddr", "_length", "_run",
-                 "_cum", "_start", "_index", "_stable")
+    __slots__ = ("_dma", "_run", "_durations", "_ends", "_start",
+                 "_index", "_stable")
 
-    def __init__(self, dma: "DmaEngine", vaddr: int, length: int,
-                 run: ChunkRun, cum_ends, start: int,
-                 stable: bool = False) -> None:
+    def __init__(self, dma: "DmaEngine", durations: ChunkDurations,
+                 start: int, stable: bool = False) -> None:
         self._dma = dma
-        self._vaddr = vaddr
-        self._length = length
-        self._run = run
-        self._cum = cum_ends
+        self._run = durations.run
+        self._durations = durations
+        self._ends = None
         self._start = start
         self._index = 0
         self._stable = stable
 
     def due(self) -> int:
         """Absolute time the next chunk has crossed PCIe."""
-        return self._start + self._cum[self._index]
+        ends = self._ends
+        if ends is None:
+            ends = self._ends = list(accumulate(self._durations.listed()))
+        return self._start + ends[self._index]
+
+    def ends_column(self) -> np.ndarray:
+        """Every chunk's cumulative PCIe end (after the burst's start) as
+        an int64 column: the burst fast path's fetch column."""
+        return self._durations.column().cumsum()
 
     def take(self):
         """The next chunk (call once :meth:`due` has passed)."""
@@ -100,10 +168,7 @@ class FetchPlan:
     def message_view(self) -> PayloadRef:
         """The whole fetch as one view (the burst fast path's payload;
         each chunk's view is the matching slice of it)."""
-        dma = self._dma
-        pieces = dma.tlb.chunk_run(self._vaddr, (self._length,),
-                                   charge=False)[0]
-        return dma._view_of(pieces, self._stable)
+        return self._dma._view_of(self._run.span(), self._stable)
 
 
 class StreamChunks:
@@ -200,19 +265,21 @@ class DmaEngine:
         return total
 
     def _chunk_durations(self, link: BandwidthLink, run: ChunkRun,
-                         sequential: bool) -> List[int]:
-        """:meth:`_burst_duration` of each chunk of ``run``: a memo of
-        the occupancy per distinct chunk length mapped over the lengths,
-        with the few page-straddling chunks patched piece by piece."""
+                         sequential: bool) -> ChunkDurations:
+        """:meth:`_burst_duration` of each chunk of ``run``, in closed
+        form: the occupancy of each distinct chunk length (first, middle
+        and last of a message's segments), with the few page-straddling
+        chunks patched piece by piece."""
         occupancy = link.occupancy_ps
-        memo = dict.fromkeys(run.lengths)
-        for n in memo:
-            memo[n] = occupancy(self._effective(n, sequential))
-        durations = list(map(memo.__getitem__, run.lengths))
-        for i, pieces in run.straddles.items():
-            durations[i] = self._burst_duration(
-                link, [n for _, n in pieces], sequential)
-        return durations
+        lengths = run.lengths
+        distinct = lengths.sizes() if isinstance(lengths, Segments) \
+            else set(lengths)
+        memo = {n: occupancy(self._effective(n, sequential))
+                for n in distinct}
+        patches = {i: self._burst_duration(link, [n for _, n in pieces],
+                                           sequential)
+                   for i, pieces in run.straddles.items()}
+        return ChunkDurations(run, memo, patches)
 
     def _burst_perword(self, link: BandwidthLink, piece_lengths,
                        sequential: bool):
@@ -277,16 +344,16 @@ class DmaEngine:
                   stable: bool = False) -> FetchPlan:
         """Streaming fetch, zero-copy fast path: synchronously reserve
         one PCIe burst (latency folded into the slot's floor) for all of
-        ``chunk_lengths`` and return a :class:`FetchPlan` whose consumer
-        receives each chunk (as a view) at exactly the time the old
-        chunk-delivery process would have put it — without any per-chunk
-        or even per-message events."""
+        ``chunk_lengths`` (a message's :class:`Segments`, or any sizes)
+        and return a :class:`FetchPlan` whose consumer receives each
+        chunk (as a view) at exactly the time the old chunk-delivery
+        process would have put it — without any per-chunk or even
+        per-message events."""
         run = self.tlb.chunk_run(vaddr, chunk_lengths)
         total_bytes = run.total
         link = self.read_link
-        cum_ends = list(accumulate(
-            self._chunk_durations(link, run, sequential)))
-        cum = cum_ends[-1] if cum_ends else 0
+        durations = self._chunk_durations(link, run, sequential)
+        cum = durations.total()
         start = link.reserve_after(
             self.env.now + self.config.pcie_read_latency, cum)
         link.bytes_transferred += total_bytes
@@ -298,8 +365,7 @@ class DmaEngine:
                 self.name, "dma_stream_read", vaddr=vaddr)
             self.env.call_at(start + cum - self.env.now,
                              self._end_stream_span, (span, total_bytes))
-        return FetchPlan(self, vaddr, total_bytes, run, cum_ends, start,
-                         stable=stable)
+        return FetchPlan(self, durations, start, stable=stable)
 
     def _end_stream_span(self, span_bytes) -> None:
         span, length = span_bytes
@@ -325,7 +391,7 @@ class DmaEngine:
         env = self.env
         link = self.read_link
         occupancy = link.occupancy_ps
-        durations = self._chunk_durations(link, run, sequential)
+        durations = self._chunk_durations(link, run, sequential).listed()
         per_word = self.config.per_word_accounting
         if per_word:
             yield env.timeout(self.config.pcie_read_latency)

@@ -32,10 +32,12 @@ from ..core.rpc import (RPC_ERROR_NO_KERNEL, RPC_ERROR_QUARANTINED,
                         RpcPreamble, rpc_error_bytes)
 from ..memory import PhysicalMemory
 from ..net.link import Cable
+from ..roce import burst
 from ..roce.headers import AETH_NAK_PSN_SEQ_ERROR, Aeth, Bth, Reth
 from ..roce.multiqueue import MultiQueue, MultiQueueFullError
 from ..roce.opcodes import (
     Opcode,
+    carries_aeth,
     is_first,
     is_last,
     is_only,
@@ -418,8 +420,7 @@ class StromNic:
         segments = segment_rpc_write(command.length)
         fetch_queue = Stream(self.env)
         self.env.process(self.dma.read_stream(
-            command.laddr, segments.lengths(), fetch_queue,
-            stable=True))
+            command.laddr, segments, fetch_queue, stable=True))
         for i, seg in enumerate(segments):
             chunk = yield fetch_queue.get()
             tail = i == len(segments) - 1
@@ -450,19 +451,18 @@ class StromNic:
             # Streaming payload fetch.  Bursts are served in issue order
             # by the PCIe host->card lanes (FIFO inside the DMA engine),
             # while read latencies overlap between outstanding bursts.
-            lengths = segments.lengths()
             if self.config.per_word_accounting:
                 # Validation mode keeps the explicit chunk-delivery
                 # process (per-word PCIe charges).
                 fetch_queue = Stream(self.env)
                 self.env.process(self.dma.read_stream(
-                    command.laddr, lengths, fetch_queue, stable=True))
+                    command.laddr, segments, fetch_queue, stable=True))
                 fetch = StreamChunks(fetch_queue)
             else:
                 # Fast path: chunk arrival times are arithmetic — zero
                 # scheduler events per fetched packet in steady state.
                 # stable=True: send buffers are contract-protected.
-                fetch = self.dma.read_plan(command.laddr, lengths,
+                fetch = self.dma.read_plan(command.laddr, segments,
                                            stable=True)
         prev_gate, gate = self._tx_gate, Event(self.env)
         self._tx_gate = gate
@@ -481,7 +481,6 @@ class StromNic:
         payload = command.payload_inline
         per_word = self.config.per_word_accounting
         yield prev_gate
-        from ..roce import burst
         # New traffic claims the fabric: any pending fold must hand
         # back to the per-packet machinery *before* this message
         # creates its first event (see burst.unfold_pending).
@@ -603,7 +602,6 @@ class StromNic:
         prev_gate, gate = self._tx_gate, Event(self.env)
         self._tx_gate = gate
         yield prev_gate
-        from ..roce import burst
         burst.unfold_pending(self.env)
         qp.requester.unacked.append(entry)
         if self.cc is not None and not self.cc.unthrottled(qp.qpn):
@@ -762,22 +760,19 @@ class StromNic:
     def _responder_read(self, qp, packet: RocePacket):
         """Serve one READ: stream the payload from host memory over PCIe
         while emitting response packets (fetch overlaps transmit)."""
-        from ..roce.opcodes import carries_aeth
         prev_gate, gate = self._resp_gate, Event(self.env)
         self._resp_gate = gate
         segments = segment_read_response(packet.reth.dma_length)
-        lengths = segments.lengths()
         if self.config.per_word_accounting:
             fetch_queue = Stream(self.env)
             self.env.process(self.dma.read_stream(
-                packet.reth.vaddr, lengths, fetch_queue))
+                packet.reth.vaddr, segments, fetch_queue))
             fetch = StreamChunks(fetch_queue)
         else:
             # Zero-event fetch; stable stays False — READ-served memory
             # may legally race local writes (see repro.core.payload).
-            fetch = self.dma.read_plan(packet.reth.vaddr, lengths)
+            fetch = self.dma.read_plan(packet.reth.vaddr, segments)
         yield prev_gate
-        from ..roce import burst
         burst.unfold_pending(self.env)
         if burst.try_fold_read(self, qp, packet, segments, fetch, gate):
             return
@@ -1007,7 +1002,6 @@ class StromNic:
                 busy.succeed()
 
     def _retransmit_entries(self, qp, from_psn: int):
-        from ..roce import burst
         burst.unfold_pending(self.env)
         # A folded burst leaves one spanning entry with no packet:
         # materialize the real per-packet entries before retransmitting.

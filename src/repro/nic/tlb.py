@@ -21,6 +21,7 @@ from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..config import NicConfig
+from ..roce.packetizer import Segments
 
 
 class TlbMissError(Exception):
@@ -159,57 +160,87 @@ class ChunkRun(Sequence):
     crossing a page (:meth:`Tlb.chunk_run`).  ``run[i]`` is chunk
     ``i``'s piece list: explicit for the few chunks that straddle a page
     boundary, computed on demand (one piece) for every other, so a run
-    of N chunks over P pages costs O(P) Python work, not O(N)."""
+    of N chunks over P pages costs O(P) Python work, not O(N).
 
-    __slots__ = ("lengths", "total", "pieces", "straddles", "_page",
-                 "_vaddr", "_starts", "_bases", "_split_at")
+    ``lengths`` is any sequence of chunk sizes.  A message's closed-form
+    :class:`~repro.roce.packetizer.Segments` gives its chunk offsets and
+    the chunk at each page boundary by arithmetic, so a run over one
+    builds no per-chunk list until a per-packet consumer asks for
+    ``run[i]`` (a fold never does), and a small message (one chunk
+    inside one page) costs one table probe and nothing else."""
+
+    __slots__ = ("lengths", "total", "pieces", "straddles", "_n", "_page",
+                 "_lead", "_bases", "_starts", "_split_at")
 
     def __init__(self, tlb: Tlb, vaddr: int, lengths) -> None:
-        if lengths and min(lengths) <= 0:
-            raise ValueError("DMA length must be positive")
         page = self._page = tlb.page_bytes
         self.lengths = lengths
-        self._vaddr = vaddr
-        #: Chunk start offsets, plus the run's end.
-        self._starts = starts = list(accumulate(lengths, initial=0))
-        self.total = total = starts[-1]
+        self._n = len(lengths)
+        #: Offset of ``vaddr`` in its page: chunk ``i`` starts in the
+        #: ``(lead + offset(i)) // page``-th page of the run.
+        self._lead = vaddr % page
+        if isinstance(lengths, Segments):
+            total = lengths.total
+            if total <= 0:
+                raise ValueError("DMA length must be positive")
+            offset, length = lengths.offset, lengths.length
+            locate = lengths.index_at
+            starts = [0, total] if self._n == 1 else None
+        else:
+            if lengths and min(lengths) <= 0:
+                raise ValueError("DMA length must be positive")
+            starts = list(accumulate(lengths, initial=0))
+            total = starts[-1]
+            offset, length = starts.__getitem__, lengths.__getitem__
+
+            def locate(boundary):
+                return bisect_right(starts, boundary) - 1
+        #: Chunk start offsets from ``vaddr``, plus the run's end; for a
+        #: multi-chunk ``Segments`` run, listed at the first ``run[i]``.
+        self._starts = starts
+        self.total = total
         first = vaddr // page
-        bases = self._bases = {first: tlb._base(first)} if total else {}
+        last = (vaddr + total - 1) // page
+        #: Physical base of each page the run touches, from the first.
+        self._bases = [tlb._base(vpn) for vpn in range(first, last + 1)] \
+            if total else []
         #: Chunk index of every page boundary strictly inside a chunk
         #: (each adds one piece), ascending.
         self._split_at = split_at = []
-        for vpn in range(first + 1, (vaddr + total - 1) // page + 1):
-            bases[vpn] = tlb._base(vpn)
+        for vpn in range(first + 1, last + 1):
             boundary = vpn * page - vaddr
-            i = bisect_right(starts, boundary) - 1
-            if starts[i] != boundary:
+            i = locate(boundary)
+            if offset(i) != boundary:
                 split_at.append(i)
         #: Explicit piece lists of the chunks that cross a page.
-        self.straddles: Dict[int, List[Tuple[int, int]]] = {}
-        for i in split_at:
-            if i not in self.straddles:
-                self.straddles[i] = self._pieces(i)
+        self.straddles: Dict[int, List[Tuple[int, int]]] = {
+            i: self._split(offset(i), length(i)) for i in split_at}
         #: Pieces of the whole run.
-        self.pieces = len(lengths) + len(split_at)
+        self.pieces = self._n + len(split_at)
 
-    def _pieces(self, i: int) -> List[Tuple[int, int]]:
-        page = self._page
-        cursor = self._vaddr + self._starts[i]
-        remaining = self.lengths[i]
+    def _split(self, start: int, length: int) -> List[Tuple[int, int]]:
+        """The pieces of ``length`` bytes at offset ``start``."""
+        page, bases = self._page, self._bases
+        cursor = self._lead + start
         pieces = []
-        while remaining:
-            vpn, offset = divmod(cursor, page)
-            take = min(remaining, page - offset)
-            pieces.append((self._bases[vpn] + offset, take))
+        while length:
+            k, offset = divmod(cursor, page)
+            take = min(length, page - offset)
+            pieces.append((bases[k] + offset, take))
             cursor += take
-            remaining -= take
+            length -= take
         return pieces
 
+    def span(self) -> List[Tuple[int, int]]:
+        """The whole run's pieces as if it were one chunk (one per page
+        touched)."""
+        return self._split(0, self.total)
+
     def __len__(self) -> int:
-        return len(self.lengths)
+        return self._n
 
     def __getitem__(self, i: int) -> List[Tuple[int, int]]:
-        n = len(self.lengths)
+        n = self._n
         if not -n <= i < n:
             raise IndexError("chunk index out of range")
         if i < 0:
@@ -217,11 +248,16 @@ class ChunkRun(Sequence):
         pieces = self.straddles.get(i)
         if pieces is not None:
             return pieces
-        vpn, offset = divmod(self._vaddr + self._starts[i], self._page)
-        return [(self._bases[vpn] + offset, self.lengths[i])]
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = list(
+                accumulate(self.lengths.lengths(), initial=0))
+        start = starts[i]
+        k, offset = divmod(self._lead + start, self._page)
+        return [(self._bases[k] + offset, starts[i + 1] - start)]
 
     def __iter__(self) -> Iterator[List[Tuple[int, int]]]:
-        return map(self.__getitem__, range(len(self.lengths)))
+        return map(self.__getitem__, range(self._n))
 
     def piece_count(self, j: int, k: int) -> int:
         """Total pieces of chunks ``[j, k)``."""

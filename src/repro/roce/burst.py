@@ -30,9 +30,11 @@ an unfold, a replay or the validation walk asks for packet ``i``); the
 flight holds one message-level :class:`~repro.core.payload.PayloadRef`;
 TLB splits come from :meth:`~repro.nic.tlb.Tlb.chunk_run` (one probe per
 page, piece lists only for page-straddling chunks); and every column is
-a numpy prefix-max scan over per-size constants (:func:`fifo_ends`),
-converted to Python ints once.  The destination TLB is charged lazily
-for the write-back translations
+a numpy prefix-max scan over per-size constants (:func:`fifo_ends`):
+int64 columns, listed only at an unfold — the commit reads their last
+entries, and one bound from scalars refuses a schedule that could reach
+:data:`COLUMN_LIMIT_PS` before any is built.  The destination TLB is
+charged lazily for the write-back translations
 (:attr:`~repro.nic.tlb.Tlb.pending_charge`): by E2 all of them, at an
 unfold only the arrived prefix (the replay translates the rest itself).
 
@@ -48,7 +50,7 @@ cum[j-1])``:
 - first wire:      ``E1c = fifo_ends(C + tx_delay, transfer_time(wire),
   free_at)``; arrival ``A = E1c + propagation + rx_delay``
 - write-back slot: ``wend = fifo_ends(A + pcie_write_latency,
-  burst_duration(pieces), wfree)``; ``wstart = wend - dur``
+  burst_duration(pieces), wfree)``
 
 Fold *guards* keep the illusion honest.  Every send path unfolds the
 pending flight before it may fold (:func:`unfold_pending`), so a
@@ -85,18 +87,19 @@ bit-identical.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..config import wire_bytes_for_frame
+from ..net.arp import mac_for_ip
 from ..runmode import active
 from ..sim import timebase
 from .headers import Aeth, Bth, Reth
 from .opcodes import carries_aeth, is_last, is_only
 from .packet import RocePacket
-from .packetizer import l3_bytes_for_segments
-from .qp import ResponderState, psn_add
+from .packetizer import l3_sizes
+from .qp import psn_add
 
 #: Messages shorter than this many packets are not worth folding: the
 #: fixed commit cost (column computation + shadow walk) outweighs the
@@ -104,7 +107,7 @@ from .qp import ResponderState, psn_add
 FOLD_MIN_PACKETS = 4
 
 #: Column values stay below this (int64 cumsums wrap silently); a
-#: schedule that could pass it is refused and runs per packet.
+#: schedule that could reach it is refused and runs per packet.
 COLUMN_LIMIT_PS = 1 << 62
 
 # Flight states.
@@ -159,10 +162,9 @@ def fifo_ends(start: np.ndarray, dur: np.ndarray, floor: int) -> np.ndarray:
     Unrolled, ``end[i] = cum[i] + max(floor, max_{j<=i} start[j] -
     cum[j-1])`` (``cum`` the running sum of ``dur``): one cumsum and one
     prefix-max scan over int64.  Raises OverflowError — refusing the
-    fold — when an end could reach :data:`COLUMN_LIMIT_PS`."""
-    if max(floor, int(start.max())) + int(dur.max()) * len(dur) \
-            >= COLUMN_LIMIT_PS:
-        raise OverflowError("schedule exceeds the int64 column range")
+    fold — when the last (largest) end reaches :data:`COLUMN_LIMIT_PS`;
+    the caller keeps ``max(floor, start) + sum(dur)`` below it, so
+    nothing wraps first."""
     cum = dur.cumsum()
     lead = start - cum
     lead += dur
@@ -170,16 +172,9 @@ def fifo_ends(start: np.ndarray, dur: np.ndarray, floor: int) -> np.ndarray:
         lead[0] = floor   # the floor joins every prefix max through lead[0]
     np.maximum.accumulate(lead, out=lead)
     lead += cum
+    if lead[-1] >= COLUMN_LIMIT_PS:
+        raise OverflowError("schedule exceeds the int64 column range")
     return lead
-
-
-def _per_frame(l3: List[int], fn) -> np.ndarray:
-    """``fn(l3[i])`` for every frame of a folded message, evaluated once
-    per distinct size: the frames are first, middle × (n-2), last."""
-    column = np.full(len(l3), fn(l3[1]), np.int64)
-    column[0] = fn(l3[0])
-    column[-1] = fn(l3[-1])
-    return column
 
 
 # ----------------------------------------------------------------------
@@ -242,12 +237,15 @@ class BurstFlight:
     __slots__ = (
         "env", "kind", "src", "dst", "src_qp", "dst_qp", "cable", "side",
         "dest", "segments", "first_psn", "last_psn", "n", "t0", "gate",
-        "view", "run", "pieces", "tlb_charged", "p", "l3", "wire", "total",
-        "total_wire", "F", "C", "E1c", "A1", "A", "dur", "wstart", "wend",
-        "pre_free1", "pre_wfree", "fetch_start", "fetch_cum",
+        "view", "pieces", "tlb_charged", "l3", "wire", "total",
+        "total_wire", "F", "C", "E1c", "A1", "A", "dur", "dur_total",
+        "wend", "pre_free1", "pre_wfree", "fetch_start", "fetch_cum",
         "base_addr", "raddr", "msg_length", "completion", "msn0", "ctx",
         "state", "e1_done", "_packets", "c_unfolds", "path",
     )
+
+    #: The int64 schedule columns, listed once by an unfold or a flush.
+    _COLUMNS = ("F", "C", "E1c", "A1", "A", "wend", "wire", "dur")
 
     def __init__(self, kind, src, dst, src_qp, dst_qp, segments,
                  first_psn, fetch, gate, base_addr, raddr, msg_length,
@@ -277,7 +275,7 @@ class BurstFlight:
             else src_qp.responder.msn
         self.ctx = ctx                   # READ: requester _ReadContext
         self.fetch_start = fetch._start
-        self.fetch_cum = fetch._cum
+        self.fetch_cum = fetch.ends_column()
         self.state = _FOLDED
         self.e1_done = False
         self._packets: List[Optional[RocePacket]] = [None] * self.n
@@ -286,55 +284,94 @@ class BurstFlight:
         # packet i's payload is its slice, built only when needed.
         self.view = fetch.message_view()
         self.tlb_charged = 0
-        self.p = segments.lengths()
-        self.total = sum(self.p)
+        self.total = segments.total
 
     # ------------------------------------------------------------------
     # Schedule computation (pure: no side effects; raises to refuse)
     # ------------------------------------------------------------------
     def compute_schedule(self) -> None:
-        arrivals = self._compute_tx()
-        self.A1 = self.A = arrivals.tolist()
-        self._compute_wlane(arrivals)
-
-    def _compute_tx(self) -> np.ndarray:
-        """TX-pipeline and first-hop columns; returns the per-packet
-        arrival times at the first cable's far side."""
-        src, cable = self.src, self.cable
-        self.l3 = l3 = l3_bytes_for_segments(
-            self.segments, response=self.kind == "read")
+        """Every column, from per-frame constants evaluated once per
+        distinct frame size.  No entry can exceed the latest floor or
+        fetch-ready time plus every stage's summed durations and fixed
+        latencies: that bound, from scalars, refuses a schedule that
+        could reach :data:`COLUMN_LIMIT_PS` before any column is built."""
+        src, cable, dst = self.src, self.cable, self.dst
+        self.l3 = l3 = l3_sizes(self.segments,
+                                response=self.kind == "read")
+        wire = tuple(map(wire_bytes_for_frame, l3))
+        self.wire, self.total_wire = self._per_frame(wire)
+        charge, charge_total = self._per_frame(
+            map(src.config.streaming_time, l3))
         bps = cable.bits_per_second
-        self.wire = _per_frame(l3, wire_bytes_for_frame).tolist()
-        self.total_wire = sum(self.wire)
-        charge = _per_frame(l3, src.config.streaming_time)
-        serialize = _per_frame(l3, lambda size: timebase.transfer_time_ps(
-            wire_bytes_for_frame(size), bps))
-        due = np.array(self.fetch_cum, np.int64) + self.fetch_start
-        C = fifo_ends(due, charge, self.t0)
-        self.pre_free1 = cable._free_at[self.side]
-        E1c = fifo_ends(C + src._tx_delay, serialize, self.pre_free1)
-        self.F, self.C, self.E1c = \
-            (C - charge).tolist(), C.tolist(), E1c.tolist()
-        return E1c + (cable.propagation + cable.extra_latency
-                      + cable._receiver_delay[self.dest])
-
-    def _compute_wlane(self, arrivals: np.ndarray) -> None:
-        """Destination write-back lane (receiver's card->host PCIe),
-        chained in arrival order."""
-        dst = self.dst
-        wlink = dst.dma.write_link
-        # Pure lookups: the TLB is charged as the packets arrive
+        serialize, serialize_total = self._per_frame(
+            timebase.transfer_time_ps(size, bps) for size in wire)
+        prop = cable.propagation + cable.extra_latency \
+            + cable._receiver_delay[self.dest]
+        # Destination write-back lane (receiver's card->host PCIe).  Pure
+        # lookups: the TLB is charged as the packets arrive
         # (_settle_tlb), where per-packet write_posted translates.
-        self.pieces = dst.tlb.chunk_run(self.base_addr, self.p,
+        wlink = dst.dma.write_link
+        self.pieces = dst.tlb.chunk_run(self.base_addr, self.segments,
                                         charge=False)
-        self.run = dst.tlb.chunk_run(self.base_addr, (self.total,),
-                                     charge=False)[0]
-        self.dur = dst.dma._chunk_durations(wlink, self.pieces, True)
-        dur = np.array(self.dur, np.int64)
+        self.dur = dst.dma._chunk_durations(wlink, self.pieces,
+                                            True).column()
+        self.dur_total = int(self.dur.sum())
+        wlat = dst.config.pcie_write_latency
+        self.pre_free1 = cable._free_at[self.side]
         self.pre_wfree = wlink._free_at
-        wend = fifo_ends(arrivals + dst.config.pcie_write_latency, dur,
-                         self.pre_wfree)
-        self.wstart, self.wend = (wend - dur).tolist(), wend.tolist()
+        path_floor, path_span = self._path_bound(wire)
+        if (max(self.t0, self.fetch_start + int(self.fetch_cum[-1]),
+                self.pre_free1, self.pre_wfree, path_floor)
+                + charge_total + src._tx_delay + serialize_total + prop
+                + path_span + wlat + self.dur_total) >= COLUMN_LIMIT_PS:
+            raise OverflowError("schedule exceeds the int64 column range")
+
+        C = fifo_ends(self.fetch_cum + self.fetch_start, charge, self.t0)
+        E1c = fifo_ends(C + src._tx_delay, serialize, self.pre_free1)
+        self.F, self.C, self.E1c = C - charge, C, E1c
+        self.A1 = E1c + prop
+        self.A = A = self._path(self.A1)
+        # Chained in arrival order.
+        self.wend = fifo_ends(A + wlat, self.dur, self.pre_wfree)
+
+    def _per_frame(self, values) -> Tuple[np.ndarray, int]:
+        """A per-frame constant as an int64 column, from its first,
+        middle and last values, and the column's sum."""
+        first, middle, last = values
+        return (self.segments.column(first, middle, last),
+                first + middle * (self.n - 2) + last)
+
+    def _path_bound(self, wire) -> Tuple[int, int]:
+        """Floor and summed durations of the hops beyond the first
+        cable, for the schedule bound (a direct cable has none)."""
+        return 0, 0
+
+    def _path(self, arrivals: np.ndarray) -> np.ndarray:
+        """Arrival times at the receiving NIC from those at the first
+        cable's far side (direct cable: the same)."""
+        return arrivals
+
+    def _list_columns(self) -> None:
+        """Lists for the per-packet work of an unfold or a flush."""
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, name).tolist())
+
+    def _counters(self):
+        """This path's fold counters, resolved at its first fold: folds,
+        those advanced by the packet count, and unfolds."""
+        cache = self.env.fold_counters
+        counters = cache.get(self.path)
+        if counters is None:
+            counter = self.src.metrics.counter
+            src, dst, *hops = self.path
+            counters = cache[self.path] = (
+                counter(f"{src.name}.burst.folds"),
+                [counter(f"{src.name}.burst.folded_packets"),
+                 counter(f"{dst.name}.burst.folded_rx")]
+                + [counter(f"{hop.name}.burst.folded_frames")
+                   for hop in hops],
+                counter(f"{src.name}.burst.unfolds"))
+        return counters
 
     # ------------------------------------------------------------------
     # Commit: reservations, registrations, the three deferred events
@@ -342,14 +379,15 @@ class BurstFlight:
     def commit(self) -> None:
         env = self.env
         assert env.fold is None, "a simulator holds one folded flight"
-        cable, src, dst = self.cable, self.src, self.dst
+        src, dst = self.src, self.dst
         # Eager wire reservation: interferers queue behind the whole
         # burst (or unfold it first, which rewinds this cursor).
-        cable._free_at[self.side] = self.E1c[-1]
+        self.cable._free_at[self.side] = int(self.E1c[-1])
         # Eager write-lane reservation, chained in arrival order.
         wlink = dst.dma.write_link
-        wlink._free_at = self.wend[-1]
-        wlink.busy_time += sum(self.dur)
+        wend = int(self.wend[-1])
+        wlink._free_at = wend
+        wlink.busy_time += self.dur_total
         wlink.bytes_transferred += self.total
 
         env.fold = self
@@ -376,17 +414,15 @@ class BurstFlight:
                 kind="write", packet=None, completion=self.completion,
                 is_message_tail=True, burst=self))
 
-        metrics = src.metrics
-        metrics.counter(f"{src.name}.burst.folds").add()
-        metrics.counter(f"{src.name}.burst.folded_packets").add(self.n)
-        metrics.counter(f"{dst.name}.burst.folded_rx").add(self.n)
-        metrics.counter(f"{cable.name}.burst.folded_frames").add(self.n)
-        self.c_unfolds = metrics.counter(f"{src.name}.burst.unfolds")
+        folds, per_frame, self.c_unfolds = self._counters()
+        folds.add()
+        for counter in per_frame:
+            counter.add(self.n)
 
         now = env.now
-        env.call_at(self.C[-1] - now, self._on_e1)
-        env.call_at(self.A[-1] - now, self._on_e2)
-        env.call_at(self.wend[-1] - now, self._on_e3)
+        env.call_at(int(self.C[-1]) - now, self._on_e1)
+        env.call_at(int(self.A[-1]) - now, self._on_e2)
+        env.call_at(wend - now, self._on_e3)
         if active().validate:
             self._shadow_check()
 
@@ -395,7 +431,8 @@ class BurstFlight:
     # ------------------------------------------------------------------
     def _view(self, i: int):
         """Packet ``i``'s payload: its slice of the message view."""
-        return self.view.slice(self.segments[i].offset, self.p[i])
+        return self.view.slice(self.segments.offset(i),
+                               self.segments.length(i))
 
     def _packet(self, i: int) -> RocePacket:
         packet = self._packets[i]
@@ -489,15 +526,16 @@ class BurstFlight:
         # destination in between (a competing write, watch or store
         # flushes first): land the message in one commit per physical
         # run, still counted as one DMA write per packet.
-        self.dst.dma._commit_write(self.base_addr, self.run, self.view,
-                                   self.total, None, count=self.n)
+        self.dst.dma._commit_write(self.base_addr, self.pieces.span(),
+                                   self.view, self.total, None,
+                                   count=self.n)
         if self.kind == "read":
             self.dst._finish_read(self.dst_qp, self.ctx)
 
     def _commit_index(self, i: int) -> None:
         self.dst.dma._commit_write(
-            self.base_addr + self.segments[i].offset, self.pieces[i],
-            self._view(i), self.p[i], None)
+            self.base_addr + self.segments.offset(i), self.pieces[i],
+            self._view(i), self.segments.length(i), None)
 
     # ------------------------------------------------------------------
     # Guards
@@ -531,17 +569,16 @@ class BurstFlight:
         """Charge the destination TLB for the write-back translations
         the per-packet path has made by now — one ``split_command`` per
         arrived packet (``bisect_right`` tie semantics, as at every
-        unfold boundary)."""
-        k = bisect_right(self.A, self.env.now)
+        unfold boundary).  Runs only while the columns are arrays."""
+        k = int(self.A.searchsorted(self.env.now, "right"))
         j = self.tlb_charged
         if k <= j:
             return
         self.tlb_charged = k
         start = self.segments.offset(j)
         self.dst.tlb.charge_run(
-            self.base_addr + start,
-            self.segments.offset(k - 1) + self.p[k - 1] - start, k - j,
-            self.pieces.piece_count(j, k))
+            self.base_addr + start, self.segments.end(k - 1) - start,
+            k - j, self.pieces.piece_count(j, k))
 
     def _deregister(self) -> None:
         # E2 (every packet arrived) or an unfold (the arrived prefix;
@@ -615,24 +652,25 @@ class BurstFlight:
         t = env._burst_unfold_at = env.now
         self._deregister()
         self._clear_guards()
+        self._list_columns()
         self.c_unfolds.add()
         n_tx = bisect_right(self.C, t)
-        n_arr = bisect_right(self.A, t)
-
+        n_arr = bisect_right(self.A, t)   # arrived at the NIC
         if self.kind == "write":
             self.ensure_entries(bisect_right(self.F, t))
         self._unfold_sender(t, n_tx)
-
-        # --- frames in flight on the wire --------------------------------
-        for i in range(n_arr, n_tx):
-            env.call_at(self.A[i] - t, self.cable._arrive,
-                        (self._packet(i), self.dest))
-
-        # --- receiver prefix ---------------------------------------------
+        self._unfold_path(t, n_tx, n_arr)
         if n_arr:
-            self.cable.frames_delivered.add(n_arr)
             self._receiver_prefix(n_arr)
         self._unfold_wlane(n_arr, t)
+
+    def _unfold_path(self, t: int, n_tx: int, n_arr: int) -> None:
+        """Frames sent but not yet across the first cable: in flight on
+        it (``n_arr`` of them are across)."""
+        for i in range(n_arr, n_tx):
+            self.env.call_at(self.A1[i] - t, self.cable._arrive,
+                             (self._packet(i), self.dest))
+        self.cable.frames_delivered.add(n_arr)
 
     def _unfold_sender(self, t: int, n_tx: int) -> None:
         """Sender-side unfold: counters for the sent prefix, wire-cursor
@@ -657,7 +695,7 @@ class BurstFlight:
         """Receiver-side unfold: counters and PSN/cursor state as the
         per-packet path would have left them after ``n_arr`` arrivals."""
         dst, dst_qp, n = self.dst, self.dst_qp, self.n
-        prefix_bytes = sum(self.p[:n_arr])
+        prefix_bytes = self.segments.end(n_arr - 1)
         dst.packets_received.add(n_arr)
         dst.payload_bytes_received.add(prefix_bytes)
         if self.kind == "write":
@@ -685,7 +723,8 @@ class BurstFlight:
             wlink._free_at = self.wend[n_arr - 1] if n_arr \
                 else self.pre_wfree
             wlink.busy_time -= sum(self.dur[n_arr:])
-            wlink.bytes_transferred -= sum(self.p[n_arr:])
+            wlink.bytes_transferred -= self.total - (
+                self.segments.end(n_arr - 1) if n_arr else 0)
         self._land_from(n_arr, t)
 
     def _land_from(self, count: int, t: int) -> None:
@@ -710,6 +749,7 @@ class BurstFlight:
         land now, in order, before the interferer proceeds)."""
         self.state = _DONE
         self._clear_guards()
+        self._list_columns()
         self._land_from(self.n, self.env.now)
 
     def _replay_tx(self, start: int, appended: int):
@@ -738,7 +778,8 @@ class BurstFlight:
     def _shadow_check(self) -> None:
         """Re-walk the schedule with the per-packet arithmetic (real
         packet objects, explicit max-chains, stepped responder clone)
-        and assert bit-identity with the committed columns."""
+        and assert bit-identity with the committed columns, each listed
+        once for the comparison."""
         arrivals = self._shadow_tx()
         arrivals = self._shadow_path(arrivals)
         self._shadow_wlane(arrivals)
@@ -752,28 +793,19 @@ class BurstFlight:
         bps = cable.bits_per_second
         prop = cable.propagation + cable.extra_latency \
             + cable._receiver_delay[self.dest]
-        prev_c = self.t0
-        free = self.pre_free1
-        arrivals: List[int] = []
+        fetch_cum = self.fetch_cum.tolist()
+        c, e = self.t0, self.pre_free1
+        rows = []
         for i in range(self.n):
             packet = self._packet(i)
-            assert packet.l3_bytes == self.l3[i], \
-                (self.kind, i, packet.l3_bytes, self.l3[i])
-            assert packet.wire_bytes == self.wire[i], \
-                (self.kind, i, packet.wire_bytes, self.wire[i])
-            due = self.fetch_start + self.fetch_cum[i]
-            f = max(prev_c, due)
-            c = f + streaming_time(packet.l3_bytes)
-            s = max(free, c + src._tx_delay)
-            e = s + timebase.transfer_time_ps(packet.wire_bytes, bps)
-            a = e + prop
-            assert c == self.C[i] and e == self.E1c[i] \
-                and a == self.A1[i], \
-                (self.kind, i, (c, e, a), (self.C[i], self.E1c[i],
-                                           self.A1[i]))
-            arrivals.append(a)
-            prev_c, free = c, e
-        return arrivals
+            c = max(c, self.fetch_start + fetch_cum[i]) \
+                + streaming_time(packet.l3_bytes)
+            e = max(e, c + src._tx_delay) \
+                + timebase.transfer_time_ps(packet.wire_bytes, bps)
+            rows.append((packet.l3_bytes, packet.wire_bytes, c, e, e + prop))
+        return self._assert_walk(rows, l3=self.segments.column(*self.l3),
+                                 wire=self.wire, C=self.C, E1c=self.E1c,
+                                 A1=self.A1)
 
     def _shadow_path(self, arrivals: List[int]) -> List[int]:
         """Direct cable: the first-hop arrival is the arrival."""
@@ -781,55 +813,60 @@ class BurstFlight:
 
     def _shadow_wlane(self, arrivals: List[int]) -> None:
         wlat = self.dst.config.pcie_write_latency
-        wfree = self.pre_wfree
-        for i in range(self.n):
-            ws = max(wfree, arrivals[i] + wlat)
-            we = ws + self.dur[i]
-            assert ws == self.wstart[i] and we == self.wend[i], \
-                (self.kind, i, (ws, we), (self.wstart[i], self.wend[i]))
-            wfree = we
+        we = self.pre_wfree
+        rows = []
+        for arrival, dur in zip(arrivals, self.dur.tolist()):
+            we = max(we, arrival + wlat) + dur
+            rows.append((we,))
+        self._assert_walk(rows, wend=self.wend)
+
+    def _assert_walk(self, rows, **columns) -> List[int]:
+        """The shadow walk's per-packet ``rows`` equal the committed
+        ``columns``, field by field; returns the last field."""
+        for (name, column), walked in zip(columns.items(), zip(*rows)):
+            listed = column.tolist()
+            if list(walked) != listed:
+                i = next(i for i, pair in enumerate(zip(walked, listed))
+                         if pair[0] != pair[1])
+                raise AssertionError(
+                    (self.kind, name, i, walked[i], listed[i]))
+        return [row[-1] for row in rows]
 
     def _shadow_responder(self) -> None:
-        if self.kind == "write":
-            clone = self.dst_qp.responder.clone()
-            cursor = None
-            from .qp import PsnVerdict
-            for i in range(self.n):
-                packet = self._packet(i)
-                assert clone.classify(packet.bth.psn) is \
-                    PsnVerdict.EXPECTED, (i, packet.bth.psn)
-                clone.expected_psn = psn_add(packet.bth.psn, 1)
-                if packet.reth is not None:
-                    clone.write_cursor = packet.reth.vaddr
-                cursor = clone.write_cursor
-                addr = self.base_addr + self.segments[i].offset
-                assert cursor == addr, (i, cursor, addr)
-                clone.write_cursor = cursor + len(packet.payload)
-                if i == self.n - 1:
-                    clone.msn = (clone.msn + 1) & 0xFFFFFF
-                    clone.write_cursor = None
-            assert clone.expected_psn == psn_add(self.first_psn, self.n)
-            assert clone.msn == ((self.msn0 + 1) & 0xFFFFFF)
-            assert clone.write_cursor is None
+        clone = self.dst_qp.responder.clone()
+        cursor = None
+        from .qp import PsnVerdict
+        for i in range(self.n):
+            packet = self._packet(i)
+            assert clone.classify(packet.bth.psn) is \
+                PsnVerdict.EXPECTED, (i, packet.bth.psn)
+            clone.expected_psn = psn_add(packet.bth.psn, 1)
+            if packet.reth is not None:
+                clone.write_cursor = packet.reth.vaddr
+            cursor = clone.write_cursor
+            addr = self.base_addr + self.segments.offset(i)
+            assert cursor == addr, (i, cursor, addr)
+            clone.write_cursor = cursor + len(packet.payload)
+            if i == self.n - 1:
+                clone.msn = (clone.msn + 1) & 0xFFFFFF
+                clone.write_cursor = None
+        assert clone.expected_psn == psn_add(self.first_psn, self.n)
+        assert clone.msn == ((self.msn0 + 1) & 0xFFFFFF)
+        assert clone.write_cursor is None
 
 
 # ----------------------------------------------------------------------
 # One-switch leg
 # ----------------------------------------------------------------------
-class _SwitchLeg:
+class _SwitchLeg(NamedTuple):
     """Resolved path through one store-and-forward switch."""
 
-    __slots__ = ("switch", "port_in", "port_out", "cable2", "dest2",
-                 "recv")
-
-    def __init__(self, switch, port_in, port_out, cable2, dest2,
-                 recv) -> None:
-        self.switch = switch
-        self.port_in = port_in
-        self.port_out = port_out
-        self.cable2 = cable2
-        self.dest2 = dest2
-        self.recv = recv
+    switch: object
+    port_in: object
+    port_out: object
+    cable2: object
+    dest2: str
+    recv: object
 
 
 def _resolve_switch_leg(nic, cable, dest, dest_ip) -> Optional[_SwitchLeg]:
@@ -845,7 +882,6 @@ def _resolve_switch_leg(nic, cable, dest, dest_ip) -> Optional[_SwitchLeg]:
     if (switch.check is not None or switch.trace is not None
             or switch.ecn_marker is not None):
         return None
-    from ..net.arp import mac_for_ip
     if switch._mac_table.get(mac_for_ip(nic.ip)) != port_in.index:
         return None  # learn() would mutate the table mid-schedule
     out = switch._mac_table.get(mac_for_ip(dest_ip))
@@ -895,7 +931,10 @@ class SwitchBurstFlight(BurstFlight):
     """
 
     __slots__ = ("switch", "port_in", "port_out", "cable2", "side2",
-                 "dest2", "I", "D", "P", "E2c", "pre_free2", "depths")
+                 "dest2", "I", "D", "P", "E2c", "pre_free2", "depths",
+                 "peak", "tt", "prop2")
+
+    _COLUMNS = BurstFlight._COLUMNS + ("I", "D", "P", "E2c", "depths")
 
     def __init__(self, leg: _SwitchLeg, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -910,51 +949,45 @@ class SwitchBurstFlight(BurstFlight):
     # ------------------------------------------------------------------
     # Schedule
     # ------------------------------------------------------------------
-    def compute_schedule(self) -> None:
-        A1 = self._compute_tx()
-        self.A1 = A1.tolist()
-        switch, cable2 = self.switch, self.cable2
+    def _path_bound(self, wire) -> Tuple[int, int]:
+        cable2 = self.cable2
         bps2 = cable2.bits_per_second
-        tt = _per_frame(self.l3, lambda size: timebase.transfer_time_ps(
-            wire_bytes_for_frame(size), bps2))
-        fwd = np.full(self.n, switch.config.forwarding_latency, np.int64)
-        I = fifo_ends(A1, fwd, 0)
-        P = fifo_ends(I, tt, 0)
-        D = P - tt
+        self.tt, tt_total = self._per_frame(
+            timebase.transfer_time_ps(size, bps2) for size in wire)
         self.pre_free2 = cable2._free_at[self.side2]
-        E2c = fifo_ends(D, tt, self.pre_free2)
+        self.prop2 = cable2.propagation + cable2.extra_latency \
+            + cable2._receiver_delay[self.dest2]
+        fwd = self.switch.config.forwarding_latency
+        return self.pre_free2, self.n * fwd + 2 * tt_total + self.prop2
+
+    def _path(self, arrivals: np.ndarray) -> np.ndarray:
+        switch, tt = self.switch, self.tt
+        fwd = np.full(self.n, switch.config.forwarding_latency, np.int64)
+        self.I = I = fifo_ends(arrivals, fwd, 0)
+        self.P = P = fifo_ends(I, tt, 0)
+        self.D = D = P - tt
+        self.E2c = E2c = fifo_ends(D, tt, self.pre_free2)
         # Enqueues so far minus dequeues at-or-before (bisect_right tie
         # semantics; min() keeps our own later dequeue out).
         index = np.arange(self.n)
-        depths = index + 1 - np.minimum(
-            index, np.searchsorted(D, I, "right"))
-        if depths.max() > switch.config.buffer_frames:
+        self.depths = depths = index + 1 - np.minimum(
+            index, D.searchsorted(I, "right"))
+        self.peak = int(depths.max())
+        if self.peak > switch.config.buffer_frames:
             raise RuntimeError("analytic schedule would tail-drop")
-        self.I, self.D, self.P, self.E2c = \
-            I.tolist(), D.tolist(), P.tolist(), E2c.tolist()
-        self.depths = depths.tolist()
-        A2 = E2c + (cable2.propagation + cable2.extra_latency
-                    + cable2._receiver_delay[self.dest2])
-        self.A = A2.tolist()
-        self._compute_wlane(A2)
+        return E2c + self.prop2
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
     def commit(self) -> None:
-        cable2 = self.cable2
-        cable2._free_at[self.side2] = self.E2c[-1]
-        metrics = self.src.metrics
-        metrics.counter(
-            f"{self.switch.name}.burst.folded_frames").add(self.n)
-        metrics.counter(
-            f"{cable2.name}.burst.folded_frames").add(self.n)
+        self.cable2._free_at[self.side2] = int(self.E2c[-1])
         super().commit()
 
     def on_cable_send(self, cable, side) -> None:
         if cable is not self.cable2 or side != self.side2:
             super().on_cable_send(cable, side)
-        elif self.env.now < self.D[-1]:
+        elif self.env.now < int(self.D[-1]):
             # Belt-and-braces: an egress send on the second hop before
             # all our frames are out (the ingress guard normally unfolds
             # first, since any real frame must cross an ingress loop).
@@ -967,15 +1000,12 @@ class SwitchBurstFlight(BurstFlight):
         self.port_out.frames_out.add(self.n)
         self.cable2.bytes_on_wire.add(self.total_wire)
         self.cable2.frames_delivered.add(self.n)
-        self._apply_peak(self.n)
+        self._apply_peak(self.peak)
 
-    def _apply_peak(self, k: int) -> None:
-        """The ``max_queue_depth`` high-water mark the per-packet path
-        would have recorded over the first ``k`` enqueues."""
-        if not k:
-            return
+    def _apply_peak(self, peak: int) -> None:
+        """Raise the output port's ``max_queue_depth`` high-water mark to
+        ``peak``, the deepest queue a run of the enqueues produced."""
         port = self.port_out
-        peak = max(self.depths[:k])
         if peak > port._max_depth:
             port._max_depth = peak
             port.max_depth_gauge.set(peak)
@@ -983,42 +1013,22 @@ class SwitchBurstFlight(BurstFlight):
     # ------------------------------------------------------------------
     # Unfold
     # ------------------------------------------------------------------
-    def unfold(self) -> None:
-        if self.state is not _FOLDED:
-            if self.state is _DELIVERED:
-                self._flush_delivered()
-            return
-        self.state = _UNFOLDED
-        env = self.env
-        t = env._burst_unfold_at = env.now
-        self._deregister()
-        self._clear_guards()
-        self.c_unfolds.add()
-        n_tx = bisect_right(self.C, t)
+    def _unfold_path(self, t: int, n_tx: int, n_arr: int) -> None:
+        env, cable2 = self.env, self.cable2
         n_a1 = bisect_right(self.A1, t)   # arrived at the switch
         n_fwd = bisect_right(self.I, t)   # through lookup, enqueued
         n_out = bisect_right(self.D, t)   # sent on the second hop
-        n_arr = bisect_right(self.A, t)   # arrived at the NIC
-
-        if self.kind == "write":
-            self.ensure_entries(bisect_right(self.F, t))
-        self._unfold_sender(t, n_tx)
-
-        cable1, cable2 = self.cable, self.cable2
         # In flight on the first hop: organic arrival into the port's rx
         # stream (the real ingress loop takes over from there).
-        for i in range(n_a1, n_tx):
-            env.call_at(self.A1[i] - t, cable1._arrive,
-                        (self._packet(i), self.dest))
+        super()._unfold_path(t, n_tx, n_a1)
         if n_a1:
-            cable1.frames_delivered.add(n_a1)
             self.port_in.frames_in.add(n_a1)
             # Ingress is busy until the last picked-up frame's lookup
             # completes; replayed arrivals must queue behind it.
             self.port_in._ingress_floor = self.I[n_a1 - 1]
         if n_fwd:
             self.switch.frames_forwarded.add(n_fwd)
-            self._apply_peak(n_fwd)
+            self._apply_peak(max(self.depths[:n_fwd]))
         # Mid-lookup frames: synthetic enqueue at the exact time the
         # forwarding-latency window ends.
         for i in range(n_fwd, n_a1):
@@ -1039,10 +1049,7 @@ class SwitchBurstFlight(BurstFlight):
         for i in range(n_arr, n_out):
             env.call_at(self.A[i] - t, cable2._arrive,
                         (self._packet(i), self.dest2))
-        if n_arr:
-            cable2.frames_delivered.add(n_arr)
-            self._receiver_prefix(n_arr)
-        self._unfold_wlane(n_arr, t)
+        cable2.frames_delivered.add(n_arr)
 
     def _synthetic_enqueue(self, i: int) -> None:
         """The tail of one ingress-loop iteration (lookup done ->
@@ -1069,26 +1076,18 @@ class SwitchBurstFlight(BurstFlight):
         bps2 = cable2.bits_per_second
         prop2 = cable2.propagation + cable2.extra_latency \
             + cable2._receiver_delay[self.dest2]
-        prev_i = prev_p = 0
-        free2 = self.pre_free2
-        out: List[int] = []
+        done = p = 0
+        e = self.pre_free2
+        rows = []
         for i in range(self.n):
-            packet = self._packet(i)
-            done = max(arrivals[i], prev_i) + fwd
-            d = max(done, prev_p)
-            tt = timebase.transfer_time_ps(packet.wire_bytes, bps2)
+            tt = timebase.transfer_time_ps(self._packet(i).wire_bytes, bps2)
+            done = max(arrivals[i], done) + fwd
+            d = max(done, p)
             p = d + tt
-            e = max(free2, d) + tt
-            a2 = e + prop2
-            assert done == self.I[i] and d == self.D[i] \
-                and p == self.P[i] and e == self.E2c[i] \
-                and a2 == self.A[i], \
-                (self.kind, i, (done, d, p, e, a2),
-                 (self.I[i], self.D[i], self.P[i], self.E2c[i],
-                  self.A[i]))
-            out.append(a2)
-            prev_i, prev_p, free2 = done, p, e
-        return out
+            e = max(e, d) + tt
+            rows.append((done, d, p, e, e + prop2))
+        return self._assert_walk(rows, I=self.I, D=self.D, P=self.P,
+                                 E2c=self.E2c, A=self.A)
 
 
 # ----------------------------------------------------------------------
@@ -1173,7 +1172,7 @@ def try_fold_write(nic, command, qp, segments, first_psn, fetch,
         return False  # e.g. unmapped destination page: per-packet path
     # The timer arms at C[-1] with the base timeout; it must not expire
     # while the schedule is still authoritative (before E2).
-    if flight.C[-1] + nic.timer.timeout <= flight.A[-1]:
+    if int(flight.C[-1]) + nic.timer.timeout <= int(flight.A[-1]):
         return False
     flight.commit()
     return True
@@ -1229,7 +1228,7 @@ def try_fold_read(nic, qp, packet, segments, fetch, gate) -> bool:
     # The requester's retransmission timer (armed when the READ request
     # went out) must not fire while the response schedule is in flight.
     deadline = recv.timer.deadline(rqp.qpn)
-    if deadline is None or deadline <= flight.wend[-1]:
+    if deadline is None or deadline <= int(flight.wend[-1]):
         return False
     flight.commit()
     return True

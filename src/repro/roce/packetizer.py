@@ -9,10 +9,12 @@ which is why the MSN Table must remember the DMA cursor (Section 4.1).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterator, List, NamedTuple
+from typing import Iterator, List, NamedTuple, Tuple
+
+import numpy as np
 
 from .. import config
-from .opcodes import Opcode
+from .opcodes import Opcode, carries_aeth
 
 
 class Segment(NamedTuple):
@@ -30,15 +32,18 @@ class Segments(Sequence):
     holding the remainder.  Length, offsets and payload sizes are
     arithmetic; a :class:`Segment` is built only when indexed or
     iterated, so a 256 KiB message costs no per-packet objects until
-    something needs packet ``i``."""
+    something needs packet ``i``; a per-packet quantity is an int64
+    :meth:`column` of its first, middle and last values."""
 
-    __slots__ = ("_ops", "_n", "_first", "_rest", "_last", "_reth")
+    __slots__ = ("_ops", "_n", "_first", "_rest", "_last", "_reth", "total")
 
     def __init__(self, length: int, first_capacity: int,
                  rest_capacity: int, opcode_set, reth: bool) -> None:
         self._ops = opcode_set
         self._reth = reth
         self._rest = rest_capacity
+        #: Payload bytes of the whole message.
+        self.total = length
         if length <= first_capacity:
             self._n = 1
             self._first = self._last = length
@@ -53,6 +58,37 @@ class Segments(Sequence):
     def offset(self, i: int) -> int:
         """Payload offset of segment ``i`` (0 <= i < len)."""
         return self._first + (i - 1) * self._rest if i else 0
+
+    def length(self, i: int) -> int:
+        """Payload length of segment ``i`` (0 <= i < len)."""
+        if i == 0:
+            return self._first
+        return self._last if i == self._n - 1 else self._rest
+
+    def end(self, i: int) -> int:
+        """Payload offset just past segment ``i`` (0 <= i < len)."""
+        return self.offset(i) + self.length(i)
+
+    def index_at(self, offset: int) -> int:
+        """The segment holding payload byte ``offset`` (0 <= offset <
+        total)."""
+        if offset < self._first:
+            return 0
+        return 1 + (offset - self._first) // self._rest
+
+    def sizes(self) -> Tuple[int, int, int]:
+        """First, middle and last payload lengths (the operands of
+        :meth:`column`)."""
+        return self._first, self._rest, self._last
+
+    def column(self, first: int, middle: int, last: int) -> np.ndarray:
+        """An int64 column over the segments: ``first``, ``middle`` for
+        each MIDDLE, ``last`` (a single segment takes ``last``)."""
+        column = np.empty(self._n, np.int64)
+        column.fill(middle)   # (np.full costs twice as much at this size)
+        column[0] = first
+        column[-1] = last
+        return column
 
     def lengths(self) -> List[int]:
         """Every segment's payload length, in order."""
@@ -119,15 +155,14 @@ def segment_rpc_write(length: int) -> Segments:
                     config.MAX_PAYLOAD_NO_RETH, _RPC_WRITE_SET, reth=True)
 
 
-def l3_bytes_for_segments(segments: Segments,
-                          response: bool = False) -> List[int]:
-    """Per-segment L3 frame sizes (IPv4 + UDP + BTH [+RETH] [+AETH] +
-    payload + ICRC) without materializing packets — the burst fast path
-    sizes a whole message analytically, in closed form: first, middle ×
-    (n-2), last.  Must stay bit-identical to
-    :attr:`repro.roce.packet.RocePacket.l3_bytes`; ``REPRO_VALIDATE=1``
-    asserts exactly that."""
-    from .opcodes import carries_aeth
+def l3_sizes(segments: Segments,
+             response: bool = False) -> Tuple[int, int, int]:
+    """L3 frame sizes (IPv4 + UDP + BTH [+RETH] [+AETH] + payload +
+    ICRC) of the first, middle and last segments — the operands of
+    :meth:`Segments.column` — without materializing packets; the burst
+    fast path sizes a whole message this way.  Must stay bit-identical
+    to :attr:`repro.roce.packet.RocePacket.l3_bytes`;
+    ``REPRO_VALIDATE=1`` asserts exactly that."""
     base = (config.IPV4_HEADER_BYTES + config.UDP_HEADER_BYTES
             + config.BTH_BYTES + config.ICRC_BYTES)
 
@@ -139,12 +174,12 @@ def l3_bytes_for_segments(segments: Segments,
         return base + length
 
     first_op, middle_op, last_op, only_op = segments._ops
-    n = len(segments)
-    if n == 1:
-        return [size(only_op, segments._first, segments._reth)]
-    return ([size(first_op, segments._first, segments._reth)]
-            + [size(middle_op, segments._rest, False)] * (n - 2)
-            + [size(last_op, segments._last, False)])
+    if len(segments) == 1:
+        only = size(only_op, segments._first, segments._reth)
+        return only, only, only
+    return (size(first_op, segments._first, segments._reth),
+            size(middle_op, segments._rest, False),
+            size(last_op, segments._last, False))
 
 
 def read_response_packet_count(length: int) -> int:

@@ -76,6 +76,9 @@ class Simulator:
         #: unfolds it before it may fold, so there is at most one; hops
         #: with slow-path activity ask it (see repro.roce.burst).
         self.fold = None
+        #: Each folded path's metrics counters, resolved at its first
+        #: fold (keyed by the flight's path).
+        self.fold_counters = {}
 
     # ------------------------------------------------------------------
     # Time and scheduling

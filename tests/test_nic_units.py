@@ -224,6 +224,34 @@ def make_dma(env):
     return DmaEngine(env, NIC_10G, memory, tlb), memory, tlb
 
 
+@pytest.mark.parametrize("vaddr, length", [
+    (0, 1000),                 # one chunk
+    (PAGE - 40, 1000),         # one chunk straddling a page
+    (0, 256 * 1024),           # inside one page
+    (PAGE - 3000, 256 * 1024),  # a straddling chunk mid-message
+])
+@pytest.mark.parametrize("listed", [False, True])
+def test_chunk_durations_forms_agree(vaddr, length, listed):
+    """The closed-form chunk durations a fetch reserves (``total``), a
+    per-packet consumer lists and the burst fold takes as an int64
+    column are the per-chunk burst durations, over a message's
+    Segments and over the same sizes as a plain list."""
+    from repro.roce import segment_read_response
+
+    env = Simulator()
+    dma, _memory, tlb = make_dma(env)
+    segments = segment_read_response(length)
+    run = tlb.chunk_run(vaddr, segments.lengths() if listed else segments,
+                        charge=False)
+    link = dma.read_link
+    durations = dma._chunk_durations(link, run, True)
+    expected = [dma._burst_duration(link, [n for _, n in pieces], True)
+                for pieces in run]
+    assert durations.listed() == expected
+    assert durations.column().tolist() == expected
+    assert durations.total() == sum(expected)
+
+
 def test_dma_write_then_read_roundtrip():
     env = Simulator()
     dma, _memory, _tlb = make_dma(env)

@@ -33,7 +33,7 @@ from repro.roce import (
     segment_rpc_write,
     segment_write,
 )
-from repro.roce.packetizer import l3_bytes_for_segments
+from repro.roce.packetizer import l3_sizes
 from repro.sim import US, Simulator
 
 
@@ -288,6 +288,15 @@ def _check_segments(kind, length, data):
     assert segments.lengths() == [s.length for s in expected]
     assert [segments.offset(i) for i in range(len(expected))] == \
         [s.offset for s in expected]
+    assert [segments.length(i) for i in range(len(expected))] == \
+        [s.length for s in expected]
+    assert [segments.end(i) for i in range(len(expected))] == \
+        [s.offset + s.length for s in expected]
+    assert segments.total == length
+    if length:
+        byte = data.draw(st.integers(0, length - 1))
+        seg = expected[segments.index_at(byte)]
+        assert seg.offset <= byte < seg.offset + seg.length
     index = data.draw(st.integers(-len(expected), len(expected) - 1))
     assert segments[index] == expected[index]
     start = data.draw(st.integers(-len(expected) - 2, len(expected) + 2))
@@ -331,7 +340,8 @@ def test_l3_bytes_closed_form_matches_packets(kind, packets):
         sizes.append(RocePacket(src_ip=1, dst_ip=2, bth=bth, reth=reth,
                                 aeth=aeth,
                                 payload=bytes(seg.length)).l3_bytes)
-    assert l3_bytes_for_segments(segments, response=response) == sizes
+    assert segments.column(*l3_sizes(segments, response=response)) \
+        .tolist() == sizes
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import NIC_10G
 from repro.nic.tlb import Tlb, TlbMissError
+from repro.roce.packetizer import segment_read_response, segment_write
 
 
 def make_tlb():
@@ -183,6 +184,44 @@ def test_split_run_matches_per_chunk_split_command(start_offset, lengths,
     assert sorted(run.straddles) == [i for i, pieces in enumerate(expected)
                                      if len(pieces) > 1]
     assert _counters(run_tlb) == _counters(expected_tlb)
+
+
+@pytest.mark.parametrize("segmenter", [segment_write,
+                                       segment_read_response])
+@pytest.mark.parametrize("start_offset, length", [
+    (0, 100),                          # one chunk inside a page
+    (-40, 100),                        # one chunk straddling
+    (-2000, 256 * 1024),               # the first chunk straddles
+    (-(128 * 1024) - 3, 256 * 1024),   # a middle chunk straddles
+    (-9, 3 * 2 ** 21 + 5),             # four pages, three boundaries
+])
+def test_segments_run_matches_listed_lengths(segmenter, start_offset,
+                                             length):
+    """A run over a message's closed-form Segments (offsets and the chunk
+    at each page boundary by arithmetic) equals the run over its listed
+    chunk lengths, and charges the TLB the same."""
+    config = NIC_10G
+    page = config.page_bytes
+    scattered = {vpn: (9 - vpn) * page for vpn in range(6)}
+    vaddr = page + start_offset
+    segments = segmenter(length)
+    listed_tlb, closed_tlb = Tlb(config), Tlb(config)
+    for tlb in (listed_tlb, closed_tlb):
+        tlb.populate_from(scattered)
+    listed = listed_tlb.chunk_run(vaddr, segments.lengths())
+    closed = closed_tlb.chunk_run(vaddr, segments)
+    n = len(segments)
+    assert list(closed) == list(listed)
+    assert closed.straddles == listed.straddles
+    assert closed.total == listed.total == length
+    assert closed.pieces == listed.pieces
+    span_tlb = Tlb(config)
+    span_tlb.populate_from(scattered)
+    assert closed.span() == listed.span() == \
+        _per_chunk(span_tlb, vaddr, [length])[0]
+    assert [closed.piece_count(j, n) for j in range(n)] == \
+        [listed.piece_count(j, n) for j in range(n)]
+    assert _counters(closed_tlb) == _counters(listed_tlb)
 
 
 def test_split_run_pure_lookup_then_charge_run():
