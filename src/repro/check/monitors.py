@@ -80,6 +80,7 @@ from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.payload import PayloadRef
+from ..obs.metrics import Counter
 from ..roce.opcodes import Opcode, is_read_response
 from ..roce.packetizer import read_response_packet_count
 from ..roce.qp import psn_add, psn_distance
@@ -119,18 +120,6 @@ class InvariantViolation(AssertionError):
             f"  replay: {replay_text}")
 
 
-class _PlainCounter:
-    """Registry-free counter (same .add/.value shape as obs.Counter)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-
 class _PortState:
     """Per-output-queue accounting for conservation + FIFO checks."""
 
@@ -155,11 +144,11 @@ class InvariantChecker:
         self.seed = seed
         self.replay = replay
         #: Total hook invocations — proof the monitors actually ran.
-        #: Deliberately *not* registry counters: the flaky-guard runs
+        #: Deliberately *unregistered* counters: the flaky-guard runs
         #: existing suites under REPRO_CHECK=1, and golden metric
         #: snapshots must not grow new keys just because monitors are on.
-        self.assertions = _PlainCounter()
-        self.violations = _PlainCounter()
+        self.assertions = Counter("check.assertions")
+        self.violations = Counter("check.violations")
         # Requester-side shadow: next never-before-sent PSN per
         # (nic name, local qpn).
         self._tx_next: Dict[Tuple[str, int], int] = {}

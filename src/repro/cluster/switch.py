@@ -41,9 +41,14 @@ Model
   entries, at the same points, as the ``while True`` loop processes they
   replace (including one ``call_soon`` per server at attach, where each
   process's bootstrap was), so the event stream is unchanged.  Enqueue is
-  still ``port.queue.try_put`` and dequeue ``port.queue.get()``: burst
-  unfold re-injection, the invariant monitors and instance-level queue
-  hooks all see every frame.
+  still ``port.queue.try_put`` (one path, :meth:`Switch.forward`, for
+  live and burst-unfold frames alike) and dequeue ``port.queue.get()``:
+  the invariant monitors and instance-level queue hooks see every frame.
+- **One timing model.**  Each server is a FIFO: ingress ends at
+  ``max(arrival, floor) + forwarding_latency``, egress dequeues at
+  ``max(enqueue, floor)`` and paces for the egress cable's frame time.
+  :meth:`Switch.forward_columns` is the same model as int64 columns (the
+  burst fold's schedule across the switch).
 """
 
 from __future__ import annotations
@@ -53,13 +58,16 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Deque, Dict, List, Optional
 
+import numpy as np
+
 from ..cc.ecn import EcnConfig, EcnMarker
 from ..cc.plane import CC_STATS
 from ..check import checker_for
 from ..net.arp import mac_for_ip
 from ..net.link import Cable
 from ..obs.runtime import registry_for, trace_for
-from ..sim import Simulator, Stream, timebase
+from ..sim import Simulator, Stream
+from ..sim.resources import fifo_ends
 from ..sim.timebase import NS
 
 
@@ -85,12 +93,9 @@ class SwitchPort:
 
     def __init__(self, env: Simulator, index: int, cable: Cable,
                  side: str, config: SwitchConfig, name: str) -> None:
-        if side == "a":
-            self.tx, self.rx = cable.a_tx, cable.a_rx
-        elif side == "b":
-            self.tx, self.rx = cable.b_tx, cable.b_rx
-        else:
+        if side not in ("a", "b"):
             raise ValueError("side must be 'a' or 'b'")
+        self.rx = cable.a_rx if side == "a" else cable.b_rx
         self.side = side
         self.env = env
         self.index = index
@@ -106,7 +111,7 @@ class SwitchPort:
         #: the loops themselves (pickup/dequeue may not begin before the
         #: previous frame's forwarding-latency / pacing window ends) and
         #: *written forward* by a burst unfold so replayed frames resume
-        #: mid-pipeline at exactly the per-packet times (see
+        #: mid-pipeline at exactly the per-packet times (:meth:`hold`, see
         #: repro.roce.burst).  In normal operation the floor equals the
         #: loop's natural resume time, so the wait never fires.
         self._ingress_floor = 0
@@ -142,6 +147,22 @@ class SwitchPort:
     @property
     def queue_depth(self) -> int:
         return len(self.queue)
+
+    def hold(self, ingress: Optional[int] = None,
+             egress: Optional[int] = None) -> None:
+        """Resume the servers mid-pipeline (a burst unfold): pickup waits
+        until ``ingress``, dequeue until ``egress`` (None leaves that
+        floor as it is)."""
+        if ingress is not None:
+            self._ingress_floor = ingress
+        if egress is not None:
+            self._egress_floor = egress
+
+    def note_depth(self, depth: int) -> None:
+        """Raise the ``max_queue_depth`` high-water mark to ``depth``."""
+        if depth > self._max_depth:
+            self._max_depth = depth
+            self.max_depth_gauge.set(depth)
 
 
 class Switch:
@@ -182,7 +203,7 @@ class Switch:
         port = SwitchPort(self.env, index, cable, side, self.config,
                           name=f"{self.name}.p{index}")
         port.switch = self
-        cable._switch_ports[side] = port
+        cable.connect(side, port)
         self.ports.append(port)
         port._ingress_getter = partial(self._ingress_wake, port)
         port._egress_getter = partial(self._egress_wake, port)
@@ -209,6 +230,52 @@ class Switch:
 
     def port_for_mac(self, mac: bytes) -> Optional[int]:
         return self._mac_table.get(mac)
+
+    def clean_route(self, port_in: SwitchPort, src_ip: int,
+                    dst_ip: int, now: int) -> Optional[SwitchPort]:
+        """The output port for frames ``src_ip`` -> ``dst_ip`` entering
+        at ``port_in`` when a burst may fold across: no monitors, trace
+        or ECN; both MACs learned (``learn`` must not change the table
+        mid-schedule), no flood or hairpin; both ports up; no frame in
+        any forwarding window (it could enqueue mid-schedule); the output
+        port and the input's receive stream idle.  Else None."""
+        if (self.check is not None or self.trace is not None
+                or self.ecn_marker is not None):
+            return None
+        table = self._mac_table
+        out = table.get(mac_for_ip(dst_ip))
+        if table.get(mac_for_ip(src_ip)) != port_in.index \
+                or out is None or out == port_in.index:
+            return None
+        port_out = self.ports[out]
+        if not port_in.up or not port_out.up:
+            return None
+        if any(port._ingress_floor > now for port in self.ports):
+            return None
+        if (port_out._egress_floor > now or len(port_out.queue)
+                or len(port_in.rx)):
+            return None
+        return port_out
+
+    def forward_columns(self, port_in: SwitchPort, port_out: SwitchPort,
+                        arrivals: np.ndarray, frame_times: np.ndarray):
+        """Column form of the two servers for frames reaching ``port_in``
+        at ``arrivals`` bound for ``port_out`` (``frame_times`` on its
+        cable): enqueues ``I``, dequeues ``D``, pacing ends ``P`` and the
+        queue depth at each enqueue (enqueues so far minus dequeues at or
+        before it; ``min`` keeps the frame's own later dequeue out).
+        Raises RuntimeError when the queue would tail-drop."""
+        n = len(arrivals)
+        fwd = np.full(n, self.config.forwarding_latency, np.int64)
+        ingress, egress = port_in._ingress_floor, port_out._egress_floor
+        I = fifo_ends(arrivals, fwd, ingress)
+        P = fifo_ends(I, frame_times, egress)
+        D = P - frame_times
+        index = np.arange(n)
+        depths = index + 1 - np.minimum(index, D.searchsorted(I, "right"))
+        if int(depths.max()) > self.config.buffer_frames:
+            raise RuntimeError("analytic schedule would tail-drop")
+        return I, D, P, depths
 
     def enable_ecn(self, config: EcnConfig) -> None:
         """Turn on ECN marking after construction (the cluster-level
@@ -298,13 +365,18 @@ class Switch:
         return False
 
     def _ingress_forward(self, port: SwitchPort) -> None:
-        """Lookup done: filter, flood or enqueue; then the next frame."""
-        packet = port._ingress_packet
+        """Lookup done: forward; then the next frame."""
+        self.forward(port, port._ingress_packet)
+        self._ingress_idle(port)
+
+    def forward(self, port: SwitchPort, packet) -> None:
+        """Filter, flood or enqueue ``packet`` (received on ``port``) —
+        the tail of an ingress iteration, also run by a burst unfold for
+        a frame whose lookup straddled it."""
         out = self._mac_table.get(mac_for_ip(packet.dst_ip))
         if out == port.index:
             # Destination lives on the ingress segment: filter.
             self.frames_filtered.add()
-            self._ingress_idle(port)
             return
         if out is None:
             self.frames_flooded.add()
@@ -332,16 +404,14 @@ class Switch:
             if self.check is not None:
                 self.check.on_switch_enqueue(self, target, out_packet)
             depth += 1
-            if depth > target._max_depth:
-                target._max_depth = depth
-                target.max_depth_gauge.set(depth)
+            if depth > target._max_depth:   # a new high-water mark
+                target.note_depth(depth)
             if self.trace is not None:
                 target._span_queue.append(self.trace.begin_span(
                     target.name, "queued", psn=packet.bth.psn,
                     opcode=packet.bth.opcode.name))
             if self.metrics.sampling_enabled:
                 target.depth_gauge.sample(self.env.now, len(target.queue))
-        self._ingress_idle(port)
 
     # Egress server: dequeue (after the floor) -> hand to the cable ->
     # pacing window -> next frame.  The cable serializes in parallel
@@ -389,8 +459,7 @@ class Switch:
         # Hand the frame straight to the cable (same instant a tx-stream
         # put would have reached the pump).
         port.cable.send(port.side, packet)
-        pacing = timebase.transfer_time_ps(packet.wire_bytes,
-                                           port.cable.bits_per_second)
+        pacing = port.cable.frame_time(packet.wire_bytes)
         port._egress_floor = self.env.now + pacing
         self.env.call_at(pacing, self._egress_idle, port)
         return False

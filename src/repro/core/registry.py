@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from ..sim import Counter
+from ..obs.metrics import Counter
 from .kernel import StromKernel
 
 

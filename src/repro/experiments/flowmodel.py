@@ -13,17 +13,11 @@ Bottleneck structure (who can be the binding constraint):
 - the host: one memory-mapped AVX2 store per message (Section 7.1);
 - PCIe: payload must also cross the host bus (1:1 ratio at 100 G);
 - outstanding READs: reads additionally obey credits / round-trip time.
-
-Every sweep-point function here is a pure function of frozen-dataclass
-configs and scalars, so results are memoized with ``lru_cache``: the
-runner evaluates the same (config, payload) points across several figure
-families (5b/12b, 11, 13b, validation) and pays for each point once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .. import config as cfg
 from ..config import HostConfig, NicConfig
@@ -42,7 +36,6 @@ class ThroughputPoint:
     bottleneck: str
 
 
-@lru_cache(maxsize=None)
 def host_message_rate(host: HostConfig, batch_size: int = 1) -> float:
     """Messages/second the host can issue.
 
@@ -61,7 +54,6 @@ def host_message_rate(host: HostConfig, batch_size: int = 1) -> float:
     return batch_size * timebase.SEC / batch_cost
 
 
-@lru_cache(maxsize=None)
 def pcie_goodput_bps(nic: NicConfig, payload_bytes: int,
                      sequential: bool = True) -> float:
     """Payload rate the PCIe link sustains for back-to-back DMA of
@@ -72,7 +64,6 @@ def pcie_goodput_bps(nic: NicConfig, payload_bytes: int,
     return nic.pcie_bandwidth_bps * efficiency * factor
 
 
-@lru_cache(maxsize=None)
 def write_throughput(nic: NicConfig, host: HostConfig,
                      payload_bytes: int,
                      batch_size: int = 1) -> ThroughputPoint:
@@ -96,7 +87,6 @@ def write_throughput(nic: NicConfig, host: HostConfig,
         bottleneck=bottleneck)
 
 
-@lru_cache(maxsize=None)
 def read_round_trip_ps(nic: NicConfig, host: HostConfig,
                        payload_bytes: int) -> int:
     """First-order READ round-trip estimate (for the credits bound)."""
@@ -114,7 +104,6 @@ def read_round_trip_ps(nic: NicConfig, host: HostConfig,
             + nic.pcie_read_latency + nic.pcie_write_latency)
 
 
-@lru_cache(maxsize=None)
 def read_throughput(nic: NicConfig, host: HostConfig,
                     payload_bytes: int) -> ThroughputPoint:
     """Steady-state RDMA READ goodput (credit-limited for small reads)."""
@@ -149,7 +138,6 @@ class ShuffleTimes:
     write_s: float
 
 
-@lru_cache(maxsize=None)
 def bulk_write_goodput_bps(nic: NicConfig) -> float:
     """Large-transfer goodput: MTU-sized packets at line rate."""
     point = write_throughput(nic, cfg.HOST_DEFAULT,
@@ -157,7 +145,6 @@ def bulk_write_goodput_bps(nic: NicConfig) -> float:
     return point.goodput_gbps * 1e9
 
 
-@lru_cache(maxsize=None)
 def shuffle_times(nic: NicConfig, host: HostConfig,
                   input_bytes: int, tuple_bytes: int = 8) -> ShuffleTimes:
     """Figure 11's three bars for one input size.
@@ -195,15 +182,6 @@ def shuffle_times(nic: NicConfig, host: HostConfig,
 # Figure 13: HLL throughput
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def hll_cpu_throughput_gbps(host: HostConfig, threads: int,
-                            nic_ingest_gbps: float = 25.0) -> float:
-    """Figure 13a: software HLL while StRoM feeds data into memory."""
-    from ..host.cpu import CpuModel
-    return CpuModel(host).hll_throughput_gbps(threads, nic_ingest_gbps)
-
-
-@lru_cache(maxsize=None)
 def hll_kernel_throughput(nic: NicConfig, host: HostConfig,
                           payload_bytes: int) -> ThroughputPoint:
     """Figure 13b: RDMA WRITE throughput with the HLL kernel as a bump in

@@ -25,11 +25,12 @@ runner.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..obs import observe
 
@@ -66,9 +67,6 @@ from .validation import flow_vs_detailed_experiment, stack_budget_experiment
 
 def _registry(fast: bool,
               seed: int = 7) -> Dict[str, Callable[[], ExperimentResult]]:
-    # Flow-model sweep points (repro.experiments.flowmodel) are memoized
-    # per (config, payload) with lru_cache, so operating points shared
-    # between figure families are computed once per run.
     lat_iters = 15 if fast else 50
     sweep_iters = 8 if fast else 30
     return {
@@ -181,6 +179,17 @@ def print_metrics_report(path: str, stream=None) -> None:
         print(f"  {name:<48} {formatted}", file=stream)
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why ``path`` cannot be written as an output file, or None.  Looks
+    only: nothing is created or truncated."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not os.path.isdir(target) and target is not path:
+        return os.strerror(errno.ENOENT)
+    return None if os.access(target, os.W_OK) else os.strerror(errno.EACCES)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -230,6 +239,17 @@ def main(argv=None) -> int:
             raise SystemExit(
                 f"error: report {args.experiments[1]}: {error}") from None
         return 0
+
+    # Every output path is checked before the first experiment runs, so
+    # a typo cannot waste a whole run on a traceback at the end.
+    for flag, path in (("--json", args.json_out),
+                       ("--markdown", args.markdown),
+                       ("--trace-out", args.trace_out),
+                       ("--metrics-out", args.metrics_out)):
+        reason = path and _unwritable(path)
+        if reason:
+            print(f"error: {flag} {path}: {reason}", file=sys.stderr)
+            raise SystemExit(2)
 
     observing = args.trace_out or args.metrics_out
     if observing:

@@ -39,7 +39,7 @@ from typing import Optional
 
 from ..obs.runtime import registry_for, trace_for
 from ..runmode import active
-from ..sim import Simulator, Stream, timebase
+from ..sim import BandwidthLink, Simulator, Stream, timebase
 
 
 def effective_fault_seed(seed: int) -> int:
@@ -165,10 +165,12 @@ class Cable:
     against itself — matching the stack's "independent processing on the
     two paths" design goal.
 
-    Serialization is enforced *arithmetically*: each direction keeps a
-    FIFO ``free_at`` cursor (like :class:`~repro.sim.BandwidthLink`), so
-    a frame's serialization-end and arrival times are computed at send
-    time instead of being discovered by a per-direction pump process.  A
+    Serialization is enforced *arithmetically*: each direction is a FIFO
+    lane (:class:`~repro.sim.BandwidthLink`, :meth:`lane`), so a frame's
+    serialization-end and arrival times are computed at send time
+    instead of being discovered by a per-direction pump process.  The
+    cable owns its timing: :meth:`frame_time` and :meth:`arrival_delay`
+    are the one definition the per-packet path and the burst fold share.  A
     fault-free frame costs exactly one scheduler event (the arrival
     callback); when fault injection or utilization sampling is active the
     per-frame draws still happen at serialization end, on a second
@@ -202,19 +204,23 @@ class Cable:
         #: Gilbert-Elliott channel state, one per direction (keyed by the
         #: sending side), True while in the bad state.
         self._burst_bad = {}
-        #: FIFO serialization cursor per direction (keyed by the sending
-        #: side): the time the wire frees up for the next frame.
-        self._free_at = {"a": 0, "b": 0}
+        #: The FIFO serialization lane per direction (keyed by the sending
+        #: side): its cursor is the time the wire frees up for the next
+        #: frame.
+        self._lanes = {side: BandwidthLink(env, bits_per_second,
+                                           name=f"{name}.{side}")
+                       for side in ("a", "b")}
         #: Receiver hooks keyed by the *receiving* side; frames fall back
         #: to the rx streams when no hook is registered.
         self._receivers = {"a": None, "b": None}
         #: Receiver-side pipeline delay folded into the arrival callback
         #: (the NIC's RX parse latency), keyed by receiving side.
         self._receiver_delay = {"a": 0, "b": 0}
-        #: SwitchPort attached at a side (installed by Switch.attach);
-        #: the burst fast path walks cable -> port -> switch to fold
-        #: across a one-switch leg.
-        self._switch_ports = {"a": None, "b": None}
+        #: :meth:`arrival_delay` per receiving side, kept current by
+        #: :meth:`_retime`.
+        self._arrival = {"a": propagation, "b": propagation}
+        #: The NIC or switch port plugged into each side (:meth:`connect`).
+        self._endpoints = {"a": None, "b": None}
 
         self.a_tx: Stream = Stream(env, name=f"{name}.a_tx")
         self.b_tx: Stream = Stream(env, name=f"{name}.b_tx")
@@ -261,6 +267,46 @@ class Cable:
             raise ValueError("pipeline delay must be non-negative")
         self._receivers[side] = receiver
         self._receiver_delay[side] = pipeline_delay
+        self._retime()
+
+    def connect(self, side: str, endpoint) -> None:
+        """Record ``endpoint`` (a NIC or a switch port) as plugged into
+        ``side``; the burst fold walks the path through it."""
+        self._endpoints[side] = endpoint
+
+    def endpoint(self, side: str):
+        """The NIC or switch port plugged into ``side``, or None."""
+        return self._endpoints[side]
+
+    def lane(self, side: str) -> BandwidthLink:
+        """The FIFO serialization lane of frames sent from ``side``."""
+        return self._lanes[side]
+
+    def frame_time(self, wire_bytes: int) -> int:
+        """Serialization time of a frame of ``wire_bytes`` (either
+        direction)."""
+        return timebase.transfer_time_ps(wire_bytes, self.bits_per_second)
+
+    def arrival_delay(self, dest: str) -> int:
+        """Serialization end to the receiver hook at ``dest`` on the
+        fault-free path: propagation, any latency spike and the
+        receiver's pipeline delay."""
+        return self._arrival[dest]
+
+    def _retime(self) -> None:
+        for dest in ("a", "b"):
+            self._arrival[dest] = self.propagation + self.extra_latency \
+                + self._receiver_delay[dest]
+
+    def fault_free(self) -> bool:
+        """No fault knob is active: carrier up, no latency spike, no
+        loss, corruption, duplication or burst-loss draws."""
+        faults = self.faults
+        return (self.up and self.extra_latency == 0
+                and not faults.drop_probability
+                and not faults.corrupt_probability
+                and not faults.duplicate_probability
+                and faults.burst is None)
 
     # ------------------------------------------------------------------
     # Fault-injection surface (driven by repro.faults.FaultSchedule)
@@ -291,6 +337,7 @@ class Cable:
                 self.trace.record(self.name, "latency_spike",
                                   extra_ps=extra_ps)
         self.extra_latency = extra_ps
+        self._retime()
 
     # ------------------------------------------------------------------
     # Loss draws
@@ -318,7 +365,8 @@ class Cable:
 
     def _pump(self, tx: Stream, side: str):
         """Compatibility path: feed frames put into a TX stream through
-        :meth:`send` (the switch's egress and direct-stream tests)."""
+        :meth:`send`.  Only direct-stream tests use it: the NICs and the
+        switch egress call :meth:`send` directly."""
         while True:
             packet = yield tx.get()
             self.send(side, packet)
@@ -346,16 +394,11 @@ class Cable:
             fold.on_cable_send(self, side)
         wire_bytes = packet.wire_bytes
         self.bytes_on_wire.add(wire_bytes)
-        duration = timebase.transfer_time_ps(wire_bytes,
-                                             self.bits_per_second)
+        duration = self.frame_time(wire_bytes)
         now = self.env.now
-        start = self._free_at[side]
-        if ready is not None and start < ready:
-            start = ready
-        if start < now:
-            start = now
-        end = start + duration
-        self._free_at[side] = end
+        if ready is None or ready < now:
+            ready = now
+        end = self._lanes[side].reserve_after(ready, duration) + duration
         dest = "b" if side == "a" else "a"
         faults = self.faults
         if (faults.drop_probability or faults.corrupt_probability
@@ -364,9 +407,8 @@ class Cable:
             self.env.call_at(end - now, self._on_serialized,
                              (packet, side, dest))
             return
-        self.env.call_at(
-            end - now + self.propagation + self.extra_latency
-            + self._receiver_delay[dest], self._arrive, (packet, dest))
+        self.env.call_at(end - now + self._arrival[dest], self._arrive,
+                         (packet, dest))
 
     def _arrive(self, arrival) -> None:
         """Fast-path arrival of ``(packet, dest)``: carrier check, then
@@ -431,19 +473,14 @@ class Cable:
                          self._deliver_now, (packet, dest))
 
     def _deliver_now(self, arrival) -> None:
+        """Propagation done: :meth:`_arrive` (a carrier that dropped while
+        the frame was in flight discards it), the receiver's pipeline
+        delay still to pay."""
         packet, dest = arrival
-        if not self.up:
-            # Carrier dropped while the frame was in flight.
-            self.frames_dropped.add()
-            self.link_down_drops.add()
+        receiver = self._receivers[dest]
+        delay = self._receiver_delay[dest]
+        if receiver is None or not delay or not self.up:
+            self._arrive(arrival)
             return
         self.frames_delivered.add()
-        receiver = self._receivers[dest]
-        if receiver is None:
-            (self.a_rx if dest == "a" else self.b_rx).put(packet)
-            return
-        delay = self._receiver_delay[dest]
-        if delay:
-            self.env.call_at(delay, receiver, packet)
-        else:
-            receiver(packet)
+        self.env.call_at(delay, receiver, packet)

@@ -131,7 +131,7 @@ class FetchPlan:
     cumulative ends stay in closed form (:class:`ChunkDurations`) until
     a consumer asks: a per-packet consumer's first :meth:`due` lists
     them, and the burst fast path takes them as an int64 column
-    (:meth:`ends_column`) — each without the other's work.
+    (:meth:`ready_column`) — each without the other's work.
     """
 
     __slots__ = ("_dma", "_run", "_durations", "_ends", "_start",
@@ -154,10 +154,12 @@ class FetchPlan:
             ends = self._ends = list(accumulate(self._durations.listed()))
         return self._start + ends[self._index]
 
-    def ends_column(self) -> np.ndarray:
-        """Every chunk's cumulative PCIe end (after the burst's start) as
-        an int64 column: the burst fast path's fetch column."""
-        return self._durations.column().cumsum()
+    def ready_column(self) -> np.ndarray:
+        """Every chunk's :meth:`due` time as an int64 column: the burst
+        fast path's fetch column."""
+        ready = self._durations.column().cumsum()
+        ready += self._start
+        return ready
 
     def take(self):
         """The next chunk (call once :meth:`due` has passed)."""
@@ -281,22 +283,50 @@ class DmaEngine:
                    for i, pieces in run.straddles.items()}
         return ChunkDurations(run, memo, patches)
 
-    def _burst_perword(self, link: BandwidthLink, piece_lengths,
-                       sequential: bool):
-        """Per-word validation mode: reserve the burst and replay the
-        per-word charges from the slot's start — ends at the same
-        picosecond as the batched single timeout."""
-        env = self.env
-        occupancy = link.occupancy_ps
+    def write_column(self, vaddr: int, lengths) -> Tuple[ChunkRun,
+                                                         np.ndarray]:
+        """The TLB pieces of ``lengths`` (a message's :class:`Segments`)
+        written from ``vaddr`` on, looked up without charging the TLB, and
+        each chunk's card->host occupancy as an int64 column: what
+        :meth:`write_posted` reserves per chunk (the burst fold's
+        write-back schedule)."""
+        run = self.tlb.chunk_run(vaddr, lengths, charge=False)
+        return run, self._chunk_durations(self.write_link, run,
+                                          True).column()
+
+    def _reserve_burst(self, link: BandwidthLink, latency: int,
+                       piece_lengths, length: int, sequential: bool) -> int:
+        """Reserve one FIFO burst of ``piece_lengths`` (``length`` bytes
+        in all) on ``link``, the fixed ``latency`` folded into the slot's
+        floor; returns the delay until the burst ends."""
         total = self._burst_duration(link, piece_lengths, sequential)
-        start = link.reserve(total)
+        now = self.env.now
+        start = link.reserve_after(now + latency, total)
+        link.bytes_transferred += length
+        return start + total - now
+
+    def _burst_perword(self, link: BandwidthLink, latency: int,
+                       piece_lengths, sequential: bool):
+        """Per-word validation mode: sleep the latency, reserve the burst
+        and replay the per-word charges from the slot's start — ending at
+        the same picosecond as the batched single timeout."""
+        env = self.env
+        yield env.timeout(latency)
+        start = link.reserve(self._burst_duration(link, piece_lengths,
+                                                  sequential))
         link.bytes_transferred += sum(piece_lengths)
         if start > env.now:
             yield env.timeout(start - env.now)
+        yield from self._word_charges(link, piece_lengths, sequential)
+
+    def _word_charges(self, link: BandwidthLink, piece_lengths,
+                      sequential: bool):
+        """Per-word validation mode: one timeout per data-path word;
+        divmod spreads each piece's duration so the per-word charges sum
+        to it exactly."""
+        env = self.env
         for n in piece_lengths:
-            duration = occupancy(self._effective(n, sequential))
-            # One timeout per data-path word; divmod spreads the piece
-            # duration so the per-word charges sum to it exactly.
+            duration = link.occupancy_ps(self._effective(n, sequential))
             words = self.config.words(n)
             base, extra = divmod(duration, words)
             for i in range(words):
@@ -317,19 +347,14 @@ class DmaEngine:
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_read", vaddr=vaddr, length=length)
         pieces = list(self.tlb.split_command(vaddr, length))
-        env = self.env
         lengths = [n for _, n in pieces]
+        latency = self.config.pcie_read_latency
         if self.config.per_word_accounting:
-            yield env.timeout(self.config.pcie_read_latency)
-            yield from self._burst_perword(self.read_link, lengths,
+            yield from self._burst_perword(self.read_link, latency, lengths,
                                            sequential)
         else:
-            link = self.read_link
-            total = self._burst_duration(link, lengths, sequential)
-            start = link.reserve_after(
-                env.now + self.config.pcie_read_latency, total)
-            link.bytes_transferred += length
-            yield env.timeout(start + total - env.now)
+            yield self.env.timeout(self._reserve_burst(
+                self.read_link, latency, lengths, length, sequential))
         self.reads.add()
         self.bytes_read.add(length)
         self.payload_copy_bytes.add(length)
@@ -390,7 +415,6 @@ class DmaEngine:
         total_bytes = run.total
         env = self.env
         link = self.read_link
-        occupancy = link.occupancy_ps
         durations = self._chunk_durations(link, run, sequential).listed()
         per_word = self.config.per_word_accounting
         if per_word:
@@ -407,12 +431,8 @@ class DmaEngine:
         for pieces, duration in zip(run, durations):
             due += duration
             if per_word:
-                for _, n in pieces:
-                    piece_dur = occupancy(self._effective(n, sequential))
-                    words = self.config.words(n)
-                    base, extra = divmod(piece_dur, words)
-                    for i in range(words):
-                        yield env.timeout(base + 1 if i < extra else base)
+                yield from self._word_charges(
+                    link, [n for _, n in pieces], sequential)
             elif due > env.now:
                 yield env.timeout(due - env.now)
             yield out_stream.put(self._view_of(pieces, stable))
@@ -476,19 +496,14 @@ class DmaEngine:
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_write", vaddr=vaddr, length=length)
         pieces = list(self.tlb.split_command(vaddr, length))
-        env = self.env
         lengths = [n for _, n in pieces]
+        latency = self.config.pcie_write_latency
         if self.config.per_word_accounting:
-            yield env.timeout(self.config.pcie_write_latency)
-            yield from self._burst_perword(self.write_link, lengths,
+            yield from self._burst_perword(self.write_link, latency, lengths,
                                            sequential)
         else:
-            link = self.write_link
-            total = self._burst_duration(link, lengths, sequential)
-            start = link.reserve_after(
-                env.now + self.config.pcie_write_latency, total)
-            link.bytes_transferred += length
-            yield env.timeout(start + total - env.now)
+            yield self.env.timeout(self._reserve_burst(
+                self.write_link, latency, lengths, length, sequential))
         self._commit_write(vaddr, pieces, data, length, span)
 
     def write_posted(self, vaddr: int, data, sequential: bool = True,
@@ -516,15 +531,12 @@ class DmaEngine:
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_write", vaddr=vaddr, length=length)
         pieces = list(self.tlb.split_command(vaddr, length))
-        env = self.env
-        link = self.write_link
-        total = self._burst_duration(link, [n for _, n in pieces],
-                                     sequential)
-        start = link.reserve_after(
-            env.now + self.config.pcie_write_latency, total)
-        link.bytes_transferred += length
-        env.call_at(start + total - env.now, self._complete_posted,
-                    (vaddr, pieces, data, length, span, on_done))
+        delay = self._reserve_burst(self.write_link,
+                                    self.config.pcie_write_latency,
+                                    [n for _, n in pieces], length,
+                                    sequential)
+        self.env.call_at(delay, self._complete_posted,
+                         (vaddr, pieces, data, length, span, on_done))
 
     def _complete_posted(self, write) -> None:
         vaddr, pieces, data, length, span, on_done = write

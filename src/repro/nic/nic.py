@@ -18,7 +18,8 @@ PCIe latency plus occupancy of the shared PCIe bandwidth link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..check import checker_for
@@ -34,7 +35,7 @@ from ..memory import PhysicalMemory
 from ..net.link import Cable
 from ..roce import burst
 from ..roce.headers import AETH_NAK_PSN_SEQ_ERROR, Aeth, Bth, Reth
-from ..roce.multiqueue import MultiQueue, MultiQueueFullError
+from ..roce.multiqueue import MultiQueue
 from ..roce.opcodes import (
     Opcode,
     carries_aeth,
@@ -49,6 +50,7 @@ from ..roce.packet import RocePacket, make_ack, make_cnp
 from ..roce.packetizer import (
     read_response_packet_count,
     segment_read_response,
+    segment_rpc_params,
     segment_rpc_write,
     segment_write,
 )
@@ -231,6 +233,7 @@ class StromNic:
             raise ValueError("side must be 'a' or 'b'")
         self._cable = cable
         self._cable_side = side
+        cable.connect(side, self)
         # Frames arrive via the receiver hook (no rx stream, no per-NIC
         # rx loop process, no per-frame stream wake); the RX parse
         # pipeline delay is folded into the cable's arrival callback.
@@ -439,36 +442,35 @@ class StromNic:
         if command.kind == "write":
             segments = segment_write(command.length)
         elif command.kind == "rpc":
-            segments = None  # single RPC_PARAMS packet
+            segments = segment_rpc_params(len(command.params))
         else:
             segments = segment_rpc_write(command.length)
-        count = 1 if segments is None else len(segments)
-        first_psn = qp.requester.allocate_psns(count)
+        first_psn = qp.requester.allocate_psns(len(segments))
         fetch = None
         if command.payload_inline is None \
                 and command.kind in ("write", "rpc_write") \
                 and command.length > 0:
-            # Streaming payload fetch.  Bursts are served in issue order
-            # by the PCIe host->card lanes (FIFO inside the DMA engine),
-            # while read latencies overlap between outstanding bursts.
-            if self.config.per_word_accounting:
-                # Validation mode keeps the explicit chunk-delivery
-                # process (per-word PCIe charges).
-                fetch_queue = Stream(self.env)
-                self.env.process(self.dma.read_stream(
-                    command.laddr, segments, fetch_queue, stable=True))
-                fetch = StreamChunks(fetch_queue)
-            else:
-                # Fast path: chunk arrival times are arithmetic — zero
-                # scheduler events per fetched packet in steady state.
-                # stable=True: send buffers are contract-protected.
-                fetch = self.dma.read_plan(command.laddr, segments,
-                                           stable=True)
+            # stable=True: send buffers are contract-protected.
+            fetch = self._fetch(command.laddr, segments, stable=True)
         prev_gate, gate = self._tx_gate, Event(self.env)
         self._tx_gate = gate
         self.env.process(
             self._send_message(command, qp, segments, first_psn,
                                prev_gate, gate, fetch))
+
+    def _fetch(self, vaddr: int, segments, stable: bool = False):
+        """Streaming payload fetch: bursts served in issue order, read
+        latencies overlapping between outstanding bursts."""
+        if self.config.per_word_accounting:
+            # Validation mode keeps the explicit chunk-delivery
+            # process (per-word PCIe charges).
+            fetch_queue = Stream(self.env)
+            self.env.process(self.dma.read_stream(
+                vaddr, segments, fetch_queue, stable=stable))
+            return StreamChunks(fetch_queue)
+        # Fast path: chunk arrival times are arithmetic — zero scheduler
+        # events per fetched packet in steady state.
+        return self.dma.read_plan(vaddr, segments, stable=stable)
 
     def _send_message(self, command, qp, segments, first_psn,
                       prev_gate, gate, fetch=None):
@@ -478,7 +480,8 @@ class StromNic:
         The per-packet waits (chunk arrival, pacing, the TX charge) are
         inline timeouts; only validation mode's per-word charges and a
         throttled QP's pacer run as sub-generators."""
-        payload = command.payload_inline
+        payload = command.params if command.kind == "rpc" \
+            else command.payload_inline
         per_word = self.config.per_word_accounting
         yield prev_gate
         # New traffic claims the fabric: any pending fold must hand
@@ -487,58 +490,27 @@ class StromNic:
         burst.unfold_pending(self.env)
         if command.kind == "write" and payload is None \
                 and fetch is not None:
-            if burst.try_fold_write(self, command, qp, segments,
-                                    first_psn, fetch, gate):
+            if burst.try_fold(self, qp, segments, first_psn, fetch, gate,
+                              command=command):
                 return
         span = None if self.trace is None else self.trace.begin_span(
             f"{self.name}.qp{qp.qpn}", "tx_message", kind=command.kind,
             length=command.length)
-
-        if command.kind == "rpc":
-            reth = Reth(vaddr=command.rpc_op, rkey=0,
-                        dma_length=len(command.params))
-            bth = Bth(opcode=Opcode.RPC_PARAMS, dest_qp=qp.dest_qpn,
-                      psn=first_psn, ack_request=True)
-            plan = [(RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip,
-                                bth=bth, reth=reth,
-                                payload=command.params), True)]
-            plan_iter = iter(plan)
-            segments = [None]
-
         for i, seg in enumerate(segments):
-            if command.kind == "rpc":
-                packet, tail = next(plan_iter)
-            else:
-                if fetch is not None and seg.length > 0:
-                    if per_word:
-                        chunk = yield from fetch.next_chunk()
-                    else:
-                        due = fetch.due()
-                        if due > self.env.now:
-                            yield self.env.timeout(due - self.env.now)
-                        chunk = fetch.take()
-                elif payload is not None:
-                    chunk = payload[seg.offset:seg.offset + seg.length]
+            if fetch is not None and seg.length > 0:
+                if per_word:
+                    chunk = yield from fetch.next_chunk()
                 else:
-                    chunk = b""
-                reth = None
-                if seg.carries_reth:
-                    if command.kind == "rpc_write":
-                        reth = Reth(vaddr=command.rpc_op, rkey=0,
-                                    dma_length=command.length)
-                    else:
-                        reth = Reth(vaddr=command.raddr, rkey=0,
-                                    dma_length=command.length)
-                tail = is_last(seg.opcode) or is_only(seg.opcode)
-                bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn,
-                          psn=psn_add(first_psn, i), ack_request=tail)
-                packet = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip,
-                                    bth=bth, reth=reth, payload=chunk)
-            entry = _UnackedEntry(
-                first_psn=packet.bth.psn, last_psn=packet.bth.psn,
-                kind=command.kind, packet=packet,
-                completion=command.completion if tail else None,
-                is_message_tail=tail)
+                    due = fetch.due()
+                    if due > self.env.now:
+                        yield self.env.timeout(due - self.env.now)
+                    chunk = fetch.take()
+            elif payload is not None:
+                chunk = payload[seg.offset:seg.offset + seg.length]
+            else:
+                chunk = b""
+            packet, entry = self.message_packet(
+                command, qp, seg, psn_add(first_psn, i), chunk)
             qp.requester.unacked.append(entry)
             self.payload_bytes_sent.add(len(packet.payload))
             if self.cc is not None:
@@ -571,6 +543,24 @@ class StromNic:
             self.timer.arm(qp.qpn)
         gate.succeed()
 
+    def message_packet(self, command: NicCommand, qp, seg, psn: int,
+                       payload) -> Tuple[RocePacket, _UnackedEntry]:
+        """Packet ``psn`` (segment ``seg``) of a WRITE, RPC or RPC WRITE
+        message and its retransmit entry (send loop and burst unfold)."""
+        tail = is_last(seg.opcode) or is_only(seg.opcode)
+        reth = Reth(vaddr=command.raddr if command.kind == "write"
+                    else command.rpc_op, rkey=0,
+                    dma_length=len(command.params) if command.kind == "rpc"
+                    else command.length) if seg.carries_reth else None
+        bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn,
+                  ack_request=tail)
+        packet = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip, bth=bth,
+                            reth=reth, payload=payload)
+        return packet, _UnackedEntry(
+            first_psn=psn, last_psn=psn, kind=command.kind, packet=packet,
+            completion=command.completion if tail else None,
+            is_message_tail=tail)
+
     def _post_read(self, command: NicCommand):
         yield self.read_credits.acquire()
         if self.metrics.sampling_enabled:
@@ -586,11 +576,8 @@ class StromNic:
             context.span = self.trace.begin_span(
                 f"{self.name}.qp{qp.qpn}", "read", length=command.length,
                 psn=first_psn)
-        try:
-            self.multiqueue.push(qp.qpn, context)
-        except MultiQueueFullError:
-            # read_credits should prevent this; treat as fatal config error.
-            raise
+        # read_credits keep the Multi-Queue from overflowing.
+        self.multiqueue.push(qp.qpn, context)
         reth = Reth(vaddr=command.raddr, rkey=0, dma_length=command.length)
         bth = Bth(opcode=Opcode.READ_REQUEST, dest_qp=qp.dest_qpn,
                   psn=first_psn, ack_request=True)
@@ -737,25 +724,33 @@ class StromNic:
             self.packets_dropped.add()
 
     def _responder_write(self, qp, packet: RocePacket) -> None:
-        responder = qp.responder
-        responder.expected_psn = psn_add(packet.bth.psn, 1)
         opcode = packet.bth.opcode
-        if is_first(opcode) or is_only(opcode):
-            responder.write_cursor = packet.reth.vaddr
-        cursor = responder.write_cursor
+        cursor = packet.reth.vaddr if is_first(opcode) or is_only(opcode) \
+            else qp.responder.write_cursor
         if cursor is None:
+            qp.responder.expected_psn = psn_add(packet.bth.psn, 1)
             self.packets_dropped.add()
             return
-        responder.write_cursor = cursor + len(packet.payload)
         self.payload_bytes_received.add(len(packet.payload))
-        tail = is_last(opcode) or is_only(opcode)
-        if tail:
-            responder.msn = (responder.msn + 1) & 0xFFFFFF
-            responder.write_cursor = None
-            self._send_ack(qp, packet.bth.psn, responder.msn)
+        self.write_arrived(qp, packet.bth.psn, cursor + len(packet.payload),
+                           is_last(opcode) or is_only(opcode))
         if packet.payload:
             # Posted: the ACK above never waited for the write anyway.
             self.dma.write_posted(cursor, packet.payload)
+
+    def write_arrived(self, qp, psn: int, cursor: int, tail: bool) -> None:
+        """Responder state once in-order WRITE packet ``psn`` (payload
+        ending at ``cursor``) has arrived; at the ``tail`` the MSN step
+        and the ACK.  A burst fold passes its last arrived packet."""
+        responder = qp.responder
+        responder.expected_psn = psn_add(psn, 1)
+        self._nak_pending[qp.qpn] = False
+        if tail:
+            responder.msn = (responder.msn + 1) & 0xFFFFFF
+            responder.write_cursor = None
+            self._send_ack(qp, psn, responder.msn)
+        else:
+            responder.write_cursor = cursor
 
     def _responder_read(self, qp, packet: RocePacket):
         """Serve one READ: stream the payload from host memory over PCIe
@@ -763,18 +758,13 @@ class StromNic:
         prev_gate, gate = self._resp_gate, Event(self.env)
         self._resp_gate = gate
         segments = segment_read_response(packet.reth.dma_length)
-        if self.config.per_word_accounting:
-            fetch_queue = Stream(self.env)
-            self.env.process(self.dma.read_stream(
-                packet.reth.vaddr, segments, fetch_queue))
-            fetch = StreamChunks(fetch_queue)
-        else:
-            # Zero-event fetch; stable stays False — READ-served memory
-            # may legally race local writes (see repro.core.payload).
-            fetch = self.dma.read_plan(packet.reth.vaddr, segments)
+        # stable stays False: READ-served memory may legally race local
+        # writes (see repro.core.payload).
+        fetch = self._fetch(packet.reth.vaddr, segments)
         yield prev_gate
         burst.unfold_pending(self.env)
-        if burst.try_fold_read(self, qp, packet, segments, fetch, gate):
+        if burst.try_fold(self, qp, segments, packet.bth.psn, fetch, gate,
+                          request=packet):
             return
         span = None if self.trace is None else self.trace.begin_span(
             f"{self.name}.qp{qp.qpn}", "serve_read",
@@ -788,13 +778,8 @@ class StromNic:
                 if due > self.env.now:
                     yield self.env.timeout(due - self.env.now)
                 chunk = fetch.take()
-            aeth = None
-            if carries_aeth(seg.opcode):
-                aeth = Aeth(syndrome=0, msn=qp.responder.msn)
-            bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn,
-                      psn=psn_add(packet.bth.psn, i))
-            response = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip,
-                                  bth=bth, aeth=aeth, payload=chunk)
+            response = self.response_packet(
+                qp, seg, psn_add(packet.bth.psn, i), qp.responder.msn, chunk)
             if self.cc is not None and not self.cc.unthrottled(qp.qpn):
                 yield from self.cc.pace(qp.qpn, response.wire_bytes)
             if per_word:
@@ -807,6 +792,16 @@ class StromNic:
         if self.trace is not None:
             self.trace.end_span(span)
         gate.succeed()
+
+    def response_packet(self, qp, seg, psn: int, msn: int,
+                        payload) -> RocePacket:
+        """READ response ``psn`` (segment ``seg``); its first and last
+        packets acknowledge ``msn``."""
+        aeth = Aeth(syndrome=0, msn=msn) if carries_aeth(seg.opcode) \
+            else None
+        bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn)
+        return RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip, bth=bth,
+                          aeth=aeth, payload=payload)
 
     def _responder_rpc_write(self, qp, packet: RocePacket) -> None:
         responder = qp.responder
@@ -927,30 +922,40 @@ class StromNic:
         if packet.bth.psn != expected:
             self.packets_dropped.add()
             return
-        context.next_index += 1
         offset = context.bytes_received
-        context.bytes_received += len(packet.payload)
         self.payload_bytes_received.add(len(packet.payload))
         self.timer.note_progress(qp.qpn)
-        final = context.next_index >= context.packet_count
-        if final:
-            self.multiqueue.pop(qp.qpn)
-            self._release_read_entry(qp, context)
-            if self.trace is not None and context.span is not None:
-                self.trace.end_span(context.span)
-                context.span = None
+        final = self.read_arrived(qp, context, context.next_index + 1,
+                                  offset + len(packet.payload))
         if packet.payload:
             # Posted write-back; the READ completes (and its credit
             # frees) only once the final packet's data has landed —
             # exactly when the old blocking write resumed.
-            on_done = None
-            if final:
-                on_done = lambda qp=qp, context=context: \
-                    self._finish_read(qp, context)
+            on_done = partial(self._finish_read, qp, context) if final \
+                else None
             self.dma.write_posted(context.laddr + offset, packet.payload,
                                   on_done=on_done)
         elif final:
             self._finish_read(qp, context)
+
+    def read_arrived(self, qp, context: _ReadContext, count: int,
+                     received: int) -> bool:
+        """Requester state once ``count`` responses (``received`` bytes)
+        of the READ have arrived; True at the final one (a fold's too)."""
+        context.next_index = count
+        context.bytes_received = received
+        if count < context.packet_count:
+            return False
+        self.multiqueue.pop(qp.qpn)
+        unacked = qp.requester.unacked
+        for i, entry in enumerate(unacked):
+            if entry.kind == "read" and entry.first_psn == context.first_psn:
+                del unacked[i]
+                break
+        if self.trace is not None and context.span is not None:
+            self.trace.end_span(context.span)
+            context.span = None
+        return True
 
     def _finish_read(self, qp, context: _ReadContext) -> None:
         if context.completion is not None \
@@ -964,13 +969,6 @@ class StromNic:
             self.timer.arm(qp.qpn)
         else:
             self.timer.disarm(qp.qpn)
-
-    def _release_read_entry(self, qp, context: _ReadContext) -> None:
-        requester = qp.requester
-        for i, entry in enumerate(requester.unacked):
-            if entry.kind == "read" and entry.first_psn == context.first_psn:
-                requester.unacked.pop(i)
-                return
 
     # ----------------------- reliability -------------------------------
     def _go_back_n(self, qp, from_psn: int) -> None:

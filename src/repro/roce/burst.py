@@ -30,27 +30,30 @@ an unfold, a replay or the validation walk asks for packet ``i``); the
 flight holds one message-level :class:`~repro.core.payload.PayloadRef`;
 TLB splits come from :meth:`~repro.nic.tlb.Tlb.chunk_run` (one probe per
 page, piece lists only for page-straddling chunks); and every column is
-a numpy prefix-max scan over per-size constants (:func:`fifo_ends`):
-int64 columns, listed only at an unfold — the commit reads their last
-entries, and one bound from scalars refuses a schedule that could reach
-:data:`COLUMN_LIMIT_PS` before any is built.  The destination TLB is
-charged lazily for the write-back translations
-(:attr:`~repro.nic.tlb.Tlb.pending_charge`): by E2 all of them, at an
-unfold only the arrived prefix (the replay translates the rest itself).
+a numpy prefix-max scan over per-size constants
+(:func:`~repro.sim.resources.fifo_ends`): int64 columns, listed only at
+an unfold — the commit reads their last entries, and one bound from
+scalars refuses a schedule that could reach :data:`COLUMN_LIMIT_PS`
+before any is built.  The destination TLB is charged lazily for the
+write-back translations (:attr:`~repro.nic.tlb.Tlb.pending_charge`): by
+E2 all of them, at an unfold only the arrived prefix (the replay
+translates the rest itself).
 
-The analytic schedule (all integer picoseconds, mirroring the code
-paths in :mod:`repro.nic.nic`, :mod:`repro.net.link` and
-:mod:`repro.nic.dma` line for line).  Each stage is a FIFO server,
-``end[i] = max(end[i-1], start[i]) + dur[i]``, computed by
-:func:`fifo_ends` as ``cum[i] + max(floor, max_{j<=i} start[j] -
-cum[j-1])``:
+The analytic schedule (integer picoseconds) is composed from the hops'
+own timing, the definitions the per-packet path runs.  Each stage is a
+FIFO server, ``end[i] = max(end[i-1], start[i]) + dur[i]``, and a
+lane's :meth:`~repro.sim.BandwidthLink.ends` is its column form:
 
-- TX charge done:  ``C = fifo_ends(fetch_start + fetch_cum,
-  streaming_time(l3), t0)``; loop resume ``F = C - streaming_time(l3)``
-- first wire:      ``E1c = fifo_ends(C + tx_delay, transfer_time(wire),
-  free_at)``; arrival ``A = E1c + propagation + rx_delay``
-- write-back slot: ``wend = fifo_ends(A + pcie_write_latency,
-  burst_duration(pieces), wfree)``
+- TX charge done:  ``C = fifo_ends(fetch ready, streaming_time(l3),
+  t0)``; loop resume ``F = C - streaming_time(l3)``
+- first wire:      ``E1c = lane.ends(C + tx latency, frame_time(wire))``
+  on the cable's lane; arrival ``A = E1c + arrival_delay``
+- write-back slot: ``wend = write_link.ends(A + pcie_write_latency,
+  dur)`` (:meth:`~repro.nic.dma.DmaEngine.write_column`)
+
+Packets, retransmit entries and the receiver's state after ``k``
+arrivals come from the NICs' own code (``message_packet``,
+``response_packet``, ``write_arrived``, ``read_arrived``).
 
 Fold *guards* keep the illusion honest.  Every send path unfolds the
 pending flight before it may fold (:func:`unfold_pending`), so a
@@ -71,44 +74,36 @@ boundary: already-elapsed effects are applied as the per-packet
 path would have left them, in-flight frames are re-scheduled at their
 exact arrival times, not-yet-sent packets are replayed organically
 through the real TX path, and eagerly reserved wire/DMA time beyond the
-boundary is rewound.  One documented approximation: an external trigger
-landing at *exactly* the same picosecond as a column entry treats that
-entry as already-elapsed (``bisect_right`` tie semantics), where the
-per-packet interleaving at that instant would depend on event ids.
+boundary is handed back to the lanes.  One documented approximation:
+an external trigger landing at *exactly* the same picosecond as a
+column entry treats that entry as already-elapsed (``bisect_right`` tie
+semantics), where the per-packet interleaving at that instant would
+depend on event ids.
 
 Folding is on by default; the gates above choose the per-packet path.
 Under ``REPRO_VALIDATE`` (the run-mode table in :mod:`repro.runmode`
-and README) every committed schedule is re-walked with the real
-per-packet arithmetic (real :class:`RocePacket` sizes, explicit
-max-chains, a stepped :class:`ResponderState` clone) and asserted
-bit-identical.
+and README) every committed schedule is re-walked packet by packet
+through the hops' per-frame functions and asserted bit-identical.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, NamedTuple, Optional, Tuple
+from copy import copy
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..config import wire_bytes_for_frame
-from ..net.arp import mac_for_ip
 from ..runmode import active
-from ..sim import timebase
-from .headers import Aeth, Bth, Reth
-from .opcodes import carries_aeth, is_last, is_only
-from .packet import RocePacket
+from ..sim.resources import COLUMN_LIMIT_PS, fifo_ends
 from .packetizer import l3_sizes
-from .qp import psn_add
+from .qp import PsnVerdict, psn_add
 
 #: Messages shorter than this many packets are not worth folding: the
 #: fixed commit cost (column computation + shadow walk) outweighs the
 #: saved events.
 FOLD_MIN_PACKETS = 4
-
-#: Column values stay below this (int64 cumsums wrap silently); a
-#: schedule that could reach it is refused and runs per packet.
-COLUMN_LIMIT_PS = 1 << 62
 
 # Flight states.
 _FOLDED = 0      # in flight, analytic schedule authoritative
@@ -155,33 +150,15 @@ def _started(generator):
     return body()
 
 
-def fifo_ends(start: np.ndarray, dur: np.ndarray, floor: int) -> np.ndarray:
-    """End times of a FIFO server fed jobs in order: ``end[i] =
-    max(end[i-1], start[i]) + dur[i]`` with ``end[-1] = floor``.
-
-    Unrolled, ``end[i] = cum[i] + max(floor, max_{j<=i} start[j] -
-    cum[j-1])`` (``cum`` the running sum of ``dur``): one cumsum and one
-    prefix-max scan over int64.  Raises OverflowError — refusing the
-    fold — when the last (largest) end reaches :data:`COLUMN_LIMIT_PS`;
-    the caller keeps ``max(floor, start) + sum(dur)`` below it, so
-    nothing wraps first."""
-    cum = dur.cumsum()
-    lead = start - cum
-    lead += dur
-    if lead[0] < floor:
-        lead[0] = floor   # the floor joins every prefix max through lead[0]
-    np.maximum.accumulate(lead, out=lead)
-    lead += cum
-    if lead[-1] >= COLUMN_LIMIT_PS:
-        raise OverflowError("schedule exceeds the int64 column range")
-    return lead
+def _other(side: str) -> str:
+    return "b" if side == "a" else "a"
 
 
 # ----------------------------------------------------------------------
 # Fold gates
 # ----------------------------------------------------------------------
-def _sender_clean(nic, qp) -> bool:
-    """No slow-path feature on the sending NIC.  A CC plane always
+def _quiet(nic) -> bool:
+    """No slow-path feature on a NIC of the path.  A CC plane always
     refuses: its token-bucket pacer debits per-packet wire bytes and its
     DCQCN machines sample per-packet arrivals even while a QP is
     unthrottled, so a fold would skip that bookkeeping and diverge the
@@ -190,42 +167,46 @@ def _sender_clean(nic, qp) -> bool:
     return (nic.powered and nic.cc is None and nic.check is None
             and nic.trace is None
             and not nic.config.per_word_accounting
-            and not nic.metrics.sampling_enabled
-            and not qp.in_error
-            and nic.memory.store_guard is None
-            and nic._cable is not None)
+            and nic.memory.store_guard is None)
 
 
-def _cable_clean(cable) -> bool:
-    """No fault knob active."""
-    faults = cable.faults
-    return (cable.up and cable.extra_latency == 0
-            and not faults.drop_probability
-            and not faults.corrupt_probability
-            and not faults.duplicate_probability
-            and faults.burst is None)
-
-
-def _resolve_receiver(cable, dest: str):
-    """The StromNic whose ``_rx_arrive`` hook terminates ``dest``, or
-    None when the far side is not a directly attached NIC."""
-    from ..nic.nic import StromNic
-    hook = cable._receivers[dest]
-    nic = getattr(hook, "__self__", None)
-    if not isinstance(nic, StromNic):
-        return None
-    if getattr(hook, "__func__", None) is not StromNic._rx_arrive:
-        return None
-    return nic
+def _sender_clean(nic, qp) -> bool:
+    return (_quiet(nic) and not nic.metrics.sampling_enabled
+            and not qp.in_error)
 
 
 def _receiver_clean(recv) -> bool:
-    return (recv.powered and recv.cc is None and recv.check is None
-            and recv.trace is None
-            and not recv.config.per_word_accounting
-            and recv.dma.burst_guard is None
-            and recv.memory.store_guard is None
+    return (_quiet(recv) and recv.dma.burst_guard is None
             and not recv.dma._watches)
+
+
+def _resolve_path(nic, qp):
+    """The clean path from ``nic`` to ``qp``'s peer QP: ``(cable, side,
+    recv, rqp, leg)`` where ``leg`` is None for a direct cable, or the
+    switch's input and output ports when the cable ends at a switch that
+    names a clean route onward over a fault-free cable to a NIC; None
+    refuses the fold."""
+    from ..nic.nic import StromNic
+    cable, side = nic._cable, nic._cable_side
+    if cable is None or not cable.fault_free():
+        return None
+    recv = port_in = cable.endpoint(_other(side))
+    leg = None
+    if port_in is not None and not isinstance(port_in, StromNic):
+        port_out = port_in.switch.clean_route(port_in, nic.ip, qp.dest_ip,
+                                              nic.env.now)
+        if port_out is None or not port_out.cable.fault_free():
+            return None
+        leg = port_in, port_out
+        recv = port_out.cable.endpoint(_other(port_out.side))
+    if (not isinstance(recv, StromNic) or recv is nic
+            or not _receiver_clean(recv) or qp.dest_qpn not in recv.qps):
+        return None
+    rqp = recv.qps.get(qp.dest_qpn)
+    if (rqp.in_error or rqp.dest_qpn != qp.qpn
+            or rqp.dest_ip != nic.ip or qp.dest_ip != recv.ip):
+        return None
+    return cable, side, recv, rqp, leg
 
 
 # ----------------------------------------------------------------------
@@ -239,46 +220,45 @@ class BurstFlight:
         "dest", "segments", "first_psn", "last_psn", "n", "t0", "gate",
         "view", "pieces", "tlb_charged", "l3", "wire", "total",
         "total_wire", "F", "C", "E1c", "A1", "A", "dur", "dur_total",
-        "wend", "pre_free1", "pre_wfree", "fetch_start", "fetch_cum",
-        "base_addr", "raddr", "msg_length", "completion", "msn0", "ctx",
-        "state", "e1_done", "_packets", "c_unfolds", "path",
+        "wend", "serialize", "serialize_total", "lane", "wlane",
+        "pre_free1", "pre_wfree", "fetch_ready", "tx_latency",
+        "base_addr", "command", "msn0", "ctx", "state", "e1_done",
+        "_packets", "c_unfolds", "path",
     )
 
     #: The int64 schedule columns, listed once by an unfold or a flush.
-    _COLUMNS = ("F", "C", "E1c", "A1", "A", "wend", "wire", "dur")
+    _COLUMNS = ("F", "C", "E1c", "A1", "A", "wend", "wire", "serialize",
+                "dur")
 
-    def __init__(self, kind, src, dst, src_qp, dst_qp, segments,
-                 first_psn, fetch, gate, base_addr, raddr, msg_length,
-                 completion, ctx) -> None:
+    def __init__(self, src, dst, src_qp, dst_qp, cable, side, segments,
+                 first_psn, fetch, gate, command, ctx) -> None:
         self.env = src.env
-        self.kind = kind                 # 'write' | 'read'
+        self.kind = "read" if command is None else "write"
         self.src = src                   # sending NIC
         self.dst = dst                   # receiving NIC
         self.src_qp = src_qp             # QP at src (names dest_qpn/ip)
         self.dst_qp = dst_qp             # QP at dst (peer state)
-        self.cable = src._cable
-        self.side = src._cable_side
-        self.dest = "b" if self.side == "a" else "a"
+        self.cable = cable
+        self.side = side
+        self.dest = _other(side)
         #: The hops whose slow-path activity unfolds this flight.
-        self.path = (src, dst, self.cable)
+        self.path = (src, dst, cable)
         self.segments = segments
         self.first_psn = first_psn
         self.n = len(segments)
         self.last_psn = psn_add(first_psn, self.n - 1)
         self.t0 = self.env.now
         self.gate = gate
-        self.base_addr = base_addr       # destination vaddr of packet 0
-        self.raddr = raddr               # RETH vaddr (WRITE) / 0 (READ)
-        self.msg_length = msg_length     # RETH dma_length / READ length
-        self.completion = completion     # WRITE tail completion (or None)
-        self.msn0 = dst_qp.responder.msn if kind == "write" \
-            else src_qp.responder.msn
+        self.command = command           # the WRITE (None for a READ)
         self.ctx = ctx                   # READ: requester _ReadContext
-        self.fetch_start = fetch._start
-        self.fetch_cum = fetch.ends_column()
+        # Destination vaddr of packet 0.
+        self.base_addr = ctx.laddr if command is None else command.raddr
+        self.msn0 = dst_qp.responder.msn if command is not None \
+            else src_qp.responder.msn
+        self.fetch_ready = fetch.ready_column()
         self.state = _FOLDED
         self.e1_done = False
-        self._packets: List[Optional[RocePacket]] = [None] * self.n
+        self._packets: List[Optional[tuple]] = [None] * self.n
         self.c_unfolds = None
         # One view of the whole source buffer (zero copy end to end);
         # packet i's payload is its slice, built only when needed.
@@ -290,11 +270,12 @@ class BurstFlight:
     # Schedule computation (pure: no side effects; raises to refuse)
     # ------------------------------------------------------------------
     def compute_schedule(self) -> None:
-        """Every column, from per-frame constants evaluated once per
-        distinct frame size.  No entry can exceed the latest floor or
-        fetch-ready time plus every stage's summed durations and fixed
-        latencies: that bound, from scalars, refuses a schedule that
-        could reach :data:`COLUMN_LIMIT_PS` before any column is built."""
+        """Every column, from the hops' per-frame constants evaluated
+        once per distinct frame size.  No entry can exceed the latest
+        floor or fetch-ready time plus every stage's summed durations and
+        fixed latencies: that bound, from scalars, refuses a schedule
+        that could reach :data:`COLUMN_LIMIT_PS` before any column is
+        built."""
         src, cable, dst = self.src, self.cable, self.dst
         self.l3 = l3 = l3_sizes(self.segments,
                                 response=self.kind == "read")
@@ -302,37 +283,34 @@ class BurstFlight:
         self.wire, self.total_wire = self._per_frame(wire)
         charge, charge_total = self._per_frame(
             map(src.config.streaming_time, l3))
-        bps = cable.bits_per_second
-        serialize, serialize_total = self._per_frame(
-            timebase.transfer_time_ps(size, bps) for size in wire)
-        prop = cable.propagation + cable.extra_latency \
-            + cable._receiver_delay[self.dest]
+        self.serialize, self.serialize_total = self._per_frame(
+            map(cable.frame_time, wire))
+        arrival = cable.arrival_delay(self.dest)
+        self.tx_latency = tx = src._tx_delay
         # Destination write-back lane (receiver's card->host PCIe).  Pure
         # lookups: the TLB is charged as the packets arrive
         # (_settle_tlb), where per-packet write_posted translates.
-        wlink = dst.dma.write_link
-        self.pieces = dst.tlb.chunk_run(self.base_addr, self.segments,
-                                        charge=False)
-        self.dur = dst.dma._chunk_durations(wlink, self.pieces,
-                                            True).column()
+        self.lane, self.wlane = cable.lane(self.side), dst.dma.write_link
+        self.pieces, self.dur = dst.dma.write_column(self.base_addr,
+                                                     self.segments)
         self.dur_total = int(self.dur.sum())
         wlat = dst.config.pcie_write_latency
-        self.pre_free1 = cable._free_at[self.side]
-        self.pre_wfree = wlink._free_at
+        self.pre_free1 = self.lane.free_at
+        self.pre_wfree = self.wlane.free_at
         path_floor, path_span = self._path_bound(wire)
-        if (max(self.t0, self.fetch_start + int(self.fetch_cum[-1]),
-                self.pre_free1, self.pre_wfree, path_floor)
-                + charge_total + src._tx_delay + serialize_total + prop
+        if (max(self.t0, int(self.fetch_ready[-1]), self.pre_free1,
+                self.pre_wfree, path_floor)
+                + charge_total + tx + self.serialize_total + arrival
                 + path_span + wlat + self.dur_total) >= COLUMN_LIMIT_PS:
             raise OverflowError("schedule exceeds the int64 column range")
 
-        C = fifo_ends(self.fetch_cum + self.fetch_start, charge, self.t0)
-        E1c = fifo_ends(C + src._tx_delay, serialize, self.pre_free1)
-        self.F, self.C, self.E1c = C - charge, C, E1c
-        self.A1 = E1c + prop
+        self.C = C = fifo_ends(self.fetch_ready, charge, self.t0)
+        self.F = C - charge
+        self.E1c = self.lane.ends(C + tx, self.serialize)
+        self.A1 = self.E1c + arrival
         self.A = A = self._path(self.A1)
         # Chained in arrival order.
-        self.wend = fifo_ends(A + wlat, self.dur, self.pre_wfree)
+        self.wend = self.wlane.ends(A + wlat, self.dur)
 
     def _per_frame(self, values) -> Tuple[np.ndarray, int]:
         """A per-frame constant as an int64 column, from its first,
@@ -379,17 +357,10 @@ class BurstFlight:
     def commit(self) -> None:
         env = self.env
         assert env.fold is None, "a simulator holds one folded flight"
+        if active().validate:
+            self._shadow_check()
         src, dst = self.src, self.dst
-        # Eager wire reservation: interferers queue behind the whole
-        # burst (or unfold it first, which rewinds this cursor).
-        self.cable._free_at[self.side] = int(self.E1c[-1])
-        # Eager write-lane reservation, chained in arrival order.
-        wlink = dst.dma.write_link
-        wend = int(self.wend[-1])
-        wlink._free_at = wend
-        wlink.busy_time += self.dur_total
-        wlink.bytes_transferred += self.total
-
+        self._reserve()
         env.fold = self
         dst.dma.burst_guard = self._dma_guard
         if self.kind == "read":
@@ -411,7 +382,8 @@ class BurstFlight:
             # flight is freed by reference counting, not the cycle GC.
             self.src_qp.requester.unacked.append(_UnackedEntry(
                 first_psn=self.first_psn, last_psn=self.last_psn,
-                kind="write", packet=None, completion=self.completion,
+                kind="write", packet=None,
+                completion=self.command.completion,
                 is_message_tail=True, burst=self))
 
         folds, per_frame, self.c_unfolds = self._counters()
@@ -422,9 +394,22 @@ class BurstFlight:
         now = env.now
         env.call_at(int(self.C[-1]) - now, self._on_e1)
         env.call_at(int(self.A[-1]) - now, self._on_e2)
-        env.call_at(wend - now, self._on_e3)
-        if active().validate:
-            self._shadow_check()
+        env.call_at(int(self.wend[-1]) - now, self._on_e3)
+
+    def _reserve(self) -> None:
+        """Eager lane reservations: interferers queue behind the whole
+        burst (or unfold it first, which hands the suffix back)."""
+        self.lane.move_cursor(int(self.E1c[-1]), self.serialize_total)
+        self.wlane.move_cursor(int(self.wend[-1]), self.dur_total,
+                               self.total)
+
+    @staticmethod
+    def _rewind(lane, ends, durations, k: int, floor: int,
+                num_bytes: int = 0) -> None:
+        """Hand a lane's reserved run back past its first ``k`` jobs (the
+        cursor returns to the last kept end, or ``floor``)."""
+        lane.move_cursor(ends[k - 1] if k else floor, -sum(durations[k:]),
+                         -num_bytes)
 
     # ------------------------------------------------------------------
     # Packet materialization (unfold/replay/validation only)
@@ -434,30 +419,23 @@ class BurstFlight:
         return self.view.slice(self.segments.offset(i),
                                self.segments.length(i))
 
-    def _packet(self, i: int) -> RocePacket:
-        packet = self._packets[i]
-        if packet is not None:
-            return packet
-        seg = self.segments[i]
-        qp = self.src_qp
-        psn = psn_add(self.first_psn, i)
-        if self.kind == "write":
-            reth = Reth(vaddr=self.raddr, rkey=0,
-                        dma_length=self.msg_length) \
-                if seg.carries_reth else None
-            tail = is_last(seg.opcode) or is_only(seg.opcode)
-            bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn,
-                      ack_request=tail)
-            packet = RocePacket(src_ip=self.src.ip, dst_ip=qp.dest_ip,
-                                bth=bth, reth=reth, payload=self._view(i))
-        else:
-            aeth = Aeth(syndrome=0, msn=self.msn0) \
-                if carries_aeth(seg.opcode) else None
-            bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn)
-            packet = RocePacket(src_ip=self.src.ip, dst_ip=qp.dest_ip,
-                                bth=bth, aeth=aeth, payload=self._view(i))
-        self._packets[i] = packet
-        return packet
+    def _built(self, i: int) -> tuple:
+        """Packet ``i`` and (WRITE) its retransmit entry, built once by
+        the sending NIC's own code."""
+        built = self._packets[i]
+        if built is None:
+            seg, psn = self.segments[i], psn_add(self.first_psn, i)
+            if self.kind == "write":
+                built = self.src.message_packet(
+                    self.command, self.src_qp, seg, psn, self._view(i))
+            else:
+                built = (self.src.response_packet(
+                    self.src_qp, seg, psn, self.msn0, self._view(i)), None)
+            self._packets[i] = built
+        return built
+
+    def _packet(self, i: int):
+        return self._built(i)[0]
 
     # ------------------------------------------------------------------
     # Deferred events
@@ -484,13 +462,7 @@ class BurstFlight:
             return
         self._deregister()
         self._path_counters()
-        dst = self.dst
-        dst.packets_received.add(self.n)
-        dst.payload_bytes_received.add(self.total)
-        if self.kind == "write":
-            self._e2_write_state()
-        else:
-            self._e2_read_state()
+        self._arrived(self.n)
         self.state = _DELIVERED
 
     def _path_counters(self) -> None:
@@ -499,23 +471,20 @@ class BurstFlight:
         snapshots are only taken at run end)."""
         self.cable.frames_delivered.add(self.n)
 
-    def _e2_write_state(self) -> None:
-        """Responder jump + the coalesced ACK, at exactly the time the
-        per-packet tail arrival would have produced them."""
-        dst, dst_qp = self.dst, self.dst_qp
-        responder = dst_qp.responder
-        responder.expected_psn = psn_add(self.first_psn, self.n)
-        responder.msn = (responder.msn + 1) & 0xFFFFFF
-        responder.write_cursor = None
-        dst._nak_pending[dst_qp.qpn] = False
-        dst._send_ack(dst_qp, self.last_psn, responder.msn)
-
-    def _e2_read_state(self) -> None:
-        dst, dst_qp, ctx = self.dst, self.dst_qp, self.ctx
-        ctx.next_index = self.n
-        ctx.bytes_received = self.total
-        dst.multiqueue.pop(dst_qp.qpn)
-        dst._release_read_entry(dst_qp, ctx)
+    def _arrived(self, k: int) -> None:
+        """The receiver as the per-packet path leaves it after ``k``
+        arrivals: its counters, then the NIC's own state step (for a
+        WRITE tail the responder's coalesced ACK, at exactly the time
+        the per-packet tail arrival would have sent it)."""
+        dst = self.dst
+        received = self.segments.end(k - 1)
+        dst.packets_received.add(k)
+        dst.payload_bytes_received.add(received)
+        if self.kind == "write":
+            dst.write_arrived(self.dst_qp, psn_add(self.first_psn, k - 1),
+                              self.base_addr + received, k == self.n)
+        else:
+            dst.read_arrived(self.dst_qp, self.ctx, k, received)
 
     def _on_e3(self, _arg) -> None:
         if self.state is not _DELIVERED:
@@ -526,16 +495,18 @@ class BurstFlight:
         # destination in between (a competing write, watch or store
         # flushes first): land the message in one commit per physical
         # run, still counted as one DMA write per packet.
-        self.dst.dma._commit_write(self.base_addr, self.pieces.span(),
-                                   self.view, self.total, None,
-                                   count=self.n)
+        self._commit(self.base_addr, self.pieces.span(), self.view,
+                     self.total, self.n)
+        self._landed()
+
+    def _commit(self, vaddr, pieces, view, length, count=1) -> None:
+        self.dst.dma._commit_write(vaddr, pieces, view, length, None,
+                                   count=count)
+
+    def _landed(self) -> None:
+        """The last write-back landed: a READ completes."""
         if self.kind == "read":
             self.dst._finish_read(self.dst_qp, self.ctx)
-
-    def _commit_index(self, i: int) -> None:
-        self.dst.dma._commit_write(
-            self.base_addr + self.segments.offset(i), self.pieces[i],
-            self._view(i), self.segments.length(i), None)
 
     # ------------------------------------------------------------------
     # Guards
@@ -608,18 +579,6 @@ class BurstFlight:
     # ------------------------------------------------------------------
     # Retransmit-buffer expansion
     # ------------------------------------------------------------------
-    def _entry_for(self, i: int):
-        """The per-packet retransmit entry the send loop would have
-        appended for packet ``i``."""
-        from ..nic.nic import _UnackedEntry
-        packet = self._packet(i)
-        tail = i == self.n - 1
-        return _UnackedEntry(
-            first_psn=packet.bth.psn, last_psn=packet.bth.psn,
-            kind="write", packet=packet,
-            completion=self.completion if tail else None,
-            is_message_tail=tail)
-
     def ensure_entries(self, upto: Optional[int] = None) -> None:
         """Replace the spanning retransmit entry with real per-packet
         entries for packets ``[0, upto)`` (idempotent; no-op once the
@@ -636,7 +595,7 @@ class BurstFlight:
         else:
             return
         count = self.n if upto is None else upto
-        unacked[index:index + 1] = [self._entry_for(i)
+        unacked[index:index + 1] = [self._built(i)[1]
                                     for i in range(count)]
 
     # ------------------------------------------------------------------
@@ -661,19 +620,24 @@ class BurstFlight:
         self._unfold_sender(t, n_tx)
         self._unfold_path(t, n_tx, n_arr)
         if n_arr:
-            self._receiver_prefix(n_arr)
+            self._arrived(n_arr)
         self._unfold_wlane(n_arr, t)
 
     def _unfold_path(self, t: int, n_tx: int, n_arr: int) -> None:
         """Frames sent but not yet across the first cable: in flight on
         it (``n_arr`` of them are across)."""
-        for i in range(n_arr, n_tx):
-            self.env.call_at(self.A1[i] - t, self.cable._arrive,
-                             (self._packet(i), self.dest))
+        self._in_flight(self.cable, self.dest, self.A1, n_arr, n_tx, t)
         self.cable.frames_delivered.add(n_arr)
 
+    def _in_flight(self, cable, dest, arrivals, lo, hi, t) -> None:
+        """Frames ``lo..hi-1`` on ``cable``'s wire reach ``dest`` at
+        ``arrivals[i]``, as their per-packet sends scheduled them."""
+        for i in range(lo, hi):
+            self.env.call_at(arrivals[i] - t, cable._arrive,
+                             (self._packet(i), dest))
+
     def _unfold_sender(self, t: int, n_tx: int) -> None:
-        """Sender-side unfold: counters for the sent prefix, wire-cursor
+        """Sender-side unfold: counters for the sent prefix, wire-lane
         rewind, and organic replay of the unsent tail."""
         if self.e1_done:
             return
@@ -684,47 +648,21 @@ class BurstFlight:
             # never touches payload_tx — count the full message here.
             self.src.payload_bytes_sent.add(self.total)
         if n_tx < self.n:
-            self.cable._free_at[self.side] = \
-                self.E1c[n_tx - 1] if n_tx else self.pre_free1
+            self._rewind(self.lane, self.E1c, self.serialize, n_tx,
+                         self.pre_free1)
             self.env.process(_started(
                 self._replay_tx(n_tx, bisect_right(self.F, t))))
         else:
             self._finish_tx()
 
-    def _receiver_prefix(self, n_arr: int) -> None:
-        """Receiver-side unfold: counters and PSN/cursor state as the
-        per-packet path would have left them after ``n_arr`` arrivals."""
-        dst, dst_qp, n = self.dst, self.dst_qp, self.n
-        prefix_bytes = self.segments.end(n_arr - 1)
-        dst.packets_received.add(n_arr)
-        dst.payload_bytes_received.add(prefix_bytes)
-        if self.kind == "write":
-            if n_arr == n:
-                self._e2_write_state()
-            else:
-                responder = dst_qp.responder
-                responder.expected_psn = psn_add(self.first_psn, n_arr)
-                responder.write_cursor = self.base_addr + prefix_bytes
-                dst._nak_pending[dst_qp.qpn] = False
-        else:
-            self.ctx.next_index = n_arr
-            self.ctx.bytes_received = prefix_bytes
-            if n_arr == n:
-                self._e2_read_state()
-
     def _unfold_wlane(self, n_arr: int, t: int) -> None:
-        """Write-back lane unfold: rewind the eager suffix reservation
+        """Write-back lane unfold: hand back the eager suffix reservation
+        (arrivals >= n_arr reserve organically through write_posted)
         and land the arrived prefix's commits at per-packet times."""
-        dst, n = self.dst, self.n
-        wlink = dst.dma.write_link
-        if n_arr < n:
-            # Rewind the eager suffix: arrivals >= n_arr will reserve
-            # organically through write_posted.
-            wlink._free_at = self.wend[n_arr - 1] if n_arr \
-                else self.pre_wfree
-            wlink.busy_time -= sum(self.dur[n_arr:])
-            wlink.bytes_transferred -= self.total - (
-                self.segments.end(n_arr - 1) if n_arr else 0)
+        if n_arr < self.n:
+            self._rewind(self.wlane, self.wend, self.dur, n_arr,
+                         self.pre_wfree, self.total - (
+                             self.segments.end(n_arr - 1) if n_arr else 0))
         self._land_from(n_arr, t)
 
     def _land_from(self, count: int, t: int) -> None:
@@ -738,9 +676,10 @@ class BurstFlight:
 
     def _land(self, i: int) -> None:
         """Packet ``i``'s write-back lands (at its per-packet time)."""
-        self._commit_index(i)
-        if i == self.n - 1 and self.kind == "read":
-            self.dst._finish_read(self.dst_qp, self.ctx)
+        self._commit(self.base_addr + self.segments.offset(i),
+                     self.pieces[i], self._view(i), self.segments.length(i))
+        if i == self.n - 1:
+            self._landed()
 
     def _flush_delivered(self) -> None:
         """All frames arrived, write-backs pending, and someone wants
@@ -758,28 +697,28 @@ class BurstFlight:
         per-packet loop appends it, before the TX charge) and the frame
         at its charge-completion time ``C[i]``."""
         env = self.env
+        qp = self.src_qp if self.kind == "write" else None
         for i in range(start, self.n):
-            if self.kind == "write" and i >= appended:
+            if qp is not None and i >= appended:
                 if self.F[i] > env.now:
                     yield env.timeout(self.F[i] - env.now)
-                self.src_qp.requester.unacked.append(self._entry_for(i))
+                qp.requester.unacked.append(self._built(i)[1])
             if self.C[i] > env.now:
                 yield env.timeout(self.C[i] - env.now)
-            packet = self._packet(i)
-            if self.kind == "write":
-                self.src._tx_deliver(packet, self.src_qp)
-            else:
-                self.src._tx_deliver(packet)
+            self.src._tx_deliver(self._packet(i), qp)
         self._finish_tx()
 
     # ------------------------------------------------------------------
     # Shadow validation
     # ------------------------------------------------------------------
     def _shadow_check(self) -> None:
-        """Re-walk the schedule with the per-packet arithmetic (real
-        packet objects, explicit max-chains, stepped responder clone)
-        and assert bit-identity with the committed columns, each listed
-        once for the comparison."""
+        """Re-walk the schedule packet by packet through the hops' own
+        per-frame functions — real packets, the TX charge, copies of the
+        lanes stepped by ``reserve_after``, the cables' frame time and
+        arrival delay — and assert bit-identity with the columns, each
+        listed once for the comparison.  Runs before the commit's
+        reservations, so the lane copies start at the schedule's
+        floors."""
         arrivals = self._shadow_tx()
         arrivals = self._shadow_path(arrivals)
         self._shadow_wlane(arrivals)
@@ -787,22 +726,19 @@ class BurstFlight:
             self._shadow_responder()
 
     def _shadow_tx(self) -> List[int]:
-        """Per-packet re-walk of the TX pipeline and the first hop."""
-        src, cable = self.src, self.cable
-        streaming_time = src.config.streaming_time
-        bps = cable.bits_per_second
-        prop = cable.propagation + cable.extra_latency \
-            + cable._receiver_delay[self.dest]
-        fetch_cum = self.fetch_cum.tolist()
-        c, e = self.t0, self.pre_free1
-        rows = []
-        for i in range(self.n):
+        """The TX pipeline and the first hop, per packet."""
+        cable, lane = self.cable, copy(self.lane)
+        streaming_time = self.src.config.streaming_time
+        arrival = cable.arrival_delay(self.dest)
+        c, rows = self.t0, []
+        for i, ready in enumerate(self.fetch_ready.tolist()):
             packet = self._packet(i)
-            c = max(c, self.fetch_start + fetch_cum[i]) \
-                + streaming_time(packet.l3_bytes)
-            e = max(e, c + src._tx_delay) \
-                + timebase.transfer_time_ps(packet.wire_bytes, bps)
-            rows.append((packet.l3_bytes, packet.wire_bytes, c, e, e + prop))
+            c = max(c, ready) + streaming_time(packet.l3_bytes)
+            serialize = cable.frame_time(packet.wire_bytes)
+            e = lane.reserve_after(c + self.tx_latency, serialize) \
+                + serialize
+            rows.append((packet.l3_bytes, packet.wire_bytes, c, e,
+                         e + arrival))
         return self._assert_walk(rows, l3=self.segments.column(*self.l3),
                                  wire=self.wire, C=self.C, E1c=self.E1c,
                                  A1=self.A1)
@@ -813,11 +749,9 @@ class BurstFlight:
 
     def _shadow_wlane(self, arrivals: List[int]) -> None:
         wlat = self.dst.config.pcie_write_latency
-        we = self.pre_wfree
-        rows = []
-        for arrival, dur in zip(arrivals, self.dur.tolist()):
-            we = max(we, arrival + wlat) + dur
-            rows.append((we,))
+        wlane = copy(self.wlane)
+        rows = [(wlane.reserve_after(arrival + wlat, dur) + dur,)
+                for arrival, dur in zip(arrivals, self.dur.tolist())]
         self._assert_walk(rows, wend=self.wend)
 
     def _assert_walk(self, rows, **columns) -> List[int]:
@@ -833,156 +767,85 @@ class BurstFlight:
         return [row[-1] for row in rows]
 
     def _shadow_responder(self) -> None:
+        """Step a clone of the responder's PSN state through the real
+        packets: each is in order and lands where the fold commits it."""
         clone = self.dst_qp.responder.clone()
         cursor = None
-        from .qp import PsnVerdict
         for i in range(self.n):
             packet = self._packet(i)
             assert clone.classify(packet.bth.psn) is \
                 PsnVerdict.EXPECTED, (i, packet.bth.psn)
             clone.expected_psn = psn_add(packet.bth.psn, 1)
             if packet.reth is not None:
-                clone.write_cursor = packet.reth.vaddr
-            cursor = clone.write_cursor
+                cursor = packet.reth.vaddr
             addr = self.base_addr + self.segments.offset(i)
             assert cursor == addr, (i, cursor, addr)
-            clone.write_cursor = cursor + len(packet.payload)
-            if i == self.n - 1:
-                clone.msn = (clone.msn + 1) & 0xFFFFFF
-                clone.write_cursor = None
+            cursor += len(packet.payload)
         assert clone.expected_psn == psn_add(self.first_psn, self.n)
-        assert clone.msn == ((self.msn0 + 1) & 0xFFFFFF)
-        assert clone.write_cursor is None
 
 
 # ----------------------------------------------------------------------
 # One-switch leg
 # ----------------------------------------------------------------------
-class _SwitchLeg(NamedTuple):
-    """Resolved path through one store-and-forward switch."""
-
-    switch: object
-    port_in: object
-    port_out: object
-    cable2: object
-    dest2: str
-    recv: object
-
-
-def _resolve_switch_leg(nic, cable, dest, dest_ip) -> Optional[_SwitchLeg]:
-    """When ``dest`` terminates at a switch port, resolve the clean
-    two-hop path to the destination NIC, or None to refuse the fold:
-    no ECN/checker/trace, both ports up and idle
-    (empty queues, no in-progress forwarding or pacing window), both
-    MACs already learned on the right ports."""
-    port_in = cable._switch_ports.get(dest)
-    if port_in is None:
-        return None
-    switch = port_in.switch
-    if (switch.check is not None or switch.trace is not None
-            or switch.ecn_marker is not None):
-        return None
-    if switch._mac_table.get(mac_for_ip(nic.ip)) != port_in.index:
-        return None  # learn() would mutate the table mid-schedule
-    out = switch._mac_table.get(mac_for_ip(dest_ip))
-    if out is None or out == port_in.index:
-        return None  # flood / hairpin: per-packet path
-    port_out = switch.ports[out]
-    if not port_in.up or not port_out.up:
-        return None
-    now = nic.env.now
-    for port in switch.ports:
-        # A frame inside any forwarding-latency window is already past
-        # the ingress unfold guard and could enqueue mid-schedule.
-        if port._ingress_floor > now:
-            return None
-    if (port_out._egress_floor > now or len(port_out.queue)
-            or len(port_in.rx)):
-        return None
-    cable2 = port_out.cable
-    if not _cable_clean(cable2):
-        return None
-    dest2 = "b" if port_out.side == "a" else "a"
-    recv = _resolve_receiver(cable2, dest2)
-    if recv is None:
-        return None
-    return _SwitchLeg(switch, port_in, port_out, cable2, dest2, recv)
-
-
 class SwitchBurstFlight(BurstFlight):
     """A folded message crossing one store-and-forward switch.
 
-    Adds the switch-leg columns (all integer picoseconds, mirroring
-    :class:`~repro.cluster.switch.Switch` line for line):
-
-    - ingress done (lookup + enqueue): ``I = fifo_ends(A1, fwd, 0)``
-    - egress pacing end:    ``P = fifo_ends(I, tt, 0)`` with ``tt =
-      transfer_time(wire)``; dequeue/send ``D = P - tt``
-    - second-hop serialization: ``E2c = fifo_ends(D, tt, free2)``
-    - arrival at the NIC:   ``A2 = E2c + prop2 + rx_delay``
-
-    plus the output queue's analytic depth at each enqueue, ``i + 1 -
-    min(i, searchsorted(D, I[i], 'right'))`` (the ``max_queue_depth``
-    gauge the per-packet path would have set).  The switch and the
-    second cable join the flight's path (any real frame picked up by any
-    ingress loop unfolds it first); an unfold re-injects every stage at
-    its exact per-packet time, using the port loops' busy-until floors
-    to resume the pipeline mid-schedule.
+    Adds the switch-leg columns, from the switch's own column form
+    (:meth:`~repro.cluster.switch.Switch.forward_columns`: ingress done
+    ``I``, dequeue ``D``, pacing end ``P`` and the output queue's depth
+    at each enqueue — the ``max_queue_depth`` gauge the per-packet path
+    would have set) and the second cable's lane: serialization ``E2c =
+    lane2.ends(D, frame_time(wire))`` and arrival ``A = E2c +
+    arrival_delay``.  The switch and the second cable join the flight's
+    path (any real frame picked up by any ingress server unfolds it
+    first); an unfold re-injects every stage at its exact per-packet
+    time, holding the ports' servers until the replayed pipeline
+    clears (:meth:`~repro.cluster.switch.SwitchPort.hold`).
     """
 
     __slots__ = ("switch", "port_in", "port_out", "cable2", "side2",
                  "dest2", "I", "D", "P", "E2c", "pre_free2", "depths",
-                 "peak", "tt", "prop2")
+                 "peak", "tt", "tt_total", "lane2", "arrival2")
 
-    _COLUMNS = BurstFlight._COLUMNS + ("I", "D", "P", "E2c", "depths")
+    _COLUMNS = BurstFlight._COLUMNS + ("I", "D", "P", "E2c", "depths",
+                                       "tt")
 
-    def __init__(self, leg: _SwitchLeg, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.switch = leg.switch
-        self.port_in = leg.port_in
-        self.port_out = leg.port_out
-        self.cable2 = leg.cable2
-        self.side2 = leg.port_out.side
-        self.dest2 = leg.dest2
-        self.path += (leg.switch, leg.cable2)
+    def __init__(self, leg, *args) -> None:
+        super().__init__(*args)
+        self.port_in, self.port_out = leg
+        self.switch = self.port_in.switch
+        self.cable2 = self.port_out.cable
+        self.side2 = self.port_out.side
+        self.dest2 = _other(self.side2)
+        self.path += (self.switch, self.cable2)
 
     # ------------------------------------------------------------------
     # Schedule
     # ------------------------------------------------------------------
     def _path_bound(self, wire) -> Tuple[int, int]:
         cable2 = self.cable2
-        bps2 = cable2.bits_per_second
-        self.tt, tt_total = self._per_frame(
-            timebase.transfer_time_ps(size, bps2) for size in wire)
-        self.pre_free2 = cable2._free_at[self.side2]
-        self.prop2 = cable2.propagation + cable2.extra_latency \
-            + cable2._receiver_delay[self.dest2]
+        self.tt, self.tt_total = self._per_frame(map(cable2.frame_time,
+                                                     wire))
+        self.lane2 = cable2.lane(self.side2)
+        self.pre_free2 = self.lane2.free_at
+        self.arrival2 = cable2.arrival_delay(self.dest2)
         fwd = self.switch.config.forwarding_latency
-        return self.pre_free2, self.n * fwd + 2 * tt_total + self.prop2
+        return self.pre_free2, self.n * fwd + 2 * self.tt_total \
+            + self.arrival2
 
     def _path(self, arrivals: np.ndarray) -> np.ndarray:
-        switch, tt = self.switch, self.tt
-        fwd = np.full(self.n, switch.config.forwarding_latency, np.int64)
-        self.I = I = fifo_ends(arrivals, fwd, 0)
-        self.P = P = fifo_ends(I, tt, 0)
-        self.D = D = P - tt
-        self.E2c = E2c = fifo_ends(D, tt, self.pre_free2)
-        # Enqueues so far minus dequeues at-or-before (bisect_right tie
-        # semantics; min() keeps our own later dequeue out).
-        index = np.arange(self.n)
-        self.depths = depths = index + 1 - np.minimum(
-            index, D.searchsorted(I, "right"))
-        self.peak = int(depths.max())
-        if self.peak > switch.config.buffer_frames:
-            raise RuntimeError("analytic schedule would tail-drop")
-        return E2c + self.prop2
+        self.I, self.D, self.P, self.depths = self.switch.forward_columns(
+            self.port_in, self.port_out, arrivals, self.tt)
+        self.peak = int(self.depths.max())
+        self.E2c = self.lane2.ends(self.D, self.tt)
+        return self.E2c + self.arrival2
 
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------
-    def commit(self) -> None:
-        self.cable2._free_at[self.side2] = int(self.E2c[-1])
-        super().commit()
+    def _reserve(self) -> None:
+        super()._reserve()
+        self.lane2.move_cursor(int(self.E2c[-1]), self.tt_total)
 
     def on_cable_send(self, cable, side) -> None:
         if cable is not self.cable2 or side != self.side2:
@@ -990,7 +853,7 @@ class SwitchBurstFlight(BurstFlight):
         elif self.env.now < int(self.D[-1]):
             # Belt-and-braces: an egress send on the second hop before
             # all our frames are out (the ingress guard normally unfolds
-            # first, since any real frame must cross an ingress loop).
+            # first, since any real frame must cross an ingress server).
             self.unfold()
 
     def _path_counters(self) -> None:
@@ -1000,39 +863,30 @@ class SwitchBurstFlight(BurstFlight):
         self.port_out.frames_out.add(self.n)
         self.cable2.bytes_on_wire.add(self.total_wire)
         self.cable2.frames_delivered.add(self.n)
-        self._apply_peak(self.peak)
-
-    def _apply_peak(self, peak: int) -> None:
-        """Raise the output port's ``max_queue_depth`` high-water mark to
-        ``peak``, the deepest queue a run of the enqueues produced."""
-        port = self.port_out
-        if peak > port._max_depth:
-            port._max_depth = peak
-            port.max_depth_gauge.set(peak)
+        self.port_out.note_depth(self.peak)
 
     # ------------------------------------------------------------------
     # Unfold
     # ------------------------------------------------------------------
     def _unfold_path(self, t: int, n_tx: int, n_arr: int) -> None:
-        env, cable2 = self.env, self.cable2
         n_a1 = bisect_right(self.A1, t)   # arrived at the switch
         n_fwd = bisect_right(self.I, t)   # through lookup, enqueued
         n_out = bisect_right(self.D, t)   # sent on the second hop
         # In flight on the first hop: organic arrival into the port's rx
-        # stream (the real ingress loop takes over from there).
+        # stream (the real ingress server takes over from there).
         super()._unfold_path(t, n_tx, n_a1)
         if n_a1:
             self.port_in.frames_in.add(n_a1)
             # Ingress is busy until the last picked-up frame's lookup
             # completes; replayed arrivals must queue behind it.
-            self.port_in._ingress_floor = self.I[n_a1 - 1]
+            self.port_in.hold(ingress=self.I[n_a1 - 1])
         if n_fwd:
             self.switch.frames_forwarded.add(n_fwd)
-            self._apply_peak(max(self.depths[:n_fwd]))
-        # Mid-lookup frames: synthetic enqueue at the exact time the
-        # forwarding-latency window ends.
+            self.port_out.note_depth(max(self.depths[:n_fwd]))
+        # Mid-lookup frames: the tail of their ingress iteration at the
+        # exact time the forwarding-latency window ends.
         for i in range(n_fwd, n_a1):
-            env.call_at(self.I[i] - t, self._synthetic_enqueue, i)
+            self.env.call_at(self.I[i] - t, self._forward, i)
         # Enqueued but not yet sent: back into the real output queue (in
         # order, ahead of any later enqueue), with the egress pacing
         # floor so the drain resumes at the analytic times.
@@ -1040,52 +894,31 @@ class SwitchBurstFlight(BurstFlight):
             self.port_out.queue.try_put(self._packet(i))
         if n_out:
             self.port_out.frames_out.add(n_out)
-            cable2.bytes_on_wire.add(sum(self.wire[:n_out]))
-            self.port_out._egress_floor = self.P[n_out - 1]
-            cable2._free_at[self.side2] = self.E2c[n_out - 1]
-        else:
-            cable2._free_at[self.side2] = self.pre_free2
-        # In flight on the second hop.
-        for i in range(n_arr, n_out):
-            env.call_at(self.A[i] - t, cable2._arrive,
-                        (self._packet(i), self.dest2))
-        cable2.frames_delivered.add(n_arr)
+            self.cable2.bytes_on_wire.add(sum(self.wire[:n_out]))
+            self.port_out.hold(egress=self.P[n_out - 1])
+        self._rewind(self.lane2, self.E2c, self.tt, n_out, self.pre_free2)
+        self._in_flight(self.cable2, self.dest2, self.A, n_arr, n_out, t)
+        self.cable2.frames_delivered.add(n_arr)
 
-    def _synthetic_enqueue(self, i: int) -> None:
-        """The tail of one ingress-loop iteration (lookup done ->
-        enqueue), replayed for a frame whose forwarding-latency window
-        straddled the unfold."""
-        port = self.port_out
-        self.switch.frames_forwarded.add()
-        depth = len(port.queue)
-        if not port.queue.try_put(self._packet(i)):
-            port.tail_drops.add()
-            self.switch.frames_dropped.add()
-            return
-        depth += 1
-        if depth > port._max_depth:
-            port._max_depth = depth
-            port.max_depth_gauge.set(depth)
+    def _forward(self, i: int) -> None:
+        self.switch.forward(self.port_in, self._packet(i))
 
     # ------------------------------------------------------------------
     # Shadow validation
     # ------------------------------------------------------------------
     def _shadow_path(self, arrivals: List[int]) -> List[int]:
-        switch, cable2 = self.switch, self.cable2
-        fwd = switch.config.forwarding_latency
-        bps2 = cable2.bits_per_second
-        prop2 = cable2.propagation + cable2.extra_latency \
-            + cable2._receiver_delay[self.dest2]
+        """Both switch servers and the second hop, per packet."""
+        cable2, lane2 = self.cable2, copy(self.lane2)
+        fwd = self.switch.config.forwarding_latency
         done = p = 0
-        e = self.pre_free2
         rows = []
         for i in range(self.n):
-            tt = timebase.transfer_time_ps(self._packet(i).wire_bytes, bps2)
+            tt = cable2.frame_time(self._packet(i).wire_bytes)
             done = max(arrivals[i], done) + fwd
             d = max(done, p)
             p = d + tt
-            e = max(e, d) + tt
-            rows.append((done, d, p, e, e + prop2))
+            e = lane2.reserve_after(d, tt) + tt
+            rows.append((done, d, p, e, e + self.arrival2))
         return self._assert_walk(rows, I=self.I, D=self.D, P=self.P,
                                  E2c=self.E2c, A=self.A)
 
@@ -1093,32 +926,6 @@ class SwitchBurstFlight(BurstFlight):
 # ----------------------------------------------------------------------
 # Fold entry points (called by the NIC with the gates' cheap half done)
 # ----------------------------------------------------------------------
-def _resolve_path(nic, dest_ip):
-    """The clean path from ``nic`` toward ``dest_ip``: ``(recv, leg)``
-    where ``leg`` is None for a direct cable or a :class:`_SwitchLeg`
-    for a one-switch hop; None to refuse the fold."""
-    cable = nic._cable
-    if not _cable_clean(cable):
-        return None
-    dest = "b" if nic._cable_side == "a" else "a"
-    recv = _resolve_receiver(cable, dest)
-    leg = None
-    if recv is None:
-        leg = _resolve_switch_leg(nic, cable, dest, dest_ip)
-        if leg is None:
-            return None
-        recv = leg.recv
-    if recv is nic or not _receiver_clean(recv):
-        return None
-    return recv, leg
-
-
-def _make_flight(leg, *args, **kwargs) -> BurstFlight:
-    if leg is None:
-        return BurstFlight(*args, **kwargs)
-    return SwitchBurstFlight(leg, *args, **kwargs)
-
-
 def _unfolded_now(env) -> bool:
     """Some flight unfolded at this very picosecond.  Its replay races
     any fold committed now into the shared hops, and the guards would
@@ -1128,107 +935,83 @@ def _unfolded_now(env) -> bool:
     return getattr(env, "_burst_unfold_at", None) == env.now
 
 
-def try_fold_write(nic, command, qp, segments, first_psn, fetch,
-                   gate) -> bool:
-    """Attempt to fold one requester WRITE; True = folded (the caller's
-    per-packet loop must not run)."""
-    if not active().fold or _unfolded_now(nic.env):
-        return False
-    if segments is None or len(segments) < FOLD_MIN_PACKETS:
-        return False
+def _write_ready(nic, qp, recv, rqp, first_psn) -> bool:
+    """The sender has nothing unacknowledged and no timer running, the
+    responder expects this WRITE next, between messages, and the
+    receiving NIC sends nothing."""
+    responder = rqp.responder
+    return (not qp.requester.unacked and not nic.timer.attempts(qp.qpn)
+            and not nic.timer.is_armed(qp.qpn)
+            and responder.expected_psn == first_psn
+            and responder.write_cursor is None
+            and recv._tx_gate.triggered and recv._resp_gate.triggered)
+
+
+def _read_context(nic, recv, rqp, request, count):
+    """The requester's context for this READ, when it is the next one
+    and untouched: every outstanding requester entry a READ (no WRITE
+    tail waits on an ACK that would interleave) and no retransmission
+    attempt yet; the responder's DMA engine is unguarded.  None
+    refuses."""
+    if nic.dma.burst_guard is not None \
+            or recv.multiqueue.is_empty(rqp.qpn):
+        return None
+    ctx = recv.multiqueue.peek(rqp.qpn)
+    if (ctx.first_psn != request.bth.psn or ctx.next_index != 0
+            or ctx.bytes_received != 0 or ctx.packet_count != count
+            or ctx.span is not None
+            or any(e.kind != "read" for e in rqp.requester.unacked)
+            or recv.timer.attempts(rqp.qpn)):
+        return None
+    return ctx
+
+
+def try_fold(nic, qp, segments, first_psn, fetch, gate, command=None,
+             request=None) -> bool:
+    """Attempt to fold one requester WRITE (``command``) or responder
+    READ-response stream (``request``, the READ); True = folded (the
+    caller's per-packet loop must not run).  One sequence for both:
+    run-mode and sender gates, path resolve (peer QP included), the
+    verb's own gate, the schedule, the retransmission-deadline check and
+    the commit."""
     from ..nic.dma import FetchPlan
-    if not isinstance(fetch, FetchPlan):
+    if (not active().fold or _unfolded_now(nic.env)
+            or len(segments) < FOLD_MIN_PACKETS
+            or not isinstance(fetch, FetchPlan)
+            or not _sender_clean(nic, qp)):
         return False
-    if not _sender_clean(nic, qp):
-        return False
-    if qp.requester.unacked or nic.timer.attempts(qp.qpn) \
-            or nic.timer.is_armed(qp.qpn):
-        return False
-    path = _resolve_path(nic, qp.dest_ip)
+    path = _resolve_path(nic, qp)
     if path is None:
         return False
-    recv, leg = path
-    if qp.dest_qpn not in recv.qps:
-        return False
-    rqp = recv.qps.get(qp.dest_qpn)
-    if (rqp.in_error or rqp.dest_qpn != qp.qpn
-            or rqp.dest_ip != nic.ip or qp.dest_ip != recv.ip):
-        return False
-    responder = rqp.responder
-    if responder.expected_psn != first_psn \
-            or responder.write_cursor is not None:
-        return False
-    if not recv._tx_gate.triggered or not recv._resp_gate.triggered:
-        return False
-
-    flight = _make_flight(
-        leg, "write", nic, recv, qp, rqp, segments, first_psn, fetch,
-        gate, base_addr=command.raddr, raddr=command.raddr,
-        msg_length=command.length, completion=command.completion,
-        ctx=None)
+    cable, side, recv, rqp, leg = path
+    ctx = None
+    if command is not None:
+        if not _write_ready(nic, qp, recv, rqp, first_psn):
+            return False
+    else:
+        ctx = _read_context(nic, recv, rqp, request, len(segments))
+        if ctx is None:
+            return False
+    args = (nic, recv, qp, rqp, cable, side, segments, first_psn, fetch,
+            gate, command, ctx)
+    flight = BurstFlight(*args) if leg is None \
+        else SwitchBurstFlight(leg, *args)
     try:
         flight.compute_schedule()
     except Exception:
         return False  # e.g. unmapped destination page: per-packet path
-    # The timer arms at C[-1] with the base timeout; it must not expire
-    # while the schedule is still authoritative (before E2).
-    if int(flight.C[-1]) + nic.timer.timeout <= int(flight.A[-1]):
-        return False
-    flight.commit()
-    return True
-
-
-def try_fold_read(nic, qp, packet, segments, fetch, gate) -> bool:
-    """Attempt to fold one responder READ-response stream; True =
-    folded (the caller's per-packet serve loop must not run)."""
-    if not active().fold or _unfolded_now(nic.env):
-        return False
-    if len(segments) < FOLD_MIN_PACKETS:
-        return False
-    from ..nic.dma import FetchPlan
-    if not isinstance(fetch, FetchPlan):
-        return False
-    if not _sender_clean(nic, qp):
-        return False
-    if nic.dma.burst_guard is not None:
-        return False
-    path = _resolve_path(nic, qp.dest_ip)
-    if path is None:
-        return False
-    recv, leg = path
-    if qp.dest_qpn not in recv.qps:
-        return False
-    rqp = recv.qps.get(qp.dest_qpn)
-    if (rqp.in_error or rqp.dest_qpn != qp.qpn
-            or rqp.dest_ip != nic.ip or qp.dest_ip != recv.ip):
-        return False
-    if recv.multiqueue.is_empty(rqp.qpn):
-        return False
-    ctx = recv.multiqueue.peek(rqp.qpn)
-    if (ctx.first_psn != packet.bth.psn or ctx.next_index != 0
-            or ctx.bytes_received != 0
-            or ctx.packet_count != len(segments)
-            or ctx.span is not None):
-        return False
-    # Conservative: every outstanding requester entry must be a READ so
-    # no WRITE tail is waiting on an ACK that would interleave.
-    if any(e.kind != "read" for e in rqp.requester.unacked):
-        return False
-    if recv.timer.attempts(rqp.qpn):
-        return False
-
-    flight = _make_flight(
-        leg, "read", nic, recv, qp, rqp, segments, packet.bth.psn,
-        fetch, gate, base_addr=ctx.laddr, raddr=0,
-        msg_length=packet.reth.dma_length, completion=None, ctx=ctx)
-    try:
-        flight.compute_schedule()
-    except Exception:
-        return False
-    # The requester's retransmission timer (armed when the READ request
-    # went out) must not fire while the response schedule is in flight.
-    deadline = recv.timer.deadline(rqp.qpn)
-    if deadline is None or deadline <= int(flight.wend[-1]):
+    if command is not None:
+        # The timer arms at C[-1] with the base timeout; it must not
+        # expire while the schedule is still authoritative (before E2).
+        deadline = int(flight.C[-1]) + nic.timer.timeout
+        due = int(flight.A[-1])
+    else:
+        # The requester's retransmission timer (armed when the READ
+        # request went out) must not fire while the response schedule
+        # is in flight.
+        deadline = recv.timer.deadline(rqp.qpn)
+        due = int(flight.wend[-1])
+    if deadline is None or deadline <= due:
         return False
     flight.commit()
     return True

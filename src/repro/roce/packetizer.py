@@ -127,6 +127,7 @@ _READ_RESP_SET = (Opcode.READ_RESPONSE_FIRST, Opcode.READ_RESPONSE_MIDDLE,
                   Opcode.READ_RESPONSE_LAST, Opcode.READ_RESPONSE_ONLY)
 _RPC_WRITE_SET = (Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_MIDDLE,
                   Opcode.RPC_WRITE_LAST, Opcode.RPC_WRITE_ONLY)
+_RPC_PARAMS_SET = (Opcode.RPC_PARAMS,) * 4
 
 
 def segment_write(length: int) -> Segments:
@@ -153,6 +154,12 @@ def segment_rpc_write(length: int) -> Segments:
         raise ValueError("RPC WRITE needs payload")
     return Segments(length, config.MAX_PAYLOAD_WITH_RETH,
                     config.MAX_PAYLOAD_NO_RETH, _RPC_WRITE_SET, reth=True)
+
+
+def segment_rpc_params(length: int) -> Segments:
+    """The single RPC_PARAMS packet of an RPC: ``length`` bytes of inline
+    kernel parameters behind a RETH naming the op-code."""
+    return Segments(length, length, 1, _RPC_PARAMS_SET, reth=True)
 
 
 def l3_sizes(segments: Segments,

@@ -16,7 +16,7 @@ from .channels import Stream
 from .core import SimulationError, Simulator
 from .events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
 from .resources import BandwidthLink, Resource
-from .stats import Counter, LatencySample, LatencySummary, ThroughputMeter, percentile
+from .stats import LatencySample, LatencySummary, ThroughputMeter, percentile
 from .timebase import MS, NS, PS, SEC, US
 from .trace import EventTrace, SpanRecord, TraceRecord
 
@@ -24,7 +24,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BandwidthLink",
-    "Counter",
     "Event",
     "EventTrace",
     "SpanRecord",

@@ -7,19 +7,51 @@ mutual exclusion (e.g. a single TX pipeline) or limited parallelism.
 bandwidth: each transfer occupies the link for ``bytes * 8 / rate`` and
 transfers queue in FIFO order.  The PCIe link between the NIC and host
 memory is modelled this way, which is what makes the 100 G "PCIe ratio
-close to 1:1" effect of Section 7 emerge naturally.
+close to 1:1" effect of Section 7 emerge naturally.  Each cable
+direction is one too.  :func:`fifo_ends` is the lane's column form: the
+end times a run of jobs gets from :meth:`BandwidthLink.reserve_after`,
+computed for the whole run at once (the burst fold's schedule).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Generator
+
+import numpy as np
 
 from . import timebase
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
+
+
+#: Column values stay below this (int64 cumsums wrap silently); a
+#: schedule that could reach it is refused and runs per packet.
+COLUMN_LIMIT_PS = 1 << 62
+
+
+def fifo_ends(start: np.ndarray, dur: np.ndarray, floor: int) -> np.ndarray:
+    """End times of a FIFO server fed jobs in order: ``end[i] =
+    max(end[i-1], start[i]) + dur[i]`` with ``end[-1] = floor``.
+
+    Unrolled, ``end[i] = cum[i] + max(floor, max_{j<=i} start[j] -
+    cum[j-1])`` (``cum`` the running sum of ``dur``): one cumsum and one
+    prefix-max scan over int64.  Raises OverflowError — refusing the
+    fold — when the last (largest) end reaches :data:`COLUMN_LIMIT_PS`;
+    the caller keeps ``max(floor, start) + sum(dur)`` below it, so
+    nothing wraps first."""
+    cum = dur.cumsum()
+    lead = start - cum
+    lead += dur
+    if lead[0] < floor:
+        lead[0] = floor   # the floor joins every prefix max through lead[0]
+    np.maximum.accumulate(lead, out=lead)
+    lead += cum
+    if lead[-1] >= COLUMN_LIMIT_PS:
+        raise OverflowError("schedule exceeds the int64 column range")
+    return lead
 
 
 class Resource:
@@ -117,15 +149,7 @@ class BandwidthLink:
     def reserve(self, duration: int) -> int:
         """Claim the next ``duration`` picoseconds of link time (FIFO in
         call order); returns the slot's start time, >= now."""
-        if duration < 0:
-            raise ValueError("negative reservation")
-        start = self._free_at
-        now = self.env.now
-        if start < now:
-            start = now
-        self._free_at = start + duration
-        self.busy_time += duration
-        return start
+        return self.reserve_after(self.env.now, duration)
 
     def reserve_after(self, ready: int, duration: int) -> int:
         """Like :meth:`reserve`, but the slot starts no earlier than
@@ -142,6 +166,22 @@ class BandwidthLink:
         self._free_at = start + duration
         self.busy_time += duration
         return start
+
+    def ends(self, start: np.ndarray, dur: np.ndarray) -> np.ndarray:
+        """Column form of :meth:`reserve_after`: the end of each of a run
+        of jobs (``start[i]``, ``dur[i]``) reserved in order behind the
+        cursor, as int64 (:func:`fifo_ends`).  Pure: :meth:`move_cursor`
+        commits the run."""
+        return fifo_ends(start, dur, self._free_at)
+
+    def move_cursor(self, free_at: int, busy: int, num_bytes: int = 0) -> None:
+        """Set the cursor to ``free_at``, adding ``busy`` picoseconds and
+        ``num_bytes`` to the totals: commits a run from :meth:`ends` (its
+        last end and summed durations), or hands back its unused suffix
+        (the last kept end, negative totals)."""
+        self._free_at = free_at
+        self.busy_time += busy
+        self.bytes_transferred += num_bytes
 
     def transfer(self, num_bytes: int) -> Generator[Event, None, None]:
         """Process helper: occupy the link for one transfer of

@@ -117,25 +117,6 @@ class LatencySample:
         )
 
 
-class Counter:
-    """A monotonically increasing named counter (packets, bytes, retries)."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"<Counter {self.name!r}={self.value}>"
-
-
 class ThroughputMeter:
     """Tracks bytes moved over a simulated interval -> Gbit/s."""
 

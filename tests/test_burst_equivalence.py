@@ -409,10 +409,19 @@ def _access_spike(sim, cluster, h1, h2, qp21, side_src, side_dst):
     return None
 
 
+def _cc_enable(sim, cluster, h1, h2, qp21, side_src, side_dst):
+    # DCQCN switched on mid-flight: ECN marking at the switch's shared
+    # enqueue (frames the unfold re-injects included) and the CC plane
+    # on every NIC.
+    cluster.enable_congestion_control()
+    return None
+
+
 _STAR_TRIGGERS = {
     "third_host_write": _third_host_write,
     "port_blackout": _port_blackout,
     "egress_cable_spike": _access_spike,
+    "cc_enable": _cc_enable,
 }
 
 

@@ -189,6 +189,33 @@ def test_keyboard_interrupt_mid_sweep_is_one_line(monkeypatch, capsys):
     assert "VCU118" in captured.out  # table3 ran and printed first
 
 
+@pytest.mark.parametrize("flag", ["--json", "--markdown", "--trace-out",
+                                  "--metrics-out"])
+def test_unwritable_output_path_fails_before_running(flag, monkeypatch,
+                                                     capsys, tmp_path):
+    """A bad output path ends in one line and exit status 2 before any
+    experiment runs, and no file is created."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+    monkeypatch.setattr(runner, "run_experiments", no_run)
+    good = tmp_path / "out.json"
+    bad = str(tmp_path / "missing" / "x.json")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table3", "--json", str(good), flag, bad])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {bad}: ")
+    assert err.count("\n") == 1
+    assert not good.exists() and not (tmp_path / "missing").exists()
+
+
+def test_output_path_that_is_a_directory_fails(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table3", "--markdown", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 def test_conformance_rejects_non_positive_runs(runs, capsys):
     with pytest.raises(SystemExit) as exit_info:

@@ -93,13 +93,14 @@ def _run(sim, cluster, qpn, verbs, interfere_at=None, probe=None):
 
 def _assert_plain_numbers(sim, cluster):
     assert type(sim.now) is int
-    for cable in cluster.cables.values():
-        assert all(type(t) is int for t in cable._free_at.values())
+    lanes = [cable.lane(side) for cable in cluster.cables.values()
+             for side in ("a", "b")]
     for host in cluster.hosts:
-        for link in (host.nic.dma.read_link, host.nic.dma.write_link):
-            for value in (link._free_at, link.busy_time,
-                          link.bytes_transferred):
-                assert type(value) is int, (link.name, value)
+        lanes += [host.nic.dma.read_link, host.nic.dma.write_link]
+    for link in lanes:
+        for value in (link.free_at, link.busy_time,
+                      link.bytes_transferred):
+            assert type(value) is int, (link.name, value)
         tlb = host.nic.tlb
         for value in (tlb.lookups, tlb.cache_hits, tlb.splits,
                       tlb._last_vpn, tlb._last_base):
@@ -147,7 +148,7 @@ def test_unfolded_schedule_leaves_only_python_ints(topology):
 def _reserve_write_lane(cluster, verb, until):
     """Reserve the receiving NIC's write-back lane up to ``until``."""
     receiver = cluster.hosts[1 if verb == "write" else 0]
-    receiver.nic.dma.write_link._free_at = until
+    receiver.nic.dma.write_link.reserve_after(until, 0)
 
 
 @pytest.mark.parametrize("topology", ["pair", "star"])

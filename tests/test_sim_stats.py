@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import US, Counter, LatencySample, ThroughputMeter, percentile
+from repro.obs.metrics import Counter
+from repro.sim import US, LatencySample, ThroughputMeter, percentile
 
 
 def test_percentile_interpolation():
