@@ -5,7 +5,9 @@ timeout of ``n_words * cycle_ps`` (``cycles(n) == n * cycles(1)`` exactly,
 see ``repro.sim.timebase.cycles_to_ps``).  These tests run one detailed
 experiment per figure family with ``NicConfig.per_word_accounting`` off
 (the default, batched) and on (one timeout per word) and assert byte- and
-picosecond-identical outcomes.
+picosecond-identical outcomes.  Per-word mode keeps the kernel glue's
+DMA transfers as processes, so these runs are also the oracle for the
+glue's callback chains.
 """
 
 import struct
@@ -14,12 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.algos import ChecksummedObject
 from repro.config import HOST_DEFAULT, NIC_10G, NIC_100G
 from repro.core import RpcOpcode
 from repro.experiments.common import measure_write_latency
 from repro.experiments.fig07_linked_list import _measure_for_length
 from repro.host import build_fabric
-from repro.kernels import ShuffleKernel, ShuffleParams, pack_descriptor
+from repro.kernels import (ConsistencyKernel, ConsistencyParams, HllKernel,
+                           HllParams, ShuffleKernel, ShuffleParams,
+                           pack_descriptor)
 from repro.sim import MS, Simulator
 
 
@@ -119,3 +124,88 @@ def test_fig11_shuffle_session_identical():
     assert parts_a == parts_b
     partitioned, overflowed = struct.unpack("<QQ", resp_a)
     assert partitioned == 400 and overflowed == 0
+
+
+# ---------------------------------------------------------------------------
+# Figure 9 / 13 family: consistency-kernel read and HLL RPC-WRITE session
+# ---------------------------------------------------------------------------
+
+def _run_consistency_read(nic_config):
+    """One CRC64-checked 4 KiB read through the consistency kernel;
+    returns (end_time_ps, landed object)."""
+    env = Simulator()
+    fabric = build_fabric(env, nic_config=nic_config,
+                          host_config=HOST_DEFAULT, seed=9)
+    server, client = fabric.server, fabric.client
+    server.nic.deploy_kernel(RpcOpcode.CONSISTENCY,
+                             ConsistencyKernel(env, server.nic.config))
+    size = 4096
+    obj = server.alloc(size, "object")
+    server.space.write(obj.vaddr, ChecksummedObject.seal(
+        bytes(i % 251 for i in range(size - 8))))
+    local = client.alloc(size, "local")
+
+    def proc():
+        params = ConsistencyParams(response_vaddr=local.vaddr,
+                                   object_vaddr=obj.vaddr, object_size=size)
+        yield from client.post_rpc(fabric.client_qpn, RpcOpcode.CONSISTENCY,
+                                   params.pack())
+        yield from client.wait_for_data(local.vaddr + size - 8, 8)
+
+    env.run_until_complete(env.process(proc()), limit=50 * MS)
+    return env.now, client.space.read(local.vaddr, size)
+
+
+def _run_hll_session(nic_config):
+    """One 64 KiB RPC-WRITE stream through the HLL kernel; returns
+    (end_time_ps, completion record, landed stream, register file)."""
+    env = Simulator()
+    fabric = build_fabric(env, nic_config=nic_config,
+                          host_config=HOST_DEFAULT, seed=13)
+    server, client = fabric.server, fabric.client
+    server.nic.deploy_kernel(RpcOpcode.HLL,
+                             HllKernel(env, server.nic.config))
+    size = 64 * 1024
+    values = np.random.default_rng(13).integers(
+        0, 5000, size=size // 8, dtype=np.uint64)
+    data = client.alloc(size, "data")
+    client.space.write(data.vaddr, values.tobytes())
+    record = client.alloc(4096, "record")
+    landing = server.alloc(size + (1 << 14), "landing")
+
+    def proc():
+        params = HllParams(response_vaddr=record.vaddr,
+                           data_vaddr=landing.vaddr,
+                           registers_vaddr=landing.vaddr + size,
+                           total_bytes=size)
+        yield from client.post_rpc(fabric.client_qpn, RpcOpcode.HLL,
+                                   params.pack())
+        yield from client.post_rpc_write(fabric.client_qpn, RpcOpcode.HLL,
+                                         data.vaddr, size)
+        yield from client.wait_for_data(record.vaddr, 16)
+
+    env.run_until_complete(env.process(proc()), limit=50 * MS)
+    env.run()  # drain posted DMA writes
+    return (env.now, client.space.read(record.vaddr, 16),
+            server.space.read(landing.vaddr, size),
+            server.space.read(landing.vaddr + size, 1 << 14))
+
+
+@pytest.mark.parametrize("nic", [NIC_10G, NIC_100G],
+                         ids=["10G", "100G"])
+def test_consistency_kernel_read_identical(nic):
+    batched, per_word = both_modes(nic)
+    a = _run_consistency_read(batched)
+    b = _run_consistency_read(per_word)
+    assert a == b
+    assert ChecksummedObject.verify(a[1])
+
+
+@pytest.mark.parametrize("nic", [NIC_10G, NIC_100G],
+                         ids=["10G", "100G"])
+def test_hll_rpc_write_session_identical(nic):
+    batched, per_word = both_modes(nic)
+    a = _run_hll_session(batched)
+    b = _run_hll_session(per_word)
+    assert a == b
+    assert struct.unpack("<QQ", a[1])[1] == 64 * 1024 // 8
