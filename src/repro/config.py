@@ -125,14 +125,23 @@ class NicConfig:
     #: equivalence tests flip this flag and assert identical results.
     per_word_accounting: bool = False
 
+    def __post_init__(self) -> None:
+        # The integer period, rounded once: every cycles() call is then
+        # one multiply (streaming_time runs several per packet).
+        object.__setattr__(self, "_period",
+                           timebase.clock_period_ps(self.roce_clock_hz))
+
     @property
     def clock_period(self) -> int:
         """RoCE clock period in picoseconds."""
-        return timebase.clock_period_ps(self.roce_clock_hz)
+        return self._period
 
     def cycles(self, n: int) -> int:
-        """Duration of ``n`` RoCE-clock cycles in picoseconds."""
-        return timebase.cycles_to_ps(n, self.roce_clock_hz)
+        """Duration of ``n`` RoCE-clock cycles in picoseconds
+        (:func:`repro.sim.timebase.cycles_to_ps`)."""
+        if n < 0:
+            raise ValueError("cycle count must be non-negative")
+        return n * self._period
 
     def words(self, num_bytes: int) -> int:
         """Data-path words needed to stream ``num_bytes``."""

@@ -259,6 +259,9 @@ class StromKernel:
     # ------------------------------------------------------------------
     # Stream conveniences (process helpers, use with ``yield from``)
     # ------------------------------------------------------------------
+    # A put yields only when it blocked: a completed put's event is
+    # already processed, so yielding it would resume inline anyway, at
+    # the cost of a round trip through every delegating frame.
     def next_invocation(self):
         """Wait for the next RPC: reads qpnIn and paramIn together, the
         way every published kernel's first stage does (Listing 3)."""
@@ -285,8 +288,10 @@ class StromKernel:
         guard = self.guard
         if guard is not None and guard.active:
             guard.charge_dma(vaddr, length, False, self.env.now)
-        yield self.streams.dma_cmd_out.put(
+        put = self.streams.dma_cmd_out.put(
             MemCmd(vaddr=vaddr, length=length, is_write=False))
+        if not put.processed:
+            yield put
         data = yield self.streams.dma_data_in.get()
         if data is ABORT_SENTINEL:
             raise guard.take_abort()
@@ -299,18 +304,26 @@ class StromKernel:
         guard = self.guard
         if guard is not None and guard.active:
             guard.charge_dma(vaddr, len(data), True, self.env.now)
-        yield self.streams.dma_cmd_out.put(
+        put = self.streams.dma_cmd_out.put(
             MemCmd(vaddr=vaddr, length=len(data), is_write=True))
-        yield self.streams.dma_data_out.put(data)
+        if not put.processed:
+            yield put
+        put = self.streams.dma_data_out.put(data)
+        if not put.processed:
+            yield put
 
     def send_to_network(self, qpn: int, target_vaddr: int, data: bytes):
         """Emit an RDMA WRITE of ``data`` to the requester's memory."""
         guard = self.guard
         if guard is not None and guard.active:
             guard.check_live(self.env.now)
-        yield self.streams.roce_meta_out.put(
+        put = self.streams.roce_meta_out.put(
             RoceMeta(qpn=qpn, target_vaddr=target_vaddr, length=len(data)))
-        yield self.streams.roce_data_out.put(data)
+        if not put.processed:
+            yield put
+        put = self.streams.roce_data_out.put(data)
+        if not put.processed:
+            yield put
 
     def receive_payload(self):
         """Wait for one RPC WRITE payload chunk on roceDataIn."""

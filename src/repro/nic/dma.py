@@ -37,7 +37,8 @@ from ..core.payload import PayloadRef
 from ..memory import PhysicalMemory
 from ..obs.runtime import registry_for, trace_for
 from ..roce.packetizer import Segments
-from ..sim import BandwidthLink, Event, Simulator
+from ..sim import (BandwidthLink, Event, Simulator, process_step,
+                   terminated)
 from .tlb import ChunkRun, Tlb
 
 #: Fixed per-TLP overhead on the PCIe link (headers + DLLP traffic).
@@ -355,6 +356,39 @@ class DmaEngine:
         else:
             yield self.env.timeout(self._reserve_burst(
                 self.read_link, latency, lengths, length, sequential))
+        return self._read_data(pieces, length, span)
+
+    def read_posted(self, vaddr: int, length: int, sequential: bool,
+                    on_done: Callable[[bytes], None]) -> None:
+        """Callback :meth:`read`: reserve the host->card burst now and
+        hand the bytes to ``on_done(data)`` from one callback entry at
+        the burst's end, the time a ``yield from read(...)`` caller
+        would have resumed.  Per-word validation mode runs :meth:`read`
+        as a process (as :meth:`write_posted` does)."""
+        if self.config.per_word_accounting:
+            self.env.process(
+                self._read_then(vaddr, length, sequential, on_done))
+            return
+        span = None if self.trace is None else self.trace.begin_span(
+            self.name, "dma_read", vaddr=vaddr, length=length)
+        pieces = list(self.tlb.split_command(vaddr, length))
+        delay = self._reserve_burst(self.read_link,
+                                    self.config.pcie_read_latency,
+                                    [n for _, n in pieces], length,
+                                    sequential)
+        self.env.call_at(delay, self._complete_read,
+                         (pieces, length, span, on_done))
+
+    def _complete_read(self, read) -> None:
+        pieces, length, span, on_done = read
+        on_done(self._read_data(pieces, length, span))
+
+    def _read_then(self, vaddr: int, length: int, sequential: bool,
+                   on_done: Callable[[bytes], None]):
+        on_done((yield from self.read(vaddr, length, sequential)))
+
+    def _read_data(self, pieces, length: int, span) -> bytes:
+        """Materialize a finished read's bytes (burst completion)."""
         self.reads.add()
         self.bytes_read.add(length)
         self.payload_copy_bytes.add(length)
@@ -613,7 +647,7 @@ class MmioPath:
         finally:
             self._cpu_port.release()
         self.commands_issued.add()
-        self.env.process(self._cross([command]))
+        self.env.call_soon(self._cross, [command])
 
     def post_batch(self, commands):
         """Doorbell batching: several commands written to a command ring
@@ -633,9 +667,15 @@ class MmioPath:
         finally:
             self._cpu_port.release()
         self.commands_issued.add(len(commands))
-        self.env.process(self._cross(commands))
+        self.env.call_soon(self._cross, commands)
 
-    def _cross(self, commands):
-        yield self.env.timeout(self.crossing_latency)
+    # The crossing is a callback chain with the entries of the process
+    # it replaces: start, the latency, delivery, termination.
+    def _cross(self, commands) -> None:
+        self.env.call_at(self.crossing_latency, self._arrive, commands)
+
+    @process_step
+    def _arrive(self, commands) -> None:
         for command in commands:
             self.deliver(command)
+        self.env.call_soon(terminated)

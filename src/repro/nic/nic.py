@@ -63,7 +63,8 @@ from ..roce.qp import (
     psn_distance,
 )
 from ..roce.retransmit import RetransmissionTimer
-from ..sim import Event, Resource, Simulator, Stream
+from ..sim import (Event, Resource, Simulator, Stream, process_step,
+                   terminated)
 from .dma import DmaEngine, StreamChunks
 from .tlb import Tlb
 
@@ -281,8 +282,9 @@ class StromNic:
                 protection=protection, budget=budget,
                 quarantine_threshold=quarantine_threshold)
         self.registry.deploy(rpc_opcode, kernel)
-        self.env.process(self._kernel_dma_adapter(kernel))
-        self.env.process(self._kernel_tx_adapter(kernel))
+        glue = _KernelGlue(self, kernel)
+        self.env.call_soon(glue.serve_dma)
+        self.env.call_soon(glue.serve_tx)
 
     # ------------------------------------------------------------------
     # Power state (whole-node crash/restart fault injection)
@@ -645,8 +647,8 @@ class StromNic:
     def _rx_dispatch(self, packet: RocePacket) -> None:
         """Classify one received frame.  Runs synchronously so PSN/MSN
         state updates, ACK emission and gate chaining happen strictly in
-        arrival order; only tails that genuinely wait (READ serving,
-        kernel stream feeds) continue as processes."""
+        arrival order; READ serving continues as a process and the
+        kernel stream feeds as callback chains."""
         self.packets_received.add()
         if self.trace is not None:
             self.trace.record(self.name, "rx",
@@ -717,7 +719,7 @@ class StromNic:
             responder.expected_psn = psn_add(packet.bth.psn, 1)
             responder.msn = (responder.msn + 1) & 0xFFFFFF
             self._send_ack(qp, packet.bth.psn, responder.msn)
-            self.env.process(self._dispatch_rpc(qp, packet))
+            self.env.call_soon(self._dispatch_rpc, (qp, packet))
         elif is_rpc_write(opcode):
             self._responder_rpc_write(qp, packet)
         else:
@@ -821,35 +823,53 @@ class StromNic:
         if kernel is None:
             self.packets_dropped.add()
             return
-        self.env.process(
-            self._rpc_write_feed(kernel, qp.qpn, packet.payload, tail))
+        self.env.call_soon(self._rpc_write_start,
+                           (kernel, qp.qpn, packet.payload, tail))
 
-    def _rpc_write_feed(self, kernel, qpn: int, payload, tail: bool):
+    # The kernel feeds are callback chains with the entries of the
+    # processes they replace: start, the arbitration delay, the stream
+    # put(s), termination.  Kernel input streams are unbounded, so a
+    # feed's put never blocks.
+    def _rpc_write_start(self, feed) -> None:
         # Arbitration into the kernel adds a few cycles (Section 5.1).
-        yield self.env.timeout(self._arb_delay)
+        self.env.call_at(self._arb_delay, self._rpc_write_feed, feed)
+
+    def _rpc_write_feed(self, feed) -> None:
+        kernel, qpn, payload, tail = feed
         if kernel.guard is not None and kernel.guard.quarantined:
             # Quarantined while the payload was in flight: drop it
             # rather than grow an unconsumed input stream forever.
             self.packets_dropped.add()
-            return
-        # Kernels inspect their input: materialize forwarded views here.
-        yield kernel.streams.roce_data_in.put((qpn, as_bytes(payload), tail))
+        else:
+            # Kernels inspect their input: materialize forwarded views.
+            kernel.streams.roce_data_in.put((qpn, as_bytes(payload), tail))
+        self.env.call_soon(terminated)
 
-    def _dispatch_rpc(self, qp, packet: RocePacket):
+    def _dispatch_rpc(self, request) -> None:
+        qp, packet = request
         rpc_opcode = packet.reth.vaddr
         kernel, status = self.registry.resolve(rpc_opcode)
         if status == "match":
-            yield self.env.timeout(self._arb_delay)
-            yield kernel.streams.qpn_in.put(qp.qpn)
-            yield kernel.streams.param_in.put(as_bytes(packet.payload))
+            self.env.call_at(self._arb_delay, self._invoke_kernel,
+                             (kernel, qp.qpn, packet.payload))
             return
         if status == "miss" and self.registry.fallback is not None:
             self.registry.fallbacks.add()
             self.env.process(self.registry.fallback(
                 qp.qpn, rpc_opcode, as_bytes(packet.payload)))
-            return
-        # No kernel / no fallback / quarantined kernel: write an error
-        # code back to the requesting node (Section 5.1).
+        else:
+            self._answer_rpc_error(qp, packet, status)
+        self.env.call_soon(terminated)
+
+    def _invoke_kernel(self, invocation) -> None:
+        kernel, qpn, params = invocation
+        kernel.streams.qpn_in.put(qpn)
+        kernel.streams.param_in.put(as_bytes(params))
+        self.env.call_soon(terminated)
+
+    def _answer_rpc_error(self, qp, packet: RocePacket, status: str) -> None:
+        """No kernel / no fallback / quarantined kernel: write an error
+        code back to the requesting node (Section 5.1)."""
         error_code = RPC_ERROR_QUARANTINED if status == "quarantined" \
             else RPC_ERROR_NO_KERNEL
         try:
@@ -1047,63 +1067,181 @@ class StromNic:
             self.timer.arm(qp.qpn)
 
     # ------------------------------------------------------------------
-    # Kernel stream adapters (Figure 4 wiring)
+    # Posted kernel DMA writes
     # ------------------------------------------------------------------
-    def _kernel_dma_adapter(self, kernel: StromKernel):
-        """Serve the kernel's DMA command/data streams.
+    def _post_kernel_write(self, vaddr: int, data,
+                           sequential: bool = True) -> None:
+        """Posted write: the kernel never stalls on its completion.  A
+        callback chain with the entries of the process it replaces:
+        start, the burst's commit (:meth:`DmaEngine.write_posted`),
+        termination."""
+        self.env.call_soon(self._kernel_write, (vaddr, data, sequential))
 
-        For hardened deployments every command is validated against the
-        kernel's protection domain *here*, before it reaches the DMA
-        engine — the kernel-side checks in the issue helpers are the
-        fast path, this adapter is the authoritative gate.  A violating
-        command is discarded (never forwarded to :mod:`repro.nic.dma`)
-        and the invocation is marked doomed; a blocked kernel is woken
-        with the abort sentinel."""
-        sequential = getattr(kernel, "sequential_dma", True)
-        while True:
-            cmd: MemCmd = yield kernel.streams.dma_cmd_out.get()
-            guard = kernel.guard
-            epoch = guard.epoch if guard is not None else 0
-            if guard is not None \
-                    and not guard.admit_dma(cmd.vaddr, cmd.length,
-                                            cmd.is_write):
-                if cmd.is_write:
-                    yield kernel.streams.dma_data_out.get()  # discard
-                else:
-                    yield kernel.streams.dma_data_in.put(ABORT_SENTINEL)
-                continue
-            if guard is not None and self.check is not None:
-                self.check.on_kernel_dma(self, kernel, cmd)
+    @process_step
+    def _kernel_write(self, write) -> None:
+        vaddr, data, sequential = write
+        self.dma.write_posted(vaddr, data, sequential,
+                              on_done=self._kernel_write_done)
+
+    def _kernel_write_done(self) -> None:
+        self.env.call_soon(terminated)
+
+
+class _KernelGlue:
+    """The NIC side of one deployed kernel's streams (Figure 4 wiring).
+
+    Two servers written as callback chains, each parked on its stream
+    (:meth:`repro.sim.Stream.park`) while idle, the way the switch ports
+    are: the DMA adapter serves ``dmaCmdOut``/``dmaDataOut``/``dmaDataIn``
+    against the DMA engine, one command at a time; the TX adapter turns
+    ``roceMetaOut``/``roceDataOut`` pairs into RDMA WRITEs, or into local
+    DMA writes for ``LOCAL_QPN`` (local invocation, Section 3.5).  Every
+    wait (a command's data, a read's burst) is an entry drawn where the
+    adapter process it replaces drew its event.  Each entry is a
+    :func:`repro.sim.process_step`: a kernel whose data length differs
+    from its command or metadata ends the run in ``SimulationError``,
+    as the process did.
+
+    For hardened deployments every command is validated against the
+    kernel's protection domain *here*, before it reaches the DMA engine
+    — the kernel-side checks in the issue helpers are the fast path,
+    this adapter is the authoritative gate.  A violating command is
+    discarded (never forwarded to :mod:`repro.nic.dma`) and the
+    invocation is marked doomed; a blocked kernel is woken with the
+    abort sentinel.
+    """
+
+    __slots__ = ("nic", "env", "kernel", "streams", "sequential", "cmd",
+                 "epoch", "meta")
+
+    def __init__(self, nic: StromNic, kernel: StromKernel) -> None:
+        self.nic = nic
+        self.env = nic.env
+        self.kernel = kernel
+        self.streams = kernel.streams
+        self.sequential = getattr(kernel, "sequential_dma", True)
+        #: The write command awaiting its data (None: discard the data
+        #: of a refused write).
+        self.cmd: Optional[MemCmd] = None
+        #: The guard epoch a read was issued in: data of an aborted
+        #: invocation is dropped.
+        self.epoch = 0
+        #: The TX metadata awaiting its data.
+        self.meta: Optional[RoceMeta] = None
+
+    # DMA adapter.  Each step returns True when the adapter is free
+    # again at once and False when it parked or scheduled a wait that
+    # resumes the chain.
+    @process_step
+    def serve_dma(self, _arg=None) -> None:
+        self._dma_idle()
+
+    def _dma_idle(self) -> None:
+        """Serve queued commands until one has to wait; park when empty."""
+        cmd_out = self.streams.dma_cmd_out
+        while len(cmd_out):
+            if not self._dma_command(cmd_out.get().value):
+                return
+        cmd_out.park(self._dma_wake)
+
+    @process_step
+    def _dma_wake(self, cmd: MemCmd) -> None:
+        if self._dma_command(cmd):
+            self._dma_idle()
+
+    def _dma_command(self, cmd: MemCmd) -> bool:
+        kernel = self.kernel
+        guard = kernel.guard
+        self.epoch = guard.epoch if guard is not None else 0
+        if guard is not None \
+                and not guard.admit_dma(cmd.vaddr, cmd.length, cmd.is_write):
             if cmd.is_write:
-                data = yield kernel.streams.dma_data_out.get()
-                if len(data) != cmd.length:
-                    raise ValueError(
-                        f"kernel {kernel.name}: DMA write length mismatch "
-                        f"({len(data)} != {cmd.length})")
-                # Posted write: do not stall the kernel on completion.
-                self.env.process(
-                    self.dma.write(cmd.vaddr, data, sequential=sequential))
-            else:
-                data = yield from self.dma.read(cmd.vaddr, cmd.length,
-                                                sequential=sequential)
-                if guard is not None and guard.epoch != epoch:
-                    continue  # invocation aborted mid-read: stale data
-                yield kernel.streams.dma_data_in.put(data)
+                self.cmd = None
+                return self._dma_take_data()
+            self.streams.dma_data_in.put(ABORT_SENTINEL)
+            return True
+        nic = self.nic
+        if guard is not None and nic.check is not None:
+            nic.check.on_kernel_dma(nic, kernel, cmd)
+        if cmd.is_write:
+            self.cmd = cmd
+            return self._dma_take_data()
+        nic.dma.read_posted(cmd.vaddr, cmd.length, self.sequential,
+                            self._dma_read_done)
+        return False
 
-    def _kernel_tx_adapter(self, kernel: StromKernel):
-        """Turn the kernel's roceMetaOut/roceDataOut into RDMA WRITEs."""
-        while True:
-            meta: RoceMeta = yield kernel.streams.roce_meta_out.get()
-            data: bytes = yield kernel.streams.roce_data_out.get()
-            if len(data) != meta.length:
-                raise ValueError(
-                    f"kernel {kernel.name}: TX length mismatch "
-                    f"({len(data)} != {meta.length})")
-            if meta.qpn == LOCAL_QPN:
-                # Local invocation: the "response" lands in local memory.
-                self.env.process(
-                    self.dma.write(meta.target_vaddr, data))
-                continue
-            self._post_send(NicCommand(
-                kind="write", qpn=meta.qpn, raddr=meta.target_vaddr,
-                length=meta.length, payload_inline=data))
+    def _dma_take_data(self) -> bool:
+        data_out = self.streams.dma_data_out
+        if len(data_out):
+            self._dma_write(data_out.get().value)
+            return True
+        data_out.park(self._dma_data_wake)
+        return False
+
+    @process_step
+    def _dma_data_wake(self, data) -> None:
+        self._dma_write(data)
+        self._dma_idle()
+
+    def _dma_write(self, data) -> None:
+        cmd = self.cmd
+        if cmd is None:
+            return  # a refused write's data: discarded
+        if len(data) != cmd.length:
+            raise ValueError(
+                f"kernel {self.kernel.name}: DMA write length mismatch "
+                f"({len(data)} != {cmd.length})")
+        self.nic._post_kernel_write(cmd.vaddr, data, self.sequential)
+
+    @process_step
+    def _dma_read_done(self, data: bytes) -> None:
+        guard = self.kernel.guard
+        if guard is None or guard.epoch == self.epoch:
+            self.streams.dma_data_in.put(data)
+        # else: the invocation aborted mid-read, the data is stale.
+        self._dma_idle()
+
+    # TX adapter.
+    @process_step
+    def serve_tx(self, _arg=None) -> None:
+        self._tx_idle()
+
+    def _tx_idle(self) -> None:
+        """Send queued metadata until one has to wait; park when empty."""
+        meta_out = self.streams.roce_meta_out
+        while len(meta_out):
+            if not self._tx_meta(meta_out.get().value):
+                return
+        meta_out.park(self._tx_wake)
+
+    @process_step
+    def _tx_wake(self, meta: RoceMeta) -> None:
+        if self._tx_meta(meta):
+            self._tx_idle()
+
+    def _tx_meta(self, meta: RoceMeta) -> bool:
+        data_out = self.streams.roce_data_out
+        if len(data_out):
+            self._tx_send(meta, data_out.get().value)
+            return True
+        self.meta = meta
+        data_out.park(self._tx_data_wake)
+        return False
+
+    @process_step
+    def _tx_data_wake(self, data) -> None:
+        self._tx_send(self.meta, data)
+        self._tx_idle()
+
+    def _tx_send(self, meta: RoceMeta, data) -> None:
+        if len(data) != meta.length:
+            raise ValueError(
+                f"kernel {self.kernel.name}: TX length mismatch "
+                f"({len(data)} != {meta.length})")
+        if meta.qpn == LOCAL_QPN:
+            # Local invocation: the "response" lands in local memory.
+            self.nic._post_kernel_write(meta.target_vaddr, data)
+            return
+        self.nic._post_send(NicCommand(
+            kind="write", qpn=meta.qpn, raddr=meta.target_vaddr,
+            length=meta.length, payload_inline=data))

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Optional
 
 from ..algos.hashing import fnv1a64
 from ..obs.runtime import registry_for
-from ..sim import Simulator
+from ..sim import Simulator, terminated
 
 
 class _Countdown:
@@ -58,11 +58,6 @@ class _Countdown:
         self.delay = delay
         #: True from the start entry until expiry or cancellation.
         self.waiting = False
-
-
-def _terminated(_arg) -> None:
-    """The entry a finished countdown schedules (it keeps the event
-    stream a countdown process produced)."""
 
 
 class RetransmissionTimer:
@@ -195,13 +190,13 @@ class RetransmissionTimer:
             self.env.call_soon(self._cancelled)
 
     def _cancelled(self, _arg) -> None:
-        self.env.call_soon(_terminated)
+        self.env.call_soon(terminated)
 
     def _start(self, countdown: _Countdown) -> None:
         if self._versions.get(countdown.qpn) != countdown.version:
             # Cancelled before it started (same-tick disarm/re-arm):
             # finish without scheduling a deadline at all.
-            self.env.call_soon(_terminated)
+            self.env.call_soon(terminated)
             return
         countdown.waiting = True
         self.env.call_at(countdown.delay, self._expire, countdown)
@@ -218,7 +213,7 @@ class RetransmissionTimer:
                 self._fire(qpn)
             finally:
                 self._expiring = None
-        self.env.call_soon(_terminated)
+        self.env.call_soon(terminated)
 
     def _fire(self, qpn: int) -> None:
         self._armed[qpn] = False

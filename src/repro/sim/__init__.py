@@ -13,7 +13,7 @@ Public surface:
 
 from . import timebase
 from .channels import Stream
-from .core import SimulationError, Simulator
+from .core import SimulationError, Simulator, process_step, terminated
 from .events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
 from .resources import BandwidthLink, Resource
 from .stats import LatencySample, LatencySummary, ThroughputMeter, percentile
@@ -44,5 +44,7 @@ __all__ = [
     "Timeout",
     "US",
     "percentile",
+    "process_step",
+    "terminated",
     "timebase",
 ]

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import wraps
 from heapq import heappop
 from itertools import count
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
@@ -55,6 +56,27 @@ from .events import AllOf, AnyOf, Event, Process, Timeout
 
 class SimulationError(RuntimeError):
     """Raised when a failed event (e.g. a crashed process) has no waiters."""
+
+
+def terminated(_arg=None) -> None:
+    """The no-op entry a callback chain schedules where the process it
+    replaces terminated: ``env.call_soon(terminated)`` draws the eid the
+    process's termination drew, and dispatching it does nothing."""
+
+
+def process_step(method: Callable[[Any, Any], None]) -> Callable:
+    """Decorate a method run as a callback entry (``self.env`` is its
+    simulator) that stands in for a step of a process: an exception it
+    raises fails one event, drawing the entry the crashed process drew,
+    so ``env.run()`` ends in :class:`SimulationError` chained from it
+    instead of the exception escaping the dispatch loop raw."""
+    @wraps(method)
+    def step(self, arg=None) -> None:
+        try:
+            method(self, arg)
+        except Exception as exc:
+            self.env.event().fail(exc)
+    return step
 
 
 class Simulator:

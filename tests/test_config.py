@@ -1,5 +1,7 @@
 """Tests for the configuration and framing arithmetic."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +50,21 @@ def test_clock_period_and_cycles():
     assert NIC_10G.clock_period == 6400  # ps
     assert NIC_10G.cycles(5) == 32_000
     assert NIC_100G.clock_period == 3106
+
+
+@pytest.mark.parametrize("nic", [NIC_10G, NIC_100G], ids=["10G", "100G"])
+def test_cached_period_gives_the_timebase_integers(nic):
+    """The period is rounded once per config; every duration stays the
+    integer ``timebase.cycles_to_ps`` gives."""
+    from repro.sim import timebase
+    for num_bytes in range(9001):
+        assert nic.streaming_time(num_bytes) == timebase.cycles_to_ps(
+            nic.words(num_bytes), nic.roce_clock_hz)
+    for n in range(200):
+        assert nic.cycles(n) == timebase.cycles_to_ps(n, nic.roce_clock_hz)
+    with pytest.raises(ValueError):
+        nic.cycles(-1)
+    assert replace(nic, roce_clock_hz=250e6).clock_period == 4000
 
 
 def test_words_and_streaming_time():
