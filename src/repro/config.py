@@ -126,8 +126,8 @@ class NicConfig:
     per_word_accounting: bool = False
 
     def __post_init__(self) -> None:
-        # The integer period, rounded once: every cycles() call is then
-        # one multiply (streaming_time runs several per packet).
+        # The integer period, rounded once: cycles() and streaming_time()
+        # are then one multiply (the TX/RX paths run several per packet).
         object.__setattr__(self, "_period",
                            timebase.clock_period_ps(self.roce_clock_hz))
 
@@ -151,7 +151,7 @@ class NicConfig:
         """Time for ``num_bytes`` to stream through a line-rate (II=1)
         pipeline stage — the store-and-forward cost the paper attributes
         to ICRC calculation (§7.1)."""
-        return self.cycles(self.words(num_bytes))
+        return self.words(num_bytes) * self._period
 
     def streaming_charge(self, env, num_bytes: int):
         """Process helper (use with ``yield from``): charge the II=1

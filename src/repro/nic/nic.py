@@ -1119,7 +1119,7 @@ class _KernelGlue:
         self.env = nic.env
         self.kernel = kernel
         self.streams = kernel.streams
-        self.sequential = getattr(kernel, "sequential_dma", True)
+        self.sequential = kernel.sequential_dma
         #: The write command awaiting its data (None: discard the data
         #: of a refused write).
         self.cmd: Optional[MemCmd] = None

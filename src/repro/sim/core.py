@@ -26,8 +26,8 @@ carries an :class:`Event` in ``arg``: dispatch resumes its waiting
 process and runs its callbacks.  A *callback entry* carries a plain
 function: dispatch runs ``fn(arg)`` — no Event object, no generator
 resume.  Per-packet hops that only ever do "wait, then run this" (cable
-arrivals, switch ports, posted DMA writes, retransmission countdowns)
-use callback entries.
+arrivals, switch ports, posted DMA writes, retransmission countdowns,
+the NIC's kernel glue) use callback entries.
 
 Both queues draw entry ids (eids) from one counter, and the dispatch
 loop always picks the lower eid when a heap entry is due at the current

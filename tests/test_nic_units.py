@@ -18,7 +18,7 @@ from repro.net import (
 )
 from repro.nic import DmaCommand, DmaEngine, MmioPath, Tlb, TlbMissError
 from repro.roce import Bth, Opcode, Reth, RocePacket
-from repro.sim import MS, NS, US, Simulator, timebase
+from repro.sim import MS, NS, US, SimulationError, Simulator, timebase
 
 PAGE = 2 * 1024 * 1024
 
@@ -347,6 +347,28 @@ def test_mmio_serializes_commands():
     assert int(mmio.commands_issued) == 10
     # Ten serialized stores take at least 10 x issue_cost.
     assert env.now >= 10 * 100 * NS
+
+
+def test_mmio_delivery_failure_ends_the_run_in_simulation_error():
+    """A command the NIC rejects by raising fails the crossing the way a
+    crashed process does: the run ends in SimulationError chained from
+    the exception, and the batch's later commands are not delivered."""
+    env = Simulator()
+    delivered = []
+
+    def deliver(command):
+        if command == "bad":
+            raise ValueError("unknown command kind 'bad'")
+        delivered.append(command)
+
+    mmio = MmioPath(env, issue_cost=100 * NS, crossing_latency=300 * NS,
+                    deliver=deliver)
+    env.process(mmio.post_batch(["ok", "bad", "late"]))
+    with pytest.raises(SimulationError) as info:
+        env.run()
+    assert isinstance(info.value.__cause__, ValueError)
+    assert delivered == ["ok"]
+    assert (env.events_created, env.now) == (6, 425 * NS)
 
 
 def test_dma_read_bursts_served_in_issue_order():
