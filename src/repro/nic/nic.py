@@ -1066,26 +1066,6 @@ class StromNic:
             # and re-arming here would resurrect a dead QP's timer.
             self.timer.arm(qp.qpn)
 
-    # ------------------------------------------------------------------
-    # Posted kernel DMA writes
-    # ------------------------------------------------------------------
-    def _post_kernel_write(self, vaddr: int, data,
-                           sequential: bool = True) -> None:
-        """Posted write: the kernel never stalls on its completion.  A
-        callback chain with the entries of the process it replaces:
-        start, the burst's commit (:meth:`DmaEngine.write_posted`),
-        termination."""
-        self.env.call_soon(self._kernel_write, (vaddr, data, sequential))
-
-    @process_step
-    def _kernel_write(self, write) -> None:
-        vaddr, data, sequential = write
-        self.dma.write_posted(vaddr, data, sequential,
-                              on_done=self._kernel_write_done)
-
-    def _kernel_write_done(self) -> None:
-        self.env.call_soon(terminated)
-
 
 class _KernelGlue:
     """The NIC side of one deployed kernel's streams (Figure 4 wiring).
@@ -1191,7 +1171,7 @@ class _KernelGlue:
             raise ValueError(
                 f"kernel {self.kernel.name}: DMA write length mismatch "
                 f"({len(data)} != {cmd.length})")
-        self.nic._post_kernel_write(cmd.vaddr, data, self.sequential)
+        self._post_write(cmd.vaddr, data, self.sequential)
 
     @process_step
     def _dma_read_done(self, data: bytes) -> None:
@@ -1240,8 +1220,24 @@ class _KernelGlue:
                 f"({len(data)} != {meta.length})")
         if meta.qpn == LOCAL_QPN:
             # Local invocation: the "response" lands in local memory.
-            self.nic._post_kernel_write(meta.target_vaddr, data)
+            self._post_write(meta.target_vaddr, data, True)
             return
         self.nic._post_send(NicCommand(
             kind="write", qpn=meta.qpn, raddr=meta.target_vaddr,
             length=meta.length, payload_inline=data))
+
+    # Posted writes (kernel DMA and LOCAL_QPN): the kernel never stalls
+    # on their completion.  A callback chain with the entries of the
+    # process it replaces: start, the burst's commit
+    # (:meth:`DmaEngine.write_posted`), termination.
+    def _post_write(self, vaddr: int, data, sequential: bool) -> None:
+        self.env.call_soon(self._write_start, (vaddr, data, sequential))
+
+    @process_step
+    def _write_start(self, write) -> None:
+        vaddr, data, sequential = write
+        self.nic.dma.write_posted(vaddr, data, sequential,
+                                  on_done=self._write_done)
+
+    def _write_done(self) -> None:
+        self.env.call_soon(terminated)
