@@ -1,19 +1,24 @@
 """Sparse, byte-addressable physical memory.
 
 This is the DRAM image both the host CPU and the NIC's DMA engine operate
-on.  Pages materialize on first touch, so multi-gigabyte address spaces
-cost only what is actually written.
+on.  A page materializes on its first write as a private anonymous
+mapping of the full page size, which the kernel commits and zero-fills
+4 KiB at a time as bytes are first touched.  So multi-gigabyte address
+spaces cost only what is actually written: a 128 B write into a fresh
+2 MB page makes one 4 KiB frame resident, not 2 MB.
 
 The zero-copy payload plane (see :mod:`repro.core.payload`) enters memory
 here: :meth:`PhysicalMemory.read_view` hands out a :class:`PayloadRef` of
-memoryviews over the page bytearrays instead of a joined copy, and
+memoryviews over the page mappings instead of a joined copy, and
 :meth:`PhysicalMemory.write_views` scatter-writes such views directly
-into the destination pages.  Pages never resize, so exported views stay
-valid for the lifetime of the memory.
+into the destination pages.  Pages never resize, and an exported view
+keeps its mapping alive, so views stay valid even after the memory
+itself is dropped.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Dict, Iterable, Optional
 
 from ..core.payload import PAYLOAD_STATS, Buffer, PayloadRef
@@ -23,7 +28,10 @@ class PhysicalMemory:
     """Byte-addressable memory with lazily materialized pages.
 
     Reads of never-written memory return zero bytes, like freshly
-    zero-filled pages from the OS.
+    zero-filled pages from the OS.  A written page is an anonymous
+    ``MAP_PRIVATE`` mapping: committed 4 KiB at a time on first touch,
+    and, like the process's other private memory, copy-on-write across
+    ``fork`` (a child's stores never reach the parent's pages).
     """
 
     def __init__(self, page_bytes: int = 2 * 1024 * 1024,
@@ -34,7 +42,7 @@ class PhysicalMemory:
             raise ValueError("memory size must be a multiple of the page size")
         self.page_bytes = page_bytes
         self.size_bytes = size_bytes
-        self._pages: Dict[int, bytearray] = {}
+        self._pages: Dict[int, mmap.mmap] = {}
         # Shared zero page backing views of never-materialized memory.
         self._zeros: Optional[bytes] = None
         #: While a burst flight is folded over views of this memory, any
@@ -167,7 +175,7 @@ class PhysicalMemory:
             chunk = min(view.nbytes, self.page_bytes - offset)
             page = self._pages.get(page_index)
             if page is None:
-                page = bytearray(self.page_bytes)
+                page = mmap.mmap(-1, self.page_bytes, flags=mmap.MAP_PRIVATE)
                 self._pages[page_index] = page
             page[offset:offset + chunk] = view[:chunk]
             cursor += chunk

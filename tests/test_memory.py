@@ -1,5 +1,11 @@
 """Unit and property tests for the memory substrate."""
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +18,7 @@ from repro.memory import (
 )
 
 PAGE = 2 * 1024 * 1024
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def make_space(pages=64, stride=7):
@@ -83,6 +90,66 @@ def test_physical_memory_write_read_property(offset, data):
     assert mem.read(offset, len(data)) == data
 
 
+# Pins 64 one-page regions and writes 128 B into each; prints how far the
+# peak resident set grew, in KiB (ru_maxrss is in KiB on Linux).
+_SPARSE_PAGES_SCRIPT = """
+import resource
+from repro.memory import AddressSpace, PhysicalMemory
+PAGE = 2 * 1024 * 1024
+space = AddressSpace(PhysicalMemory(page_bytes=PAGE, size_bytes=128 * PAGE))
+regions = [space.allocate(PAGE, f"slot{i}") for i in range(64)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for region in regions:
+    space.write(region.vaddr, bytes(range(128)))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert space.physical.num_materialized_pages == 64
+print(after - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss units are KiB on Linux only")
+def test_small_writes_cost_only_touched_bytes():
+    """A 128 B write into a fresh 2 MB page commits a 4 KiB frame, not
+    the page: 64 such pages stay far below 64 x 2 MiB resident."""
+    done = subprocess.run([sys.executable, "-c", _SPARSE_PAGES_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown_kib = int(done.stdout)
+    assert grown_kib < 16 * 1024, f"peak RSS grew {grown_kib} KiB"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_writes_stay_private():
+    """Pages are private: a forked child's stores never reach the
+    parent's copy of an already-materialized page."""
+    mem = PhysicalMemory(size_bytes=2 * PAGE)
+    mem.write(4096, b"p")            # materialize the page before fork
+    pid = os.fork()
+    if pid == 0:
+        try:
+            mem.write(4096, b"child")
+            os._exit(0 if mem.read(4096, 5) == b"child" else 1)
+        finally:
+            os._exit(2)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert mem.read(4096, 5) == b"p\x00\x00\x00\x00"
+
+
+def test_read_view_outlives_its_memory():
+    """An exported view keeps its page mapping alive: a ref still reads
+    the live bytes after the PhysicalMemory is gone."""
+    mem = PhysicalMemory(size_bytes=2 * PAGE)
+    mem.write(PAGE - 3, b"abcdef")
+    ref = mem.read_view(PAGE - 3, 6)
+    mem.write(PAGE - 3, b"ABCDEF")   # aliased, not copied
+    del mem
+    gc.collect()
+    assert ref == b"ABCDEF"
+
+
 # ---------------------------------------------------------------------------
 # AddressSpace
 # ---------------------------------------------------------------------------
@@ -128,6 +195,28 @@ def test_translate_unmapped_raises():
     space = make_space()
     with pytest.raises(KeyError):
         space.translate(0x1234)
+
+
+def test_unmapped_access_raises():
+    space = make_space()
+    with pytest.raises(KeyError):
+        space.read(0x1234, 8)
+    with pytest.raises(KeyError):
+        space.write(0x1234, b"x")
+    region = space.allocate(PAGE, "last")
+    # Mapped start, unmapped tail: the page after the region.
+    with pytest.raises(KeyError):
+        space.read(region.vaddr + PAGE - 4, 8)
+    with pytest.raises(KeyError):
+        space.write(region.vaddr + PAGE - 4, b"12345678")
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_read_non_positive_length_raises(length):
+    space = make_space()
+    region = space.allocate(64, "r")
+    with pytest.raises(ValueError):
+        space.read(region.vaddr, length)
 
 
 def test_out_of_pages():
