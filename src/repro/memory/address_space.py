@@ -126,6 +126,11 @@ class AddressSpace:
     # Access through the process view
     # ------------------------------------------------------------------
     def read(self, vaddr: int, length: int) -> bytes:
+        vpn, offset = divmod(vaddr, self.page_bytes)
+        base = self._page_table.get(vpn)
+        if base is not None and 0 < length <= self.page_bytes - offset:
+            # Single-page fast path: one translation, no split.
+            return self.physical.read(base + offset, length)
         parts = [self.physical.read(paddr, chunk)
                  for paddr, chunk in self.split_at_page_boundaries(
                      vaddr, length)]
@@ -133,6 +138,11 @@ class AddressSpace:
 
     def write(self, vaddr: int, data: bytes) -> None:
         if not data:
+            return
+        vpn, offset = divmod(vaddr, self.page_bytes)
+        base = self._page_table.get(vpn)
+        if base is not None and len(data) <= self.page_bytes - offset:
+            self.physical.write(base + offset, data)
             return
         # Page-sized sub-views go straight down; PhysicalMemory
         # slice-assigns them without a staging copy.
