@@ -51,7 +51,7 @@ from heapq import heappop
 from itertools import count
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, Process, Timeout
+from .events import _PENDING, AllOf, AnyOf, Event, Process, Timeout
 
 
 class SimulationError(RuntimeError):
@@ -289,7 +289,8 @@ class Simulator:
         ready = self._ready
         pop = heappop
         popleft = ready.popleft
-        while not process.triggered:
+        # ``process.triggered`` tested inline, like ``_waiter`` and ``_ok``.
+        while process._value is _PENDING:
             # Inlined _pop_next + step (kept in sync with the methods).
             if ready:
                 if queue and queue[0][0] == self._now \
