@@ -181,10 +181,14 @@ class NicCongestionControl:
 
     def pace(self, qpn: int, wire_bytes: int):
         """Charge ``wire_bytes`` against the QP's allowed rate,
-        sleeping as needed.  Zero events while the QP is unthrottled."""
-        if self.unthrottled(qpn):
+        sleeping as needed.  Zero events while the QP is unthrottled.
+        The TX loops have just run :meth:`unthrottled`, so this tests the
+        machine's flag without calling it again (an unthrottled QP still
+        gets its bookkeeping)."""
+        machine = self._machines.get(qpn)
+        if machine is None or not machine.throttled:
+            self.unthrottled(qpn)
             return
-        machine = self._machines[qpn]
         CC_STATS.paced_packets += 1
         pacer = self._pacer_for(qpn)
         yield from pacer.pace(wire_bytes)

@@ -86,6 +86,11 @@ from ..roce.packetizer import read_response_packet_count
 from ..roce.qp import psn_add, psn_distance
 from ..runmode import active
 
+# Module-level aliases: the TX/RX hooks run per packet.
+_ACKNOWLEDGE = Opcode.ACKNOWLEDGE
+_CNP = Opcode.CNP
+_READ_REQUEST = Opcode.READ_REQUEST
+
 #: Attribute used to attach the checker to a Simulator.
 _CHECK_ATTR = "_check_monitors"
 
@@ -184,7 +189,7 @@ class InvariantChecker:
         """Every frame leaving a powered NIC, data and control alike."""
         self.assertions.add()
         opcode = packet.bth.opcode
-        if opcode is Opcode.ACKNOWLEDGE:
+        if opcode is _ACKNOWLEDGE:
             ctx = self._rx_ctx
             if ctx is not None and ctx[0] == id(nic) \
                     and ctx[1] == self.env.now and ctx[2]:
@@ -193,7 +198,7 @@ class InvariantChecker:
                     f"ACK (psn={packet.bth.psn}) emitted while "
                     f"dispatching a received CNP")
             return
-        if opcode is Opcode.CNP:
+        if opcode is _CNP:
             if packet.bth.psn != 0 or len(packet.payload):
                 self._violate(
                     "cnp-malformed", nic.name,
@@ -209,7 +214,7 @@ class InvariantChecker:
         # Request packets: PSN monotonicity + go-back-N window.
         psn = packet.bth.psn
         count = 1
-        if opcode is Opcode.READ_REQUEST:
+        if opcode is _READ_REQUEST:
             count = read_response_packet_count(packet.reth.dma_length)
         key = (nic.name, qp.qpn)
         shadow = self._tx_next.get(key)
@@ -261,9 +266,9 @@ class InvariantChecker:
         """Every uncorrupted frame arriving for a known QP."""
         self.assertions.add()
         opcode = packet.bth.opcode
-        self._rx_ctx = (id(nic), self.env.now, opcode is Opcode.CNP)
+        self._rx_ctx = (id(nic), self.env.now, opcode is _CNP)
         key = (nic.name, packet.bth.dest_qp)
-        if opcode is Opcode.ACKNOWLEDGE:
+        if opcode is _ACKNOWLEDGE:
             psn = packet.bth.psn
             shadow = self._tx_next.get(key)
             if shadow is None:
@@ -281,7 +286,7 @@ class InvariantChecker:
                     f"psn={psn}, which was never sent "
                     f"(next unsent PSN is {shadow})")
             return
-        if opcode is Opcode.CNP or is_read_response(opcode):
+        if opcode is _CNP or is_read_response(opcode):
             return
         # Request arriving at the responder: expected PSN is monotonic.
         prev = self._resp_expected.get(key)

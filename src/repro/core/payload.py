@@ -130,6 +130,19 @@ class PayloadRef:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def one(cls, segment: Buffer, stable: bool = False) -> "PayloadRef":
+        """A ref over one ``memoryview`` or ``bytes`` segment (no copy):
+        what the constructor builds from a one-element list, without its
+        generic passes over the segments."""
+        ref = cls.__new__(cls)
+        ref._segments = (segment,)
+        ref._length = len(segment)
+        ref._stable = stable
+        # The constructor's validate-mode snapshot, for one segment.
+        ref._snapshot = bytes(segment) if active().validate else None
+        return ref
+
+    @classmethod
     def wrap(cls, data: Buffer, stable: bool = False) -> "PayloadRef":
         """A ref over one existing buffer (no copy)."""
         return cls((data,), stable=stable)

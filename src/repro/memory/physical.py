@@ -118,6 +118,17 @@ class PhysicalMemory:
         what a copy at fetch time would return.
         """
         self._check_range(address, length)
+        stats = PAYLOAD_STATS
+        stats.ref_events += 1
+        stats.bytes_referenced += length
+        page_index, offset = divmod(address, self.page_bytes)
+        if length and offset + length <= self.page_bytes:
+            # Single-page fast path: one view, one segment.
+            page = self._pages.get(page_index)
+            if page is None:
+                return PayloadRef.one(self._zero_view(length), stable)
+            return PayloadRef.one(memoryview(page)[offset:offset + length],
+                                  stable)
         segments = []
         remaining = length
         cursor = address
@@ -131,9 +142,6 @@ class PhysicalMemory:
                 segments.append(memoryview(page)[offset:offset + chunk])
             cursor += chunk
             remaining -= chunk
-        stats = PAYLOAD_STATS
-        stats.ref_events += 1
-        stats.bytes_referenced += length
         return PayloadRef(segments, stable=stable)
 
     def readinto(self, address: int, buffer) -> int:

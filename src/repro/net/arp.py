@@ -11,14 +11,17 @@ and are refreshed by gratuitous announcements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional
 
 from ..sim import Simulator, timebase
 from ..sim.timebase import MS, US
 
 
+@lru_cache(maxsize=4096)
 def mac_for_ip(ip: int) -> bytes:
-    """Deterministic locally administered MAC for a simulated IP."""
+    """Deterministic locally administered MAC for a simulated IP
+    (cached: a switch asks twice per frame)."""
     return bytes([0x02, 0x00]) + ip.to_bytes(4, "big")
 
 

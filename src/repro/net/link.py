@@ -221,6 +221,8 @@ class Cable:
         self._arrival = {"a": propagation, "b": propagation}
         #: The NIC or switch port plugged into each side (:meth:`connect`).
         self._endpoints = {"a": None, "b": None}
+        #: :meth:`frame_time` memo, keyed by wire bytes.
+        self._frame_times = {}
 
         self.a_tx: Stream = Stream(env, name=f"{name}.a_tx")
         self.b_tx: Stream = Stream(env, name=f"{name}.b_tx")
@@ -284,8 +286,14 @@ class Cable:
 
     def frame_time(self, wire_bytes: int) -> int:
         """Serialization time of a frame of ``wire_bytes`` (either
-        direction)."""
-        return timebase.transfer_time_ps(wire_bytes, self.bits_per_second)
+        direction), memoized per size: the rate is fixed at
+        construction and frames come in a few sizes."""
+        duration = self._frame_times.get(wire_bytes)
+        if duration is None:
+            duration = timebase.transfer_time_ps(wire_bytes,
+                                                 self.bits_per_second)
+            self._frame_times[wire_bytes] = duration
+        return duration
 
     def arrival_delay(self, dest: str) -> int:
         """Serialization end to the receiver hook at ``dest`` on the

@@ -347,7 +347,7 @@ class DmaEngine:
         """
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_read", vaddr=vaddr, length=length)
-        pieces = list(self.tlb.split_command(vaddr, length))
+        pieces = self.tlb.pieces(vaddr, length)
         lengths = [n for _, n in pieces]
         latency = self.config.pcie_read_latency
         if self.config.per_word_accounting:
@@ -371,7 +371,7 @@ class DmaEngine:
             return
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_read", vaddr=vaddr, length=length)
-        pieces = list(self.tlb.split_command(vaddr, length))
+        pieces = self.tlb.pieces(vaddr, length)
         delay = self._reserve_burst(self.read_link,
                                     self.config.pcie_read_latency,
                                     [n for _, n in pieces], length,
@@ -529,7 +529,7 @@ class DmaEngine:
             return
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_write", vaddr=vaddr, length=length)
-        pieces = list(self.tlb.split_command(vaddr, length))
+        pieces = self.tlb.pieces(vaddr, length)
         lengths = [n for _, n in pieces]
         latency = self.config.pcie_write_latency
         if self.config.per_word_accounting:
@@ -564,7 +564,7 @@ class DmaEngine:
             return
         span = None if self.trace is None else self.trace.begin_span(
             self.name, "dma_write", vaddr=vaddr, length=length)
-        pieces = list(self.tlb.split_command(vaddr, length))
+        pieces = self.tlb.pieces(vaddr, length)
         delay = self._reserve_burst(self.write_link,
                                     self.config.pcie_write_latency,
                                     [n for _, n in pieces], length,

@@ -37,10 +37,10 @@ from ..roce import burst
 from ..roce.headers import AETH_NAK_PSN_SEQ_ERROR, Aeth, Bth, Reth
 from ..roce.multiqueue import MultiQueue
 from ..roce.opcodes import (
+    AETH_OPCODES,
+    TAIL_OPCODES,
     Opcode,
-    carries_aeth,
     is_first,
-    is_last,
     is_only,
     is_read_response,
     is_rpc_write,
@@ -69,6 +69,15 @@ from .dma import DmaEngine, StreamChunks
 from .tlb import Tlb
 
 
+# Module-level aliases for the per-packet paths: an Enum class-attribute
+# read costs several times a global load.
+_ACKNOWLEDGE = Opcode.ACKNOWLEDGE
+_CNP = Opcode.CNP
+_READ_REQUEST = Opcode.READ_REQUEST
+_RPC_PARAMS = Opcode.RPC_PARAMS
+_DUPLICATE = PsnVerdict.DUPLICATE
+_OUT_OF_ORDER = PsnVerdict.OUT_OF_ORDER
+
 #: Reserved QPN addressing the local host: kernel output RoCE metadata
 #: targeting this QPN is DMA-written to local memory instead of being
 #: sent over the network (local StRoM invocation, Sections 3.5/5.2).
@@ -91,7 +100,7 @@ class NicCommand:
     completion: Optional[Event] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _UnackedEntry:
     """Retransmit-buffer entry: one sent, not-yet-acknowledged packet.
 
@@ -110,7 +119,7 @@ class _UnackedEntry:
     burst: Optional[object] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _ReadContext:
     """Requester-side state for one outstanding READ (Multi-Queue value)."""
 
@@ -549,19 +558,22 @@ class StromNic:
                        payload) -> Tuple[RocePacket, _UnackedEntry]:
         """Packet ``psn`` (segment ``seg``) of a WRITE, RPC or RPC WRITE
         message and its retransmit entry (send loop and burst unfold)."""
-        tail = is_last(seg.opcode) or is_only(seg.opcode)
-        reth = Reth(vaddr=command.raddr if command.kind == "write"
-                    else command.rpc_op, rkey=0,
-                    dma_length=len(command.params) if command.kind == "rpc"
-                    else command.length) if seg.carries_reth else None
-        bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn,
-                  ack_request=tail)
-        packet = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip, bth=bth,
-                            reth=reth, payload=payload)
+        # Positional arguments (field order) throughout: keyword
+        # matching costs a dataclass __init__ a third more, per packet.
+        opcode = seg.opcode
+        tail = opcode in TAIL_OPCODES
+        reth = None
+        if seg.carries_reth:
+            kind = command.kind
+            reth = Reth(command.raddr if kind == "write" else command.rpc_op,
+                        0, len(command.params) if kind == "rpc"
+                        else command.length)
+        packet = RocePacket(self.ip, qp.dest_ip,
+                            Bth(opcode, qp.dest_qpn, psn, tail), reth, None,
+                            payload)
         return packet, _UnackedEntry(
-            first_psn=psn, last_psn=psn, kind=command.kind, packet=packet,
-            completion=command.completion if tail else None,
-            is_message_tail=tail)
+            psn, psn, command.kind, packet,
+            command.completion if tail else None, tail)
 
     def _post_read(self, command: NicCommand):
         yield self.read_credits.acquire()
@@ -581,7 +593,7 @@ class StromNic:
         # read_credits keep the Multi-Queue from overflowing.
         self.multiqueue.push(qp.qpn, context)
         reth = Reth(vaddr=command.raddr, rkey=0, dma_length=command.length)
-        bth = Bth(opcode=Opcode.READ_REQUEST, dest_qp=qp.dest_qpn,
+        bth = Bth(opcode=_READ_REQUEST, dest_qp=qp.dest_qpn,
                   psn=first_psn, ack_request=True)
         packet = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip,
                             bth=bth, reth=reth)
@@ -668,7 +680,7 @@ class StromNic:
         if self.check is not None:
             self.check.on_rx(self, qp, packet)
         opcode = packet.bth.opcode
-        if opcode == Opcode.CNP:
+        if opcode == _CNP:
             # Congestion notification: throttle the addressed QP and
             # stop — a CNP carries no PSN meaning and is never ACKed.
             if self.cc is not None:
@@ -678,7 +690,7 @@ class StromNic:
             return
         if packet.ecn_ce and self.cc is not None:
             self.cc.note_ce(qp)
-        if opcode == Opcode.ACKNOWLEDGE:
+        if opcode == _ACKNOWLEDGE:
             self._handle_ack(qp, packet)
         elif is_read_response(opcode):
             self._handle_read_response(qp, packet)
@@ -689,17 +701,17 @@ class StromNic:
     def _handle_request(self, qp, packet: RocePacket) -> None:
         responder = qp.responder
         verdict = responder.classify(packet.bth.psn)
-        if verdict is PsnVerdict.OUT_OF_ORDER:
+        if verdict is _OUT_OF_ORDER:
             if not self._nak_pending.get(qp.qpn):
                 self._nak_pending[qp.qpn] = True
                 self._send_ack(qp, responder.expected_psn, responder.msn,
                                syndrome=AETH_NAK_PSN_SEQ_ERROR)
             self.packets_dropped.add()
             return
-        if verdict is PsnVerdict.DUPLICATE:
+        if verdict is _DUPLICATE:
             self.duplicates.add()
             opcode = packet.bth.opcode
-            if opcode == Opcode.READ_REQUEST:
+            if opcode == _READ_REQUEST:
                 # Duplicate reads are re-executed (idempotent).
                 self.env.process(self._responder_read(qp, packet))
             else:
@@ -710,12 +722,12 @@ class StromNic:
         opcode = packet.bth.opcode
         if is_write(opcode):
             self._responder_write(qp, packet)
-        elif opcode == Opcode.READ_REQUEST:
+        elif opcode == _READ_REQUEST:
             count = read_response_packet_count(packet.reth.dma_length)
             responder.expected_psn = psn_add(packet.bth.psn, count)
             responder.msn = (responder.msn + 1) & 0xFFFFFF
             self.env.process(self._responder_read(qp, packet))
-        elif opcode == Opcode.RPC_PARAMS:
+        elif opcode == _RPC_PARAMS:
             responder.expected_psn = psn_add(packet.bth.psn, 1)
             responder.msn = (responder.msn + 1) & 0xFFFFFF
             self._send_ack(qp, packet.bth.psn, responder.msn)
@@ -735,7 +747,7 @@ class StromNic:
             return
         self.payload_bytes_received.add(len(packet.payload))
         self.write_arrived(qp, packet.bth.psn, cursor + len(packet.payload),
-                           is_last(opcode) or is_only(opcode))
+                           opcode in TAIL_OPCODES)
         if packet.payload:
             # Posted: the ACK above never waited for the write anyway.
             self.dma.write_posted(cursor, packet.payload)
@@ -799,11 +811,10 @@ class StromNic:
                         payload) -> RocePacket:
         """READ response ``psn`` (segment ``seg``); its first and last
         packets acknowledge ``msn``."""
-        aeth = Aeth(syndrome=0, msn=msn) if carries_aeth(seg.opcode) \
-            else None
-        bth = Bth(opcode=seg.opcode, dest_qp=qp.dest_qpn, psn=psn)
-        return RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip, bth=bth,
-                          aeth=aeth, payload=payload)
+        opcode = seg.opcode
+        aeth = Aeth(0, msn) if opcode in AETH_OPCODES else None
+        return RocePacket(self.ip, qp.dest_ip, Bth(opcode, qp.dest_qpn, psn),
+                          None, aeth, payload)
 
     def _responder_rpc_write(self, qp, packet: RocePacket) -> None:
         responder = qp.responder
@@ -815,7 +826,7 @@ class StromNic:
                 kernel = None  # missed or quarantined: drop the stream
             self._rpc_write_target[qp.qpn] = kernel
         kernel = self._rpc_write_target.get(qp.qpn)
-        tail = is_last(opcode) or is_only(opcode)
+        tail = opcode in TAIL_OPCODES
         if tail:
             responder.msn = (responder.msn + 1) & 0xFFFFFF
             self._send_ack(qp, packet.bth.psn, responder.msn)

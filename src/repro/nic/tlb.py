@@ -109,6 +109,14 @@ class Tlb:
             remaining -= chunk
             first = False
 
+    def pieces(self, vaddr: int, length: int) -> List[Tuple[int, int]]:
+        """:meth:`split_command` as a list; a command inside one page
+        (every DMA write of at most one MTU that does not straddle) is
+        one translation, with no generator."""
+        if length > 0 and vaddr % self.page_bytes + length <= self.page_bytes:
+            return [(self.translate(vaddr), length)]
+        return list(self.split_command(vaddr, length))
+
     def _base(self, vpn: int) -> int:
         base = self._entries.get(vpn)
         if base is None:

@@ -78,18 +78,21 @@ class Gauge(Instrument):
     """A level that moves both ways, with an optional sampled series.
 
     :meth:`set` updates the current value; :meth:`sample` additionally
-    appends a ``(time_ps, value)`` point to the time series.  Call sites
-    on hot paths guard the sample with the owning registry's
-    ``sampling_enabled`` flag so the series costs nothing when off.
+    appends a ``(time_ps, value)`` point to the time series unless the
+    gauge was built with ``keep_series=False`` (its registry's setting:
+    only a trace export reads the series).  Call sites on hot paths
+    guard the sample with the owning registry's ``sampling_enabled``
+    flag so the series costs nothing when off.
     """
 
     kind = "gauge"
-    __slots__ = ("value", "series")
+    __slots__ = ("value", "series", "keep_series")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, keep_series: bool = True) -> None:
         super().__init__(name)
         self.value = 0.0
         self.series: List[Tuple[int, float]] = []
+        self.keep_series = keep_series
 
     def set(self, value: float) -> None:
         self.value = value
@@ -97,7 +100,8 @@ class Gauge(Instrument):
     def sample(self, time_ps: int, value: float) -> None:
         """Update the value and record one time-series point."""
         self.value = value
-        self.series.append((time_ps, value))
+        if self.keep_series:
+            self.series.append((time_ps, value))
 
     def __repr__(self) -> str:
         return f"<Gauge {self.name!r}={self.value} " \
@@ -194,21 +198,24 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """A namespace of instruments for one simulation.
 
-    ``sampling_enabled`` gates gauge time-series collection; call sites
-    check it before calling :meth:`Gauge.sample`, so disabled sampling
-    costs one attribute load and a branch.
+    ``sampling_enabled`` gates gauge sampling; call sites check it
+    before calling :meth:`Gauge.sample`, so disabled sampling costs one
+    attribute load and a branch.  ``keep_series=False`` makes the
+    registry's gauges keep only their latest sampled value, not the
+    time series.
     """
 
-    def __init__(self, name: str = "",
-                 sampling_enabled: bool = False) -> None:
+    def __init__(self, name: str = "", sampling_enabled: bool = False,
+                 keep_series: bool = True) -> None:
         self.name = name
         self.sampling_enabled = sampling_enabled
+        self.keep_series = keep_series
         self._instruments: Dict[str, Instrument] = {}
 
     # ------------------------------------------------------------------
     # Registration (create-or-get)
     # ------------------------------------------------------------------
-    def _register(self, name: str, cls) -> Instrument:
+    def _register(self, name: str, cls, **options) -> Instrument:
         existing = self._instruments.get(name)
         if existing is not None:
             if type(existing) is not cls:
@@ -216,7 +223,7 @@ class MetricsRegistry:
                     f"{name!r} is already a {existing.kind}, cannot "
                     f"re-register as {cls.kind}")
             return existing
-        instrument = cls(name)
+        instrument = cls(name, **options)
         self._instruments[name] = instrument
         return instrument
 
@@ -224,7 +231,7 @@ class MetricsRegistry:
         return self._register(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._register(name, Gauge)
+        return self._register(name, Gauge, keep_series=self.keep_series)
 
     def histogram(self, name: str) -> Histogram:
         return self._register(name, Histogram)
@@ -285,16 +292,17 @@ class MetricsRegistry:
 
     @classmethod
     def merge(cls, registries: Iterable["MetricsRegistry"],
-              name: str = "") -> "MetricsRegistry":
+              name: str = "", series: bool = True) -> "MetricsRegistry":
         """Combine several registries (per-shard, per-host) into one.
 
         Same-named counters sum, histograms pool their values, and
         gauges keep the maximum level (the natural cluster-wide reading
-        for depths and windows).  A name carrying different kinds in
+        for depths and windows) and, with ``series``, every sampled
+        point in time order.  A name carrying different kinds in
         different registries raises :class:`MetricsError`.  The result
         owns copies; mutating the inputs afterwards does not affect it.
         """
-        merged = cls(name)
+        merged = cls(name, keep_series=series)
         for registry in registries:
             for inst in registry:
                 if isinstance(inst, Counter):
@@ -302,7 +310,8 @@ class MetricsRegistry:
                 elif isinstance(inst, Gauge):
                     target = merged.gauge(inst.name)
                     target.set(max(target.value, inst.value))
-                    target.series.extend(inst.series)
+                    if series:
+                        target.series.extend(inst.series)
                 else:
                     merged.histogram(inst.name).extend(inst.values)
         for gauge in merged.sampled_gauges():

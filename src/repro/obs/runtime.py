@@ -24,7 +24,9 @@ flags (and the test suite) capture whole runs::
 
 Any Simulator created *inside* the block gets an
 :class:`~repro.sim.trace.EventTrace` and sampling-enabled registry,
-and the session collects them all for merged export.
+and the session collects them all for merged export.  A session with
+``tracing=False`` (``--metrics-out`` alone) samples gauges but keeps
+only their latest values: the time series feed only the trace export.
 """
 
 from __future__ import annotations
@@ -59,11 +61,14 @@ class ObsSession:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def merged_metrics(self) -> MetricsRegistry:
-        return MetricsRegistry.merge(self.registries, name="session")
+    def merged_metrics(self, series: bool = True) -> MetricsRegistry:
+        return MetricsRegistry.merge(self.registries, name="session",
+                                     series=series)
 
     def metrics_snapshot(self) -> MetricsSnapshot:
-        return self.merged_metrics().snapshot()
+        # Scalars only: the merged time series would be built and
+        # sorted for nothing.
+        return self.merged_metrics(series=False).snapshot()
 
     def chrome_trace(self) -> dict:
         return export_chrome_trace(self.traces,
@@ -84,8 +89,11 @@ def registry_for(env) -> MetricsRegistry:
     """The simulator's metrics registry (created on first use)."""
     registry = getattr(env, _REGISTRY_ATTR, None)
     if registry is None:
+        # A session that does not trace keeps no gauge series: only the
+        # Chrome-trace export reads them.
         registry = MetricsRegistry(
-            sampling_enabled=_active.sampling if _active else False)
+            sampling_enabled=_active.sampling if _active else False,
+            keep_series=_active.tracing if _active else True)
         setattr(env, _REGISTRY_ATTR, registry)
         if _active is not None:
             _active.registries.append(registry)

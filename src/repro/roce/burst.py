@@ -100,6 +100,8 @@ from ..sim.resources import COLUMN_LIMIT_PS, fifo_ends
 from .packetizer import l3_sizes
 from .qp import PsnVerdict, psn_add
 
+_EXPECTED = PsnVerdict.EXPECTED
+
 #: Messages shorter than this many packets are not worth folding: the
 #: fixed commit cost (column computation + shadow walk) outweighs the
 #: saved events.
@@ -773,8 +775,8 @@ class BurstFlight:
         cursor = None
         for i in range(self.n):
             packet = self._packet(i)
-            assert clone.classify(packet.bth.psn) is \
-                PsnVerdict.EXPECTED, (i, packet.bth.psn)
+            assert clone.classify(packet.bth.psn) is _EXPECTED, \
+                (i, packet.bth.psn)
             clone.expected_psn = psn_add(packet.bth.psn, 1)
             if packet.reth is not None:
                 cursor = packet.reth.vaddr

@@ -62,25 +62,41 @@ STROM_OPCODES = frozenset({
 #: Reserved StRoM op-code space (11101-11111).
 RESERVED_STROM_OPCODES = frozenset({0b11101, 0b11110, 0b11111})
 
-_WRITE_LIKE = {
+# Module-level frozensets: a predicate is one hash probe, never a set
+# built (and its members looked up on the Enum class) per call.
+_WRITE_LIKE = frozenset({
     Opcode.WRITE_FIRST, Opcode.WRITE_MIDDLE, Opcode.WRITE_LAST,
     Opcode.WRITE_ONLY,
-}
-_RPC_WRITE_LIKE = {
+})
+_RPC_WRITE_LIKE = frozenset({
     Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_MIDDLE, Opcode.RPC_WRITE_LAST,
     Opcode.RPC_WRITE_ONLY,
-}
-_READ_RESPONSE = {
+})
+_READ_RESPONSE = frozenset({
     Opcode.READ_RESPONSE_FIRST, Opcode.READ_RESPONSE_MIDDLE,
     Opcode.READ_RESPONSE_LAST, Opcode.READ_RESPONSE_ONLY,
-}
-_FIRST = {Opcode.WRITE_FIRST, Opcode.READ_RESPONSE_FIRST,
-          Opcode.RPC_WRITE_FIRST}
-_ONLY = {Opcode.WRITE_ONLY, Opcode.READ_RESPONSE_ONLY, Opcode.RPC_WRITE_ONLY,
-         Opcode.RPC_PARAMS}
-_LAST = {Opcode.WRITE_LAST, Opcode.READ_RESPONSE_LAST, Opcode.RPC_WRITE_LAST}
-_MIDDLE = {Opcode.WRITE_MIDDLE, Opcode.READ_RESPONSE_MIDDLE,
-           Opcode.RPC_WRITE_MIDDLE}
+})
+_FIRST = frozenset({Opcode.WRITE_FIRST, Opcode.READ_RESPONSE_FIRST,
+                    Opcode.RPC_WRITE_FIRST})
+_ONLY = frozenset({Opcode.WRITE_ONLY, Opcode.READ_RESPONSE_ONLY,
+                   Opcode.RPC_WRITE_ONLY, Opcode.RPC_PARAMS})
+_LAST = frozenset({Opcode.WRITE_LAST, Opcode.READ_RESPONSE_LAST,
+                   Opcode.RPC_WRITE_LAST})
+_MIDDLE = frozenset({Opcode.WRITE_MIDDLE, Opcode.READ_RESPONSE_MIDDLE,
+                     Opcode.RPC_WRITE_MIDDLE})
+#: Op-codes whose packet ends its message (LAST or ONLY).
+TAIL_OPCODES = _LAST | _ONLY
+#: Op-codes whose BTH is followed by a RETH (:func:`carries_reth`).
+RETH_OPCODES = frozenset({
+    Opcode.WRITE_FIRST, Opcode.WRITE_ONLY, Opcode.READ_REQUEST,
+    Opcode.RPC_PARAMS, Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_ONLY,
+})
+#: Op-codes whose BTH is followed by an AETH (:func:`carries_aeth`).
+AETH_OPCODES = frozenset({
+    Opcode.ACKNOWLEDGE, Opcode.READ_RESPONSE_FIRST,
+    Opcode.READ_RESPONSE_LAST, Opcode.READ_RESPONSE_ONLY,
+})
+_EXPECTS_ACK = _WRITE_LIKE | STROM_OPCODES | {Opcode.READ_REQUEST}
 
 
 def is_write(opcode: Opcode) -> bool:
@@ -122,21 +138,14 @@ def carries_reth(opcode: Opcode) -> bool:
     """Packets whose BTH is followed by a RETH: the first/only packet of a
     write-like message and READ requests.  StRoM *re-uses* the RETH of its
     RPC packets to carry the RPC op-code in the address field (§5.1)."""
-    return opcode in {
-        Opcode.WRITE_FIRST, Opcode.WRITE_ONLY, Opcode.READ_REQUEST,
-        Opcode.RPC_PARAMS, Opcode.RPC_WRITE_FIRST, Opcode.RPC_WRITE_ONLY,
-    }
+    return opcode in RETH_OPCODES
 
 
 def carries_aeth(opcode: Opcode) -> bool:
     """Packets carrying an AETH (ACKs and read responses)."""
-    return opcode == Opcode.ACKNOWLEDGE or opcode in {
-        Opcode.READ_RESPONSE_FIRST, Opcode.READ_RESPONSE_LAST,
-        Opcode.READ_RESPONSE_ONLY,
-    }
+    return opcode in AETH_OPCODES
 
 
 def expects_ack(opcode: Opcode) -> bool:
     """Requester packets the responder must acknowledge (go-back-N)."""
-    return (is_write(opcode) or is_rpc(opcode)
-            or opcode == Opcode.READ_REQUEST)
+    return opcode in _EXPECTS_ACK

@@ -23,7 +23,8 @@ from .. import config
 from ..core.payload import PayloadRef, as_bytes
 from ..net.headers import Ipv4Header, UdpHeader
 from .headers import Aeth, Bth, Reth, icrc32
-from .opcodes import Opcode, carries_aeth, carries_reth
+from .opcodes import (AETH_OPCODES, RETH_OPCODES, Opcode, carries_aeth,
+                      carries_reth)
 
 
 @lru_cache(maxsize=4096)
@@ -44,9 +45,15 @@ def _ip_udp_prefix(src_ip: int, dst_ip: int, transport_len: int,
 
 
 _IP_UDP_BYTES = Ipv4Header.SIZE + UdpHeader.SIZE
+_BTH_ICRC_BYTES = Bth.SIZE + config.ICRC_BYTES
+#: Packets come in a few sizes: their framing is a cached lookup.
+_wire_bytes = lru_cache(maxsize=4096)(config.wire_bytes_for_frame)
+# Aliases: an Enum class-attribute read costs several global loads.
+_ACKNOWLEDGE = Opcode.ACKNOWLEDGE
+_CNP = Opcode.CNP
 
 
-@dataclass
+@dataclass(slots=True)
 class RocePacket:
     """A single RoCE v2 datagram (the L3 view; Ethernet framing is added
     by the link model as pure byte accounting)."""
@@ -63,35 +70,31 @@ class RocePacket:
     #: queues alias retransmit buffers) by ECN marking at switch egress;
     #: travels in the two ECN bits of the IPv4 ToS byte.
     ecn_ce: bool = False
+    # Sizes are read on every pipeline stage a packet crosses, and
+    # headers and payload never change after construction, so they are
+    # computed once here (``dataclasses.replace`` recomputes them) and
+    # play no part in equality or repr.
+    #: BTH + extension headers + payload + ICRC.
+    transport_bytes: int = field(init=False, compare=False, repr=False)
+    #: IP datagram size.
+    l3_bytes: int = field(init=False, compare=False, repr=False)
+    #: Bytes on the Ethernet wire incl. framing, preamble and IFG.
+    wire_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if carries_reth(self.bth.opcode) and self.reth is None:
-            raise ValueError(
-                f"{self.bth.opcode.name} requires a RETH")
-        if carries_aeth(self.bth.opcode) and self.aeth is None:
-            raise ValueError(
-                f"{self.bth.opcode.name} requires an AETH")
-        # Sizes are read on every pipeline stage a packet crosses, and
-        # headers and payload never change after construction, so they
-        # are plain attributes (``dataclasses.replace`` re-runs this).
-        size = Bth.SIZE + len(self.payload) + config.ICRC_BYTES
+        size = _BTH_ICRC_BYTES + len(self.payload)
+        opcode = self.bth.opcode
         if self.reth is not None:
             size += Reth.SIZE
+        elif opcode in RETH_OPCODES:
+            raise ValueError(f"{opcode.name} requires a RETH")
         if self.aeth is not None:
             size += Aeth.SIZE
-        self._transport_bytes = size
-        #: IP datagram size.
-        self.l3_bytes = _IP_UDP_BYTES + size
-        #: Bytes on the Ethernet wire incl. framing, preamble and IFG.
-        self.wire_bytes = config.wire_bytes_for_frame(self.l3_bytes)
-
-    # ------------------------------------------------------------------
-    # Size accounting
-    # ------------------------------------------------------------------
-    @property
-    def transport_bytes(self) -> int:
-        """BTH + extension headers + payload + ICRC."""
-        return self._transport_bytes
+        elif opcode in AETH_OPCODES:
+            raise ValueError(f"{opcode.name} requires an AETH")
+        self.transport_bytes = size
+        self.l3_bytes = size = _IP_UDP_BYTES + size
+        self.wire_bytes = _wire_bytes(size)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -155,12 +158,10 @@ class RocePacket:
 
 def make_ack(src_ip: int, dst_ip: int, dest_qp: int, psn: int,
              msn: int, syndrome: int = 0) -> RocePacket:
-    """Convenience constructor for ACK/NAK packets."""
-    return RocePacket(
-        src_ip=src_ip, dst_ip=dst_ip,
-        bth=Bth(opcode=Opcode.ACKNOWLEDGE, dest_qp=dest_qp, psn=psn),
-        aeth=Aeth(syndrome=syndrome, msn=msn),
-    )
+    """Convenience constructor for ACK/NAK packets (one per acknowledged
+    message: arguments are positional, in field order, for speed)."""
+    return RocePacket(src_ip, dst_ip, Bth(_ACKNOWLEDGE, dest_qp, psn), None,
+                      Aeth(syndrome, msn))
 
 
 def make_cnp(src_ip: int, dst_ip: int, dest_qp: int) -> RocePacket:
@@ -170,7 +171,4 @@ def make_cnp(src_ip: int, dst_ip: int, dest_qp: int) -> RocePacket:
     destination QP alone and sits entirely outside the PSN window —
     receiving one must never disturb requester or responder PSN state.
     """
-    return RocePacket(
-        src_ip=src_ip, dst_ip=dst_ip,
-        bth=Bth(opcode=Opcode.CNP, dest_qp=dest_qp, psn=0),
-    )
+    return RocePacket(src_ip, dst_ip, Bth(_CNP, dest_qp, 0))

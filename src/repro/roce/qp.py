@@ -49,6 +49,11 @@ class PsnVerdict(Enum):
 
 #: PSNs up to half the space behind ePSN count as duplicates.
 _DUPLICATE_WINDOW = 1 << 23
+# Module-level aliases: every received request is classified, and an
+# Enum class-attribute read costs several times a global load.
+_EXPECTED = PsnVerdict.EXPECTED
+_DUPLICATE = PsnVerdict.DUPLICATE
+_OUT_OF_ORDER = PsnVerdict.OUT_OF_ORDER
 
 
 @dataclass
@@ -63,11 +68,12 @@ class ResponderState:
     write_cursor: Optional[int] = None
 
     def classify(self, psn: int) -> PsnVerdict:
-        if psn == self.expected_psn:
-            return PsnVerdict.EXPECTED
-        if psn_distance(psn, self.expected_psn) <= _DUPLICATE_WINDOW:
-            return PsnVerdict.DUPLICATE
-        return PsnVerdict.OUT_OF_ORDER
+        expected = self.expected_psn
+        if psn == expected:
+            return _EXPECTED
+        if (expected - psn) & PSN_MASK <= _DUPLICATE_WINDOW:
+            return _DUPLICATE
+        return _OUT_OF_ORDER
 
     def clone(self) -> "ResponderState":
         """Independent copy (burst shadow validation steps a clone

@@ -135,6 +135,8 @@ class BandwidthLink:
         self.bytes_transferred = 0
         self.busy_time = 0
         self._free_at = 0
+        #: :meth:`occupancy_ps` memo, keyed by byte count.
+        self._occupancy = {}
 
     @property
     def free_at(self) -> int:
@@ -142,9 +144,15 @@ class BandwidthLink:
         return self._free_at
 
     def occupancy_ps(self, num_bytes: int) -> int:
-        """Serialization time of a transfer of ``num_bytes`` payload."""
-        total = num_bytes + self.per_transfer_overhead_bytes
-        return timebase.transfer_time_ps(total, self.bits_per_second)
+        """Serialization time of a transfer of ``num_bytes`` payload,
+        memoized per size (the rate and overhead are fixed at
+        construction)."""
+        duration = self._occupancy.get(num_bytes)
+        if duration is None:
+            total = num_bytes + self.per_transfer_overhead_bytes
+            duration = timebase.transfer_time_ps(total, self.bits_per_second)
+            self._occupancy[num_bytes] = duration
+        return duration
 
     def reserve(self, duration: int) -> int:
         """Claim the next ``duration`` picoseconds of link time (FIFO in

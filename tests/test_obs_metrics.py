@@ -208,3 +208,51 @@ def test_registry_for_is_per_simulator():
     assert registry_for(env2) is not reg1
     # sampling is off outside an observe() session
     assert reg1.sampling_enabled is False
+
+
+# ---------------------------------------------------------------------------
+# Sessions without tracing keep no series
+# ---------------------------------------------------------------------------
+
+def _observed_transfer(tracing):
+    from repro.host import build_fabric
+    from repro.obs import observe
+
+    with observe(tracing=tracing) as session:
+        env = Simulator()
+        fabric = build_fabric(env)
+        size = 64 * 1024
+        src = fabric.client.alloc(size, "src")
+        dst = fabric.server.alloc(size, "dst")
+        fabric.client.space.write(src.vaddr, b"s" * size)
+        for _ in range(3):
+            env.run_until_complete(env.process(fabric.client.write_sync(
+                fabric.client_qpn, src.vaddr, dst.vaddr, size)))
+    return session
+
+
+def test_untraced_session_keeps_no_series_and_same_snapshot():
+    traced = _observed_transfer(tracing=True)
+    untraced = _observed_transfer(tracing=False)
+    traced_gauges = [g for r in traced.registries for g in r
+                     if isinstance(g, Gauge)]
+    untraced_gauges = [g for r in untraced.registries for g in r
+                       if isinstance(g, Gauge)]
+    assert any(g.series for g in traced_gauges)
+    assert untraced_gauges and not any(g.series for g in untraced_gauges)
+    # Sampling still ran: the latest values are the traced run's.
+    assert [g.value for g in untraced_gauges] \
+        == [g.value for g in traced_gauges]
+    assert untraced.metrics_snapshot().to_json() \
+        == traced.metrics_snapshot().to_json()
+    assert not untraced.merged_metrics().sampled_gauges()
+
+
+def test_merge_without_series_keeps_levels_only():
+    a = MetricsRegistry()
+    a.gauge("sw.depth").sample(100, 5)
+    merged = MetricsRegistry.merge([a], series=False)
+    gauge = merged.gauge("sw.depth")
+    assert gauge.value == 5 and gauge.series == []
+    gauge.sample(200, 1)
+    assert gauge.series == [] and gauge.value == 1
