@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import sys
@@ -141,6 +142,11 @@ def run_experiments(names: List[str] = None, fast: bool = False,
             raise SystemExit(130) from None
         elapsed = time.time() - started
         results.append(result)
+        # A simulation's object graph is cyclic (simulator, processes,
+        # components), so only a full collection frees it, and the
+        # allocation-driven ones come rarely (4 in a whole run).  Free
+        # each experiment's simulations before the next one peaks.
+        gc.collect()
         print(result.format_table(), file=stream)
         print(f"({elapsed:.1f}s wall)\n", file=stream)
     return results
