@@ -104,9 +104,6 @@ class HyperLogLog:
         """The theoretical relative error: 1.04 / sqrt(m)."""
         return 1.04 / math.sqrt(self.num_registers)
 
-    def clear(self) -> None:
-        self.registers.fill(0)
-
     def register_bytes(self) -> bytes:
         """Serialized registers (what the kernel DMA-writes to host
         memory so software can read the final estimate)."""

@@ -7,8 +7,8 @@ package grows that into a cluster:
   with MAC learning, flooding, and bounded per-port egress queues
   (tail-drop) drained at line rate;
 - :mod:`~repro.cluster.topology` — builders for two-host pairs
-  (``build_fabric``'s backend), single-switch stars, and dual-rack
-  topologies, with per-link fault-seed derivation;
+  (``build_fabric``'s backend) and single-switch stars, with per-link
+  fault-seed derivation;
 - :mod:`~repro.cluster.sharded_kv` — a consistent-hashing sharded KV
   service whose GETs run over any of the paper's three paths (one-sided
   READs, the StRoM traversal kernel, TCP RPC);
@@ -30,7 +30,6 @@ from .switch import SWITCH_DEFAULT, Switch, SwitchConfig, SwitchPort
 from .topology import (
     BASE_IP,
     Cluster,
-    build_dual_star,
     build_pair,
     build_star,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadReport",
     "ZipfGenerator",
-    "build_dual_star",
     "build_pair",
     "build_star",
     "key_for_rank",

@@ -144,10 +144,6 @@ class SwitchPort:
         #: Queue-residency span handles, FIFO with the queue itself.
         self._span_queue: Deque = deque()
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
-
     def hold(self, ingress: Optional[int] = None,
              egress: Optional[int] = None) -> None:
         """Resume the servers mid-pipeline (a burst unfold): pickup waits

@@ -1,15 +1,12 @@
 """Cluster topology builders: wire HostNodes into fabrics of any size.
 
-Three shapes are provided:
+Two shapes are provided:
 
 - :func:`build_pair` — the paper's two-host direct cable (Section 6.1),
   byte- and picosecond-identical to the original ``build_fabric``, which
   is now a thin wrapper over this builder;
 - :func:`build_star` — N hosts hanging off one store-and-forward switch
-  (one rack);
-- :func:`build_dual_star` — two racks joined by a switch-to-switch
-  uplink (the smallest multi-rack topology; MAC learning + flooding make
-  cross-rack forwarding work without any extra routing state).
+  (one rack).
 
 Fault injection: every link derives its RNG seed from its own name
 (:meth:`repro.net.link.LinkFaults.for_link`), so adding a host — and
@@ -44,12 +41,6 @@ class Cluster:
     #: Host name -> the cable connecting it to the fabric.
     access_cables: Dict[str, Cable] = field(default_factory=dict)
 
-    def host(self, name: str) -> HostNode:
-        for node in self.hosts:
-            if node.name == name:
-                return node
-        raise KeyError(f"no host named {name!r}")
-
     def connect(self, a: HostNode, b: HostNode) -> Tuple[int, int]:
         """Bring up a queue pair between two hosts; returns
         ``(qpn_on_a, qpn_on_b)``.  QPNs are allocated per NIC starting at
@@ -59,17 +50,6 @@ class Cluster:
         a.nic.create_queue_pair(qpn_a, qpn_b, b.nic.ip)
         b.nic.create_queue_pair(qpn_b, qpn_a, a.nic.ip)
         return qpn_a, qpn_b
-
-    def connect_all(self, clients: List[HostNode],
-                    servers: List[HostNode]) -> Dict[Tuple[str, str],
-                                                     Tuple[int, int]]:
-        """Full bipartite QP mesh (every client to every server)."""
-        qpns = {}
-        for client in clients:
-            for server in servers:
-                qpns[(client.name, server.name)] = self.connect(client,
-                                                                server)
-        return qpns
 
     def enable_congestion_control(self, config=None) -> None:
         """Turn on DCQCN end to end: ECN marking on every switch plus
@@ -180,50 +160,5 @@ def build_star(env: Simulator, num_hosts: int,
     for host in hosts:
         _wire_host_to_switch(cluster, host, switch, nic_config, faults,
                              link_name=f"{name}.link.{host.name}")
-    _announce_everywhere(hosts)
-    return cluster
-
-
-# ---------------------------------------------------------------------------
-# Dual star: two racks joined by an uplink
-# ---------------------------------------------------------------------------
-
-def build_dual_star(env: Simulator, hosts_per_rack: int,
-                    nic_config: NicConfig = NIC_10G,
-                    host_config: HostConfig = HOST_DEFAULT,
-                    memory_bytes: int = 1024 * 1024 * 1024,
-                    faults: Optional[LinkFaults] = None,
-                    seed: int = 1,
-                    switch_config: SwitchConfig = SWITCH_DEFAULT,
-                    name: str = "rack") -> Cluster:
-    """Two racks of ``hosts_per_rack`` hosts, one switch each, joined by
-    a switch-to-switch uplink at the same line rate."""
-    hosts = _make_hosts(env, 2 * hosts_per_rack, nic_config, host_config,
-                        memory_bytes, seed)
-    switches = [Switch(env, switch_config, name=f"{name}.sw{r}")
-                for r in range(2)]
-    cluster = Cluster(env=env, hosts=hosts, switches=switches)
-    for i, host in enumerate(hosts):
-        rack = i // hosts_per_rack
-        _wire_host_to_switch(cluster, host, switches[rack], nic_config,
-                             faults,
-                             link_name=f"{name}{rack}.link.{host.name}")
-    uplink_name = f"{name}.uplink"
-    uplink_faults = faults.for_link(uplink_name) if faults is not None \
-        else None
-    uplink = Cable(env, bits_per_second=nic_config.line_rate_bps,
-                   propagation=nic_config.wire_propagation,
-                   faults=uplink_faults, name=uplink_name)
-    up0 = switches[0].attach(uplink, "a")
-    up1 = switches[1].attach(uplink, "b")
-    cluster.cables[uplink_name] = uplink
-    # The flooded gratuitous ARP announcements cross the uplink at
-    # link-up, so each switch learns the far rack's MACs on its uplink
-    # port.
-    for i, host in enumerate(hosts):
-        rack = i // hosts_per_rack
-        far_switch, far_port = (switches[1], up1) if rack == 0 \
-            else (switches[0], up0)
-        far_switch.announce(host.nic.ip, far_port)
     _announce_everywhere(hosts)
     return cluster

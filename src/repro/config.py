@@ -131,11 +131,6 @@ class NicConfig:
         object.__setattr__(self, "_period",
                            timebase.clock_period_ps(self.roce_clock_hz))
 
-    @property
-    def clock_period(self) -> int:
-        """RoCE clock period in picoseconds."""
-        return self._period
-
     def cycles(self, n: int) -> int:
         """Duration of ``n`` RoCE-clock cycles in picoseconds
         (:func:`repro.sim.timebase.cycles_to_ps`)."""
@@ -235,13 +230,6 @@ class HostConfig:
     tcp_ns_per_byte: float = 2.6
     #: Scheduling jitter applied to TCP RPCs (uniform, +/-).
     tcp_jitter: int = 6 * US
-
-    @property
-    def cpu_cycle(self) -> int:
-        return timebase.clock_period_ps(self.cpu_clock_hz)
-
-    def cpu_time(self, cycles: int) -> int:
-        return timebase.cycles_to_ps(cycles, self.cpu_clock_hz)
 
 
 HOST_DEFAULT = HostConfig()

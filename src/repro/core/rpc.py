@@ -30,8 +30,6 @@ class RpcOpcode(IntEnum):
     CONSISTENCY = 0x03   # Section 6.3
     SHUFFLE = 0x04       # Section 6.4
     HLL = 0x05           # Section 7.2
-    FILTER = 0x06        # extension: Section 1's filtering use case
-    AGGREGATE = 0x07     # extension: aggregation / statistics gathering
 
 
 #: Error codes written to ``response_vaddr`` on failure.

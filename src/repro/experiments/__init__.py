@@ -14,7 +14,6 @@ from .ablations import (
 )
 from .common import (
     ExperimentResult,
-    measure_message_rate,
     measure_read_latency,
     measure_write_latency,
     measure_write_throughput,
@@ -52,7 +51,6 @@ __all__ = [
     "hll_kernel_experiment",
     "latency_experiment",
     "linked_list_experiment",
-    "measure_message_rate",
     "measure_read_latency",
     "measure_write_latency",
     "measure_write_throughput",

@@ -176,14 +176,3 @@ def measure_write_throughput(nic_config: NicConfig = NIC_10G,
     bits_per_second = run_proc(env, client_loop(),
                                limit=messages * 100 * MS)
     return bits_per_second / 1e9
-
-
-def measure_message_rate(nic_config: NicConfig = NIC_10G,
-                         host_config: HostConfig = HOST_DEFAULT,
-                         payload_bytes: int = 64,
-                         messages: int = 400,
-                         seed: int = 4) -> float:
-    """Write message rate in Mmsg/s (detailed sim)."""
-    gbps = measure_write_throughput(nic_config, host_config,
-                                    payload_bytes, messages, seed)
-    return gbps * 1e9 / (payload_bytes * 8) / 1e6

@@ -41,9 +41,9 @@ class FaultSchedule:
     """A deterministic timeline of fault injections.
 
     Build the timeline with the typed helpers (:meth:`link_flap`,
-    :meth:`latency_spike`, :meth:`port_blackout`, :meth:`crash_shard`,
-    ...) or the generic :meth:`at`, then call :meth:`start` once the
-    topology is up.  Events at equal times apply in insertion order.
+    :meth:`latency_spike`, :meth:`crash_shard`, ...) or the generic
+    :meth:`at`, then call :meth:`start` once the topology is up.
+    Events at equal times apply in insertion order.
     """
 
     def __init__(self, env: Simulator, seed: int = 0,
@@ -101,18 +101,6 @@ class FaultSchedule:
         return self.at(at + duration, lambda: cable.set_extra_latency(0),
                        kind="latency_clear", target=cable.name)
 
-    def port_blackout(self, at: int, switch, port_index: int,
-                      duration: int) -> "FaultSchedule":
-        """Black out one switch port for ``duration``."""
-        if duration <= 0:
-            raise ValueError("blackout duration must be positive")
-        self.at(at, lambda: switch.set_port_up(port_index, False),
-                kind="port_blackout", target=f"{switch.name}.p{port_index}")
-        return self.at(at + duration,
-                       lambda: switch.set_port_up(port_index, True),
-                       kind="port_restore",
-                       target=f"{switch.name}.p{port_index}")
-
     def crash_shard(self, at: int, service, shard_index: int,
                     restart_after: Optional[int] = None) -> "FaultSchedule":
         """Crash one KV shard server (whole-node), optionally scheduling
@@ -142,29 +130,6 @@ class FaultSchedule:
             node.space.write(vaddr, pointer.to_bytes(8, "little"))
         return self.at(at, apply, kind="pointer_corruption",
                        target=node.name, vaddr=vaddr, pointer=pointer)
-
-    def flip_bits(self, at: int, node, vaddr: int,
-                  mask: bytes) -> "FaultSchedule":
-        """XOR ``mask`` into host memory at ``vaddr`` (element bit
-        flips: corrupted keys, lengths, flags)."""
-        if not mask:
-            raise ValueError("need a non-empty flip mask")
-
-        def apply() -> None:
-            data = node.space.read(vaddr, len(mask))
-            node.space.write(vaddr, bytes(b ^ m for b, m in
-                                          zip(data, mask)))
-        return self.at(at, apply, kind="bit_flip", target=node.name,
-                       vaddr=vaddr, bits=len(mask) * 8)
-
-    def malformed_rpc(self, at: int, node, qpn: int, rpc_opcode: int,
-                      params: bytes) -> "FaultSchedule":
-        """Post a raw (typically malformed) RPC parameter block from
-        ``node`` — exercises the BAD_PARAMS completion path."""
-        def apply() -> None:
-            self.env.process(node.post_rpc(qpn, rpc_opcode, params))
-        return self.at(at, apply, kind="malformed_rpc", target=node.name,
-                       rpc_opcode=int(rpc_opcode), length=len(params))
 
     def stall_kernel(self, at: int, kernel,
                      duration: int) -> "FaultSchedule":

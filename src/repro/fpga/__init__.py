@@ -7,7 +7,6 @@ from .resources import (
     ResourceUsage,
     can_deploy,
     estimate_nic_resources,
-    tlb_bram_blocks,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "XCVU9P",
     "can_deploy",
     "estimate_nic_resources",
-    "tlb_bram_blocks",
 ]

@@ -23,20 +23,6 @@ class FpgaDevice:
     #: Highest clock the RoCE stack closes timing at on this device.
     max_roce_clock_hz: float
 
-    @property
-    def bram_bits(self) -> int:
-        return self.bram_36kb * 36 * 1024
-
-    def utilization(self, luts: int = 0, flip_flops: int = 0,
-                    bram: int = 0) -> dict:
-        """Fractions of the device a design occupies."""
-        return {
-            "luts": luts / self.luts,
-            "flip_flops": flip_flops / self.flip_flops,
-            "bram": bram / self.bram_36kb,
-        }
-
-
 #: Virtex-7 XC7VX690T (ADM-PCIE-7V3): "a low-end Xilinx Virtex 7" (§3.5).
 XC7VX690T = FpgaDevice(
     name="XC7VX690T",

@@ -67,21 +67,6 @@ class ResourceUsage:
     def bram_fraction(self) -> float:
         return self.bram_36kb / self.device.bram_36kb
 
-    def fits(self) -> bool:
-        """Whether the build fits the device (leaving nothing in reserve —
-        kernels need the headroom, see §3.4 condition 1)."""
-        return (self.lut_fraction <= 1.0 and self.ff_fraction <= 1.0
-                and self.bram_fraction <= 1.0)
-
-    def headroom_for_kernels(self) -> dict:
-        """Free resources available to StRoM kernels."""
-        return {
-            "luts": self.device.luts - self.luts,
-            "flip_flops": self.device.flip_flops - self.flip_flops,
-            "bram": self.device.bram_36kb - self.bram_36kb,
-        }
-
-
 def estimate_nic_resources(config: NicConfig,
                            device: FpgaDevice) -> ResourceUsage:
     """Footprint of the NIC infrastructure (RoCE stack + DMA + TLB + MAC)
@@ -104,14 +89,6 @@ def estimate_nic_resources(config: NicConfig,
                          flip_flops=int(round(ffs)),
                          bram_36kb=int(round(bram)),
                          device=device)
-
-
-def tlb_bram_blocks(entries: int) -> int:
-    """BRAM blocks holding ``entries`` 48-bit TLB entries (Section 4.2)."""
-    if entries <= 0:
-        raise ValueError("need at least one TLB entry")
-    bits = entries * 48
-    return -(-bits // (36 * 1024))
 
 
 @dataclass(frozen=True)

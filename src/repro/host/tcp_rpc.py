@@ -101,10 +101,3 @@ class TcpRpcChannel:
             return value_bytes, cpu
         return work
 
-    def hash_table_handler(self, value_bytes: int):
-        """RPC handler doing one bucket probe + value fetch: Figure 8."""
-        def work():
-            cpu = 2 * self.cpu.memory_access() \
-                + self.cpu.memcpy_time(value_bytes)
-            return value_bytes, cpu
-        return work

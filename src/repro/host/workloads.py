@@ -1,8 +1,8 @@
 """Workload generators for the benchmarks and applications.
 
 Key and tuple distributions commonly used to evaluate KV stores and
-shuffles: uniform, Zipfian (YCSB-style skew), and streams with a target
-distinct-count (for cardinality estimation).  All generators are
+shuffles: uniform, Zipfian (YCSB-style skew) and skewed radix-partition
+tuples.  All generators are
 deterministic under a seed so simulated experiments are reproducible.
 """
 
@@ -56,21 +56,6 @@ def uniform_keys(count: int, key_space: int, seed: int = 0) -> np.ndarray:
         raise ValueError("invalid workload parameters")
     rng = np.random.default_rng(seed)
     return rng.integers(0, key_space, size=count, dtype=np.uint64)
-
-
-def distinct_stream(total: int, distinct: int, seed: int = 0) -> np.ndarray:
-    """A stream of ``total`` tuples containing exactly ``distinct``
-    different values (every value appears at least once) — ground truth
-    for cardinality-estimation experiments."""
-    if not 1 <= distinct <= total:
-        raise ValueError("need 1 <= distinct <= total")
-    rng = np.random.default_rng(seed)
-    base = rng.permutation(np.arange(distinct, dtype=np.uint64)
-                           * np.uint64(2654435761) + np.uint64(1))
-    extra = rng.choice(base, size=total - distinct, replace=True)
-    stream = np.concatenate([base, extra])
-    rng.shuffle(stream)
-    return stream
 
 
 def skewed_tuples(count: int, partition_bits: int, hot_fraction: float,

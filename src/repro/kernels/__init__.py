@@ -5,27 +5,14 @@
 - :class:`ConsistencyKernel` — CRC64-verified reads (Section 6.3).
 - :class:`ShuffleKernel` — on-NIC radix partitioning (Section 6.4).
 - :class:`HllKernel` — streaming cardinality estimation (Section 7.2).
-
-Extension kernels for the other stream operations Section 1 motivates:
-
-- :class:`FilterKernel` — run-length-unknown data reduction (the
-  write-semantics argument of Section 5.1, made concrete).
-- :class:`AggregateKernel` — count/sum/min/max + histogram as a
-  by-product of reception.
 """
 
-from .aggregate import (
-    AggregateKernel,
-    AggregateParams,
-    unpack_aggregate_record,
-)
 from .consistency import (
     INCONSISTENT_MARKER,
     ConsistencyKernel,
     ConsistencyParams,
     seeded_failure_injector,
 )
-from .filter import FilterKernel, FilterOp, FilterParams
 from .get import (
     BUCKETS_PER_ENTRY,
     GetKernel,
@@ -51,15 +38,9 @@ from .traversal import (
 )
 
 __all__ = [
-    "AggregateKernel",
-    "AggregateParams",
     "BUCKETS_PER_ENTRY",
     "BUFFER_VALUES",
     "ConsistencyKernel",
-    "FilterKernel",
-    "FilterOp",
-    "FilterParams",
-    "unpack_aggregate_record",
     "ConsistencyParams",
     "ELEMENT_BYTES",
     "GetKernel",

@@ -1,15 +1,11 @@
-"""Host memory substrate: physical DRAM image, huge-page address spaces,
-and declarative record layouts shared by host software and NIC kernels."""
+"""Host memory substrate: physical DRAM image and huge-page address
+spaces."""
 
 from .address_space import AddressSpace, Region
-from .layout import FIELD_ALIGNMENT, Field, RecordLayout
 from .physical import PhysicalMemory
 
 __all__ = [
     "AddressSpace",
-    "FIELD_ALIGNMENT",
-    "Field",
     "PhysicalMemory",
-    "RecordLayout",
     "Region",
 ]

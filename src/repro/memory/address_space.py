@@ -151,14 +151,3 @@ class AddressSpace:
             self.physical.write(paddr, view[:chunk])
             view = view[chunk:]
 
-    def read_u32(self, vaddr: int) -> int:
-        return int.from_bytes(self.read(vaddr, 4), "little")
-
-    def read_u64(self, vaddr: int) -> int:
-        return int.from_bytes(self.read(vaddr, 8), "little")
-
-    def write_u32(self, vaddr: int, value: int) -> None:
-        self.write(vaddr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, vaddr: int, value: int) -> None:
-        self.write(vaddr, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))

@@ -144,29 +144,6 @@ class PhysicalMemory:
             remaining -= chunk
         return PayloadRef(segments, stable=stable)
 
-    def readinto(self, address: int, buffer) -> int:
-        """Fill a writable ``buffer`` from memory at ``address``; returns
-        the number of bytes read (always ``len(buffer)``)."""
-        view = memoryview(buffer)
-        if view.readonly:
-            raise TypeError("readinto() requires a writable buffer")
-        length = view.nbytes
-        self._check_range(address, length)
-        filled = 0
-        cursor = address
-        while filled < length:
-            page_index, offset = divmod(cursor, self.page_bytes)
-            chunk = min(length - filled, self.page_bytes - offset)
-            page = self._pages.get(page_index)
-            if page is None:
-                view[filled:filled + chunk] = bytes(chunk)
-            else:
-                view[filled:filled + chunk] = \
-                    memoryview(page)[offset:offset + chunk]
-            cursor += chunk
-            filled += chunk
-        return length
-
     def write(self, address: int, data) -> None:
         """Write ``data`` (bytes-like, views included) at ``address``.
 
@@ -214,14 +191,3 @@ class PhysicalMemory:
             raise ValueError("fill value must be a byte")
         self.write(address, bytes([value]) * length)
 
-    def read_u32(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 4), "little")
-
-    def read_u64(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 8), "little")
-
-    def write_u32(self, address: int, value: int) -> None:
-        self.write(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, address: int, value: int) -> None:
-        self.write(address, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))

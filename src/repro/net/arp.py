@@ -85,6 +85,3 @@ class ArpCache:
         mac = mac_for_ip(ip)
         self.learn(ip, mac)
         return mac
-
-    def __len__(self) -> int:
-        return len(self._entries)

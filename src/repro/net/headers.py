@@ -37,10 +37,6 @@ def ipv4_checksum(header_bytes: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def mac_str(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
-
-
 def ip_str(ip: int) -> str:
     return ".".join(str((ip >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 

@@ -5,8 +5,8 @@ The StRoM evaluation is built out of per-stage breakdowns (Figures 5,
 simulator needs a first-class way to see inside its own data path.
 This package provides it:
 
-- :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` instruments with hierarchical dotted names
+- :class:`MetricsRegistry` — named :class:`Counter` / :class:`Gauge`
+  instruments with hierarchical dotted names
   (``nic0.qp3.retransmits``), snapshot/diff/merge, and a flat-dict
   export consumed by benchmarks and experiments.
 - :mod:`repro.obs.chrome_trace` — turns an
@@ -28,7 +28,6 @@ from .chrome_trace import chrome_trace_events, export_chrome_trace
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsError,
     MetricsRegistry,
     MetricsSnapshot,
@@ -38,7 +37,6 @@ from .runtime import ObsSession, observe, registry_for, trace_for
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsError",
     "MetricsRegistry",
     "MetricsSnapshot",

@@ -7,13 +7,11 @@ per-simulation :class:`MetricsRegistry`, and a whole run can be dumped,
 diffed against an earlier snapshot, or merged across shards with plain
 dictionary semantics.
 
-Three instrument kinds:
+Two instrument kinds:
 
 - :class:`Counter` — monotonically increasing (packets, bytes, drops);
 - :class:`Gauge` — a level (queue depth, window occupancy) with an
-  optional sampled time series for the Chrome-trace counter tracks;
-- :class:`Histogram` — a value distribution whose percentiles agree
-  exactly with :func:`repro.sim.stats.percentile`.
+  optional sampled time series for the Chrome-trace counter tracks.
 
 Registration is create-or-get: asking twice for the same name and kind
 returns the same instrument (so two components that legitimately share
@@ -26,11 +24,6 @@ from __future__ import annotations
 
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from ..sim.stats import percentile
-
-#: Percentiles exported for every histogram in a snapshot.
-HISTOGRAM_PERCENTILES = (0.50, 0.99)
 
 
 class MetricsError(ValueError):
@@ -108,44 +101,11 @@ class Gauge(Instrument):
                f"({len(self.series)} samples)>"
 
 
-class Histogram(Instrument):
-    """A value distribution; percentiles match ``sim.stats.percentile``."""
-
-    kind = "histogram"
-    __slots__ = ("values",)
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.values: List[float] = []
-
-    def record(self, value: float) -> None:
-        self.values.append(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.values.extend(values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def percentile(self, fraction: float) -> float:
-        if not self.values:
-            raise ValueError(f"no values recorded for {self.name!r}")
-        return percentile(sorted(self.values), fraction)
-
-    def percentiles(self, fractions: Iterable[float]) -> Dict[float, float]:
-        if not self.values:
-            raise ValueError(f"no values recorded for {self.name!r}")
-        ordered = sorted(self.values)
-        return {f: percentile(ordered, f) for f in fractions}
-
-
 class MetricsSnapshot:
     """A frozen flat-dict view of a registry at one point in time.
 
-    Keys are instrument names (histograms flatten into ``name.count``,
-    ``name.min`` … ``name.p99``); values are plain numbers, so a
-    snapshot serializes directly to JSON and diffs with dictionary
-    arithmetic.
+    Keys are instrument names; values are plain numbers, so a snapshot
+    serializes directly to JSON and diffs with dictionary arithmetic.
     """
 
     def __init__(self, values: Dict[str, float],
@@ -163,20 +123,14 @@ class MetricsSnapshot:
     def get(self, name: str, default: float = 0) -> float:
         return self._values.get(name, default)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsSnapshot):
             return NotImplemented
         return self._values == other._values
 
     def diff(self, older: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The change since ``older``: monotonic entries (counters,
-        histogram counts/sums) subtract; levels keep the newer value."""
+        """The change since ``older``: monotonic entries (counters)
+        subtract; levels keep the newer value."""
         values = {}
         for name, value in self._values.items():
             if self._monotonic.get(name):
@@ -233,17 +187,11 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._register(name, Gauge, keep_series=self.keep_series)
 
-    def histogram(self, name: str) -> Histogram:
-        return self._register(name, Histogram)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def get(self, name: str) -> Optional[Instrument]:
         return self._instruments.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -269,25 +217,8 @@ class MetricsRegistry:
         values: Dict[str, float] = {}
         monotonic: Dict[str, bool] = {}
         for inst in self:
-            if isinstance(inst, Counter):
-                values[inst.name] = inst.value
-                monotonic[inst.name] = True
-            elif isinstance(inst, Gauge):
-                values[inst.name] = inst.value
-                monotonic[inst.name] = False
-            else:
-                assert isinstance(inst, Histogram)
-                values[f"{inst.name}.count"] = len(inst.values)
-                monotonic[f"{inst.name}.count"] = True
-                if inst.values:
-                    values[f"{inst.name}.sum"] = sum(inst.values)
-                    monotonic[f"{inst.name}.sum"] = True
-                    values[f"{inst.name}.min"] = min(inst.values)
-                    values[f"{inst.name}.max"] = max(inst.values)
-                    pct = inst.percentiles(HISTOGRAM_PERCENTILES)
-                    for fraction, value in pct.items():
-                        key = f"{inst.name}.p{int(fraction * 100):02d}"
-                        values[key] = value
+            values[inst.name] = inst.value
+            monotonic[inst.name] = isinstance(inst, Counter)
         return MetricsSnapshot(values, monotonic)
 
     @classmethod
@@ -295,25 +226,23 @@ class MetricsRegistry:
               name: str = "", series: bool = True) -> "MetricsRegistry":
         """Combine several registries (per-shard, per-host) into one.
 
-        Same-named counters sum, histograms pool their values, and
-        gauges keep the maximum level (the natural cluster-wide reading
-        for depths and windows) and, with ``series``, every sampled
-        point in time order.  A name carrying different kinds in
-        different registries raises :class:`MetricsError`.  The result
-        owns copies; mutating the inputs afterwards does not affect it.
+        Same-named counters sum, and gauges keep the maximum level (the
+        natural cluster-wide reading for depths and windows) and, with
+        ``series``, every sampled point in time order.  A name carrying
+        different kinds in different registries raises
+        :class:`MetricsError`.  The result owns copies; mutating the
+        inputs afterwards does not affect it.
         """
         merged = cls(name, keep_series=series)
         for registry in registries:
             for inst in registry:
                 if isinstance(inst, Counter):
                     merged.counter(inst.name).add(inst.value)
-                elif isinstance(inst, Gauge):
+                else:
                     target = merged.gauge(inst.name)
                     target.set(max(target.value, inst.value))
                     if series:
                         target.series.extend(inst.series)
-                else:
-                    merged.histogram(inst.name).extend(inst.values)
         for gauge in merged.sampled_gauges():
             gauge.series.sort(key=lambda point: point[0])
         return merged

@@ -115,10 +115,6 @@ class RequesterState:
         self.next_psn = psn_add(self.next_psn, count)
         return first
 
-    @property
-    def outstanding_packets(self) -> int:
-        return len(self.unacked)
-
 
 @dataclass
 class QueuePairState:
@@ -138,10 +134,6 @@ class QueuePairState:
     def fail(self, reason: str) -> None:
         self.in_error = True
         self.error_reason = reason
-
-    def recover(self) -> None:
-        self.in_error = False
-        self.error_reason = ""
 
 
 class QueuePairTable:
@@ -189,6 +181,3 @@ class QueuePairTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries.values())

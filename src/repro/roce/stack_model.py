@@ -55,18 +55,6 @@ def rx_stage_budgets(config: NicConfig) -> List[StageBudget]:
     ]
 
 
-def tx_stage_budgets(config: NicConfig) -> List[StageBudget]:
-    """The transmitting data path of Figure 2."""
-    return [
-        StageBudget("request_handler", 2, False),
-        StageBudget("generate_reth_aeth", 2, True),
-        StageBudget("generate_bth", STATE_TABLE_ACCESS_CYCLES, True),
-        StageBudget("generate_udp", 1, True),
-        StageBudget("generate_ip", 2, True),
-        StageBudget("icrc", 1, True),
-    ]
-
-
 def packet_arrival_cycles(config: NicConfig, payload_bytes: int) -> float:
     """Clock cycles between back-to-back packet arrivals at line rate.
 
@@ -133,8 +121,3 @@ def line_rate_verdict(config: NicConfig, host: HostConfig,
         effectively_limited_by=limit)
 
 
-def pipeline_fill_cycles(config: NicConfig, direction: str = "rx") -> int:
-    """Total pipeline depth (fill latency) of one data path."""
-    stages = rx_stage_budgets(config) if direction == "rx" \
-        else tx_stage_budgets(config)
-    return sum(stage.cycles_per_packet for stage in stages)

@@ -3,20 +3,20 @@
 Public surface:
 
 - :class:`Simulator` — the integer-picosecond event loop.
-- :class:`Event`, :class:`Process`, :class:`Timeout`, :class:`Interrupt` —
-  event primitives (processes are generators that ``yield`` events).
+- :class:`Event`, :class:`Process`, :class:`Timeout` — event primitives
+  (processes are generators that ``yield`` events).
 - :class:`Stream` — bounded FIFO, the analogue of a Vivado-HLS stream.
 - :class:`Resource`, :class:`BandwidthLink` — contention primitives.
 - :mod:`repro.sim.timebase` — time-unit constants and converters.
-- :class:`LatencySample`, :class:`ThroughputMeter` — measurement helpers.
+- :class:`LatencySample` — latency measurement.
 """
 
 from . import timebase
 from .channels import Stream
 from .core import SimulationError, Simulator, process_step, terminated
-from .events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
+from .events import AllOf, AnyOf, Event, Process, Timeout
 from .resources import BandwidthLink, Resource
-from .stats import LatencySample, LatencySummary, ThroughputMeter, percentile
+from .stats import LatencySample, LatencySummary, percentile
 from .timebase import MS, NS, PS, SEC, US
 from .trace import EventTrace, SpanRecord, TraceRecord
 
@@ -28,7 +28,6 @@ __all__ = [
     "EventTrace",
     "SpanRecord",
     "TraceRecord",
-    "Interrupt",
     "LatencySample",
     "LatencySummary",
     "MS",
@@ -40,7 +39,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Stream",
-    "ThroughputMeter",
     "Timeout",
     "US",
     "percentile",

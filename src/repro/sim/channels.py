@@ -76,10 +76,6 @@ class Stream:
         return len(self._items)
 
     @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
@@ -278,7 +274,3 @@ class Stream:
                 return  # head putter still partially blocked
             self._putters.popleft()
             event.succeed()
-
-    def __repr__(self) -> str:
-        cap = "inf" if self.capacity is None else str(self.capacity)
-        return f"<Stream {self.name!r} {len(self._items)}/{cap}>"

@@ -14,7 +14,7 @@ Usage::
 The engine keeps two queues that together form one global FIFO:
 
 - ``_queue``: a binary heap of ``(time, eid, fn, arg)`` entries due in
-  the future (timeouts, explicit ``schedule`` calls, :meth:`call_at`);
+  the future (timeouts, :meth:`call_at`);
 - ``_ready``: a plain deque of ``(eid, fn, arg)`` entries due *at the
   current time* (``succeed``/``fail``, process bootstraps and
   terminations, :meth:`call_soon`) — a deque append/popleft is several
@@ -37,9 +37,9 @@ the cost.  Every scheduled entry of either kind draws exactly one eid at
 the moment it is scheduled, and nothing else draws one, so
 :attr:`Simulator.events_created` counts scheduled entries of both kinds
 and replacing an Event by a callback entry scheduled at the same point
-keeps every same-picosecond tie (the eid contract).  The hot loops in
-:meth:`Simulator.run` / :meth:`Simulator.run_until_complete` inline the
-body of :meth:`step` to save one Python call per entry.
+keeps every same-picosecond tie (the eid contract).  The two dispatch
+loops, :meth:`Simulator.run` and :meth:`Simulator.run_until_complete`,
+differ only in their stop condition.
 """
 
 from __future__ import annotations
@@ -110,13 +110,6 @@ class Simulator:
         """Current simulated time in picoseconds."""
         return self._now
 
-    def schedule(self, event: Event, delay: int = 0) -> None:
-        """Queue ``event`` for processing ``delay`` picoseconds from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._queue,
-                       (self._now + delay, self._next_eid(), None, event))
-
     def call_at(self, delay: int, fn: Callable[[Any], Any],
                 arg: Any = None) -> None:
         """Run ``fn(arg)`` ``delay`` picoseconds from now.
@@ -145,25 +138,6 @@ class Simulator:
         """
         return self._eid.__reduce__()[1][0]
 
-    def peek(self) -> Optional[int]:
-        """Timestamp of the next entry to dispatch, or None if idle.
-
-        Mirrors :meth:`_pop_next`'s tie-break exactly: a heap event due
-        *now* with a lower eid than the ready head dispatches first, and
-        either way the next dispatch happens at the current time whenever
-        the ready deque is non-empty (ready events are by construction
-        due now).
-        """
-        ready = self._ready
-        queue = self._queue
-        if ready:
-            if queue:
-                head = queue[0]
-                if head[0] == self._now and head[1] < ready[0][0]:
-                    return head[0]
-            return self._now
-        return queue[0][0] if queue else None
-
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------
@@ -188,51 +162,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pop_next(self) -> Tuple[Optional[Callable], Any]:
-        """Dequeue the globally next entry's ``(fn, arg)`` (FIFO among
-        same-time entries).
-
-        The ready deque only ever holds entries due at the current
-        timestamp, so time never advances while it is non-empty; a heap
-        entry goes first only when it is due *now* and was scheduled
-        earlier (lower eid).
-        """
-        ready = self._ready
-        if ready:
-            queue = self._queue
-            if queue:
-                head = queue[0]
-                if head[0] == self._now and head[1] < ready[0][0]:
-                    _, _, fn, arg = heappop(queue)
-                    return fn, arg
-            _, fn, arg = ready.popleft()
-            return fn, arg
-        self._now, _, fn, arg = heappop(self._queue)
-        return fn, arg
-
-    def step(self) -> None:
-        """Process the single next entry."""
-        if not self._ready and not self._queue:
-            raise RuntimeError("step() on an empty event queue")
-        fn, event = self._pop_next()
-        if fn is not None:
-            fn(event)
-            return
-        waiter = event._waiter
-        callbacks = event.callbacks
-        event.callbacks = None
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif (waiter is None and not event._ok
-                and not event._defused and not event._interrupt):
-            raise SimulationError(
-                f"unhandled failure in {event!r}: {event._value!r}"
-            ) from event._value
-
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue empties or simulated time reaches ``until``."""
         if until is not None and until < self._now:
@@ -242,7 +171,6 @@ class Simulator:
         pop = heappop
         popleft = ready.popleft
         while True:
-            # Inlined _pop_next + step (kept in sync with the methods).
             if ready:
                 if queue and queue[0][0] == self._now \
                         and queue[0][1] < ready[0][0]:
@@ -269,7 +197,7 @@ class Simulator:
                 for callback in callbacks:
                     callback(event)
             elif (waiter is None and not event._ok
-                    and not event._defused and not event._interrupt):
+                    and not event._defused):
                 raise SimulationError(
                     f"unhandled failure in {event!r}: {event._value!r}"
                 ) from event._value
@@ -291,7 +219,6 @@ class Simulator:
         popleft = ready.popleft
         # ``process.triggered`` tested inline, like ``_waiter`` and ``_ok``.
         while process._value is _PENDING:
-            # Inlined _pop_next + step (kept in sync with the methods).
             if ready:
                 if queue and queue[0][0] == self._now \
                         and queue[0][1] < ready[0][0]:
@@ -319,7 +246,7 @@ class Simulator:
                 for callback in callbacks:
                     callback(event)
             elif (waiter is None and not event._ok
-                    and not event._defused and not event._interrupt):
+                    and not event._defused):
                 raise SimulationError(
                     f"unhandled failure in {event!r}: {event._value!r}"
                 ) from event._value

@@ -34,8 +34,7 @@ class Event:
     events re-raise inside every waiting process.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused",
-                 "_interrupt", "_waiter")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_waiter")
 
     def __init__(self, env: "Simulator") -> None:
         self.env = env
@@ -45,9 +44,6 @@ class Event:
         #: True once a condition (AnyOf/AllOf) or the driver observes the
         #: outcome itself; unhandled failures then do not crash the run.
         self._defused = False
-        #: True for interrupt poke events (failures by construction that
-        #: must not be treated as process crashes).
-        self._interrupt = False
         #: Fast-path single waiter: the Process to resume on processing.
         self._waiter = None
 
@@ -116,19 +112,10 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self._interrupt = False
         self._waiter = None
         self.delay = delay
         heappush(env._queue,
                  (env._now + delay, env._next_eid(), None, self))
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Process(Event):
@@ -139,7 +126,7 @@ class Process(Event):
     event's exception is thrown into it).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Simulator",
                  generator: Generator[Event, Any, Any]) -> None:
@@ -147,50 +134,11 @@ class Process(Event):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError("Process requires a generator")
         self._generator = generator
-        self._target: Optional[Event] = None
         # Bootstrap: resume the process immediately at the current time.
         bootstrap = Event(env)
         bootstrap._value = None
         bootstrap._waiter = self
         env._ready.append((env._next_eid(), None, bootstrap))
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not terminated."""
-        return not self.triggered
-
-    @property
-    def is_waiting(self) -> bool:
-        """True while the process is suspended on an event.
-
-        False before the bootstrap resume runs and after termination;
-        interrupting is only well-defined while this is True (a process
-        that has not started yet would re-attach to its first yielded
-        event *after* the interrupt detached nothing).
-        """
-        return self._target is not None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise RuntimeError("cannot interrupt a terminated process")
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            # Stop waiting on the current target.
-            if target._waiter is self:
-                target._waiter = None
-            else:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        env = self.env
-        poke = Event(env)
-        poke._waiter = self
-        poke._ok = False
-        poke._value = Interrupt(cause)
-        poke._interrupt = True  # do not treat as a normal failure
-        env._ready.append((env._next_eid(), None, poke))
 
     def _resume(self, event: Event) -> None:
         generator = self._generator
@@ -202,7 +150,6 @@ class Process(Event):
                     else:
                         target = generator.throw(event._value)
                 except StopIteration as stop:
-                    self._target = None
                     self.succeed(stop.value)
                     return
                 if not isinstance(target, Event):
@@ -218,12 +165,10 @@ class Process(Event):
                     target._waiter = self
                 else:
                     target.callbacks.append(self._resume)
-                self._target = target
                 return
         except BaseException as exc:
             # The generator itself raised: the process fails.  If nobody is
             # waiting on it, the simulator surfaces the error.
-            self._target = None
             self._ok = False
             self._value = exc
             env = self.env

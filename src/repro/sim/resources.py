@@ -76,10 +76,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Yieldable event granting one unit of the resource."""
         if self._in_use < self.capacity:
@@ -198,9 +194,3 @@ class BandwidthLink:
         start = self.reserve(duration)
         self.bytes_transferred += num_bytes
         yield self.env.timeout(start + duration - self.env.now)
-
-    def utilization(self) -> float:
-        """Fraction of elapsed simulated time the link was busy."""
-        if self.env.now == 0:
-            return 0.0
-        return self.busy_time / self.env.now

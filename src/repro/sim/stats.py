@@ -44,19 +44,6 @@ class LatencySummary:
     min_us: float
     max_us: float
 
-    def as_row(self) -> Dict[str, float]:
-        """Flat dict form used by the experiment table printers."""
-        return {
-            "count": self.count,
-            "median_us": self.median_us,
-            "p01_us": self.p01_us,
-            "p99_us": self.p99_us,
-            "mean_us": self.mean_us,
-            "min_us": self.min_us,
-            "max_us": self.max_us,
-        }
-
-
 class LatencySample:
     """Accumulates latency measurements (picoseconds) and summarizes them."""
 
@@ -115,27 +102,3 @@ class LatencySample:
             min_us=values[0],
             max_us=values[-1],
         )
-
-
-class ThroughputMeter:
-    """Tracks bytes moved over a simulated interval -> Gbit/s."""
-
-    def __init__(self) -> None:
-        self.bytes_total = 0
-        self.start_ps = 0
-        self.end_ps = 0
-
-    def start(self, now_ps: int) -> None:
-        self.start_ps = now_ps
-
-    def record_bytes(self, num_bytes: int, now_ps: int) -> None:
-        if num_bytes < 0:
-            raise ValueError("negative byte count")
-        self.bytes_total += num_bytes
-        self.end_ps = max(self.end_ps, now_ps)
-
-    def gbit_per_second(self) -> float:
-        elapsed = self.end_ps - self.start_ps
-        if elapsed <= 0:
-            return 0.0
-        return self.bytes_total * 8 / timebase.to_seconds(elapsed) / 1e9

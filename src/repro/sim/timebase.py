@@ -36,11 +36,6 @@ def to_micros(picoseconds: int) -> float:
     return picoseconds / US
 
 
-def to_nanos(picoseconds: int) -> float:
-    """Convert integer picoseconds to (float) nanoseconds."""
-    return picoseconds / NS
-
-
 def cycles_to_ps(cycles: int, frequency_hz: float) -> int:
     """Duration of ``cycles`` clock cycles at ``frequency_hz``, in ps.
 

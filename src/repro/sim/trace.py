@@ -70,18 +70,6 @@ class SpanRecord:
             raise ValueError(f"span {self.name!r} is still open")
         return self.end_ps - self.begin_ps
 
-    @property
-    def begin_us(self) -> float:
-        return timebase.to_micros(self.begin_ps)
-
-    def __str__(self) -> str:
-        end = f"{timebase.to_micros(self.end_ps):.3f}us" \
-            if self.end_ps is not None else "open"
-        fields = " ".join(f"{k}={v}" for k, v in sorted(
-            self.details.items()))
-        return f"[{self.begin_us:10.3f}us..{end}] {self.source:12s} " \
-               f"{self.name:12s} {fields}"
-
 
 class EventTrace:
     """Bounded in-memory event recorder."""

@@ -264,13 +264,6 @@ def test_hll_register_blob_size_checked():
         HyperLogLog.from_register_bytes(b"\x00" * 5, precision=10)
 
 
-def test_hll_clear():
-    hll = HyperLogLog(precision=8)
-    hll.add_array(np.arange(1000, dtype=np.uint64))
-    hll.clear()
-    assert hll.cardinality() == 0.0
-
-
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_hll_estimate_property_random_sets(seed):

@@ -26,8 +26,6 @@ from repro.kernels import (
     TraversalKernel,
     TraversalParams,
 )
-from repro.kernels.aggregate import AggregateKernel, AggregateParams
-from repro.kernels.filter import FilterKernel, FilterParams
 from repro.sim import MS, Simulator
 
 
@@ -185,23 +183,6 @@ def test_shuffle_partition_bits_rejected():
     body = ShuffleParams._BODY.pack(0x1000, 64, 11)  # 11 bits > 10
     raw = pack_params(RpcPreamble(response.vaddr), body)
     head = invoke_raw(env, fabric, RpcOpcode.SHUFFLE, raw, response)
-    assert head == RPC_ERROR_BAD_PARAMS
-
-
-def test_filter_unknown_op_rejected():
-    env, fabric, kernel, response = deploy(RpcOpcode.FILTER, FilterKernel)
-    body = FilterParams._BODY.pack(0x1000, 64, 99, 5)  # op 99
-    raw = pack_params(RpcPreamble(response.vaddr), body)
-    head = invoke_raw(env, fabric, RpcOpcode.FILTER, raw, response)
-    assert head == RPC_ERROR_BAD_PARAMS
-
-
-def test_aggregate_zero_stream_rejected():
-    env, fabric, kernel, response = deploy(
-        RpcOpcode.AGGREGATE, AggregateKernel)
-    body = AggregateParams._BODY.pack(0x1000, 0x2000, 0, 0)  # empty
-    raw = pack_params(RpcPreamble(response.vaddr), body)
-    head = invoke_raw(env, fabric, RpcOpcode.AGGREGATE, raw, response)
     assert head == RPC_ERROR_BAD_PARAMS
 
 

@@ -155,8 +155,8 @@ def test_kernel_timing_helpers():
         return fixed, streaming
 
     fixed, streaming = env.run_until_complete(env.process(proc()))
-    assert fixed == 10 * NIC_10G.clock_period
-    assert streaming == 8 * NIC_10G.clock_period
+    assert fixed == 10 * NIC_10G.cycles(1)
+    assert streaming == 8 * NIC_10G.cycles(1)
 
 
 # ---------------------------------------------------------------------------

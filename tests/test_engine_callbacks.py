@@ -67,20 +67,26 @@ def test_call_at_rejects_negative_delay():
         Simulator().call_at(-1, print)
 
 
-def test_peek_and_step_with_only_callback_entries():
-    sim = Simulator()
-    seen = []
-    sim.call_at(7, seen.append, "late")
-    sim.call_soon(seen.append, "now")
-    assert sim.peek() == 0
-    sim.step()
-    assert seen == ["now"] and sim.now == 0
-    assert sim.peek() == 7
-    sim.step()
-    assert seen == ["now", "late"] and sim.now == 7
-    assert sim.peek() is None
-    with pytest.raises(RuntimeError):
-        sim.step()
+def test_call_soon_dispatches_before_earlier_call_at_due_later():
+    """Under both dispatch loops, a ready callback entry runs at the
+    current time before a heap callback entry scheduled ahead of it but
+    due later."""
+    for loop in ("run", "run_until_complete"):
+        sim = Simulator()
+        seen = []
+        done = sim.event()
+
+        def late(_arg):
+            seen.append(("late", sim.now))
+            done.succeed()
+
+        sim.call_at(7, late)
+        sim.call_soon(lambda _arg: seen.append(("now", sim.now)))
+        if loop == "run":
+            sim.run()
+        else:
+            sim.run_until_complete(done)
+        assert seen == [("now", 0), ("late", 7)], loop
 
 
 def test_run_until_stops_before_later_callbacks():

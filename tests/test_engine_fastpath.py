@@ -28,9 +28,10 @@ def test_event_has_real_default_flags():
     event = Event(env)
     # Real attributes, not getattr probes: reading them never raises.
     assert event._defused is False
-    assert event._interrupt is False
-    assert "_defused" in Event.__slots__
-    assert "_interrupt" in Event.__slots__
+    assert event._waiter is None
+    assert Event.__slots__ == ("env", "callbacks", "_value", "_ok",
+                               "_defused", "_waiter")
+    assert Process.__slots__ == ("_generator",)
 
 
 def test_unhandled_failure_still_raises():
@@ -127,14 +128,6 @@ def test_interleaved_same_time_events_keep_scheduling_order():
     env.process(note("c", 10))
     env.run()
     assert order == ["a", "b", "c"]
-
-
-def test_peek_sees_ready_events_at_now():
-    env = Simulator()
-    env.timeout(7)
-    assert env.peek() == 7
-    Event(env).succeed()
-    assert env.peek() == 0  # the triggered event is due immediately
 
 
 # ---------------------------------------------------------------------------

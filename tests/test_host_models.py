@@ -107,8 +107,9 @@ def test_tcp_rpc_pays_per_byte():
     channel = TcpRpcChannel(env, HOST_DEFAULT, seed=2)
 
     def call(size):
-        result = yield from channel.call(32,
-                                         channel.hash_table_handler(size))
+        # One bucket probe plus the value fetch.
+        result = yield from channel.call(
+            32, channel.linked_list_handler(2, size))
         return result.latency_ps
 
     small = env.run_until_complete(env.process(call(64)))

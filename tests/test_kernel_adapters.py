@@ -189,8 +189,8 @@ def test_rpc_write_payload_for_a_kernel_quarantined_in_flight_is_dropped():
 
     env.process(client.post_rpc_write(fabric.client_qpn, RpcOpcode.HLL,
                                       source, size))
-    while len(stream) < 2:
-        env.step()
+    env.run(until=6_704_400)  # the stream's second packet lands
+    assert len(stream) == 2
     kernel.guard.quarantined = True
     env.run()
     fed = len(stream)

@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (
-    AddressSpace,
-    Field,
-    PhysicalMemory,
-    RecordLayout,
-)
+from repro.memory import AddressSpace, PhysicalMemory
 
 PAGE = 2 * 1024 * 1024
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -56,14 +51,6 @@ def test_physical_memory_bounds():
         mem.read(2 * PAGE - 4, 8)
     with pytest.raises(ValueError):
         mem.read(-1, 4)
-
-
-def test_physical_memory_u64_helpers():
-    mem = PhysicalMemory(size_bytes=2 * PAGE)
-    mem.write_u64(64, 0xDEADBEEF_CAFEBABE)
-    assert mem.read_u64(64) == 0xDEADBEEF_CAFEBABE
-    mem.write_u32(72, 0x12345678)
-    assert mem.read_u32(72) == 0x12345678
 
 
 def test_physical_memory_validation():
@@ -240,15 +227,6 @@ def test_region_end():
     assert region.end == region.vaddr + 128
 
 
-def test_u64_virtual_helpers():
-    space = make_space()
-    region = space.allocate(64, "ints")
-    space.write_u64(region.vaddr, 9_999_999_999)
-    assert space.read_u64(region.vaddr) == 9_999_999_999
-    space.write_u32(region.vaddr + 8, 77)
-    assert space.read_u32(region.vaddr + 8) == 77
-
-
 @settings(max_examples=30)
 @given(offset=st.integers(min_value=0, max_value=2 * PAGE - 1),
        data=st.binary(min_size=1, max_size=8192))
@@ -271,66 +249,3 @@ def test_split_pieces_cover_exactly(offset, length):
     for paddr, piece_len in pieces:
         assert piece_len > 0
         assert paddr // PAGE == (paddr + piece_len - 1) // PAGE
-
-
-# ---------------------------------------------------------------------------
-# RecordLayout
-# ---------------------------------------------------------------------------
-
-def test_record_layout_pack_unpack():
-    layout = RecordLayout("list_element", [
-        Field("reserved", 4),
-        Field("key", 8),
-        Field("next_ptr", 8),
-        Field("value_ptr", 8),
-        Field("value_len", 4),
-    ], total_size=64)
-    record = layout.pack(key=42, next_ptr=0xAAAA, value_ptr=0xBBBB,
-                         value_len=64)
-    assert len(record) == 64
-    parsed = layout.unpack(record)
-    assert parsed["key"] == 42
-    assert parsed["next_ptr"] == 0xAAAA
-    assert parsed["value_len"] == 64
-
-
-def test_record_layout_positions():
-    layout = RecordLayout("el", [Field("a", 4), Field("b", 8), Field("c", 4)])
-    assert layout.position_of("a") == 0
-    assert layout.position_of("b") == 1
-    assert layout.position_of("c") == 3
-    assert layout.packed_size == 16
-
-
-def test_record_layout_duplicate_field():
-    with pytest.raises(ValueError):
-        RecordLayout("bad", [Field("x", 4), Field("x", 8)])
-
-
-def test_record_layout_bad_sizes():
-    with pytest.raises(ValueError):
-        Field("x", 3)
-    with pytest.raises(ValueError):
-        RecordLayout("bad", [Field("x", 8)], total_size=4)
-
-
-def test_record_layout_unknown_field():
-    layout = RecordLayout("el", [Field("a", 4)])
-    with pytest.raises(ValueError):
-        layout.pack(zzz=1)
-
-
-def test_record_layout_short_unpack():
-    layout = RecordLayout("el", [Field("a", 8)])
-    with pytest.raises(ValueError):
-        layout.unpack(b"\x00" * 4)
-
-
-@settings(max_examples=50)
-@given(key=st.integers(min_value=0, max_value=2**64 - 1),
-       ptr=st.integers(min_value=0, max_value=2**64 - 1))
-def test_record_layout_roundtrip_property(key, ptr):
-    layout = RecordLayout("el", [Field("key", 8), Field("ptr", 8)],
-                          total_size=32)
-    assert layout.unpack(layout.pack(key=key, ptr=ptr)) == {
-        "key": key, "ptr": ptr}

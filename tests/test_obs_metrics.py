@@ -1,20 +1,17 @@
 """Tests for the metrics registry: instruments, snapshots, merge."""
 
 import json
-import random
 
 import pytest
 
 from repro.obs import (
     Counter,
     Gauge,
-    Histogram,
     MetricsError,
     MetricsRegistry,
     registry_for,
 )
 from repro.sim import Simulator
-from repro.sim.stats import percentile
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +63,6 @@ def test_kind_collision_raises():
     reg.counter("x.depth")
     with pytest.raises(MetricsError):
         reg.gauge("x.depth")
-    with pytest.raises(MetricsError):
-        reg.histogram("x.depth")
     # the original registration survives the failed re-registration
     assert reg.get("x.depth").kind == "counter"
 
@@ -83,29 +78,6 @@ def test_prefix_lookup_is_sorted():
 
 
 # ---------------------------------------------------------------------------
-# Histogram percentiles agree with sim.stats.percentile
-# ---------------------------------------------------------------------------
-
-def test_histogram_percentiles_match_sim_stats():
-    rng = random.Random(7)
-    values = [rng.uniform(0, 1000) for _ in range(257)]
-    h = Histogram("lat")
-    h.extend(values)
-    ordered = sorted(values)
-    for fraction in (0.0, 0.01, 0.50, 0.73, 0.99, 1.0):
-        assert h.percentile(fraction) == percentile(ordered, fraction)
-    got = h.percentiles([0.50, 0.99])
-    assert got[0.50] == percentile(ordered, 0.50)
-    assert got[0.99] == percentile(ordered, 0.99)
-
-
-def test_histogram_empty_percentile_raises():
-    h = Histogram("lat")
-    with pytest.raises(ValueError):
-        h.percentile(0.5)
-
-
-# ---------------------------------------------------------------------------
 # Snapshots
 # ---------------------------------------------------------------------------
 
@@ -113,21 +85,15 @@ def _loaded_registry():
     reg = MetricsRegistry()
     reg.counter("nic0.pkts_tx").add(10)
     reg.gauge("sw0.p0.queue_depth").set(4)
-    reg.histogram("kv.lat").extend([1.0, 2.0, 3.0, 4.0])
     return reg
 
 
-def test_snapshot_flattens_histograms():
-    snap = _loaded_registry().snapshot()
-    flat = snap.as_flat_dict()
-    assert flat["nic0.pkts_tx"] == 10
-    assert flat["sw0.p0.queue_depth"] == 4
-    assert flat["kv.lat.count"] == 4
-    assert flat["kv.lat.sum"] == 10.0
-    assert flat["kv.lat.min"] == 1.0
-    assert flat["kv.lat.max"] == 4.0
-    assert flat["kv.lat.p50"] == percentile([1.0, 2.0, 3.0, 4.0], 0.50)
-    assert flat["kv.lat.p99"] == percentile([1.0, 2.0, 3.0, 4.0], 0.99)
+def test_snapshot_is_a_sorted_flat_dict():
+    reg = _loaded_registry()
+    reg.counter("a.first").add(1)
+    flat = reg.snapshot().as_flat_dict()
+    assert flat == {"a.first": 1, "nic0.pkts_tx": 10,
+                    "sw0.p0.queue_depth": 4}
     assert list(flat) == sorted(flat)
 
 
@@ -136,11 +102,8 @@ def test_snapshot_diff_subtracts_monotonic_keeps_levels():
     older = reg.snapshot()
     reg.counter("nic0.pkts_tx").add(5)
     reg.gauge("sw0.p0.queue_depth").set(1)
-    reg.histogram("kv.lat").record(5.0)
     delta = reg.snapshot().diff(older)
     assert delta["nic0.pkts_tx"] == 5
-    assert delta["kv.lat.count"] == 1
-    assert delta["kv.lat.sum"] == 5.0
     assert delta["sw0.p0.queue_depth"] == 1  # level: newer value
 
 
@@ -165,15 +128,13 @@ def test_snapshot_equality():
 # Merge
 # ---------------------------------------------------------------------------
 
-def test_merge_sums_counters_pools_histograms_maxes_gauges():
+def test_merge_sums_counters_maxes_gauges():
     a = MetricsRegistry()
     a.counter("nic.retransmits").add(2)
     a.gauge("sw.depth").sample(100, 5)
-    a.histogram("lat").extend([1.0, 3.0])
     b = MetricsRegistry()
     b.counter("nic.retransmits").add(3)
     b.gauge("sw.depth").sample(50, 2)
-    b.histogram("lat").extend([2.0])
     b.counter("only_b").add(1)
 
     merged = MetricsRegistry.merge([a, b], name="all")
@@ -182,7 +143,6 @@ def test_merge_sums_counters_pools_histograms_maxes_gauges():
     gauge = merged.gauge("sw.depth")
     assert gauge.value == 5  # max level
     assert gauge.series == [(50, 2), (100, 5)]  # time-sorted
-    assert sorted(merged.histogram("lat").values) == [1.0, 2.0, 3.0]
     # merge owns copies: mutating an input does not leak in
     a.counter("nic.retransmits").add(100)
     assert merged.counter("nic.retransmits").value == 5

@@ -4,7 +4,8 @@ path give exactly what the computations they replace gave.
 - every op-code predicate, over every :class:`Opcode` member, against
   an explicit expected set;
 - the slotted headers and packet: computed sizes set at construction,
-  recomputed by ``dataclasses.replace``, ignored by equality;
+  recomputed by ``dataclasses.replace``, ignored by equality, and equal
+  to the length of the byte codec's wire image;
 - ``PhysicalMemory.read_view``'s single-page fast path against the
   page-straddling and never-written cases (bytes, segments, payload
   accounting, validate-mode snapshot);
@@ -136,6 +137,25 @@ def test_missing_extension_header_still_raises():
     with pytest.raises(ValueError, match="ACKNOWLEDGE requires an AETH"):
         RocePacket(src_ip=1, dst_ip=2,
                    bth=Bth(opcode=O.ACKNOWLEDGE, dest_qp=3, psn=4))
+
+
+@pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.name)
+@pytest.mark.parametrize("length", [0, 1, 64, 1024, 4096])
+def test_byte_codec_checks_the_computed_sizes(opcode, length):
+    """The byte codec is the oracle of the table-computed sizes: every
+    op-code, at every payload length, serializes to exactly ``l3_bytes``
+    bytes and parses back to an equal packet."""
+    packet = RocePacket(
+        src_ip=0x0A000001, dst_ip=0x0A000002,
+        bth=Bth(opcode=opcode, dest_qp=3, psn=17),
+        reth=(Reth(vaddr=0x1000, rkey=7, dma_length=length)
+              if opcode in opcodes.RETH_OPCODES else None),
+        aeth=(Aeth(syndrome=0, msn=5)
+              if opcode in opcodes.AETH_OPCODES else None),
+        payload=bytes(i & 0xFF for i in range(length)))
+    wire = packet.to_bytes()
+    assert len(wire) == packet.l3_bytes
+    assert RocePacket.from_bytes(wire) == packet
 
 
 # ---------------------------------------------------------------------------

@@ -130,15 +130,6 @@ class TestPhysicalMemoryViews:
         ref = mem.read_view(5 * PAGE, 128)
         assert ref == bytes(128)
 
-    def test_readinto_fills_buffer(self):
-        mem = _mem()
-        mem.write(PAGE - 8, b"ABCDEFGHIJKLMNOP")
-        out = bytearray(16)
-        assert mem.readinto(PAGE - 8, out) == 16
-        assert out == b"ABCDEFGHIJKLMNOP"
-        with pytest.raises(TypeError):
-            mem.readinto(0, memoryview(b"readonly"))
-
     def test_write_views_scatter_equals_contiguous_write(self):
         mem_a, mem_b = _mem(), _mem()
         parts = [b"x" * 10, memoryview(bytearray(b"y" * (PAGE + 3))),

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     NS,
     US,
-    Interrupt,
     SimulationError,
     Simulator,
     timebase,
@@ -180,26 +179,6 @@ def test_event_cannot_trigger_twice():
         gate.succeed(2)
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100 * US)
-        except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
-
-    def interrupter(target):
-        yield sim.timeout(2 * US)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [(2 * US, "wake up")]
-
-
 def test_any_of_returns_first():
     sim = Simulator()
 
@@ -255,42 +234,56 @@ def test_transfer_time_rejects_negative():
         timebase.transfer_time_ps(-1, 10e9)
 
 
-def test_peek_matches_dispatch_tiebreak():
-    """peek() must mirror _pop_next: a heap event due now with a lower
-    eid dispatches before a ready-deque event, and peek reports the time
-    of whichever would actually dispatch next."""
+def _dispatch_order(schedule, loop):
+    """Dispatch what ``schedule(sim, log, done)`` queues under ``loop``
+    (``"run"`` or ``"run_until_complete"``) and return the log.  The last
+    entry the scenario expects succeeds ``done``, which is what stops
+    ``run_until_complete``."""
     sim = Simulator()
-    order = []
-
-    def stamper(tag):
-        def cb(_event):
-            order.append((tag, sim.now))
-        return cb
-
-    # Heap event due now (lower eid), then a ready event (higher eid).
-    early = sim.timeout(0)
-    early.callbacks.append(stamper("heap"))
-    late = sim.event()
-    late.succeed()
-    late.callbacks.append(stamper("ready"))
-
-    assert sim.peek() == 0  # both due now
-    sim.step()
-    assert order == [("heap", 0)]  # lower-eid heap event went first
-    assert sim.peek() == 0
-    sim.step()
-    assert order == [("heap", 0), ("ready", 0)]
-    assert sim.peek() is None
+    log = []
+    done = sim.event()
+    schedule(sim, log, done)
+    if loop == "run":
+        sim.run()
+    else:
+        sim.run_until_complete(done)
+    return log
 
 
-def test_peek_ready_event_before_future_heap_event():
-    sim = Simulator()
-    sim.timeout(5 * NS)
-    assert sim.peek() == 5 * NS  # only a future heap event
-    sim.event().succeed()
-    assert sim.peek() == 0  # ready events are due now
-    sim.step()
-    assert sim.peek() == 5 * NS
+def _stamp(sim, log, tag, done=None):
+    def callback(_event):
+        log.append((tag, sim.now))
+        if done is not None:
+            done.succeed()
+    return callback
+
+
+def test_heap_entry_due_now_with_lower_eid_dispatches_first():
+    """Both dispatch loops break a same-picosecond tie between the heap
+    and the ready deque by eid: a heap entry due now that was scheduled
+    first runs before the ready head."""
+    def schedule(sim, log, done):
+        sim.timeout(0).callbacks.append(_stamp(sim, log, "heap"))
+        ready = sim.event()
+        ready.succeed()
+        ready.callbacks.append(_stamp(sim, log, "ready", done))
+
+    for loop in ("run", "run_until_complete"):
+        assert _dispatch_order(schedule, loop) == [("heap", 0),
+                                                   ("ready", 0)], loop
+
+
+def test_ready_entry_dispatches_before_future_heap_entry():
+    def schedule(sim, log, done):
+        sim.timeout(5 * NS).callbacks.append(
+            _stamp(sim, log, "heap", done))
+        ready = sim.event()
+        ready.succeed()
+        ready.callbacks.append(_stamp(sim, log, "ready"))
+
+    for loop in ("run", "run_until_complete"):
+        assert _dispatch_order(schedule, loop) == [("ready", 0),
+                                                   ("heap", 5 * NS)], loop
 
 
 def test_events_created_counter_peek_does_not_advance():

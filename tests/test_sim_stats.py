@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import Counter
-from repro.sim import US, LatencySample, ThroughputMeter, percentile
+from repro.sim import US, LatencySample, percentile
 
 
 def test_percentile_interpolation():
@@ -34,14 +34,6 @@ def test_latency_sample_summary():
     assert summary.max_us == 5.0
     assert summary.mean_us == 3.0
     assert summary.p01_us < summary.median_us < summary.p99_us
-
-
-def test_latency_summary_as_row():
-    sample = LatencySample()
-    sample.record(2 * US)
-    row = sample.summary().as_row()
-    assert row["count"] == 1
-    assert row["median_us"] == 2.0
 
 
 def test_latency_sample_rejects_negative():
@@ -96,40 +88,3 @@ def test_counter():
     assert int(counter) == 5
     with pytest.raises(ValueError):
         counter.add(-1)
-
-
-def test_throughput_meter():
-    meter = ThroughputMeter()
-    meter.start(0)
-    # 1250 bytes over 1 us = 10 Gbit/s
-    meter.record_bytes(1250, 1 * US)
-    assert meter.gbit_per_second() == pytest.approx(10.0)
-
-
-def test_throughput_meter_no_time():
-    meter = ThroughputMeter()
-    assert meter.gbit_per_second() == 0.0
-
-
-def test_throughput_meter_zero_elapsed_with_bytes():
-    """Bytes recorded at the very instant the window opened must not
-    divide by zero — the rate of an empty interval is 0."""
-    meter = ThroughputMeter()
-    meter.start(5 * US)
-    meter.record_bytes(4096, 5 * US)
-    assert meter.gbit_per_second() == 0.0
-
-
-def test_throughput_meter_start_after_records():
-    """A window opened after the last recorded byte (negative elapsed)
-    also reports 0 instead of a negative or infinite rate."""
-    meter = ThroughputMeter()
-    meter.record_bytes(1250, 1 * US)
-    meter.start(2 * US)
-    assert meter.gbit_per_second() == 0.0
-
-
-def test_throughput_meter_rejects_negative_bytes():
-    meter = ThroughputMeter()
-    with pytest.raises(ValueError):
-        meter.record_bytes(-1, 0)
