@@ -42,7 +42,7 @@ EXAMPLES = ("quickstart", "key_value_store", "consistent_objects",
 # keeps the code objects called and writes their (file, first line) at
 # exit: filtering per call would cost more than the set insert.
 _HOOK = '''\
-import atexit, os, sys, threading
+import atexit, json, os, sys, threading
 
 _seen = set()
 
@@ -57,9 +57,8 @@ def _dump():
     sys.setprofile(None)
     records = sorted({(os.path.normpath(os.path.abspath(c.co_filename)),
                        c.co_firstlineno) for c in _seen})
-    path = os.path.join(OUT_DIR, f"{os.getpid()}.json")
-    with open(path, "w") as f:
-        f.write(repr(records))
+    with open(os.path.join(OUT_DIR, f"{os.getpid()}.json"), "w") as f:
+        json.dump(records, f)
 
 
 sys.setprofile(_hook)
@@ -113,7 +112,7 @@ def run_hooked(argv: list[str], extra_env: dict, scratch: Path) -> set:
                              f"{done.returncode}:\n{done.stderr[-2000:]}")
         records = set()
         for dump in out_dir.iterdir():
-            records.update(ast.literal_eval(dump.read_text()))
+            records.update(map(tuple, json.loads(dump.read_text())))
         return records
 
 
