@@ -130,6 +130,18 @@ def test_interleaved_same_time_events_keep_scheduling_order():
     assert order == ["a", "b", "c"]
 
 
+def test_triggered_event_dispatches_now_before_later_timeout():
+    env = Simulator()
+    order = []
+    env.timeout(7).callbacks.append(lambda _e: order.append(("timeout",
+                                                             env.now)))
+    gate = Event(env)
+    gate.succeed()  # the triggered event is due immediately
+    gate.callbacks.append(lambda _e: order.append(("gate", env.now)))
+    env.run()
+    assert order == [("gate", 0), ("timeout", 7)]
+
+
 # ---------------------------------------------------------------------------
 # Stream FIFO fairness under contention
 # ---------------------------------------------------------------------------
