@@ -56,7 +56,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -253,6 +253,13 @@ class Switch:
             return None
         return port_out
 
+    @staticmethod
+    def floors(port_in: SwitchPort, port_out: SwitchPort) -> Tuple[int, int]:
+        """The busy-until cursors :meth:`forward_columns` starts from:
+        ``port_in``'s ingress server's and ``port_out``'s egress
+        server's."""
+        return port_in._ingress_floor, port_out._egress_floor
+
     def forward_columns(self, port_in: SwitchPort, port_out: SwitchPort,
                         arrivals: np.ndarray, frame_times: np.ndarray):
         """Column form of the two servers for frames reaching ``port_in``
@@ -263,7 +270,7 @@ class Switch:
         Raises RuntimeError when the queue would tail-drop."""
         n = len(arrivals)
         fwd = np.full(n, self.config.forwarding_latency, np.int64)
-        ingress, egress = port_in._ingress_floor, port_out._egress_floor
+        ingress, egress = self.floors(port_in, port_out)
         I = fifo_ends(arrivals, fwd, ingress)
         P = fifo_ends(I, frame_times, egress)
         D = P - frame_times

@@ -152,9 +152,21 @@ class PhysicalMemory:
         """
         if self.store_guard is not None:
             self.store_guard()
-        self._check_range(address, len(data))
-        cursor = address
+        length = len(data)
+        self._check_range(address, length)
+        page_index, offset = divmod(address, self.page_bytes)
         view = memoryview(data)
+        if length and offset + length <= self.page_bytes \
+                and view.nbytes == length:
+            # Single-page fast path (a flat byte buffer): one slice
+            # assignment, no chunking loop.
+            page = self._pages.get(page_index)
+            if page is None:
+                page = mmap.mmap(-1, self.page_bytes, flags=mmap.MAP_PRIVATE)
+                self._pages[page_index] = page
+            page[offset:offset + length] = view
+            return
+        cursor = address
         while view.nbytes:
             page_index, offset = divmod(cursor, self.page_bytes)
             chunk = min(view.nbytes, self.page_bytes - offset)

@@ -132,7 +132,9 @@ class FetchPlan:
     cumulative ends stay in closed form (:class:`ChunkDurations`) until
     a consumer asks: a per-packet consumer's first :meth:`due` lists
     them, and the burst fast path takes them as an int64 column
-    (:meth:`ready_column`) — each without the other's work.
+    (:meth:`ready_column`) — each without the other's work, and a fold
+    that reuses its path's schedule (keyed by :meth:`shape`) not at
+    all.
     """
 
     __slots__ = ("_dma", "_run", "_durations", "_ends", "_start",
@@ -161,6 +163,15 @@ class FetchPlan:
         ready = self._durations.column().cumsum()
         ready += self._start
         return ready
+
+    def shape(self, origin: int) -> tuple:
+        """What :meth:`ready_column` less ``origin`` is a function of,
+        for given chunk lengths: the burst's start after ``origin``, each
+        distinct length's occupancy and the straddling chunks'
+        patches."""
+        durations = self._durations
+        return (self._start - origin, tuple(durations.memo.items()),
+                tuple(durations.patches.items()))
 
     def take(self):
         """The next chunk (call once :meth:`due` has passed)."""

@@ -48,6 +48,10 @@ class Tlb:
         #: the ones the per-packet path would have made by now, so the
         #: counters and the cache see per-packet order.  None otherwise.
         self.pending_charge: Optional[Callable[[], None]] = None
+        #: Bumped by every :meth:`populate`: a result derived from the
+        #: entries (the burst fold's memoized write-back pieces) is
+        #: valid while the epoch it was derived at is current.
+        self.epoch = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,6 +72,7 @@ class Tlb:
         self._entries[vpn] = physical_base
         # The driver may remap a pinned page: never serve a stale base.
         self._last_vpn = -1
+        self.epoch += 1
 
     def populate_from(self, page_table: Dict[int, int]) -> None:
         """Bulk-install the driver's vpn -> physical-base map."""

@@ -39,6 +39,21 @@ write-back translations (:attr:`~repro.nic.tlb.Tlb.pending_charge`): by
 E2 all of them, at an unfold only the arrived prefix (the replay
 translates the rest itself).
 
+A message repeated on an idle path costs no column work at all: each
+stage is a FIFO server (below) whose floor, when it does not bind,
+drops out of the recurrence, so equal inputs relative to ``t0`` give
+equal columns relative to ``t0``.  The simulator keeps each path's last
+schedule computed with no floor binding
+(:attr:`Simulator.fold_schedules`, one per path); a flight reuses it,
+shifted to its own ``t0``, when its key matches (flight class and kind,
+the segments' shape, destination ``base_addr`` and TLB epoch, the
+fetch's start after ``t0``, per-size occupancies and straddle patches,
+the TX latency and the cables' arrival delays) and no live floor binds
+at the new ``t0`` (the wire and write-back lanes' cursors, and on a
+switch leg the ports' ingress and egress floors and the second lane's
+cursor).  A reuse still checks the scalar bound and reads the lanes'
+pre-reservation cursors; the shared arrays are read-only.
+
 The analytic schedule (integer picoseconds) is composed from the hops'
 own timing, the definitions the per-packet path runs.  Each stage is a
 FIFO server, ``end[i] = max(end[i-1], start[i]) + dur[i]``, and a
@@ -82,7 +97,8 @@ depend on event ids.
 
 Folding is on by default; the gates above choose the per-packet path.
 Under ``REPRO_VALIDATE`` (the run-mode table in :mod:`repro.runmode`
-and README) every committed schedule is re-walked packet by packet
+and README) every reused schedule is recomputed and compared column by
+column, and every committed schedule is re-walked packet by packet
 through the hops' per-frame functions and asserted bit-identical.
 """
 
@@ -223,7 +239,7 @@ class BurstFlight:
         "view", "pieces", "tlb_charged", "l3", "wire", "total",
         "total_wire", "F", "C", "E1c", "A1", "A", "dur", "dur_total",
         "wend", "serialize", "serialize_total", "lane", "wlane",
-        "pre_free1", "pre_wfree", "fetch_ready", "tx_latency",
+        "pre_free1", "pre_wfree", "fetch", "tx_latency",
         "base_addr", "command", "msn0", "ctx", "state", "e1_done",
         "_packets", "c_unfolds", "path",
     )
@@ -231,6 +247,11 @@ class BurstFlight:
     #: The int64 schedule columns, listed once by an unfold or a flush.
     _COLUMNS = ("F", "C", "E1c", "A1", "A", "wend", "wire", "serialize",
                 "dur")
+    #: What :meth:`compute_schedule` sets, by how a reuse takes it from
+    #: the path's memo: as it is, or (the time columns) plus ``t0``.
+    _SHARED = ("l3", "wire", "total_wire", "serialize", "serialize_total",
+               "tx_latency", "pieces", "dur", "dur_total")
+    _TIMED = ("F", "C", "E1c", "A1", "A", "wend")
 
     def __init__(self, src, dst, src_qp, dst_qp, cable, side, segments,
                  first_psn, fetch, gate, command, ctx) -> None:
@@ -257,7 +278,10 @@ class BurstFlight:
         self.base_addr = ctx.laddr if command is None else command.raddr
         self.msn0 = dst_qp.responder.msn if command is not None \
             else src_qp.responder.msn
-        self.fetch_ready = fetch.ready_column()
+        self.fetch = fetch
+        # The first cable's lane and the destination write-back lane
+        # (receiver's card->host PCIe).
+        self.lane, self.wlane = cable.lane(side), dst.dma.write_link
         self.state = _FOLDED
         self.e1_done = False
         self._packets: List[Optional[tuple]] = [None] * self.n
@@ -271,13 +295,64 @@ class BurstFlight:
     # ------------------------------------------------------------------
     # Schedule computation (pure: no side effects; raises to refuse)
     # ------------------------------------------------------------------
-    def compute_schedule(self) -> None:
+    def schedule(self) -> bool:
+        """Every column: the path's memoized schedule shifted to ``t0``
+        when this flight's inputs match it and no floor binds (True), or
+        else :meth:`compute_schedule`, memoized when no floor bound.
+
+        Every stage is a max-plus recurrence over ``t0``, the fetch's
+        ready times and the hops' per-size constants; a floor that does
+        not bind drops out of it, so equal inputs relative to ``t0`` give
+        the same columns relative to ``t0``."""
+        memos = self.env.fold_schedules
+        memo = memos.get(self.path)
+        key = self._key()
+        if memo is not None and memo.key == key \
+                and self._unfloored(memo.firsts, self.t0):
+            self._check_bound(*memo.bound)
+            memo.apply(self)
+            return True
+        bound = self.compute_schedule()
+        firsts = self._firsts()
+        if self._unfloored(firsts):
+            memos[self.path] = _Schedule(self, key, bound, firsts)
+        return False
+
+    def _key(self) -> tuple:
+        """Everything the columns less ``t0`` are a function of, beyond
+        the path's fixed rates and latencies and its floors: the flight
+        class and kind, the segments, the destination's virtual base and
+        TLB epoch (the pieces hold physical addresses), the fetch, the TX
+        latency and the cable's arrival delay."""
+        return (type(self), self.kind, self.segments.shape(),
+                self.base_addr, self.dst.tlb.epoch,
+                self.fetch.shape(self.t0), self.src._tx_delay,
+                self.cable.arrival_delay(self.dest))
+
+    def _floors(self) -> Tuple[int, ...]:
+        """The live floors a schedule starts from, beyond ``t0``: the
+        wire lane's and the write-back lane's cursors."""
+        return self.lane.free_at, self.wlane.free_at
+
+    def _firsts(self) -> Tuple[int, ...]:
+        """The first start of each stage :meth:`_floors` floors."""
+        return (int(self.C[0]) + self.tx_latency,
+                int(self.A[0]) + self.dst.config.pcie_write_latency)
+
+    def _unfloored(self, firsts, shift: int = 0) -> bool:
+        """No live floor binds: none exceeds its stage's first start
+        (``firsts``, plus ``shift``)."""
+        return all(floor <= shift + first
+                   for floor, first in zip(self._floors(), firsts))
+
+    def compute_schedule(self) -> Tuple[int, int]:
         """Every column, from the hops' per-frame constants evaluated
         once per distinct frame size.  No entry can exceed the latest
         floor or fetch-ready time plus every stage's summed durations and
         fixed latencies: that bound, from scalars, refuses a schedule
         that could reach :data:`COLUMN_LIMIT_PS` before any column is
-        built."""
+        built.  Returns the bound's operands: the last fetch-ready time
+        after ``t0`` and the summed spans."""
         src, cable, dst = self.src, self.cable, self.dst
         self.l3 = l3 = l3_sizes(self.segments,
                                 response=self.kind == "read")
@@ -289,30 +364,60 @@ class BurstFlight:
             map(cable.frame_time, wire))
         arrival = cable.arrival_delay(self.dest)
         self.tx_latency = tx = src._tx_delay
-        # Destination write-back lane (receiver's card->host PCIe).  Pure
-        # lookups: the TLB is charged as the packets arrive
+        # Pure lookups: the TLB is charged as the packets arrive
         # (_settle_tlb), where per-packet write_posted translates.
-        self.lane, self.wlane = cable.lane(self.side), dst.dma.write_link
         self.pieces, self.dur = dst.dma.write_column(self.base_addr,
                                                      self.segments)
         self.dur_total = int(self.dur.sum())
         wlat = dst.config.pcie_write_latency
-        self.pre_free1 = self.lane.free_at
-        self.pre_wfree = self.wlane.free_at
-        path_floor, path_span = self._path_bound(wire)
-        if (max(self.t0, int(self.fetch_ready[-1]), self.pre_free1,
-                self.pre_wfree, path_floor)
-                + charge_total + tx + self.serialize_total + arrival
-                + path_span + wlat + self.dur_total) >= COLUMN_LIMIT_PS:
-            raise OverflowError("schedule exceeds the int64 column range")
+        fetch_ready = self.fetch.ready_column()
+        bound = (int(fetch_ready[-1]) - self.t0,
+                 charge_total + tx + self.serialize_total + arrival
+                 + self._path_span(wire) + wlat + self.dur_total)
+        self._check_bound(*bound)
 
-        self.C = C = fifo_ends(self.fetch_ready, charge, self.t0)
+        self.C = C = fifo_ends(fetch_ready, charge, self.t0)
         self.F = C - charge
         self.E1c = self.lane.ends(C + tx, self.serialize)
         self.A1 = self.E1c + arrival
         self.A = A = self._path(self.A1)
         # Chained in arrival order.
         self.wend = self.wlane.ends(A + wlat, self.dur)
+        return bound
+
+    def _check_bound(self, ready: int, span: int) -> None:
+        """Read the lanes' floors (what an unfold rewinds to) and refuse
+        a schedule whose bound reaches :data:`COLUMN_LIMIT_PS`."""
+        t0 = self.t0
+        if max(t0, t0 + ready, self._pre_free()) + span >= COLUMN_LIMIT_PS:
+            raise OverflowError("schedule exceeds the int64 column range")
+
+    def _pre_free(self) -> int:
+        """Record the lanes' cursors before the reservation; returns the
+        latest."""
+        self.pre_free1 = self.lane.free_at
+        self.pre_wfree = self.wlane.free_at
+        return max(self.pre_free1, self.pre_wfree)
+
+    def check_reuse(self) -> None:
+        """The memo's oracle (validation mode): recompute a reused
+        schedule and assert it equal to the reused one, column by
+        column; the flight keeps the reused columns."""
+        names = self._SHARED + self._TIMED
+        reused = [getattr(self, name) for name in names]
+        memo = self.env.fold_schedules[self.path]
+        bound = self.compute_schedule()
+        assert bound == memo.bound, (self.kind, "bound", bound, memo.bound)
+        for name, value in zip(names, reused):
+            fresh = getattr(self, name)
+            if isinstance(fresh, np.ndarray):
+                same = np.array_equal(fresh, value)
+            elif isinstance(fresh, (int, tuple)):
+                same = fresh == value
+            else:   # the write-back pieces, chunk by chunk
+                same = list(fresh) == list(value)
+            assert same, (self.kind, "reused", name)
+            setattr(self, name, value)
 
     def _per_frame(self, values) -> Tuple[np.ndarray, int]:
         """A per-frame constant as an int64 column, from its first,
@@ -321,10 +426,10 @@ class BurstFlight:
         return (self.segments.column(first, middle, last),
                 first + middle * (self.n - 2) + last)
 
-    def _path_bound(self, wire) -> Tuple[int, int]:
-        """Floor and summed durations of the hops beyond the first
-        cable, for the schedule bound (a direct cable has none)."""
-        return 0, 0
+    def _path_span(self, wire) -> int:
+        """Summed durations of the hops beyond the first cable, for the
+        schedule bound (a direct cable has none)."""
+        return 0
 
     def _path(self, arrivals: np.ndarray) -> np.ndarray:
         """Arrival times at the receiving NIC from those at the first
@@ -733,7 +838,7 @@ class BurstFlight:
         streaming_time = self.src.config.streaming_time
         arrival = cable.arrival_delay(self.dest)
         c, rows = self.t0, []
-        for i, ready in enumerate(self.fetch_ready.tolist()):
+        for i, ready in enumerate(self.fetch.ready_column().tolist()):
             packet = self._packet(i)
             c = max(c, ready) + streaming_time(packet.l3_bytes)
             serialize = cable.frame_time(packet.wire_bytes)
@@ -811,6 +916,9 @@ class SwitchBurstFlight(BurstFlight):
 
     _COLUMNS = BurstFlight._COLUMNS + ("I", "D", "P", "E2c", "depths",
                                        "tt")
+    _SHARED = BurstFlight._SHARED + ("tt", "tt_total", "arrival2",
+                                     "depths", "peak")
+    _TIMED = BurstFlight._TIMED + ("I", "D", "P", "E2c")
 
     def __init__(self, leg, *args) -> None:
         super().__init__(*args)
@@ -819,21 +927,34 @@ class SwitchBurstFlight(BurstFlight):
         self.cable2 = self.port_out.cable
         self.side2 = self.port_out.side
         self.dest2 = _other(self.side2)
+        self.lane2 = self.cable2.lane(self.side2)
         self.path += (self.switch, self.cable2)
 
     # ------------------------------------------------------------------
     # Schedule
     # ------------------------------------------------------------------
-    def _path_bound(self, wire) -> Tuple[int, int]:
+    def _key(self) -> tuple:
+        return super()._key() + (self.cable2.arrival_delay(self.dest2),)
+
+    def _floors(self) -> Tuple[int, ...]:
+        return super()._floors() + self.switch.floors(
+            self.port_in, self.port_out) + (self.lane2.free_at,)
+
+    def _firsts(self) -> Tuple[int, ...]:
+        return super()._firsts() + (int(self.A1[0]), int(self.I[0]),
+                                    int(self.D[0]))
+
+    def _path_span(self, wire) -> int:
         cable2 = self.cable2
         self.tt, self.tt_total = self._per_frame(map(cable2.frame_time,
                                                      wire))
-        self.lane2 = cable2.lane(self.side2)
-        self.pre_free2 = self.lane2.free_at
         self.arrival2 = cable2.arrival_delay(self.dest2)
         fwd = self.switch.config.forwarding_latency
-        return self.pre_free2, self.n * fwd + 2 * self.tt_total \
-            + self.arrival2
+        return self.n * fwd + 2 * self.tt_total + self.arrival2
+
+    def _pre_free(self) -> int:
+        self.pre_free2 = self.lane2.free_at
+        return max(super()._pre_free(), self.pre_free2)
 
     def _path(self, arrivals: np.ndarray) -> np.ndarray:
         self.I, self.D, self.P, self.depths = self.switch.forward_columns(
@@ -912,7 +1033,7 @@ class SwitchBurstFlight(BurstFlight):
         """Both switch servers and the second hop, per packet."""
         cable2, lane2 = self.cable2, copy(self.lane2)
         fwd = self.switch.config.forwarding_latency
-        done = p = 0
+        done, p = self.switch.floors(self.port_in, self.port_out)
         rows = []
         for i in range(self.n):
             tt = cable2.frame_time(self._packet(i).wire_bytes)
@@ -923,6 +1044,46 @@ class SwitchBurstFlight(BurstFlight):
             rows.append((done, d, p, e, e + self.arrival2))
         return self._assert_walk(rows, I=self.I, D=self.D, P=self.P,
                                  E2c=self.E2c, A=self.A)
+
+
+# ----------------------------------------------------------------------
+# The per-path schedule memo
+# ----------------------------------------------------------------------
+def _frozen(value):
+    """``value``, made read-only if it is an array: a memoized column is
+    shared by every flight that reuses it."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+class _Schedule:
+    """A path's last schedule computed with no floor binding, relative
+    to its ``t0``: the flight's :meth:`BurstFlight._key`, the bound's
+    operands, each floored stage's first start, the time-independent
+    values and the time columns less ``t0``, stacked so that a reuse
+    shifts them in one addition (all arrays read-only)."""
+
+    __slots__ = ("key", "bound", "firsts", "shared", "timed")
+
+    def __init__(self, flight: BurstFlight, key: tuple,
+                 bound: Tuple[int, int], firsts: Tuple[int, ...]) -> None:
+        t0 = flight.t0
+        self.key = key
+        self.bound = bound
+        self.firsts = tuple(first - t0 for first in firsts)
+        self.shared = tuple(_frozen(getattr(flight, name))
+                            for name in flight._SHARED)
+        timed = np.stack([getattr(flight, name) for name in flight._TIMED])
+        timed -= t0
+        self.timed = _frozen(timed)
+
+    def apply(self, flight: BurstFlight) -> None:
+        """Give ``flight`` this schedule, shifted to its ``t0``."""
+        for name, value in zip(flight._SHARED, self.shared):
+            setattr(flight, name, value)
+        for name, column in zip(flight._TIMED, self.timed + flight.t0):
+            setattr(flight, name, column)
 
 
 # ----------------------------------------------------------------------
@@ -999,9 +1160,11 @@ def try_fold(nic, qp, segments, first_psn, fetch, gate, command=None,
     flight = BurstFlight(*args) if leg is None \
         else SwitchBurstFlight(leg, *args)
     try:
-        flight.compute_schedule()
+        reused = flight.schedule()
     except Exception:
         return False  # e.g. unmapped destination page: per-packet path
+    if reused and active().validate:
+        flight.check_reuse()
     if command is not None:
         # The timer arms at C[-1] with the base timeout; it must not
         # expire while the schedule is still authoritative (before E2).

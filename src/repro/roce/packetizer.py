@@ -81,6 +81,13 @@ class Segments(Sequence):
         :meth:`column`)."""
         return self._first, self._rest, self._last
 
+    def shape(self) -> tuple:
+        """What the segments are a function of: count, first, middle
+        and last sizes, opcode set and the first's RETH (equal shapes,
+        equal segments)."""
+        return (self._n, self._first, self._rest, self._last, self._ops,
+                self._reth)
+
     def column(self, first: int, middle: int, last: int) -> np.ndarray:
         """An int64 column over the segments: ``first``, ``middle`` for
         each MIDDLE, ``last`` (a single segment takes ``last``)."""

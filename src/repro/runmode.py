@@ -9,7 +9,9 @@ Variable              Accepted values        Effect
 ``REPRO_VALIDATE``    ``1 true yes on`` /    Both shadow oracles: every burst
                       ``0 false no off`` /   fold re-walks its schedule
                       unset or empty         per-packet and asserts
-                                             bit-identity, and every payload
+                                             bit-identity (a reused schedule
+                                             is first recomputed and
+                                             compared), and every payload
                                              ref snapshots eagerly and
                                              asserts send buffers are not
                                              mutated in flight.

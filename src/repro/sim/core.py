@@ -101,6 +101,9 @@ class Simulator:
         #: Each folded path's metrics counters, resolved at its first
         #: fold (keyed by the flight's path).
         self.fold_counters = {}
+        #: Each folded path's last schedule computed with no floor
+        #: binding, relative to its start (see repro.roce.burst).
+        self.fold_schedules = {}
 
     # ------------------------------------------------------------------
     # Time and scheduling

@@ -1,6 +1,8 @@
 """Unit and property tests for the memory substrate."""
 
+import array
 import gc
+import mmap
 import os
 import subprocess
 import sys
@@ -135,6 +137,99 @@ def test_read_view_outlives_its_memory():
     del mem
     gc.collect()
     assert ref == b"ABCDEF"
+
+
+def _loop_write(mem, address, data):
+    """The page-chunking loop every store took before the single-page
+    fast path: the reference for its bytes and its pages."""
+    mem._check_range(address, len(data))
+    cursor = address
+    view = memoryview(data)
+    while view.nbytes:
+        page_index, offset = divmod(cursor, mem.page_bytes)
+        chunk = min(view.nbytes, mem.page_bytes - offset)
+        page = mem._pages.get(page_index)
+        if page is None:
+            page = mem._pages[page_index] = mmap.mmap(
+                -1, mem.page_bytes, flags=mmap.MAP_PRIVATE)
+        page[offset:offset + chunk] = view[:chunk]
+        cursor += chunk
+        view = view[chunk:]
+
+
+def _write_both(address, data, before=()):
+    """Store ``data`` through ``write`` and through the reference loop
+    into two memories that took the same ``before`` stores; returns
+    both memories."""
+    fast = PhysicalMemory(size_bytes=4 * PAGE)
+    loop = PhysicalMemory(size_bytes=4 * PAGE)
+    for earlier_address, earlier in before:
+        fast.write(earlier_address, earlier)
+        loop.write(earlier_address, earlier)
+    fast.write(address, data)
+    _loop_write(loop, address, data)
+    return fast, loop
+
+
+def _same_image(fast, loop, address, length):
+    assert sorted(fast._pages) == sorted(loop._pages)
+    lo, hi = max(0, address - 64), address + length + 64
+    assert fast.read(lo, hi - lo) == loop.read(lo, hi - lo)
+
+
+@pytest.mark.parametrize("address, data, before", [
+    # single page, into a materialized page
+    (PAGE + 100, bytes(range(256)) * 4, [(PAGE, b"x")]),
+    # page straddle
+    (PAGE - 300, bytes(range(200)) * 3, []),
+    # first touch of a page
+    (3 * PAGE + 5, b"first touch", []),
+    # up to the last byte of a page
+    (2 * PAGE - 4, b"tail", []),
+], ids=["single_page", "straddle", "first_touch", "page_end"])
+def test_write_matches_chunking_loop(address, data, before):
+    fast, loop = _write_both(address, data, before)
+    _same_image(fast, loop, address, len(data))
+    assert fast.read(address, len(data)) == data
+
+
+def test_empty_write_touches_no_page():
+    fast, loop = _write_both(PAGE + 7, b"")
+    assert fast._pages == {} == loop._pages
+    fast.write(PAGE + 7, memoryview(b""))
+    assert fast.num_materialized_pages == 0
+
+
+def test_non_byte_memoryview_write_matches_chunking_loop():
+    """A view whose items are wider than a byte keeps the loop: the
+    range check counts items, the store writes every byte."""
+    words = memoryview(array.array("I", range(64)))
+    assert words.itemsize == 4
+    fast, loop = _write_both(PAGE + 32, words)
+    _same_image(fast, loop, PAGE + 32, words.nbytes)
+    assert fast.read(PAGE + 32, words.nbytes) == words.tobytes()
+
+
+@pytest.mark.parametrize("address", [PAGE + 100, PAGE - 2])
+def test_write_calls_the_store_guard_first(address):
+    mem = PhysicalMemory(size_bytes=4 * PAGE)
+    seen = []
+
+    def guard():
+        seen.append(mem.read(address, 4))
+    mem.store_guard = guard
+    mem.write(address, b"abcd")
+    assert seen == [b"\x00" * 4]
+    assert mem.read(address, 4) == b"abcd"
+
+
+def test_single_page_write_checks_the_range():
+    mem = PhysicalMemory(size_bytes=2 * PAGE)
+    with pytest.raises(IndexError):
+        mem.write(2 * PAGE - 2, b"abc")
+    with pytest.raises(ValueError):
+        mem.write(-1, b"a")
+    assert mem.num_materialized_pages == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Call census: which functions in ``src/repro`` only the tests reach.
 
-Runs every product entry point and every tier-1 leg as a child process
-under a ``sys.setprofile`` / ``threading.setprofile`` hook that records
-the ``(file, co_firstlineno)`` of each ``src/repro`` code object called,
-then diffs those records against the module- and class-level ``def``s
-that :mod:`ast` finds (nested defs are not counted).  Each def lands in
-one of three classes:
+Runs every product entry point (the CI's perfbench runs included) and
+every tier-1 leg as a child process under a ``sys.setprofile`` /
+``threading.setprofile`` hook that records the ``(file,
+co_firstlineno)`` of each ``src/repro`` code object called, then diffs
+those records against the module- and class-level ``def``s that
+:mod:`ast` finds (nested defs are not counted).  Each def lands in one
+of three classes:
 
 * ``product``: some product entry point calls it;
 * ``test-only``: a tier-1 leg calls it, but no product entry point does;
@@ -66,8 +67,10 @@ threading.setprofile(_hook)
 '''
 
 
-def product_commands(scratch: Path) -> list[list[str]]:
-    """Every product entry point, as an argv run from the repo root."""
+def product_commands(scratch: Path) -> list[tuple[list[str], dict]]:
+    """Every product entry point, as an argv run from the repo root and
+    the ``REPRO_*`` variables it runs under: the CI runs of perfbench
+    (a traced run, and bulk_256k under validation) included."""
     py = sys.executable
     metrics = str(scratch / "metrics.json")
     commands = [
@@ -84,6 +87,13 @@ def product_commands(scratch: Path) -> list[list[str]]:
     commands += [[py, "benchmarks/bench_cluster.py", "--smoke", *leg]
                  for leg in ([], ["--lossy"], ["--large"], ["--incast"])]
     commands += [[py, f"examples/{name}.py"] for name in EXAMPLES]
+    commands = [(argv, {}) for argv in commands]
+    commands += [
+        ([py, "perfbench/run.py", "--workload", "incast_cc",
+          "--seconds", "1", "--trace", "1"], {}),
+        ([py, "perfbench/run.py", "--workload", "bulk_256k",
+          "--seconds", "1"], {"REPRO_VALIDATE": "1"}),
+    ]
     return commands
 
 
@@ -177,9 +187,10 @@ def main() -> int:
     product, tier1 = set(), set()
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
         scratch = Path(tmp)
-        for argv in product_commands(scratch):
-            print("census: product", *argv[1:], file=sys.stderr)
-            product |= reached(run_hooked(argv, {}, scratch), SRC)
+        for argv, extra in product_commands(scratch):
+            print("census: product", *argv[1:], extra or "",
+                  file=sys.stderr)
+            product |= reached(run_hooked(argv, extra, scratch), SRC)
         for extra in TIER1_LEGS:
             print("census: tier-1", extra or "plain", file=sys.stderr)
             tier1 |= reached(run_hooked(
