@@ -10,8 +10,20 @@ means to move an output re-records both files with
         --metrics-out tests/golden/fast_seed7_metrics.json
 
 and lists every changed row in CHANGES.md.
+
+The trace plane is pinned by digest: the Chrome-trace file of four
+experiments hashes to the checked-in sha256.  Between them they write
+the tx/rx/ack/nak/retransmit, power and kernel-stall instants, the
+queued and DMA spans, and the utilization, queue-depth and
+outstanding-reads series (only incast-sweep, too slow for this suite,
+adds cnp, qp_error and the DCQCN rate series).  A change that means to move a trace re-records it with
+
+    PYTHONPATH=src python -m repro fig7 fault-sweep kernel-fault-sweep \\
+        cluster-scaling --fast --seed 7 --trace-out trace.json
+    sha256sum trace.json | cut -d' ' -f1 > tests/golden/fast_seed7_trace.sha256
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -63,3 +75,18 @@ def test_fast_seed7_matches_golden(tmp_path):
         actual = written.read_bytes()
         assert actual == expected, (
             f"{golden}: {_first_difference(expected, actual)}")
+
+
+def test_fast_seed7_trace_matches_golden_digest(tmp_path):
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "fig7", "fault-sweep",
+         "kernel-fault-sweep", "cluster-scaling", "--fast", "--seed", "7",
+         "--trace-out", str(trace)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    expected = (GOLDEN / "fast_seed7_trace.sha256").read_text().strip()
+    actual = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert actual == expected, (
+        f"--trace-out digest {actual} differs from the golden {expected}")
