@@ -18,12 +18,12 @@ Scenarios
     the II=1 pipeline argument licenses (one timeout of ``n * cycle_ps``
     stands in for n per-word events at identical timestamps).
 ``pingpong_obs_off``
-    ``stream_pingpong`` with the observability hooks the instrumented
-    components carry — the ``trace is not None`` and
-    ``sampling_enabled`` guards on every item — while *no* obs session
-    is active.  This is the cost every simulation now pays; the
-    ``--obs-threshold`` guard (default 5 %) fails the run if it falls
-    more than that below plain ``stream_pingpong``.
+    ``stream_pingpong`` with the observability hook the instrumented
+    components carry — the ``obs is not None`` guard on every item —
+    while *no* obs session is active.  This is the cost every
+    simulation now pays; the ``--obs-threshold`` guard (default 5 %)
+    fails the run if it falls more than that below plain
+    ``stream_pingpong``.
 ``pingpong_obs_on``
     The same loop inside ``repro.obs.observe()``: every item opens and
     closes a span and samples a gauge.  Reported for scale — tracing is
@@ -62,7 +62,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.config import NIC_100G  # noqa: E402
 from repro.core.payload import PAYLOAD_STATS  # noqa: E402
 from repro.host import build_fabric  # noqa: E402
-from repro.obs import observe, registry_for, trace_for  # noqa: E402
+from repro.obs import observe, observers_for, registry_for  # noqa: E402
 from repro.runmode import override  # noqa: E402
 from repro.sim.channels import Stream  # noqa: E402
 from repro.sim.core import Simulator  # noqa: E402
@@ -135,11 +135,11 @@ def stream_bulk(n: int) -> float:
 
 def _instrumented_pingpong(n: int) -> float:
     """The ping-pong loop as an instrumented component runs it: cached
-    ``trace``/``metrics`` attributes, per-item guard checks, and
+    ``obs``/``metrics`` attributes, a per-item guard check, and
     word-batched counter accounting after the loop."""
     sim = Simulator()
     metrics = registry_for(sim)
-    trace = trace_for(sim)
+    obs = observers_for(sim)
     items = metrics.counter("bench.items")
     depth = metrics.gauge("bench.depth")
     stream = Stream(sim, capacity=8)
@@ -152,11 +152,9 @@ def _instrumented_pingpong(n: int) -> float:
     def consumer():
         for _ in range(n):
             yield stream.get()
-            if trace is not None:
-                span = trace.begin_span("bench", "item")
-                trace.end_span(span)
-            if metrics.sampling_enabled:
-                depth.sample(sim.now, len(stream))
+            if obs is not None:
+                obs.end_span(obs.begin_span("bench", "item"))
+                obs.sample(depth, len(stream))
         items.add(n)
 
     sim.process(producer())

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs.runtime import observers_for
 from ..sim.timebase import US
 
 
@@ -103,7 +104,8 @@ class DcqcnRateMachine:
         self._increase_rounds = 0
         self._last_cnp = -1
         self._active = False
-        self.metrics = registry
+        #: Samples the rate gauge (a machine without a registry has none).
+        self.obs = None if registry is None else observers_for(env)
         self.rate_cuts = None
         self._rate_gauge = None
         if registry is not None:
@@ -118,8 +120,8 @@ class DcqcnRateMachine:
         return self.rate_bps < self.line_rate_bps
 
     def _sample_rate(self) -> None:
-        if self.metrics is not None and self.metrics.sampling_enabled:
-            self._rate_gauge.sample(self.env.now, self.rate_bps / 1e9)
+        if self.obs is not None:
+            self.obs.sample(self._rate_gauge, self.rate_bps / 1e9)
 
     # ------------------------------------------------------------------
     # Congestion notification (multiplicative decrease)

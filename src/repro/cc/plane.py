@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..check import checker_for
 from ..config import MTU_BYTES, wire_bytes_for_frame
+from ..obs.runtime import observers_for
 from .dcqcn import DcqcnConfig, DcqcnRateMachine
 from .ecn import EcnConfig
 from .pacing import TokenBucketPacer
@@ -93,7 +93,7 @@ class NicCongestionControl:
         self.line_rate_bps = line_rate_bps
         self._send_cnp = send_cnp
         self.metrics = registry
-        self.check = checker_for(env)
+        self.obs = observers_for(env)
         self._machines = {}
         self._pacers = {}
         #: qpn -> time the last CNP was generated for that QP.
@@ -175,8 +175,8 @@ class NicCongestionControl:
         if pacer is not None:
             pacer._tokens = float(pacer.burst_bytes)
             pacer._last_refill = self.env.now
-        if self.check is not None:
-            self.check.on_pacer_idle(self.name, qpn)
+        if self.obs is not None:
+            self.obs.on_pacer_idle(self.name, qpn)
         return True
 
     def pace(self, qpn: int, wire_bytes: int):
@@ -192,6 +192,5 @@ class NicCongestionControl:
         CC_STATS.paced_packets += 1
         pacer = self._pacer_for(qpn)
         yield from pacer.pace(wire_bytes)
-        if self.check is not None:
-            self.check.on_paced(self.name, qpn, machine, pacer,
-                                wire_bytes)
+        if self.obs is not None:
+            self.obs.on_paced(self.name, qpn, machine, pacer, wire_bytes)

@@ -1,14 +1,14 @@
 """Live protocol-invariant monitors over the simulated datapath.
 
-One :class:`InvariantChecker` attaches to one :class:`~repro.sim.
-Simulator` (the same per-env pattern as :mod:`repro.obs.runtime`):
-instrumented components fetch it once at construction via
-:func:`checker_for` and guard every hook with ``if self.check is not
-None``, so disabled runs pay a single attribute test per component and
-schedule bit-identically.  Monitors only *observe* — no hook ever
-yields, allocates simulation events, or touches seeded RNGs — which is
-what lets the conformance harness promise that a violating seed replays
-to the same violation.
+An :class:`InvariantChecker` is a simulator's observer slot
+(:class:`repro.obs.runtime.Observers`) with the monitor hooks filled in:
+instrumented components fetch the slot once at construction
+(:func:`repro.obs.runtime.observers_for`), so a checked run reaches the
+monitors through the same hook calls that feed the trace and the gauge
+sampler, and an unobserved run pays one test per hook site.  Monitors
+only *observe* — no hook ever yields, allocates simulation events, or
+touches seeded RNGs — so a checked run schedules bit-identically to an
+unchecked one, and a violating seed replays to the same violation.
 
 Invariant catalog (the hook that enforces each):
 
@@ -63,36 +63,31 @@ seed, the simulated time, and a replay command line.
 
 Monitors and the burst fast path are mutually exclusive by design:
 these checks hook every per-packet TX/RX edge, so a folded message
-would be invisible to them.  Installing a checker sets ``nic.check``
-(and ``switch.check``), which the burst plane (``repro.roce.burst``)
-treats as a slow-path condition — folding is refused on any NIC or
-switch with a checker attached, and the ``REPRO_CHECK=1`` tier-1 leg
-therefore exercises the pure per-packet schedule.  Burst correctness
-is covered by the ``REPRO_VALIDATE=1`` leg instead, which runs the
-per-packet shadow schedule beside every fold and asserts bit-identical
-timestamps (both switches: the run-mode table in :mod:`repro.runmode`
-and README).
+would be invisible to them.  A checker is an observer slot, and the
+burst plane (``repro.roce.burst``) refuses to fold on any NIC or switch
+that holds a slot, so the ``REPRO_CHECK=1`` tier-1 leg exercises the
+pure per-packet schedule.  Burst correctness is covered by the
+``REPRO_VALIDATE=1`` leg instead, which runs the per-packet shadow
+schedule beside every fold and asserts bit-identical timestamps (both
+switches: the run-mode table in :mod:`repro.runmode` and README).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.payload import PayloadRef
 from ..obs.metrics import Counter
+from ..obs.runtime import Observers, install_observers
 from ..roce.opcodes import Opcode, is_read_response
 from ..roce.packetizer import read_response_packet_count
 from ..roce.qp import psn_add, psn_distance
-from ..runmode import active
 
 # Module-level aliases: the TX/RX hooks run per packet.
 _ACKNOWLEDGE = Opcode.ACKNOWLEDGE
 _CNP = Opcode.CNP
 _READ_REQUEST = Opcode.READ_REQUEST
-
-#: Attribute used to attach the checker to a Simulator.
-_CHECK_ATTR = "_check_monitors"
 
 #: Half the PSN space: ``psn_distance(a, b) <= _HALF`` means ``a`` is
 #: at-or-behind ``b`` under RoCE's modular comparison.
@@ -128,10 +123,11 @@ class InvariantViolation(AssertionError):
 class _PortState:
     """Per-output-queue accounting for conservation + FIFO checks."""
 
-    __slots__ = ("enq", "deq", "tail_drops", "enq_bytes", "deq_bytes",
-                 "fifo")
+    __slots__ = ("port", "enq", "deq", "tail_drops", "enq_bytes",
+                 "deq_bytes", "fifo")
 
-    def __init__(self) -> None:
+    def __init__(self, port) -> None:
+        self.port = port
         self.enq = 0
         self.deq = 0
         self.tail_drops = 0
@@ -140,14 +136,16 @@ class _PortState:
         self.fifo: deque = deque()
 
 
-class InvariantChecker:
-    """All monitor state for one simulator; raises on first violation."""
+class InvariantChecker(Observers):
+    """An observer slot that also holds all monitor state for one
+    simulator; raises on first violation."""
 
-    def __init__(self, env, seed: Optional[int] = None,
-                 replay: Optional[str] = None) -> None:
-        self.env = env
-        self.seed = seed
-        self.replay = replay
+    def __init__(self, env, trace, sampling_enabled: bool) -> None:
+        super().__init__(env, trace, sampling_enabled)
+        #: The run's fault seed and replay command line, for violations
+        #: (set by :func:`install_monitors`).
+        self.seed: Optional[int] = None
+        self.replay: Optional[str] = None
         #: Total hook invocations — proof the monitors actually ran.
         #: Deliberately *unregistered* counters: the flaky-guard runs
         #: existing suites under REPRO_CHECK=1, and golden metric
@@ -163,19 +161,14 @@ class InvariantChecker:
         self._rx_ctx: Optional[Tuple[int, int, bool]] = None
         # Switch accounting, keyed (switch name, port index).
         self._ports: Dict[Tuple[str, int], _PortState] = {}
-        self._switches: List[object] = []
         # Pacer windows: (cc name, qpn) -> [window start, bytes, allowance].
         self._pacer: Dict[Tuple[str, int], List[float]] = {}
-        # Timer name -> qpn-in-error predicate (registered by the NIC).
-        self._timer_guards: Dict[str, Callable[[int], bool]] = {}
+        # Retransmission timer name -> the NIC that owns it.
+        self._timer_nics: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def assertion_count(self) -> int:
-        return self.assertions.value
-
     def _violate(self, invariant: str, source: str, detail: str) -> None:
         self.violations.add()
         raise InvariantViolation(invariant, source, detail,
@@ -186,7 +179,6 @@ class InvariantChecker:
     # NIC TX/RX
     # ------------------------------------------------------------------
     def on_tx(self, nic, packet, qp=None) -> None:
-        """Every frame leaving a powered NIC, data and control alike."""
         self.assertions.add()
         opcode = packet.bth.opcode
         if opcode is _ACKNOWLEDGE:
@@ -263,7 +255,6 @@ class InvariantChecker:
                 f"by {changed} bytes before TX")
 
     def on_rx(self, nic, qp, packet) -> None:
-        """Every uncorrupted frame arriving for a known QP."""
         self.assertions.add()
         opcode = packet.bth.opcode
         self._rx_ctx = (id(nic), self.env.now, opcode is _CNP)
@@ -302,24 +293,21 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # QP state transitions
     # ------------------------------------------------------------------
-    def register_timer_guard(self, timer_name: str,
-                             in_error: Callable[[int], bool]) -> None:
-        """The NIC registers ``qpn -> is that QP in the error state``
-        for its retransmission timer."""
-        self._timer_guards[timer_name] = in_error
+    def on_nic(self, nic) -> None:
+        self._timer_nics[nic.timer.name] = nic
 
     def on_timer_arm(self, timer, qpn: int) -> None:
         self.assertions.add()
-        guard = self._timer_guards.get(timer.name)
-        if guard is not None and guard(qpn):
+        nic = self._timer_nics.get(timer.name)
+        if nic is not None and qpn in nic.qps and nic.qps.get(qpn).in_error:
             self._violate(
                 "timer-rearm-in-error", timer.name,
                 f"retransmission timer re-armed for qp{qpn}, which is "
                 f"already in the error state")
 
     def on_qp_error(self, nic, qpn: int, reason: str) -> None:
-        """The error transition just completed: outstanding work is
-        errored out and the timer must be quiescent."""
+        # Outstanding work is errored out: the timer must be quiescent.
+        super().on_qp_error(nic, qpn, reason)
         self.assertions.add()
         if nic.timer.is_armed(qpn):
             self._violate(
@@ -331,8 +319,7 @@ class InvariantChecker:
     # Kernel guard plane (protection domains, watchdog, quarantine)
     # ------------------------------------------------------------------
     def on_kernel_dma(self, nic, kernel, cmd) -> None:
-        """A guarded kernel's DMA command is about to be forwarded to
-        the DMA engine: re-verify the protection domain."""
+        # Re-verify the protection domain.
         self.assertions.add()
         guard = kernel.guard
         if guard is None or guard.protection is None:
@@ -346,7 +333,6 @@ class InvariantChecker:
                 f"to the DMA engine outside the protection domain")
 
     def on_kernel_serve(self, kernel) -> None:
-        """A guarded kernel is about to serve an invocation."""
         self.assertions.add()
         guard = kernel.guard
         if guard.quarantined:
@@ -361,8 +347,7 @@ class InvariantChecker:
                 f"the quarantine latching")
 
     def on_kernel_finish(self, kernel) -> None:
-        """A guarded invocation completed cleanly: every DMA read the
-        kernel issued must have been consumed."""
+        # Every DMA read the kernel issued must have been consumed.
         self.assertions.add()
         if len(kernel.streams.dma_data_in) > 0:
             self._violate(
@@ -399,14 +384,11 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Switch enqueue/dequeue (byte/frame conservation)
     # ------------------------------------------------------------------
-    def register_switch(self, switch) -> None:
-        self._switches.append(switch)
-
     def _port_state(self, switch, port) -> _PortState:
         key = (switch.name, port.index)
         state = self._ports.get(key)
         if state is None:
-            state = self._ports[key] = _PortState()
+            state = self._ports[key] = _PortState(port)
         return state
 
     def on_switch_enqueue(self, switch, port, packet) -> None:
@@ -415,6 +397,7 @@ class InvariantChecker:
         state.enq += 1
         state.enq_bytes += packet.wire_bytes
         state.fifo.append(id(packet))
+        super().on_switch_enqueue(switch, port, packet)
 
     def on_switch_drop(self, switch, port, packet) -> None:
         self.assertions.add()
@@ -435,26 +418,23 @@ class InvariantChecker:
                 f"oldest enqueued frame")
         state.deq += 1
         state.deq_bytes += packet.wire_bytes
+        super().on_switch_dequeue(switch, port, packet)
 
-    def _verify_switch(self, switch) -> None:
-        for port in switch.ports:
-            state = self._ports.get((switch.name, port.index))
-            if state is None:
-                continue
-            queued = len(port.queue)
-            if state.enq != state.deq + queued:
-                self._violate(
-                    "switch-conservation", port.name,
-                    f"frames in ({state.enq + state.tail_drops}) != "
-                    f"out ({state.deq}) + tail drops "
-                    f"({state.tail_drops}) + queued ({queued})")
-            queued_bytes = sum(p.wire_bytes
-                               for p in port.queue._items)
-            if state.enq_bytes != state.deq_bytes + queued_bytes:
-                self._violate(
-                    "switch-conservation", port.name,
-                    f"bytes in ({state.enq_bytes}) != out "
-                    f"({state.deq_bytes}) + queued ({queued_bytes})")
+    def _verify_port(self, state: _PortState) -> None:
+        port = state.port
+        queued = len(port.queue)
+        if state.enq != state.deq + queued:
+            self._violate(
+                "switch-conservation", port.name,
+                f"frames in ({state.enq + state.tail_drops}) != "
+                f"out ({state.deq}) + tail drops "
+                f"({state.tail_drops}) + queued ({queued})")
+        queued_bytes = sum(p.wire_bytes for p in port.queue._items)
+        if state.enq_bytes != state.deq_bytes + queued_bytes:
+            self._violate(
+                "switch-conservation", port.name,
+                f"bytes in ({state.enq_bytes}) != out "
+                f"({state.deq_bytes}) + queued ({queued_bytes})")
 
     # ------------------------------------------------------------------
     # Pacer (rate <= configured DCQCN rate)
@@ -505,35 +485,17 @@ class InvariantChecker:
         """Run the end-state checks (switch conservation).  The harness
         calls this after the workload drains; it is safe to call on a
         still-running simulation (queued frames count as queued)."""
-        for switch in self._switches:
-            self._verify_switch(switch)
-
-
-def checker_for(env) -> Optional[InvariantChecker]:
-    """The simulator's checker, or None when monitors are off.
-
-    Components cache the result at construction and guard hooks with
-    ``if self.check is not None`` — the same contract as
-    :func:`repro.obs.runtime.trace_for`.
-    """
-    checker = getattr(env, _CHECK_ATTR, None)
-    if checker is None and active().check:
-        checker = InvariantChecker(env)
-        setattr(env, _CHECK_ATTR, checker)
-    return checker
+        for state in self._ports.values():
+            self._verify_port(state)
 
 
 def install_monitors(env, seed: Optional[int] = None,
                      replay: Optional[str] = None) -> InvariantChecker:
-    """Attach a checker to ``env`` explicitly (call *before* building
-    the topology — components bind their checker at construction)."""
-    checker = getattr(env, _CHECK_ATTR, None)
-    if checker is None:
-        checker = InvariantChecker(env, seed=seed, replay=replay)
-        setattr(env, _CHECK_ATTR, checker)
-    else:
-        if seed is not None:
-            checker.seed = seed
-        if replay is not None:
-            checker.replay = replay
+    """Make ``env``'s observer slot a checker (call *before* building
+    the topology — components bind their slot at construction)."""
+    checker = install_observers(env, InvariantChecker)
+    if seed is not None:
+        checker.seed = seed
+    if replay is not None:
+        checker.replay = replay
     return checker

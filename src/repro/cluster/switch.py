@@ -62,10 +62,9 @@ import numpy as np
 
 from ..cc.ecn import EcnConfig, EcnMarker
 from ..cc.plane import CC_STATS
-from ..check import checker_for
 from ..net.arp import mac_for_ip
 from ..net.link import Cable
-from ..obs.runtime import registry_for, trace_for
+from ..obs.runtime import observers_for, registry_for
 from ..sim import Simulator, Stream
 from ..sim.resources import fifo_ends
 from ..sim.timebase import NS
@@ -176,10 +175,7 @@ class Switch:
         self.ecn_marker = EcnMarker(config.ecn) if config.ecn else None
         metrics = registry_for(env)
         self.metrics = metrics
-        self.trace = trace_for(env)
-        self.check = checker_for(env)
-        if self.check is not None:
-            self.check.register_switch(self)
+        self.obs = observers_for(env)
         self.frames_forwarded = metrics.counter(f"{name}.forwarded")
         self.frames_flooded = metrics.counter(f"{name}.flooded")
         self.frames_filtered = metrics.counter(f"{name}.filtered")
@@ -230,13 +226,12 @@ class Switch:
     def clean_route(self, port_in: SwitchPort, src_ip: int,
                     dst_ip: int, now: int) -> Optional[SwitchPort]:
         """The output port for frames ``src_ip`` -> ``dst_ip`` entering
-        at ``port_in`` when a burst may fold across: no monitors, trace
+        at ``port_in`` when a burst may fold across: no observer slot
         or ECN; both MACs learned (``learn`` must not change the table
         mid-schedule), no flood or hairpin; both ports up; no frame in
         any forwarding window (it could enqueue mid-schedule); the output
         port and the input's receive stream idle.  Else None."""
-        if (self.check is not None or self.trace is not None
-                or self.ecn_marker is not None):
+        if self.obs is not None or self.ecn_marker is not None:
             return None
         table = self._mac_table
         out = table.get(mac_for_ip(dst_ip))
@@ -303,9 +298,9 @@ class Switch:
             fold = self.env.fold
             if fold is not None:
                 fold.on_hop(self)
-            if self.trace is not None:
-                self.trace.record(port.name,
-                                  "port_up" if up else "port_blackout")
+            if self.obs is not None:
+                self.obs.record(port.name,
+                                "port_up" if up else "port_blackout")
         port.up = up
 
     def __len__(self) -> int:
@@ -401,20 +396,14 @@ class Switch:
             if not target.queue.try_put(out_packet):
                 target.tail_drops.add()
                 self.frames_dropped.add()
-                if self.check is not None:
-                    self.check.on_switch_drop(self, target, out_packet)
+                if self.obs is not None:
+                    self.obs.on_switch_drop(self, target, out_packet)
                 continue
-            if self.check is not None:
-                self.check.on_switch_enqueue(self, target, out_packet)
             depth += 1
             if depth > target._max_depth:   # a new high-water mark
                 target.note_depth(depth)
-            if self.trace is not None:
-                target._span_queue.append(self.trace.begin_span(
-                    target.name, "queued", psn=packet.bth.psn,
-                    opcode=packet.bth.opcode.name))
-            if self.metrics.sampling_enabled:
-                target.depth_gauge.sample(self.env.now, len(target.queue))
+            if self.obs is not None:
+                self.obs.on_switch_enqueue(self, target, out_packet)
 
     # Egress server: dequeue (after the floor) -> hand to the cable ->
     # pacing window -> next frame.  The cable serializes in parallel
@@ -448,12 +437,8 @@ class Switch:
             self._egress_idle(port)
 
     def _egress_send(self, port: SwitchPort, packet) -> bool:
-        if self.check is not None:
-            self.check.on_switch_dequeue(self, port, packet)
-        if self.trace is not None and port._span_queue:
-            self.trace.end_span(port._span_queue.popleft())
-        if self.metrics.sampling_enabled:
-            port.depth_gauge.sample(self.env.now, len(port.queue))
+        if self.obs is not None:
+            self.obs.on_switch_dequeue(self, port, packet)
         if not port.up:
             port.blackout_drops.add()
             self.frames_dropped.add()

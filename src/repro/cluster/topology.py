@@ -65,15 +65,6 @@ class Cluster:
             host.nic.enable_congestion_control(config)
 
 
-def _announce_everywhere(hosts: List[HostNode]) -> None:
-    """Gratuitous ARP broadcast at link-up: every NIC learns every other
-    NIC's MAC (the switch floods the announcement to all ports)."""
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.nic.arp.announce_to(b.nic.arp)
-
-
 def _make_hosts(env: Simulator, count: int, nic_config: NicConfig,
                 host_config: HostConfig, memory_bytes: int, seed: int,
                 names: Optional[List[str]] = None) -> List[HostNode]:
@@ -115,7 +106,6 @@ def build_pair(env: Simulator,
                   faults=faults)
     hosts[0].nic.attach(cable, "a")
     hosts[1].nic.attach(cable, "b")
-    _announce_everywhere(hosts)
     cluster = Cluster(env=env, hosts=hosts,
                       cables={cable.name: cable},
                       access_cables={hosts[0].name: cable,
@@ -160,5 +150,4 @@ def build_star(env: Simulator, num_hosts: int,
     for host in hosts:
         _wire_host_to_switch(cluster, host, switch, nic_config, faults,
                              link_name=f"{name}.link.{host.name}")
-    _announce_everywhere(hosts)
     return cluster

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..config import NicConfig
-from ..obs.runtime import trace_for
+from ..obs.runtime import observers_for
 from ..sim import Simulator, Stream
 from .guard import ABORT_SENTINEL, KernelAbort, KernelGuard
 from .rpc import (RPC_ERROR_BAD_PARAMS, RPC_ERROR_QUARANTINED,
@@ -133,11 +133,9 @@ class StromKernel:
         #: Fault-injection hook: a positive sim-time makes the kernel
         #: stall (a stuck pipeline stage) until that instant.
         self.stall_until = 0
-        #: Invariant monitors while REPRO_CHECK is active, else None.
-        from ..check import checker_for  # runtime import; avoids a cycle
-        self.check = checker_for(env)
-        #: Flight recorder while an obs session is active, else None.
-        self.trace = trace_for(env)
+        #: Observer slot (invocation spans, guard monitors); None
+        #: unless the run is observed.
+        self.obs = observers_for(env)
         #: Span source label; the NIC overrides this at deploy time with
         #: a NIC-qualified name (e.g. ``nic0.kernel.strom-kv``).
         self.trace_source = f"kernel.{self.name}"
@@ -183,8 +181,8 @@ class StromKernel:
                     yield from self._complete_error(
                         invocation, RPC_ERROR_QUARANTINED)
                     continue
-                if self.check is not None:
-                    self.check.on_kernel_serve(self)
+                if self.obs is not None:
+                    self.obs.on_kernel_serve(self)
                 guard.begin(self.env.now)
                 if guard.budget is not None \
                         and guard.budget.deadline_ps is not None:
@@ -213,8 +211,8 @@ class StromKernel:
                         # emitted: completed, but clean up its wake-ups.
                         self.streams.discard_sentinels()
                     guard.finish()
-                    if self.check is not None:
-                        self.check.on_kernel_finish(self)
+                    if self.obs is not None:
+                        self.obs.on_kernel_finish(self)
 
     def _complete_error(self, invocation: RpcInvocation, code: int):
         """Write an 8-byte error completion to the response buffer."""
@@ -265,16 +263,17 @@ class StromKernel:
     def next_invocation(self):
         """Wait for the next RPC: reads qpnIn and paramIn together, the
         way every published kernel's first stage does (Listing 3)."""
-        if self.trace is not None and self._invocation_span is not None:
+        obs = self.obs
+        if obs is not None:
             # The previous invocation ends where the kernel loops back
             # for the next one (kernels block forever on qpnIn).
-            self.trace.end_span(self._invocation_span)
+            obs.end_span(self._invocation_span)
             self._invocation_span = None
         qpn = yield self.streams.qpn_in.get()
         params = yield self.streams.param_in.get()
         self.invocations += 1
-        if self.trace is not None:
-            self._invocation_span = self.trace.begin_span(
+        if obs is not None:
+            self._invocation_span = obs.begin_span(
                 self.trace_source, "invocation", qpn=qpn)
         return RpcInvocation(qpn=qpn, params=params)
 

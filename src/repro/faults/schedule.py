@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..net.link import Cable, effective_fault_seed
-from ..obs.runtime import registry_for, trace_for
+from ..obs.runtime import observers_for, registry_for
 from ..sim import Simulator
 
 
@@ -57,7 +57,7 @@ class FaultSchedule:
         self._started = False
         metrics = registry_for(env)
         self.metrics = metrics
-        self.trace = trace_for(env)
+        self.obs = observers_for(env)
         self.injected = metrics.counter(f"{name}.injected")
 
     # ------------------------------------------------------------------
@@ -167,6 +167,6 @@ class FaultSchedule:
             event.action()
             self.injected.add()
             self.metrics.counter(f"{self.name}.{event.kind}").add()
-            if self.trace is not None:
-                self.trace.record(self.name, event.kind,
-                                  target=event.target, **event.meta)
+            if self.obs is not None:
+                self.obs.record(self.name, event.kind,
+                                target=event.target, **event.meta)

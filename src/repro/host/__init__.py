@@ -1,12 +1,11 @@
 """Host software: nodes, driver verbs, CPU cost model, and baselines."""
 
 from . import baselines, cpu, tcp_rpc, workloads
-from .node import Fabric, HostNode, add_queue_pair, build_fabric
+from .node import Fabric, HostNode, build_fabric
 
 __all__ = [
     "Fabric",
     "HostNode",
-    "add_queue_pair",
     "baselines",
     "build_fabric",
     "cpu",

@@ -217,17 +217,3 @@ def build_fabric(env: Simulator,
     return Fabric(env=env, client=client, server=server,
                   cable=cluster.access_cables[client.name],
                   client_qpn=1, server_qpn=1)
-
-
-def add_queue_pair(fabric: Fabric) -> int:
-    """Bring up one more queue pair between the fabric's two nodes.
-
-    Returns the new QPN (identical on both sides for symmetry).  Each QP
-    has independent PSN spaces, retransmission timers, and Multi-Queue
-    lists, so flows on different QPs do not interfere at the protocol
-    level (Section 4.1's per-QP state separation).
-    """
-    qpn = len(fabric.client.nic.qps) + 1
-    fabric.client.nic.create_queue_pair(qpn, qpn, fabric.server.nic.ip)
-    fabric.server.nic.create_queue_pair(qpn, qpn, fabric.client.nic.ip)
-    return qpn

@@ -152,14 +152,15 @@ class PhysicalMemory:
         """
         if self.store_guard is not None:
             self.store_guard()
-        length = len(data)
+        # Measured and cut in bytes: a view's len() and slices count its
+        # items, which may be wider than a byte.
+        view = memoryview(data).cast("B")
+        length = view.nbytes
         self._check_range(address, length)
         page_index, offset = divmod(address, self.page_bytes)
-        view = memoryview(data)
-        if length and offset + length <= self.page_bytes \
-                and view.nbytes == length:
-            # Single-page fast path (a flat byte buffer): one slice
-            # assignment, no chunking loop.
+        if length and offset + length <= self.page_bytes:
+            # Single-page fast path: one slice assignment, no chunking
+            # loop.
             page = self._pages.get(page_index)
             if page is None:
                 page = mmap.mmap(-1, self.page_bytes, flags=mmap.MAP_PRIVATE)

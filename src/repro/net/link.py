@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..obs.runtime import registry_for, trace_for
+from ..obs.runtime import observers_for, registry_for
 from ..runmode import active
 from ..sim import BandwidthLink, Simulator, Stream, timebase
 
@@ -230,7 +230,7 @@ class Cable:
         self.b_rx: Stream = Stream(env, name=f"{name}.b_rx")
 
         self.metrics = registry_for(env)
-        self.trace = trace_for(env)
+        self.obs = observers_for(env)
         self.frames_delivered = self.metrics.counter(f"{name}.delivered")
         self.frames_dropped = self.metrics.counter(f"{name}.dropped")
         self.frames_corrupted = self.metrics.counter(f"{name}.corrupted")
@@ -328,9 +328,8 @@ class Cable:
             if fold is not None:
                 fold.on_hop(self)
             self.link_flaps.add()
-            if self.trace is not None:
-                self.trace.record(self.name,
-                                  "link_up" if up else "link_down")
+            if self.obs is not None:
+                self.obs.record(self.name, "link_up" if up else "link_down")
         self.up = up
 
     def set_extra_latency(self, extra_ps: int) -> None:
@@ -341,9 +340,9 @@ class Cable:
             fold = self.env.fold
             if fold is not None:
                 fold.on_hop(self)
-            if self.trace is not None:
-                self.trace.record(self.name, "latency_spike",
-                                  extra_ps=extra_ps)
+            if self.obs is not None:
+                self.obs.record(self.name, "latency_spike",
+                                extra_ps=extra_ps)
         self.extra_latency = extra_ps
         self._retime()
 
@@ -411,7 +410,8 @@ class Cable:
         faults = self.faults
         if (faults.drop_probability or faults.corrupt_probability
                 or faults.duplicate_probability or faults.burst is not None
-                or not self.up or self.metrics.sampling_enabled):
+                or not self.up
+                or (self.obs is not None and self.obs.sampling_enabled)):
             self.env.call_at(end - now, self._on_serialized,
                              (packet, side, dest))
             return
@@ -439,7 +439,7 @@ class Cable:
         then run the fault draws in the order (and at the time) the pump
         process ran them."""
         packet, side, dest = frame
-        if self.metrics.sampling_enabled:
+        if self.obs is not None and self.obs.sampling_enabled:
             self._sample_utilization()
         if not self.up:
             self.frames_dropped.add()

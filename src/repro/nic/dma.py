@@ -31,11 +31,10 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..check import checker_for
 from ..config import NicConfig
 from ..core.payload import PayloadRef
 from ..memory import PhysicalMemory
-from ..obs.runtime import registry_for, trace_for
+from ..obs.runtime import observers_for, registry_for
 from ..roce.packetizer import Segments
 from ..sim import (BandwidthLink, Event, Simulator, process_step,
                    terminated)
@@ -226,8 +225,7 @@ class DmaEngine:
         self.name = name
         metrics = registry_for(env)
         self.metrics = metrics
-        self.trace = trace_for(env)
-        self.check = checker_for(env)
+        self.obs = observers_for(env)
         self.reads = metrics.counter(f"{name}.reads")
         self.writes = metrics.counter(f"{name}.writes")
         self.bytes_read = metrics.counter(f"{name}.bytes_read")
@@ -345,6 +343,20 @@ class DmaEngine:
                 yield env.timeout(base + 1 if i < extra else base)
 
     # ------------------------------------------------------------------
+    # Observer spans
+    # ------------------------------------------------------------------
+    def _begin_span(self, name: str, vaddr: int, length: int):
+        """Open a transfer span (None when the run keeps no trace)."""
+        if self.obs is None:
+            return None
+        return self.obs.begin_span(self.name, name, vaddr=vaddr,
+                                   length=length)
+
+    def _end_span(self, span, **details) -> None:
+        if self.obs is not None:
+            self.obs.end_span(span, **details)
+
+    # ------------------------------------------------------------------
     # Transfers (process helpers: use with ``yield from``)
     # ------------------------------------------------------------------
     def read(self, vaddr: int, length: int, sequential: bool = True):
@@ -356,8 +368,7 @@ class DmaEngine:
         lanes; random access patterns pay the reduced effective
         bandwidth of Section 7.
         """
-        span = None if self.trace is None else self.trace.begin_span(
-            self.name, "dma_read", vaddr=vaddr, length=length)
+        span = self._begin_span("dma_read", vaddr, length)
         pieces = self.tlb.pieces(vaddr, length)
         lengths = [n for _, n in pieces]
         latency = self.config.pcie_read_latency
@@ -380,8 +391,7 @@ class DmaEngine:
             self.env.process(
                 self._read_then(vaddr, length, sequential, on_done))
             return
-        span = None if self.trace is None else self.trace.begin_span(
-            self.name, "dma_read", vaddr=vaddr, length=length)
+        span = self._begin_span("dma_read", vaddr, length)
         pieces = self.tlb.pieces(vaddr, length)
         delay = self._reserve_burst(self.read_link,
                                     self.config.pcie_read_latency,
@@ -405,8 +415,7 @@ class DmaEngine:
         self.payload_copy_bytes.add(length)
         data = b"".join(self.memory.read(paddr, n) for paddr, n in pieces) \
             if len(pieces) > 1 else self.memory.read(*pieces[0])
-        if self.trace is not None:
-            self.trace.end_span(span)
+        self._end_span(span)
         return data
 
     def read_plan(self, vaddr: int, chunk_lengths,
@@ -430,16 +439,14 @@ class DmaEngine:
         self.reads.add()
         self.bytes_read.add(total_bytes)
         self.payload_ref_bytes.add(total_bytes)
-        if self.trace is not None:
-            span = self.trace.begin_span(
-                self.name, "dma_stream_read", vaddr=vaddr)
-            self.env.call_at(start + cum - self.env.now,
-                             self._end_stream_span, (span, total_bytes))
+        if self.obs is not None:
+            # The span closes when the burst ends (a trace entry of its
+            # own, scheduled only while tracing).
+            self.obs.end_span_at(
+                self.obs.begin_span(self.name, "dma_stream_read",
+                                    vaddr=vaddr),
+                start + cum - self.env.now, length=total_bytes)
         return FetchPlan(self, durations, start, stable=stable)
-
-    def _end_stream_span(self, span_bytes) -> None:
-        span, length = span_bytes
-        self.trace.end_span(span, length=length)
 
     def read_stream(self, vaddr: int, chunk_lengths, out_stream,
                     sequential: bool = True, stable: bool = False):
@@ -454,7 +461,7 @@ class DmaEngine:
         served strictly in issue order (no head-of-line interleaving).
         Chunks are delivered as :class:`PayloadRef` views.
         """
-        span = None if self.trace is None else self.trace.begin_span(
+        span = None if self.obs is None else self.obs.begin_span(
             self.name, "dma_stream_read", vaddr=vaddr)
         run = self.tlb.chunk_run(vaddr, chunk_lengths)
         total_bytes = run.total
@@ -484,8 +491,7 @@ class DmaEngine:
         self.reads.add()
         self.bytes_read.add(total_bytes)
         self.payload_ref_bytes.add(total_bytes)
-        if self.trace is not None:
-            self.trace.end_span(span, length=total_bytes)
+        self._end_span(span, length=total_bytes)
 
     # ------------------------------------------------------------------
     # Writes
@@ -497,8 +503,12 @@ class DmaEngine:
         ``count`` is the number of per-packet writes the call stands
         for: the burst fast path lands a whole folded message, one view
         per physical piece, and still advances ``writes`` per packet."""
-        if self.check is not None:
-            self.check.on_dma_commit(self, vaddr, pieces, length)
+        obs = self.obs
+        if obs is not None:
+            # The span closes at the commit, before the data lands: the
+            # same picosecond, and the monitors see the pieces first.
+            obs.on_dma_commit(self, vaddr, pieces, length)
+            obs.end_span(span)
         memory = self.memory
         if isinstance(data, PayloadRef):
             self.payload_ref_bytes.add(length)
@@ -519,8 +529,6 @@ class DmaEngine:
                 offset += n
         self.writes.add(count)
         self.bytes_written.add(length)
-        if self.trace is not None:
-            self.trace.end_span(span)
         self._fire_watches(vaddr, length)
 
     def write(self, vaddr: int, data, sequential: bool = True):
@@ -538,8 +546,7 @@ class DmaEngine:
         length = len(data)
         if not length:
             return
-        span = None if self.trace is None else self.trace.begin_span(
-            self.name, "dma_write", vaddr=vaddr, length=length)
+        span = self._begin_span("dma_write", vaddr, length)
         pieces = self.tlb.pieces(vaddr, length)
         lengths = [n for _, n in pieces]
         latency = self.config.pcie_write_latency
@@ -573,8 +580,7 @@ class DmaEngine:
                 self.env.process(
                     self._write_then(vaddr, data, sequential, on_done))
             return
-        span = None if self.trace is None else self.trace.begin_span(
-            self.name, "dma_write", vaddr=vaddr, length=length)
+        span = self._begin_span("dma_write", vaddr, length)
         pieces = self.tlb.pieces(vaddr, length)
         delay = self._reserve_burst(self.write_link,
                                     self.config.pcie_write_latency,

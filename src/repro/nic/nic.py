@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
-from ..check import checker_for
 from ..config import NicConfig
 from ..core.guard import (ABORT_SENTINEL, InvocationBudget, KernelGuard,
                           ProtectionDomain)
@@ -54,11 +53,12 @@ from ..roce.packetizer import (
     segment_rpc_write,
     segment_write,
 )
-from ..obs.runtime import registry_for, trace_for
+from ..obs.runtime import observers_for, registry_for
 from ..roce.qp import (
     PsnVerdict,
     QpError,
     QueuePairTable,
+    UnackedEntry,
     psn_add,
     psn_distance,
 )
@@ -101,25 +101,6 @@ class NicCommand:
 
 
 @dataclass(slots=True)
-class _UnackedEntry:
-    """Retransmit-buffer entry: one sent, not-yet-acknowledged packet.
-
-    The burst fast path appends a single *spanning* entry
-    (``packet=None``, ``burst`` set) covering a whole folded message;
-    any path that needs real packets (retransmission, unfold) calls
-    ``burst.ensure_entries()`` first, which expands the span in place.
-    """
-
-    first_psn: int
-    last_psn: int
-    kind: str                # 'write' | 'rpc' | 'rpc_write' | 'read'
-    packet: Optional[RocePacket]
-    completion: Optional[Event] = None
-    is_message_tail: bool = False
-    burst: Optional[object] = None
-
-
-@dataclass(slots=True)
 class _ReadContext:
     """Requester-side state for one outstanding READ (Multi-Queue value)."""
 
@@ -145,8 +126,6 @@ class StromNic:
         self.ip = ip
         self.name = name
 
-        from ..net.arp import ArpCache
-        self.arp = ArpCache(env, ip)
         self.tlb = Tlb(config)
         self.dma = DmaEngine(env, config, memory, self.tlb, name=f"{name}.dma")
         self.qps = QueuePairTable(config.num_queue_pairs,
@@ -203,17 +182,11 @@ class StromNic:
         self.controller = Controller(self)
         metrics = registry_for(env)
         self.metrics = metrics
-        #: Optional flight recorder (see repro.sim.trace.EventTrace);
-        #: populated while an obs session is active, else None.
-        self.trace = trace_for(env)
-        #: Optional invariant monitors (see repro.check); None unless
-        #: installed — every hook below guards on that.
-        self.check = checker_for(env)
-        if self.check is not None:
-            self.check.register_timer_guard(
-                self.timer.name,
-                lambda qpn: qpn in self.qps
-                and self.qps.get(qpn).in_error)
+        #: Observer slot (trace, gauge sampling, invariant monitors:
+        #: repro.obs.runtime); None unless the run is observed.
+        self.obs = observers_for(env)
+        if self.obs is not None:
+            self.obs.on_nic(self)
 
         self.packets_sent = metrics.counter(f"{name}.pkts_tx")
         self.packets_received = metrics.counter(f"{name}.pkts_rx")
@@ -311,16 +284,16 @@ class StromNic:
         if fold is not None:
             fold.on_hop(self)
         self.powered = False
-        if self.trace is not None:
-            self.trace.record(self.name, "power_off")
+        if self.obs is not None:
+            self.obs.record(self.name, "power_off")
 
     def power_on(self) -> None:
         """Restore a crashed node."""
         if self.powered:
             return
         self.powered = True
-        if self.trace is not None:
-            self.trace.record(self.name, "power_on")
+        if self.obs is not None:
+            self.obs.record(self.name, "power_on")
 
     # ------------------------------------------------------------------
     # QP error state (retry budget exhausted)
@@ -336,8 +309,6 @@ class StromNic:
             return
         qp.fail(reason)
         self.qp_errors.add()
-        if self.trace is not None:
-            self.trace.record(self.name, "qp_error", qpn=qpn, reason=reason)
         self.timer.disarm(qpn)
         error = QpError(qpn, reason)
         for entry in qp.requester.unacked:
@@ -347,15 +318,32 @@ class StromNic:
         qp.requester.unacked.clear()
         while not self.multiqueue.is_empty(qpn):
             context = self.multiqueue.pop(qpn)
-            if self.trace is not None and context.span is not None:
-                self.trace.end_span(context.span)
-                context.span = None
+            self._end_span(context.span)
             if context.completion is not None \
                     and not context.completion.triggered:
                 context.completion.succeed(error)
             self.read_credits.release()
-        if self.check is not None:
-            self.check.on_qp_error(self, qpn, reason)
+        if self.obs is not None:
+            self.obs.on_qp_error(self, qpn, reason)
+
+    # ------------------------------------------------------------------
+    # Observer spans and gauges
+    # ------------------------------------------------------------------
+    def _begin_span(self, qpn: int, name: str, **details):
+        """Open a QP span (None when the run keeps no trace)."""
+        if self.obs is None:
+            return None
+        return self.obs.begin_span(f"{self.name}.qp{qpn}", name, **details)
+
+    def _end_span(self, span) -> None:
+        if self.obs is not None:
+            self.obs.end_span(span)
+
+    def _sample_reads(self) -> None:
+        """One point of the in-flight READ (Multi-Queue load) series."""
+        if self.obs is not None:
+            self.obs.sample(self._outstanding_reads,
+                            self.read_credits.in_use)
 
     # ------------------------------------------------------------------
     # Host command entry point (called by the MMIO path)
@@ -504,9 +492,8 @@ class StromNic:
             if burst.try_fold(self, qp, segments, first_psn, fetch, gate,
                               command=command):
                 return
-        span = None if self.trace is None else self.trace.begin_span(
-            f"{self.name}.qp{qp.qpn}", "tx_message", kind=command.kind,
-            length=command.length)
+        span = self._begin_span(qp.qpn, "tx_message", kind=command.kind,
+                                length=command.length)
         for i, seg in enumerate(segments):
             if fetch is not None and seg.length > 0:
                 if per_word:
@@ -548,14 +535,13 @@ class StromNic:
                 # (DCQCN deployments likewise keep the QP timer well
                 # above the pacer's inter-packet gaps).
                 self.timer.arm(qp.qpn)
-        if self.trace is not None:
-            self.trace.end_span(span)
+        self._end_span(span)
         if not qp.in_error:
             self.timer.arm(qp.qpn)
         gate.succeed()
 
     def message_packet(self, command: NicCommand, qp, seg, psn: int,
-                       payload) -> Tuple[RocePacket, _UnackedEntry]:
+                       payload) -> Tuple[RocePacket, UnackedEntry]:
         """Packet ``psn`` (segment ``seg``) of a WRITE, RPC or RPC WRITE
         message and its retransmit entry (send loop and burst unfold)."""
         # Positional arguments (field order) throughout: keyword
@@ -571,25 +557,22 @@ class StromNic:
         packet = RocePacket(self.ip, qp.dest_ip,
                             Bth(opcode, qp.dest_qpn, psn, tail), reth, None,
                             payload)
-        return packet, _UnackedEntry(
+        return packet, UnackedEntry(
             psn, psn, command.kind, packet,
             command.completion if tail else None, tail)
 
     def _post_read(self, command: NicCommand):
         yield self.read_credits.acquire()
-        if self.metrics.sampling_enabled:
-            self._outstanding_reads.sample(self.env.now,
-                                           self.read_credits.in_use)
+        self._sample_reads()
         qp = self.qps.get(command.qpn)
         count = read_response_packet_count(command.length)
         first_psn = qp.requester.allocate_psns(count)
         context = _ReadContext(laddr=command.laddr, length=command.length,
                                first_psn=first_psn, packet_count=count,
-                               completion=command.completion)
-        if self.trace is not None:
-            context.span = self.trace.begin_span(
-                f"{self.name}.qp{qp.qpn}", "read", length=command.length,
-                psn=first_psn)
+                               completion=command.completion,
+                               span=self._begin_span(
+                                   qp.qpn, "read", length=command.length,
+                                   psn=first_psn))
         # read_credits keep the Multi-Queue from overflowing.
         self.multiqueue.push(qp.qpn, context)
         reth = Reth(vaddr=command.raddr, rkey=0, dma_length=command.length)
@@ -597,9 +580,9 @@ class StromNic:
                   psn=first_psn, ack_request=True)
         packet = RocePacket(src_ip=self.ip, dst_ip=qp.dest_ip,
                             bth=bth, reth=reth)
-        entry = _UnackedEntry(first_psn=first_psn,
-                              last_psn=psn_add(first_psn, count - 1),
-                              kind="read", packet=packet)
+        entry = UnackedEntry(first_psn=first_psn,
+                             last_psn=psn_add(first_psn, count - 1),
+                             kind="read", packet=packet)
         prev_gate, gate = self._tx_gate, Event(self.env)
         self._tx_gate = gate
         yield prev_gate
@@ -623,20 +606,19 @@ class StromNic:
         is folded into the wire reservation's floor (``ready``), so
         pipeline + serialization + propagation + the peer's RX parse
         cost a single scheduler event on the fault-free path."""
-        if self.check is not None:
+        obs = self.obs
+        if obs is not None:
             # Before the powered check: a crashed NIC drops the frame,
             # but its PSN was already consumed from the QP's sequence —
             # the monitors track allocation, not delivery.
-            self.check.on_tx(self, packet, qp)
+            obs.on_tx(self, packet, qp)
         if not self.powered:
             self.crash_drops.add()
             return
         self.packets_sent.add()
-        if self.trace is not None:
-            self.trace.record(self.name, "tx",
-                              opcode=packet.bth.opcode.name,
-                              psn=packet.bth.psn,
-                              payload=len(packet.payload))
+        if obs is not None:
+            obs.record(self.name, "tx", opcode=packet.bth.opcode.name,
+                       psn=packet.bth.psn, payload=len(packet.payload))
         self._cable.send(self._cable_side, packet,
                          ready=self.env.now + self._tx_delay)
 
@@ -662,12 +644,11 @@ class StromNic:
         arrival order; READ serving continues as a process and the
         kernel stream feeds as callback chains."""
         self.packets_received.add()
-        if self.trace is not None:
-            self.trace.record(self.name, "rx",
-                              opcode=packet.bth.opcode.name,
-                              psn=packet.bth.psn,
-                              payload=len(packet.payload),
-                              corrupted=packet.corrupted)
+        obs = self.obs
+        if obs is not None:
+            obs.record(self.name, "rx", opcode=packet.bth.opcode.name,
+                       psn=packet.bth.psn, payload=len(packet.payload),
+                       corrupted=packet.corrupted)
         if packet.corrupted:
             # ICRC validation fails -> Packet Dropper discards silently;
             # the requester's retransmission timer recovers.
@@ -677,8 +658,8 @@ class StromNic:
             self.packets_dropped.add()
             return
         qp = self.qps.get(packet.bth.dest_qp)
-        if self.check is not None:
-            self.check.on_rx(self, qp, packet)
+        if obs is not None:
+            obs.on_rx(self, qp, packet)
         opcode = packet.bth.opcode
         if opcode == _CNP:
             # Congestion notification: throttle the addressed QP and
@@ -780,9 +761,9 @@ class StromNic:
         if burst.try_fold(self, qp, segments, packet.bth.psn, fetch, gate,
                           request=packet):
             return
-        span = None if self.trace is None else self.trace.begin_span(
-            f"{self.name}.qp{qp.qpn}", "serve_read",
-            length=packet.reth.dma_length, psn=packet.bth.psn)
+        span = self._begin_span(qp.qpn, "serve_read",
+                                length=packet.reth.dma_length,
+                                psn=packet.bth.psn)
         per_word = self.config.per_word_accounting
         for i, seg in enumerate(segments):
             if per_word:
@@ -803,8 +784,7 @@ class StromNic:
                 yield self.env.timeout(
                     self.config.streaming_time(response.l3_bytes))
             self._tx_deliver(response)
-        if self.trace is not None:
-            self.trace.end_span(span)
+        self._end_span(span)
         gate.succeed()
 
     def response_packet(self, qp, seg, psn: int, msn: int,
@@ -897,14 +877,11 @@ class StromNic:
         ack = make_ack(src_ip=self.ip, dst_ip=qp.dest_ip,
                        dest_qp=qp.dest_qpn, psn=psn, msn=msn,
                        syndrome=syndrome)
-        if syndrome == AETH_NAK_PSN_SEQ_ERROR:
-            self.naks_sent.add()
-            if self.trace is not None:
-                self.trace.record(self.name, "nak", psn=psn, msn=msn)
-        else:
-            self.acks_sent.add()
-            if self.trace is not None:
-                self.trace.record(self.name, "ack", psn=psn, msn=msn)
+        nak = syndrome == AETH_NAK_PSN_SEQ_ERROR
+        (self.naks_sent if nak else self.acks_sent).add()
+        if self.obs is not None:
+            self.obs.record(self.name, "nak" if nak else "ack", psn=psn,
+                            msn=msn)
         self._tx_deliver(ack)
 
     def _send_cnp(self, qp) -> None:
@@ -913,8 +890,8 @@ class StromNic:
         not itself be throttled by the congestion it reports."""
         cnp = make_cnp(src_ip=self.ip, dst_ip=qp.dest_ip,
                        dest_qp=qp.dest_qpn)
-        if self.trace is not None:
-            self.trace.record(self.name, "cnp", qpn=qp.qpn)
+        if self.obs is not None:
+            self.obs.record(self.name, "cnp", qpn=qp.qpn)
         self._tx_deliver(cnp)
 
     # ----------------------- requester side ---------------------------
@@ -983,9 +960,8 @@ class StromNic:
             if entry.kind == "read" and entry.first_psn == context.first_psn:
                 del unacked[i]
                 break
-        if self.trace is not None and context.span is not None:
-            self.trace.end_span(context.span)
-            context.span = None
+        self._end_span(context.span)
+        context.span = None
         return True
 
     def _finish_read(self, qp, context: _ReadContext) -> None:
@@ -993,9 +969,7 @@ class StromNic:
                 and not context.completion.triggered:
             context.completion.succeed(self.env.now)
         self.read_credits.release()
-        if self.metrics.sampling_enabled:
-            self._outstanding_reads.sample(self.env.now,
-                                           self.read_credits.in_use)
+        self._sample_reads()
         if qp.requester.unacked:
             self.timer.arm(qp.qpn)
         else:
@@ -1054,9 +1028,9 @@ class StromNic:
                         context.bytes_received = 0
             self.retransmitted.add()
             qp_retransmits.add()
-            if self.trace is not None:
-                self.trace.record(self.name, "retransmit",
-                                  psn=entry.first_psn, kind=entry.kind)
+            if self.obs is not None:
+                self.obs.record(self.name, "retransmit",
+                                psn=entry.first_psn, kind=entry.kind)
             if self.cc is not None and not self.cc.unthrottled(qp.qpn):
                 yield from self.cc.pace(qp.qpn, entry.packet.wire_bytes)
             if self.config.per_word_accounting:
@@ -1152,8 +1126,8 @@ class _KernelGlue:
             self.streams.dma_data_in.put(ABORT_SENTINEL)
             return True
         nic = self.nic
-        if guard is not None and nic.check is not None:
-            nic.check.on_kernel_dma(nic, kernel, cmd)
+        if guard is not None and nic.obs is not None:
+            nic.obs.on_kernel_dma(nic, kernel, cmd)
         if cmd.is_write:
             self.cmd = cmd
             return self._dma_take_data()

@@ -14,14 +14,14 @@ This package provides it:
   gauge series into Chrome trace-event JSON loadable in Perfetto
   (https://ui.perfetto.dev).
 - :mod:`repro.obs.runtime` — per-:class:`~repro.sim.Simulator`
-  attachment (``registry_for(env)`` / ``trace_for(env)``) and the
-  :func:`observe` session that the CLI's ``--trace-out`` /
-  ``--metrics-out`` flags use to capture whole experiment runs.
+  attachment (``registry_for(env)`` and the observer slot
+  ``observers_for(env)``) and the :func:`observe` session that the CLI's
+  ``--trace-out`` / ``--metrics-out`` flags use to capture whole
+  experiment runs.
 
-Instrumented components hold their registry and (optional) trace from
-construction; the hot paths guard every record with a cheap
-``if trace is not None`` / ``if metrics.sampling_enabled`` check so the
-fast-path event engine is not taxed when observability is off.
+Instrumented components hold their registry and observer slot from
+construction; the slot is ``None`` unless the run is observed, so an
+unobserved run pays one test per hook site.
 """
 
 from .chrome_trace import chrome_trace_events, export_chrome_trace
@@ -32,7 +32,8 @@ from .metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
-from .runtime import ObsSession, observe, registry_for, trace_for
+from .runtime import (ObsSession, Observers, observe, observers_for,
+                      registry_for)
 
 __all__ = [
     "Counter",
@@ -41,9 +42,10 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "ObsSession",
+    "Observers",
     "chrome_trace_events",
     "export_chrome_trace",
     "observe",
+    "observers_for",
     "registry_for",
-    "trace_for",
 ]

@@ -73,9 +73,10 @@ class Gauge(Instrument):
     :meth:`set` updates the current value; :meth:`sample` additionally
     appends a ``(time_ps, value)`` point to the time series unless the
     gauge was built with ``keep_series=False`` (its registry's setting:
-    only a trace export reads the series).  Call sites on hot paths
-    guard the sample with the owning registry's ``sampling_enabled``
-    flag so the series costs nothing when off.
+    only a trace export reads the series).  Datapath gauges are sampled
+    through the simulator's observer slot
+    (:meth:`repro.obs.runtime.Observers.sample`), so the series costs
+    nothing when no session observes the run.
     """
 
     kind = "gauge"
@@ -152,17 +153,12 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """A namespace of instruments for one simulation.
 
-    ``sampling_enabled`` gates gauge sampling; call sites check it
-    before calling :meth:`Gauge.sample`, so disabled sampling costs one
-    attribute load and a branch.  ``keep_series=False`` makes the
-    registry's gauges keep only their latest sampled value, not the
-    time series.
+    ``keep_series=False`` makes the registry's gauges keep only their
+    latest sampled value, not the time series.
     """
 
-    def __init__(self, name: str = "", sampling_enabled: bool = False,
-                 keep_series: bool = True) -> None:
+    def __init__(self, name: str = "", keep_series: bool = True) -> None:
         self.name = name
-        self.sampling_enabled = sampling_enabled
         self.keep_series = keep_series
         self._instruments: Dict[str, Instrument] = {}
 

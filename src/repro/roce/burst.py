@@ -111,10 +111,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..config import wire_bytes_for_frame
+# nic.nic imports this module, so StromNic is read through the module
+# object at call time.
+from ..nic import nic as _nic
+from ..nic.dma import FetchPlan
 from ..runmode import active
 from ..sim.resources import COLUMN_LIMIT_PS, fifo_ends
 from .packetizer import l3_sizes
-from .qp import PsnVerdict, psn_add
+from .qp import PsnVerdict, UnackedEntry, psn_add
 
 _EXPECTED = PsnVerdict.EXPECTED
 
@@ -176,21 +180,20 @@ def _other(side: str) -> str:
 # Fold gates
 # ----------------------------------------------------------------------
 def _quiet(nic) -> bool:
-    """No slow-path feature on a NIC of the path.  A CC plane always
-    refuses: its token-bucket pacer debits per-packet wire bytes and its
-    DCQCN machines sample per-packet arrivals even while a QP is
-    unthrottled, so a fold would skip that bookkeeping and diverge the
-    moment any QP on the NIC gets its first CNP (enabling CC mid-flight
-    unfolds)."""
-    return (nic.powered and nic.cc is None and nic.check is None
-            and nic.trace is None
+    """No slow-path feature on a NIC of the path.  An observer slot
+    (trace, gauge sampling or monitors) watches every packet edge, so it
+    refuses.  So does a CC plane: its token-bucket pacer debits
+    per-packet wire bytes and its DCQCN machines sample per-packet
+    arrivals even while a QP is unthrottled, so a fold would skip that
+    bookkeeping and diverge the moment any QP on the NIC gets its first
+    CNP (enabling CC mid-flight unfolds)."""
+    return (nic.powered and nic.cc is None and nic.obs is None
             and not nic.config.per_word_accounting
             and nic.memory.store_guard is None)
 
 
 def _sender_clean(nic, qp) -> bool:
-    return (_quiet(nic) and not nic.metrics.sampling_enabled
-            and not qp.in_error)
+    return _quiet(nic) and not qp.in_error
 
 
 def _receiver_clean(recv) -> bool:
@@ -204,7 +207,7 @@ def _resolve_path(nic, qp):
     switch's input and output ports when the cable ends at a switch that
     names a clean route onward over a fault-free cable to a NIC; None
     refuses the fold."""
-    from ..nic.nic import StromNic
+    StromNic = _nic.StromNic
     cable, side = nic._cable, nic._cable_side
     if cable is None or not cable.fault_free():
         return None
@@ -484,10 +487,9 @@ class BurstFlight:
         dst.tlb.pending_charge = self._settle_tlb
 
         if self.kind == "write":
-            from ..nic.nic import _UnackedEntry
             # The entry points at the flight, never back: a finished
             # flight is freed by reference counting, not the cycle GC.
-            self.src_qp.requester.unacked.append(_UnackedEntry(
+            self.src_qp.requester.unacked.append(UnackedEntry(
                 first_psn=self.first_psn, last_psn=self.last_psn,
                 kind="write", packet=None,
                 completion=self.command.completion,
@@ -1137,7 +1139,6 @@ def try_fold(nic, qp, segments, first_psn, fetch, gate, command=None,
     run-mode and sender gates, path resolve (peer QP included), the
     verb's own gate, the schedule, the retransmission-deadline check and
     the commit."""
-    from ..nic.dma import FetchPlan
     if (not active().fold or _unfolded_now(nic.env)
             or len(segments) < FOLD_MIN_PACKETS
             or not isinstance(fetch, FetchPlan)

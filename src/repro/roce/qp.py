@@ -83,12 +83,23 @@ class ResponderState:
                               write_cursor=self.write_cursor)
 
 
-@dataclass
-class _Unacked:
-    """One requester packet awaiting acknowledgement (retransmit buffer)."""
+@dataclass(slots=True)
+class UnackedEntry:
+    """Retransmit-buffer entry: one sent, not-yet-acknowledged packet.
 
-    packet: RocePacket
-    message_id: int
+    The burst fast path appends a single *spanning* entry
+    (``packet=None``, ``burst`` set) covering a whole folded message;
+    any path that needs real packets (retransmission, unfold) calls
+    ``burst.ensure_entries()`` first, which expands the span in place.
+    """
+
+    first_psn: int
+    last_psn: int
+    kind: str                # 'write' | 'rpc' | 'rpc_write' | 'read'
+    packet: Optional[RocePacket]
+    completion: Optional[object] = None
+    is_message_tail: bool = False
+    burst: Optional[object] = None
 
 
 @dataclass
@@ -98,7 +109,7 @@ class RequesterState:
     next_psn: int = 0
     oldest_unacked_psn: int = 0
     #: Retransmit buffer of sent-but-unacked packets, PSN order.
-    unacked: List[_Unacked] = field(default_factory=list)
+    unacked: List[UnackedEntry] = field(default_factory=list)
     #: Monotonic id generator for requester messages.
     next_message_id: int = 0
 

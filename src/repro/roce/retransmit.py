@@ -43,7 +43,7 @@ import random
 from typing import Callable, Dict, Optional
 
 from ..algos.hashing import fnv1a64
-from ..obs.runtime import registry_for
+from ..obs.runtime import observers_for, registry_for
 from ..sim import Simulator, terminated
 
 
@@ -108,11 +108,7 @@ class RetransmissionTimer:
         #: fast path gates folds on the deadline landing after the
         #: analytically scheduled completion).
         self._deadline: Dict[int, int] = {}
-        # Imported here, not at module scope: repro.check reaches back
-        # into repro.roce for PSN arithmetic, and this module is pulled
-        # in by the roce package __init__.
-        from ..check import checker_for
-        self.check = checker_for(env)
+        self.obs = observers_for(env)
         metrics = registry_for(env)
         self.expirations = metrics.counter(f"{name}.expirations")
         #: Episodes where expirations happened but progress resumed.
@@ -144,8 +140,8 @@ class RetransmissionTimer:
     # ------------------------------------------------------------------
     def arm(self, qpn: int) -> None:
         """(Re)start the timer for ``qpn``."""
-        if self.check is not None:
-            self.check.on_timer_arm(self, qpn)
+        if self.obs is not None:
+            self.obs.on_timer_arm(self, qpn)
         self._cancel(qpn)
         version = self._versions.get(qpn, 0) + 1
         self._versions[qpn] = version

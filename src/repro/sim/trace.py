@@ -1,10 +1,11 @@
 """Event tracing: a lightweight flight recorder for simulations.
 
-Attach an :class:`EventTrace` to a NIC (``nic.trace = EventTrace(env)``)
-and every packet transmission, reception, ack/nak, and retransmission is
-recorded with its timestamp.  Used by the debugging workflow and by
-tests that assert on protocol-level behaviour (e.g. "exactly one NAK was
-sent", "no retransmissions happened on a clean link").
+Inside a :func:`repro.obs.observe` session every simulator gets one
+:class:`EventTrace` (its observer slot's), and every packet
+transmission, reception, ack/nak, and retransmission is recorded with
+its timestamp.  Used by the debugging workflow and by tests that assert
+on protocol-level behaviour (e.g. "exactly one NAK was sent", "no
+retransmissions happened on a clean link").
 
 Two record shapes:
 
@@ -117,6 +118,16 @@ class EventTrace:
         span.end_ps = self.env.now
         if details:
             span.details.update(details)
+
+    def end_span_at(self, span: Optional[SpanRecord], delay: int,
+                    **details: object) -> None:
+        """Close ``span`` ``delay`` ps from now, from a callback entry of
+        the trace's own."""
+        self.env.call_at(delay, self._end_later, (span, details))
+
+    def _end_later(self, span_details) -> None:
+        span, details = span_details
+        self.end_span(span, **details)
 
     def completed_spans(self, source: Optional[str] = None,
                         name: Optional[str] = None) -> List[SpanRecord]:

@@ -43,12 +43,6 @@ def _bare_switch(env, num_hosts, config=SWITCH_DEFAULT):
         host.nic.attach(cable, "a")
         switch.attach(cable, "b")
         hosts.append(host)
-    # ARP resolution (IP -> MAC) still happens host-side; only the
-    # *switch* is left unlearned.
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.nic.arp.announce_to(b.nic.arp)
     return switch, hosts
 
 

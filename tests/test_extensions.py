@@ -17,14 +17,13 @@ from repro.kernels import (
     HllParams,
     pack_ht_entry,
 )
-from repro.net.arp import ArpCache, mac_for_ip
 from repro.nic.controller import (
     REG_PACKETS_SENT,
     REG_QP_COUNT,
     REG_RPC_MATCHES,
     UnknownRegisterError,
 )
-from repro.sim import MS, NS, Simulator
+from repro.sim import MS, Simulator
 
 
 def run_proc(env, gen, limit=1000 * MS):
@@ -189,66 +188,6 @@ def test_controller_rpc_match_counter():
 
     run_proc(env, proc())
     assert fabric.server.nic.controller.read_register(REG_RPC_MATCHES) == 1
-
-
-# ---------------------------------------------------------------------------
-# ARP (Section 4.1)
-# ---------------------------------------------------------------------------
-
-def test_arp_gratuitous_announcement():
-    env = Simulator()
-    a = ArpCache(env, local_ip=0x0A000001)
-    b = ArpCache(env, local_ip=0x0A000002)
-    a.announce_to(b)
-    assert b.lookup(0x0A000001) == mac_for_ip(0x0A000001)
-    assert a.lookup(0x0A000002) is None
-
-
-def test_arp_resolution_on_miss_costs_time():
-    env = Simulator()
-    cache = ArpCache(env, local_ip=1)
-
-    def proc():
-        start = env.now
-        mac = yield from cache.resolve(2)
-        return mac, env.now - start
-
-    mac, elapsed = run_proc(env, proc())
-    assert mac == mac_for_ip(2)
-    assert elapsed == ArpCache.RESOLUTION_COST
-    assert cache.requests_sent == 1
-    # Second resolution hits the cache: free.
-    mac2, elapsed2 = run_proc(env, proc())
-    assert mac2 == mac and cache.requests_sent == 1
-
-
-def test_arp_entries_expire():
-    env = Simulator()
-    cache = ArpCache(env, local_ip=1, ttl=10 * NS)
-    cache.learn(2, mac_for_ip(2))
-    assert cache.lookup(2) is not None
-
-    def advance():
-        yield env.timeout(20 * NS)
-
-    run_proc(env, advance())
-    assert cache.lookup(2) is None
-
-
-def test_arp_validation():
-    env = Simulator()
-    with pytest.raises(ValueError):
-        ArpCache(env, local_ip=1, ttl=0)
-    cache = ArpCache(env, local_ip=1)
-    with pytest.raises(ValueError):
-        cache.learn(2, b"xx")
-
-
-def test_fabric_nics_preresolved():
-    env = Simulator()
-    fabric = build_fabric(env)
-    assert fabric.client.nic.arp.lookup(fabric.server.nic.ip) is not None
-    assert fabric.server.nic.arp.lookup(fabric.client.nic.ip) is not None
 
 
 # ---------------------------------------------------------------------------

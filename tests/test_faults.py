@@ -264,8 +264,8 @@ def test_timer_not_rearmed_after_error_mid_burst():
     end of the burst.  Before the fix, the unconditional ``arm()`` at
     the tail of ``_retransmit_entries`` resurrected the dead QP's timer,
     which then expired forever against an empty retransmit buffer."""
-    from repro.nic.nic import _UnackedEntry
     from repro.roce import make_ack
+    from repro.roce.qp import UnackedEntry
 
     env = Simulator()
     fabric = build_fabric(env)
@@ -278,7 +278,7 @@ def test_timer_not_rearmed_after_error_mid_burst():
     for psn in range(4):
         packet = make_ack(src_ip=nic.ip, dst_ip=qp.dest_ip,
                           dest_qp=99, psn=psn, msn=psn)
-        qp.requester.unacked.append(_UnackedEntry(
+        qp.requester.unacked.append(UnackedEntry(
             first_psn=psn, last_psn=psn, kind="write", packet=packet))
     burst = env.process(nic._retransmit_from(qp, 0))
 

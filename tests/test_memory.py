@@ -141,10 +141,11 @@ def test_read_view_outlives_its_memory():
 
 def _loop_write(mem, address, data):
     """The page-chunking loop every store took before the single-page
-    fast path: the reference for its bytes and its pages."""
-    mem._check_range(address, len(data))
+    fast path: the reference for its bytes and its pages (cut in
+    bytes, whatever the view's item size)."""
+    view = memoryview(data).cast("B")
+    mem._check_range(address, view.nbytes)
     cursor = address
-    view = memoryview(data)
     while view.nbytes:
         page_index, offset = divmod(cursor, mem.page_bytes)
         chunk = min(view.nbytes, mem.page_bytes - offset)
@@ -201,13 +202,19 @@ def test_empty_write_touches_no_page():
 
 
 def test_non_byte_memoryview_write_matches_chunking_loop():
-    """A view whose items are wider than a byte keeps the loop: the
-    range check counts items, the store writes every byte."""
-    words = memoryview(array.array("I", range(64)))
-    assert words.itemsize == 4
-    fast, loop = _write_both(PAGE + 32, words)
-    _same_image(fast, loop, PAGE + 32, words.nbytes)
-    assert fast.read(PAGE + 32, words.nbytes) == words.tobytes()
+    """A view whose items are wider than a byte is measured and cut in
+    bytes: inside one page, and 8 KiB straddling a page boundary (a cut
+    in items would assign the wrong size to the first page)."""
+    for address, items in ((PAGE + 32, 64), (PAGE - 8, 2048),
+                           (PAGE - 4104, 2048)):
+        words = memoryview(array.array("I", range(items)))
+        assert words.itemsize == 4
+        fast, loop = _write_both(address, words)
+        _same_image(fast, loop, address, words.nbytes)
+        assert fast.read(address, words.nbytes) == words.tobytes()
+    with pytest.raises(IndexError):
+        PhysicalMemory(size_bytes=PAGE).write(
+            PAGE - 8, memoryview(array.array("I", range(4))))
 
 
 @pytest.mark.parametrize("address", [PAGE + 100, PAGE - 2])

@@ -9,6 +9,7 @@ from repro.obs import (
     Gauge,
     MetricsError,
     MetricsRegistry,
+    observers_for,
     registry_for,
 )
 from repro.sim import Simulator
@@ -167,7 +168,8 @@ def test_registry_for_is_per_simulator():
     assert registry_for(env1) is reg1
     assert registry_for(env2) is not reg1
     # sampling is off outside an observe() session
-    assert reg1.sampling_enabled is False
+    slot = observers_for(env1)
+    assert slot is None or not slot.sampling_enabled
 
 
 # ---------------------------------------------------------------------------

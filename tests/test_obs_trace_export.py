@@ -165,7 +165,7 @@ def test_counter_tracks_from_sampled_gauges():
     from repro.obs import MetricsRegistry
     env = Simulator()
     trace = EventTrace(env)
-    registry = MetricsRegistry(sampling_enabled=True)
+    registry = MetricsRegistry()
     registry.gauge("sw0.p0.queue_depth").sample(0, 1)
     registry.gauge("sw0.p0.queue_depth").sample(1_000_000, 3)
     events = chrome_trace_events(trace, registry=registry)
@@ -241,8 +241,8 @@ def test_observed_runs_are_deterministic(tmp_path):
 
 
 def test_unobserved_runs_attach_no_trace():
-    """Outside observe(), components see trace_for(env) is None and the
-    registry has sampling disabled — the disabled-mode invariant the
-    overhead guard in benchmarks/bench_engine.py depends on."""
+    """Outside observe() (and without monitors), components see no
+    observer slot — the disabled-mode invariant the overhead guard in
+    benchmarks/bench_engine.py depends on."""
     report = _tiny_cluster_point()
     assert report.completed > 0

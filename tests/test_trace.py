@@ -4,6 +4,7 @@ import pytest
 
 from repro.host import build_fabric
 from repro.net import LinkFaults
+from repro.obs import observe
 from repro.sim import MS, EventTrace, Simulator
 
 
@@ -48,12 +49,11 @@ def test_trace_validation():
 def test_nic_trace_clean_write():
     """A clean single-packet write: one tx, one ack back, no NAKs or
     retransmissions anywhere."""
-    env = Simulator()
-    fabric = build_fabric(env)
-    client_trace = EventTrace(env)
-    server_trace = EventTrace(env)
-    fabric.client.nic.trace = client_trace
-    fabric.server.nic.trace = server_trace
+    with observe() as session:
+        env = Simulator()
+        fabric = build_fabric(env)
+    (trace,) = session.traces
+    client, server = fabric.client.nic.name, fabric.server.nic.name
     src = fabric.client.alloc(4096, "src")
     dst = fabric.server.alloc(4096, "dst")
     fabric.client.space.write(src.vaddr, b"x" * 256)
@@ -63,22 +63,22 @@ def test_nic_trace_clean_write():
                                             dst.vaddr, 256)
 
     env.run_until_complete(env.process(proc()), limit=10 * MS)
-    assert client_trace.count(event="tx") == 1
-    assert client_trace.count(event="rx") == 1  # the ACK
-    assert client_trace.count(event="retransmit") == 0
-    assert server_trace.count(event="ack") == 1
-    assert server_trace.count(event="nak") == 0
-    tx = client_trace.filter(event="tx")[0]
+    assert trace.count(source=client, event="tx") == 1
+    assert trace.count(source=client, event="rx") == 1  # the ACK
+    assert trace.count(source=client, event="retransmit") == 0
+    assert trace.count(source=server, event="ack") == 1
+    assert trace.count(source=server, event="nak") == 0
+    tx = trace.filter(source=client, event="tx")[0]
     assert tx.details["opcode"] == "WRITE_ONLY"
     assert tx.details["payload"] == 256
 
 
 def test_nic_trace_records_retransmissions_under_loss():
-    env = Simulator()
-    fabric = build_fabric(env, faults=LinkFaults(drop_probability=0.25,
-                                                 seed=5))
-    trace = EventTrace(env)
-    fabric.client.nic.trace = trace
+    with observe() as session:
+        env = Simulator()
+        fabric = build_fabric(env, faults=LinkFaults(drop_probability=0.25,
+                                                     seed=5))
+    (trace,) = session.traces
     src = fabric.client.alloc(8192, "src")
     dst = fabric.server.alloc(8192, "dst")
     fabric.client.space.write(src.vaddr, b"y" * 8192)
@@ -89,6 +89,7 @@ def test_nic_trace_records_retransmissions_under_loss():
                 fabric.client_qpn, src.vaddr, dst.vaddr, 8192)
 
     env.run_until_complete(env.process(proc()), limit=200 * MS)
-    assert trace.count(event="retransmit") >= 1
-    assert trace.count(event="retransmit") == int(
+    client = fabric.client.nic.name
+    assert trace.count(source=client, event="retransmit") >= 1
+    assert trace.count(source=client, event="retransmit") == int(
         fabric.client.nic.retransmitted)
