@@ -183,11 +183,11 @@ class PhysicalMemory:
         """Scatter-gather write: lay ``segments`` down contiguously at
         ``address``, each slice-assigned directly into the pages (the
         DMA write-back path of the zero-copy plane).  Returns the total
-        byte count."""
+        byte count (a segment of wider items counts its bytes)."""
         cursor = address
         total = 0
         for segment in segments:
-            n = len(segment)
+            n = memoryview(segment).nbytes
             if n == 0:
                 continue
             self.write(cursor, segment)

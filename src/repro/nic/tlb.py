@@ -183,36 +183,47 @@ class ChunkRun(Sequence):
     inside one page) costs one table probe and nothing else."""
 
     __slots__ = ("lengths", "total", "pieces", "straddles", "_n", "_page",
-                 "_lead", "_bases", "_starts", "_split_at")
+                 "_lead", "_bases", "_starts", "_split_at", "_span")
 
     def __init__(self, tlb: Tlb, vaddr: int, lengths) -> None:
         page = self._page = tlb.page_bytes
         self.lengths = lengths
-        self._n = len(lengths)
+        n = self._n = len(lengths)
         #: Offset of ``vaddr`` in its page: chunk ``i`` starts in the
         #: ``(lead + offset(i)) // page``-th page of the run.
-        self._lead = vaddr % page
+        lead = self._lead = vaddr % page
         if isinstance(lengths, Segments):
             total = lengths.total
             if total <= 0:
                 raise ValueError("DMA length must be positive")
-            offset, length = lengths.offset, lengths.length
-            locate = lengths.index_at
-            starts = [0, total] if self._n == 1 else None
+            starts = [0, total] if n == 1 else None
         else:
             if lengths and min(lengths) <= 0:
                 raise ValueError("DMA length must be positive")
             starts = list(accumulate(lengths, initial=0))
             total = starts[-1]
-            offset, length = starts.__getitem__, lengths.__getitem__
-
-            def locate(boundary):
-                return bisect_right(starts, boundary) - 1
         #: Chunk start offsets from ``vaddr``, plus the run's end; for a
         #: multi-chunk ``Segments`` run, listed at the first ``run[i]``.
         self._starts = starts
         self.total = total
+        self._span = None
         first = vaddr // page
+        if total and lead + total <= page:
+            # Inside one page: no boundary, no straddling chunk.
+            self._bases = [tlb._base(first)]
+            self._split_at = []
+            self.straddles = {}
+            self.pieces = n
+            return
+        if isinstance(lengths, Segments):
+            offset, length = lengths.offset, lengths.length
+            locate = lengths.index_at
+        else:
+            offset = starts.__getitem__
+            length = lengths.__getitem__
+
+            def locate(boundary):
+                return bisect_right(starts, boundary) - 1
         last = (vaddr + total - 1) // page
         #: Physical base of each page the run touches, from the first.
         self._bases = [tlb._base(vpn) for vpn in range(first, last + 1)] \
@@ -246,8 +257,13 @@ class ChunkRun(Sequence):
 
     def span(self) -> List[Tuple[int, int]]:
         """The whole run's pieces as if it were one chunk (one per page
-        touched)."""
-        return self._split(0, self.total)
+        touched; built once, shared by every caller)."""
+        span = self._span
+        if span is None:
+            bases = self._bases
+            span = self._span = [(bases[0] + self._lead, self.total)] \
+                if len(bases) == 1 else self._split(0, self.total)
+        return span
 
     def __len__(self) -> int:
         return self._n

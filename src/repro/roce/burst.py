@@ -31,28 +31,32 @@ flight holds one message-level :class:`~repro.core.payload.PayloadRef`;
 TLB splits come from :meth:`~repro.nic.tlb.Tlb.chunk_run` (one probe per
 page, piece lists only for page-straddling chunks); and every column is
 a numpy prefix-max scan over per-size constants
-(:func:`~repro.sim.resources.fifo_ends`): int64 columns, listed only at
-an unfold — the commit reads their last entries, and one bound from
-scalars refuses a schedule that could reach :data:`COLUMN_LIMIT_PS`
-before any is built.  The destination TLB is charged lazily for the
-write-back translations (:attr:`~repro.nic.tlb.Tlb.pending_charge`): by
-E2 all of them, at an unfold only the arrived prefix (the replay
-translates the rest itself).
+(:func:`~repro.sim.resources.fifo_ends`), held relative to ``t0`` in a
+:class:`_Schedule` with each column's last entry and the totals.  The
+commit, the deadline check and E1–E3 read only those scalars; a column
+becomes the flight's (:meth:`BurstFlight._columns`) only for what reads
+a per-packet entry — an unfold or a flush (which lists it), a TLB settle
+before E2, the validation walk — and one bound from scalars refuses a
+schedule that could reach :data:`COLUMN_LIMIT_PS` before any is built.
+The destination TLB is charged lazily for the write-back translations
+(:attr:`~repro.nic.tlb.Tlb.pending_charge`): by E2 all of them, at an
+unfold only the arrived prefix (the replay translates the rest itself).
 
-A message repeated on an idle path costs no column work at all: each
-stage is a FIFO server (below) whose floor, when it does not bind,
-drops out of the recurrence, so equal inputs relative to ``t0`` give
-equal columns relative to ``t0``.  The simulator keeps each path's last
-schedule computed with no floor binding
-(:attr:`Simulator.fold_schedules`, one per path); a flight reuses it,
-shifted to its own ``t0``, when its key matches (flight class and kind,
-the segments' shape, destination ``base_addr`` and TLB epoch, the
+A message repeated on an idle path costs O(1) Python work apart from
+its payload commit: each stage is a FIFO server (below) whose floor,
+when it does not bind, drops out of the recurrence, so equal inputs
+relative to ``t0`` give equal columns relative to ``t0``.  The
+simulator keeps each path's last schedule computed with no floor
+binding (:attr:`Simulator.fold_schedules`, one per path); a flight
+takes it, with its own ``t0``, when its key matches (flight class and
+kind, the segments' shape, destination ``base_addr`` and TLB epoch, the
 fetch's start after ``t0``, per-size occupancies and straddle patches,
 the TX latency and the cables' arrival delays) and no live floor binds
 at the new ``t0`` (the wire and write-back lanes' cursors, and on a
 switch leg the ports' ingress and egress floors and the second lane's
-cursor).  A reuse still checks the scalar bound and reads the lanes'
-pre-reservation cursors; the shared arrays are read-only.
+cursor).  A reuse still checks the scalar bound and records the lanes'
+pre-reservation cursors; it computes no column and shifts none unless
+something reads one, and the shared arrays are read-only.
 
 The analytic schedule (integer picoseconds) is composed from the hops'
 own timing, the definitions the per-packet path runs.  Each stage is a
@@ -172,8 +176,8 @@ def _started(generator):
     return body()
 
 
-def _other(side: str) -> str:
-    return "b" if side == "a" else "a"
+#: A cable's far side.
+_OTHER = {"a": "b", "b": "a"}
 
 
 # ----------------------------------------------------------------------
@@ -192,15 +196,6 @@ def _quiet(nic) -> bool:
             and nic.memory.store_guard is None)
 
 
-def _sender_clean(nic, qp) -> bool:
-    return _quiet(nic) and not qp.in_error
-
-
-def _receiver_clean(recv) -> bool:
-    return (_quiet(recv) and recv.dma.burst_guard is None
-            and not recv.dma._watches)
-
-
 def _resolve_path(nic, qp):
     """The clean path from ``nic`` to ``qp``'s peer QP: ``(cable, side,
     recv, rqp, leg)`` where ``leg`` is None for a direct cable, or the
@@ -211,7 +206,7 @@ def _resolve_path(nic, qp):
     cable, side = nic._cable, nic._cable_side
     if cable is None or not cable.fault_free():
         return None
-    recv = port_in = cable.endpoint(_other(side))
+    recv = port_in = cable.endpoint(_OTHER[side])
     leg = None
     if port_in is not None and not isinstance(port_in, StromNic):
         port_out = port_in.switch.clean_route(port_in, nic.ip, qp.dest_ip,
@@ -219,11 +214,15 @@ def _resolve_path(nic, qp):
         if port_out is None or not port_out.cable.fault_free():
             return None
         leg = port_in, port_out
-        recv = port_out.cable.endpoint(_other(port_out.side))
-    if (not isinstance(recv, StromNic) or recv is nic
-            or not _receiver_clean(recv) or qp.dest_qpn not in recv.qps):
+        recv = port_out.cable.endpoint(_OTHER[port_out.side])
+    # The receiver: quiet, its DMA engine unguarded and unwatched.
+    if (not isinstance(recv, StromNic) or recv is nic or not _quiet(recv)
+            or recv.dma.burst_guard is not None or recv.dma._watches):
         return None
-    rqp = recv.qps.get(qp.dest_qpn)
+    try:
+        rqp = recv.qps.get(qp.dest_qpn)
+    except KeyError:
+        return None
     if (rqp.in_error or rqp.dest_qpn != qp.qpn
             or rqp.dest_ip != nic.ip or qp.dest_ip != recv.ip):
         return None
@@ -244,14 +243,15 @@ class BurstFlight:
         "wend", "serialize", "serialize_total", "lane", "wlane",
         "pre_free1", "pre_wfree", "fetch", "tx_latency",
         "base_addr", "command", "msn0", "ctx", "state", "e1_done",
-        "_packets", "c_unfolds", "path",
+        "_packets", "c_unfolds", "path", "sched", "expanded",
     )
 
     #: The int64 schedule columns, listed once by an unfold or a flush.
     _COLUMNS = ("F", "C", "E1c", "A1", "A", "wend", "wire", "serialize",
                 "dur")
-    #: What :meth:`compute_schedule` sets, by how a reuse takes it from
-    #: the path's memo: as it is, or (the time columns) plus ``t0``.
+    #: What :meth:`compute_schedule` sets, by how a flight that took a
+    #: :class:`_Schedule` gets it back when something reads it
+    #: (:meth:`_columns`): as it is, or (the time columns) plus ``t0``.
     _SHARED = ("l3", "wire", "total_wire", "serialize", "serialize_total",
                "tx_latency", "pieces", "dur", "dur_total")
     _TIMED = ("F", "C", "E1c", "A1", "A", "wend")
@@ -266,7 +266,7 @@ class BurstFlight:
         self.dst_qp = dst_qp             # QP at dst (peer state)
         self.cable = cable
         self.side = side
-        self.dest = _other(side)
+        self.dest = _OTHER[side]
         #: The hops whose slow-path activity unfolds this flight.
         self.path = (src, dst, cable)
         self.segments = segments
@@ -287,7 +287,9 @@ class BurstFlight:
         self.lane, self.wlane = cable.lane(side), dst.dma.write_link
         self.state = _FOLDED
         self.e1_done = False
-        self._packets: List[Optional[tuple]] = [None] * self.n
+        #: Each packet and retransmit entry, once built (a list only
+        #: after the first is).
+        self._packets: Optional[List[Optional[tuple]]] = None
         self.c_unfolds = None
         # One view of the whole source buffer (zero copy end to end);
         # packet i's payload is its slice, built only when needed.
@@ -296,12 +298,12 @@ class BurstFlight:
         self.total = segments.total
 
     # ------------------------------------------------------------------
-    # Schedule computation (pure: no side effects; raises to refuse)
+    # The schedule (the flight's own state only; raises to refuse)
     # ------------------------------------------------------------------
     def schedule(self) -> bool:
-        """Every column: the path's memoized schedule shifted to ``t0``
-        when this flight's inputs match it and no floor binds (True), or
-        else :meth:`compute_schedule`, memoized when no floor bound.
+        """Take a schedule (:attr:`sched`): the path's memo when this
+        flight's inputs match it and no floor binds at ``t0`` (True), or
+        else :meth:`compute_schedule`'s, memoized when no floor bound.
 
         Every stage is a max-plus recurrence over ``t0``, the fetch's
         ready times and the hops' per-size constants; a floor that does
@@ -309,17 +311,39 @@ class BurstFlight:
         the same columns relative to ``t0``."""
         memos = self.env.fold_schedules
         memo = memos.get(self.path)
-        key = self._key()
-        if memo is not None and memo.key == key \
-                and self._unfloored(memo.firsts, self.t0):
-            self._check_bound(*memo.bound)
-            memo.apply(self)
+        floors = self._floors()
+        if memo is not None and memo.key == self._key() \
+                and memo.fits(floors, self.t0):
+            self._check_bound(*memo.bound, floors)
+            self.sched, self.expanded = memo, False
             return True
-        bound = self.compute_schedule()
-        firsts = self._firsts()
-        if self._unfloored(firsts):
-            memos[self.path] = _Schedule(self, key, bound, firsts)
+        memo = self.compute_schedule()
+        if memo.fits(floors, self.t0):
+            memos[self.path] = memo
         return False
+
+    def _columns(self) -> None:
+        """Set the attributes :meth:`compute_schedule` sets, on a flight
+        that took a memo: its values, the time columns shifted to
+        ``t0``.  Only what reads per-packet entries calls this (an
+        unfold, a flush, a TLB settle before E2, the oracles); the
+        commit and E1–E3 read :attr:`sched`'s scalars."""
+        if not self.expanded:
+            self.expanded = True
+            sched = self.sched
+            for name, value in sched.shared.items():
+                setattr(self, name, value)
+            for name, column in zip(self._TIMED, sched.timed + self.t0):
+                setattr(self, name, column)
+
+    def _end(self, name: str) -> int:
+        """The last entry of time column ``name``."""
+        return self.t0 + self.sched.last[name]
+
+    def _value(self, name: str):
+        """The schedule's time-independent value ``name`` (a total, the
+        write-back pieces)."""
+        return self.sched.shared[name]
 
     def _key(self) -> tuple:
         """Everything the columns less ``t0`` are a function of, beyond
@@ -334,28 +358,26 @@ class BurstFlight:
 
     def _floors(self) -> Tuple[int, ...]:
         """The live floors a schedule starts from, beyond ``t0``: the
-        wire lane's and the write-back lane's cursors."""
-        return self.lane.free_at, self.wlane.free_at
+        wire lane's and the write-back lane's cursors, recorded (an
+        unfold rewinds the lanes to them)."""
+        self.pre_free1 = self.lane.free_at
+        self.pre_wfree = self.wlane.free_at
+        return self.pre_free1, self.pre_wfree
 
     def _firsts(self) -> Tuple[int, ...]:
         """The first start of each stage :meth:`_floors` floors."""
         return (int(self.C[0]) + self.tx_latency,
                 int(self.A[0]) + self.dst.config.pcie_write_latency)
 
-    def _unfloored(self, firsts, shift: int = 0) -> bool:
-        """No live floor binds: none exceeds its stage's first start
-        (``firsts``, plus ``shift``)."""
-        return all(floor <= shift + first
-                   for floor, first in zip(self._floors(), firsts))
-
-    def compute_schedule(self) -> Tuple[int, int]:
+    def compute_schedule(self) -> "_Schedule":
         """Every column, from the hops' per-frame constants evaluated
-        once per distinct frame size.  No entry can exceed the latest
-        floor or fetch-ready time plus every stage's summed durations and
-        fixed latencies: that bound, from scalars, refuses a schedule
-        that could reach :data:`COLUMN_LIMIT_PS` before any column is
-        built.  Returns the bound's operands: the last fetch-ready time
-        after ``t0`` and the summed spans."""
+        once per distinct frame size, and the flight's :attr:`sched`
+        from them (returned).  No entry can exceed the latest floor or
+        fetch-ready time plus every stage's summed durations and fixed
+        latencies: that bound, from scalars (its operands: the last
+        fetch-ready time after ``t0`` and the summed spans), refuses a
+        schedule that could reach :data:`COLUMN_LIMIT_PS` before any
+        column is built."""
         src, cable, dst = self.src, self.cable, self.dst
         self.l3 = l3 = l3_sizes(self.segments,
                                 response=self.kind == "read")
@@ -377,7 +399,7 @@ class BurstFlight:
         bound = (int(fetch_ready[-1]) - self.t0,
                  charge_total + tx + self.serialize_total + arrival
                  + self._path_span(wire) + wlat + self.dur_total)
-        self._check_bound(*bound)
+        self._check_bound(*bound, self._floors())
 
         self.C = C = fifo_ends(fetch_ready, charge, self.t0)
         self.F = C - charge
@@ -386,41 +408,34 @@ class BurstFlight:
         self.A = A = self._path(self.A1)
         # Chained in arrival order.
         self.wend = self.wlane.ends(A + wlat, self.dur)
-        return bound
+        self.expanded = True
+        self.sched = _Schedule(self, bound)
+        return self.sched
 
-    def _check_bound(self, ready: int, span: int) -> None:
-        """Read the lanes' floors (what an unfold rewinds to) and refuse
-        a schedule whose bound reaches :data:`COLUMN_LIMIT_PS`."""
+    def _check_bound(self, ready: int, span: int, floors) -> None:
+        """Refuse a schedule whose bound (from ``floors``) reaches
+        :data:`COLUMN_LIMIT_PS`."""
         t0 = self.t0
-        if max(t0, t0 + ready, self._pre_free()) + span >= COLUMN_LIMIT_PS:
+        if max(t0, t0 + ready, *floors) + span >= COLUMN_LIMIT_PS:
             raise OverflowError("schedule exceeds the int64 column range")
-
-    def _pre_free(self) -> int:
-        """Record the lanes' cursors before the reservation; returns the
-        latest."""
-        self.pre_free1 = self.lane.free_at
-        self.pre_wfree = self.wlane.free_at
-        return max(self.pre_free1, self.pre_wfree)
 
     def check_reuse(self) -> None:
         """The memo's oracle (validation mode): recompute a reused
-        schedule and assert it equal to the reused one, column by
-        column; the flight keeps the reused columns."""
-        names = self._SHARED + self._TIMED
-        reused = [getattr(self, name) for name in names]
-        memo = self.env.fold_schedules[self.path]
-        bound = self.compute_schedule()
-        assert bound == memo.bound, (self.kind, "bound", bound, memo.bound)
-        for name, value in zip(names, reused):
-            fresh = getattr(self, name)
-            if isinstance(fresh, np.ndarray):
-                same = np.array_equal(fresh, value)
-            elif isinstance(fresh, (int, tuple)):
-                same = fresh == value
+        schedule and assert it equal to the reused one, value by value
+        and column by column; the flight keeps the reused one."""
+        memo = self.sched
+        fresh = self.compute_schedule()
+        names = ("bound",) + self._SHARED + self._TIMED
+        for name, value, reused in zip(names, fresh.values(),
+                                       memo.values()):
+            if isinstance(value, np.ndarray):
+                same = np.array_equal(value, reused)
+            elif isinstance(value, (int, tuple)):
+                same = value == reused
             else:   # the write-back pieces, chunk by chunk
-                same = list(fresh) == list(value)
+                same = list(value) == list(reused)
             assert same, (self.kind, "reused", name)
-            setattr(self, name, value)
+        self.sched, self.expanded = memo, False
 
     def _per_frame(self, values) -> Tuple[np.ndarray, int]:
         """A per-frame constant as an int64 column, from its first,
@@ -441,6 +456,7 @@ class BurstFlight:
 
     def _list_columns(self) -> None:
         """Lists for the per-packet work of an unfold or a flush."""
+        self._columns()
         for name in self._COLUMNS:
             setattr(self, name, getattr(self, name).tolist())
 
@@ -472,18 +488,17 @@ class BurstFlight:
         src, dst = self.src, self.dst
         self._reserve()
         env.fold = self
-        dst.dma.burst_guard = self._dma_guard
+        dst.dma.burst_guard = guard = self._dma_guard
         if self.kind == "read":
             # Served views are stable=False: a responder-local DMA write
             # racing the stream must unfold so commits keep per-packet
             # memory ordering.
-            src.dma.burst_guard = self._dma_guard
+            src.dma.burst_guard = guard
         # Raw host stores deref nothing until a commit reads the source
         # (or lands in the destination) — per-packet that happens at
         # each wend[i], so a mid-flight store to either memory must
         # first push the flight back to per-packet commit times.
-        src.memory.store_guard = self._dma_guard
-        dst.memory.store_guard = self._dma_guard
+        src.memory.store_guard = dst.memory.store_guard = guard
         dst.tlb.pending_charge = self._settle_tlb
 
         if self.kind == "write":
@@ -500,16 +515,17 @@ class BurstFlight:
         for counter in per_frame:
             counter.add(self.n)
 
-        now = env.now
-        env.call_at(int(self.C[-1]) - now, self._on_e1)
-        env.call_at(int(self.A[-1]) - now, self._on_e2)
-        env.call_at(int(self.wend[-1]) - now, self._on_e3)
+        delay, last = self.t0 - env.now, self.sched.last
+        env.call_at(delay + last["C"], self._on_e1)
+        env.call_at(delay + last["A"], self._on_e2)
+        env.call_at(delay + last["wend"], self._on_e3)
 
     def _reserve(self) -> None:
         """Eager lane reservations: interferers queue behind the whole
         burst (or unfold it first, which hands the suffix back)."""
-        self.lane.move_cursor(int(self.E1c[-1]), self.serialize_total)
-        self.wlane.move_cursor(int(self.wend[-1]), self.dur_total,
+        self.lane.move_cursor(self._end("E1c"),
+                              self._value("serialize_total"))
+        self.wlane.move_cursor(self._end("wend"), self._value("dur_total"),
                                self.total)
 
     @staticmethod
@@ -531,7 +547,10 @@ class BurstFlight:
     def _built(self, i: int) -> tuple:
         """Packet ``i`` and (WRITE) its retransmit entry, built once by
         the sending NIC's own code."""
-        built = self._packets[i]
+        packets = self._packets
+        if packets is None:
+            packets = self._packets = [None] * self.n
+        built = packets[i]
         if built is None:
             seg, psn = self.segments[i], psn_add(self.first_psn, i)
             if self.kind == "write":
@@ -540,7 +559,7 @@ class BurstFlight:
             else:
                 built = (self.src.response_packet(
                     self.src_qp, seg, psn, self.msn0, self._view(i)), None)
-            self._packets[i] = built
+            packets[i] = built
         return built
 
     def _packet(self, i: int):
@@ -553,7 +572,7 @@ class BurstFlight:
         if self.state is not _FOLDED or self.e1_done:
             return
         self.src.packets_sent.add(self.n)
-        self.cable.bytes_on_wire.add(self.total_wire)
+        self.cable.bytes_on_wire.add(self._value("total_wire"))
         if self.kind == "write":
             self.src.payload_bytes_sent.add(self.total)
         self._finish_tx()
@@ -569,7 +588,7 @@ class BurstFlight:
     def _on_e2(self, _arg) -> None:
         if self.state is not _FOLDED:
             return
-        self._deregister()
+        self._deregister(self.n)
         self._path_counters()
         self._arrived(self.n)
         self.state = _DELIVERED
@@ -604,7 +623,7 @@ class BurstFlight:
         # destination in between (a competing write, watch or store
         # flushes first): land the message in one commit per physical
         # run, still counted as one DMA write per packet.
-        self._commit(self.base_addr, self.pieces.span(), self.view,
+        self._commit(self.base_addr, self._value("pieces").span(), self.view,
                      self.total, self.n)
         self._landed()
 
@@ -645,12 +664,14 @@ class BurstFlight:
         elif self.state is _DELIVERED:
             self._flush_delivered()
 
-    def _settle_tlb(self) -> None:
+    def _settle_tlb(self, k: Optional[int] = None) -> None:
         """Charge the destination TLB for the write-back translations
-        the per-packet path has made by now — one ``split_command`` per
-        arrived packet (``bisect_right`` tie semantics, as at every
-        unfold boundary).  Runs only while the columns are arrays."""
-        k = int(self.A.searchsorted(self.env.now, "right"))
+        the per-packet path has made after ``k`` arrivals — one
+        ``split_command`` per packet; by default those arrived by now
+        (``bisect_right`` tie semantics, as at every unfold boundary)."""
+        if k is None:
+            self._columns()
+            k = bisect_right(self.A, self.env.now)
         j = self.tlb_charged
         if k <= j:
             return
@@ -658,12 +679,12 @@ class BurstFlight:
         start = self.segments.offset(j)
         self.dst.tlb.charge_run(
             self.base_addr + start, self.segments.end(k - 1) - start,
-            k - j, self.pieces.piece_count(j, k))
+            k - j, self._value("pieces").piece_count(j, k))
 
-    def _deregister(self) -> None:
+    def _deregister(self, arrived: int) -> None:
         # E2 (every packet arrived) or an unfold (the arrived prefix;
         # the replay translates the rest through write_posted).
-        self._settle_tlb()
+        self._settle_tlb(arrived)
         tlb = self.dst.tlb
         if getattr(tlb.pending_charge, "__self__", None) is self:
             tlb.pending_charge = None
@@ -718,12 +739,12 @@ class BurstFlight:
         self.state = _UNFOLDED
         env = self.env
         t = env._burst_unfold_at = env.now
-        self._deregister()
-        self._clear_guards()
         self._list_columns()
-        self.c_unfolds.add()
         n_tx = bisect_right(self.C, t)
         n_arr = bisect_right(self.A, t)   # arrived at the NIC
+        self._deregister(n_arr)
+        self._clear_guards()
+        self.c_unfolds.add()
         if self.kind == "write":
             self.ensure_entries(bisect_right(self.F, t))
         self._unfold_sender(t, n_tx)
@@ -828,6 +849,7 @@ class BurstFlight:
         listed once for the comparison.  Runs before the commit's
         reservations, so the lane copies start at the schedule's
         floors."""
+        self._columns()
         arrivals = self._shadow_tx()
         arrivals = self._shadow_path(arrivals)
         self._shadow_wlane(arrivals)
@@ -928,7 +950,7 @@ class SwitchBurstFlight(BurstFlight):
         self.switch = self.port_in.switch
         self.cable2 = self.port_out.cable
         self.side2 = self.port_out.side
-        self.dest2 = _other(self.side2)
+        self.dest2 = _OTHER[self.side2]
         self.lane2 = self.cable2.lane(self.side2)
         self.path += (self.switch, self.cable2)
 
@@ -939,8 +961,9 @@ class SwitchBurstFlight(BurstFlight):
         return super()._key() + (self.cable2.arrival_delay(self.dest2),)
 
     def _floors(self) -> Tuple[int, ...]:
+        self.pre_free2 = self.lane2.free_at
         return super()._floors() + self.switch.floors(
-            self.port_in, self.port_out) + (self.lane2.free_at,)
+            self.port_in, self.port_out) + (self.pre_free2,)
 
     def _firsts(self) -> Tuple[int, ...]:
         return super()._firsts() + (int(self.A1[0]), int(self.I[0]),
@@ -954,10 +977,6 @@ class SwitchBurstFlight(BurstFlight):
         fwd = self.switch.config.forwarding_latency
         return self.n * fwd + 2 * self.tt_total + self.arrival2
 
-    def _pre_free(self) -> int:
-        self.pre_free2 = self.lane2.free_at
-        return max(super()._pre_free(), self.pre_free2)
-
     def _path(self, arrivals: np.ndarray) -> np.ndarray:
         self.I, self.D, self.P, self.depths = self.switch.forward_columns(
             self.port_in, self.port_out, arrivals, self.tt)
@@ -970,12 +989,12 @@ class SwitchBurstFlight(BurstFlight):
     # ------------------------------------------------------------------
     def _reserve(self) -> None:
         super()._reserve()
-        self.lane2.move_cursor(int(self.E2c[-1]), self.tt_total)
+        self.lane2.move_cursor(self._end("E2c"), self._value("tt_total"))
 
     def on_cable_send(self, cable, side) -> None:
         if cable is not self.cable2 or side != self.side2:
             super().on_cable_send(cable, side)
-        elif self.env.now < int(self.D[-1]):
+        elif self.env.now < self._end("D"):
             # Belt-and-braces: an egress send on the second hop before
             # all our frames are out (the ingress guard normally unfolds
             # first, since any real frame must cross an ingress server).
@@ -986,9 +1005,9 @@ class SwitchBurstFlight(BurstFlight):
         self.port_in.frames_in.add(self.n)
         self.switch.frames_forwarded.add(self.n)
         self.port_out.frames_out.add(self.n)
-        self.cable2.bytes_on_wire.add(self.total_wire)
+        self.cable2.bytes_on_wire.add(self._value("total_wire"))
         self.cable2.frames_delivered.add(self.n)
-        self.port_out.note_depth(self.peak)
+        self.port_out.note_depth(self._value("peak"))
 
     # ------------------------------------------------------------------
     # Unfold
@@ -1060,32 +1079,40 @@ def _frozen(value):
 
 
 class _Schedule:
-    """A path's last schedule computed with no floor binding, relative
-    to its ``t0``: the flight's :meth:`BurstFlight._key`, the bound's
-    operands, each floored stage's first start, the time-independent
-    values and the time columns less ``t0``, stacked so that a reuse
-    shifts them in one addition (all arrays read-only)."""
+    """A flight's schedule relative to its ``t0``: the flight's
+    :meth:`BurstFlight._key`, the bound's operands, each floored stage's
+    first start, the time-independent values, the time columns less
+    ``t0`` stacked into one array (all arrays read-only) and each time
+    column's last entry.  A path's last schedule computed with no floor
+    binding is its memo; a flight commits from the last entries alone
+    and shifts the columns only if something reads them."""
 
-    __slots__ = ("key", "bound", "firsts", "shared", "timed")
+    __slots__ = ("key", "bound", "firsts", "shared", "timed", "last")
 
-    def __init__(self, flight: BurstFlight, key: tuple,
-                 bound: Tuple[int, int], firsts: Tuple[int, ...]) -> None:
+    def __init__(self, flight: BurstFlight, bound: Tuple[int, int]) -> None:
         t0 = flight.t0
-        self.key = key
+        self.key = flight._key()
         self.bound = bound
-        self.firsts = tuple(first - t0 for first in firsts)
-        self.shared = tuple(_frozen(getattr(flight, name))
-                            for name in flight._SHARED)
+        self.firsts = tuple(first - t0 for first in flight._firsts())
+        self.shared = {name: _frozen(getattr(flight, name))
+                       for name in flight._SHARED}
         timed = np.stack([getattr(flight, name) for name in flight._TIMED])
         timed -= t0
         self.timed = _frozen(timed)
+        self.last = dict(zip(flight._TIMED, timed[:, -1].tolist()))
 
-    def apply(self, flight: BurstFlight) -> None:
-        """Give ``flight`` this schedule, shifted to its ``t0``."""
-        for name, value in zip(flight._SHARED, self.shared):
-            setattr(flight, name, value)
-        for name, column in zip(flight._TIMED, self.timed + flight.t0):
-            setattr(flight, name, column)
+    def fits(self, floors: Tuple[int, ...], t0: int) -> bool:
+        """No live floor binds at ``t0``: none of ``floors`` exceeds its
+        stage's first start."""
+        for floor, first in zip(floors, self.firsts):
+            if floor > t0 + first:
+                return False
+        return True
+
+    def values(self) -> tuple:
+        """The bound, the shared values and the time columns, in
+        :meth:`BurstFlight.check_reuse`'s order."""
+        return (self.bound, *self.shared.values(), *self.timed)
 
 
 # ----------------------------------------------------------------------
@@ -1139,10 +1166,11 @@ def try_fold(nic, qp, segments, first_psn, fetch, gate, command=None,
     run-mode and sender gates, path resolve (peer QP included), the
     verb's own gate, the schedule, the retransmission-deadline check and
     the commit."""
-    if (not active().fold or _unfolded_now(nic.env)
+    mode = active()
+    if (not mode.fold or _unfolded_now(nic.env)
             or len(segments) < FOLD_MIN_PACKETS
             or not isinstance(fetch, FetchPlan)
-            or not _sender_clean(nic, qp)):
+            or qp.in_error or not _quiet(nic)):
         return False
     path = _resolve_path(nic, qp)
     if path is None:
@@ -1164,19 +1192,19 @@ def try_fold(nic, qp, segments, first_psn, fetch, gate, command=None,
         reused = flight.schedule()
     except Exception:
         return False  # e.g. unmapped destination page: per-packet path
-    if reused and active().validate:
+    if reused and mode.validate:
         flight.check_reuse()
     if command is not None:
         # The timer arms at C[-1] with the base timeout; it must not
         # expire while the schedule is still authoritative (before E2).
-        deadline = int(flight.C[-1]) + nic.timer.timeout
-        due = int(flight.A[-1])
+        deadline = flight._end("C") + nic.timer.timeout
+        due = flight._end("A")
     else:
         # The requester's retransmission timer (armed when the READ
         # request went out) must not fire while the response schedule
         # is in flight.
         deadline = recv.timer.deadline(rqp.qpn)
-        due = int(flight.wend[-1])
+        due = flight._end("wend")
     if deadline is None or deadline <= due:
         return False
     flight.commit()

@@ -12,7 +12,9 @@ Nor does a folded message build per-packet Python objects: its segments
 are closed form (no :class:`~repro.roce.packetizer.Segment` until
 something asks for packet ``i``), its TLB runs hold explicit piece
 lists only for chunks that cross a page, and a finished flight is freed
-without waiting for the cycle collector.
+without waiting for the cycle collector.  A flight that reuses its
+path's schedule computes none and builds no column: it commits from the
+schedule's last entries.
 """
 
 import gc
@@ -202,3 +204,63 @@ def test_finished_flight_is_freed_without_the_cycle_collector(topology,
         assert not any(isinstance(o, BurstFlight) for o in gc.get_objects())
     finally:
         gc.enable()
+
+
+def test_reused_flights_commit_without_columns(monkeypatch):
+    """Eight 256 KiB WRITE/READ pairs on an idle star path: after each
+    path's first flight computes its schedule, every flight reuses it
+    and commits from its last entries, neither computing a schedule nor
+    building a column — except under validation, where every reuse is
+    recomputed and compared and the shadow walk reads every flight's
+    columns."""
+    sim = Simulator()
+    cluster = build_star(sim, 2, nic_config=NIC_100G)
+    client, server = cluster.hosts
+    qpn, _ = cluster.connect(client, server)
+    local = client.alloc(2 * BIG, "local").vaddr
+    remote = server.alloc(2 * BIG, "remote").vaddr
+    payload = bytes(i % 251 for i in range(BIG))
+    client.space.write(local, payload)
+    server.space.write(remote + BIG, payload[::-1])
+    calls = {"schedule": [], "compute_schedule": 0, "_columns": 0,
+             "check_reuse": 0}
+    schedule = BurstFlight.schedule
+
+    def counted_schedule(self):
+        reused = schedule(self)
+        calls["schedule"].append(reused)
+        return reused
+    monkeypatch.setattr(BurstFlight, "schedule", counted_schedule)
+    for name in ("compute_schedule", "_columns", "check_reuse"):
+        original = getattr(BurstFlight, name)
+
+        def counted(self, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self)
+        monkeypatch.setattr(BurstFlight, name, counted)
+
+    pairs = 8
+
+    def driver():
+        for _ in range(pairs):
+            yield from client.write_sync(qpn, local, remote, BIG)
+            yield from client.read_sync(qpn, local + BIG, remote + BIG, BIG)
+    sim.run_until_complete(sim.process(driver()), limit=100 * MS)
+    sim.run()
+    monkeypatch.undo()
+
+    assert server.space.read(remote, BIG) == payload
+    assert client.space.read(local + BIG, BIG) == payload[::-1]
+    assert _flat_sum(sim, ".burst.folds") == 2 * pairs
+    assert _flat_sum(sim, ".burst.unfolds") == 0
+    # One computed schedule per path (WRITE out, READ responses back).
+    assert calls["schedule"] == [False, False] + [True] * (2 * pairs - 2)
+    reuses = 2 * pairs - 2
+    if active().validate:
+        assert calls["check_reuse"] == reuses
+        assert calls["compute_schedule"] == 2 + reuses
+        assert calls["_columns"] == 2 * pairs
+    else:
+        assert calls["check_reuse"] == 0
+        assert calls["compute_schedule"] == 2
+        assert calls["_columns"] == 0

@@ -9,7 +9,8 @@ that schedule shifted to its own ``t0`` (``repro.roce.burst``).  These
 tests pin when it does (repeated messages), when it must not (a binding
 floor, another shape, another destination or fetch, a TLB remap), that
 the shared columns are read-only, and that a reused flight that unfolds
-is still the per-packet run.
+(a WRITE or a READ) or is flushed after delivery — the first readers of
+its columns, built then — is still the per-packet run.
 """
 
 import numpy as np
@@ -27,6 +28,9 @@ pytestmark = pytest.mark.skipif(
     active().check, reason="monitors disable burst folding by design")
 
 BIG = 256 * 1024
+#: When a server->client WRITE posted this long after a READ catches its
+#: response stream in flight.
+READ_UNFOLD_US = [4, 8, 15]
 PAYLOAD = bytes(i % 251 for i in range(BIG))
 OTHER = bytes(i % 241 for i in range(BIG))
 
@@ -285,7 +289,7 @@ def test_memoized_arrays_are_read_only(topology):
     setup = _Setup(topology)
     setup.run([("write", setup.local, setup.remote, BIG)] * 2)
     (memo,) = setup.sim.fold_schedules.values()
-    arrays = [memo.timed] + [value for value in memo.shared
+    arrays = [memo.timed] + [value for value in memo.shared.values()
                              if isinstance(value, np.ndarray)]
     # wire, serialize and dur (plus tt and depths on a switch leg).
     assert len(arrays) == (4 if topology == "pair" else 6)
@@ -296,8 +300,78 @@ def test_memoized_arrays_are_read_only(topology):
 
 
 # ---------------------------------------------------------------------------
-# Unfolding a reused flight
+# Unfolding and flushing a reused flight
 # ---------------------------------------------------------------------------
+# A reused flight commits from its schedule's last entries; these are the
+# paths that read its per-packet columns, built then from the memo.
+
+def _interfered(monkeypatch, topology, verb, interfere, fold,
+                force_compute=False):
+    """Two 256 KiB ``verb`` transfers (WRITE client->server into
+    ``remote``, READ server->client into ``local``); ``interfere(setup,
+    rows)`` starts as a process with the second.  Returns the completion
+    rows, the destination's and the interferer's bytes, the simulator
+    and each flight's ``(path, reused)``."""
+    with monkeypatch.context() as patch, override(fold=fold):
+        taken = _count_schedules(patch)
+        if force_compute:
+            _always_compute(patch)
+        setup = _Setup(topology)
+        sim, client, server = setup.sim, setup.client, setup.server
+        qpn, local, remote, page = (setup.qpn, setup.local, setup.remote,
+                                    setup.page)
+        rows = []
+
+        def driver():
+            for i in range(2):
+                if i:
+                    sim.process(interfere(setup, rows))
+                if verb == "write":
+                    yield from client.write_sync(qpn, local, remote, BIG)
+                else:
+                    yield from client.read_sync(qpn, local, remote, BIG)
+                rows.append((verb, sim.now))
+        sim.run_until_complete(sim.process(driver()), limit=1000 * MS)
+        sim.run()
+        memory = (server.space.read(remote, BIG) if verb == "write"
+                  else client.space.read(local, BIG),
+                  client.space.read(local + page, 4096),
+                  server.space.read(remote + page, 4096))
+    return rows, memory, sim, taken
+
+
+def _assert_matches_per_packet(monkeypatch, topology, verb, interfere):
+    """The interfered run equals the per-packet run and, event for
+    event, a run that computes every schedule; returns the folded run's
+    simulator and schedules taken."""
+    rows_off, memory_off, _, _ = _interfered(monkeypatch, topology, verb,
+                                             interfere, False)
+    rows_on, memory_on, sim_on, taken = _interfered(
+        monkeypatch, topology, verb, interfere, True)
+    rows_fresh, memory_fresh, sim_fresh, _ = _interfered(
+        monkeypatch, topology, verb, interfere, True, force_compute=True)
+
+    assert [reused for _, reused in taken][:2] == [False, True]
+    assert rows_on == rows_off
+    assert memory_on == memory_off
+    # Same event stream as computing the schedule afresh.
+    assert (rows_on, memory_on) == (rows_fresh, memory_fresh)
+    assert (sim_on.events_created, sim_on.now) == \
+        (sim_fresh.events_created, sim_fresh.now)
+    return sim_on, taken
+
+
+def _reverse_write_after(offset_us):
+    """A server->client WRITE ``offset_us`` after the second transfer is
+    posted: its post unfolds the pending flight."""
+    def interfere(setup, rows):
+        yield setup.sim.timeout(offset_us * US)
+        yield from setup.server.write_sync(setup.qpn,
+                                           setup.remote + setup.page,
+                                           setup.local + setup.page, 4096)
+        rows.append(("interfered", setup.sim.now))
+    return interfere
+
 
 @pytest.mark.parametrize("topology", ["pair", "star"])
 @pytest.mark.parametrize("offset_us", [2, 8, 15])
@@ -305,45 +379,76 @@ def test_reused_flight_that_unfolds_matches_per_packet(monkeypatch,
                                                        topology, offset_us):
     """Two WRITEs; ``offset_us`` into the second, which reuses the
     first's schedule, a server->client WRITE unfolds it."""
-    def scenario(fold, force_compute=False):
-        with monkeypatch.context() as patch, override(fold=fold):
-            taken = _count_schedules(patch)
-            if force_compute:
-                _always_compute(patch)
-            setup = _Setup(topology)
-            sim, client, server = setup.sim, setup.client, setup.server
-            qpn, local, remote, page = (setup.qpn, setup.local,
-                                        setup.remote, setup.page)
-            rows = []
-
-            def interferer():
-                yield sim.timeout(offset_us * US)
-                yield from server.write_sync(qpn, remote + page,
-                                             local + page, 4096)
-                rows.append(("interfered", sim.now))
-
-            def driver():
-                for i in range(2):
-                    if i:
-                        sim.process(interferer())
-                    yield from client.write_sync(qpn, local, remote, BIG)
-                    rows.append(("write", sim.now))
-            sim.run_until_complete(sim.process(driver()), limit=1000 * MS)
-            sim.run()
-            memory = (server.space.read(remote, BIG),
-                      client.space.read(local + page, 4096))
-        return rows, memory, sim, taken
-
-    rows_off, memory_off, _, _ = scenario(False)
-    rows_on, memory_on, sim_on, taken = scenario(True)
-    rows_fresh, memory_fresh, sim_fresh, _ = scenario(True,
-                                                      force_compute=True)
-
-    assert [reused for _, reused in taken][:2] == [False, True]
+    sim_on, _ = _assert_matches_per_packet(
+        monkeypatch, topology, "write", _reverse_write_after(offset_us))
     assert _unfolds(sim_on) == 1
-    assert rows_on == rows_off
-    assert memory_on == memory_off
-    # Same event stream as computing the schedule afresh.
-    assert (rows_on, memory_on) == (rows_fresh, memory_fresh)
-    assert (sim_on.events_created, sim_on.now) == \
-        (sim_fresh.events_created, sim_fresh.now)
+
+
+@pytest.mark.parametrize("topology", ["pair", "star"])
+@pytest.mark.parametrize("offset_us", READ_UNFOLD_US)
+def test_reused_read_that_unfolds_matches_per_packet(monkeypatch, topology,
+                                                     offset_us):
+    """Two READs; ``offset_us`` into the second, whose response stream
+    reuses the first's schedule, a server->client WRITE from the
+    responder unfolds it."""
+    sim_on, _ = _assert_matches_per_packet(
+        monkeypatch, topology, "read", _reverse_write_after(offset_us))
+    assert _unfolds(sim_on) == 1
+
+
+def _last_arrival_and_landing(monkeypatch, topology, verb):
+    """E2's and E3's times of each flight in an undisturbed run."""
+    times = []
+    on_e3 = BurstFlight._on_e3
+
+    def timed_e3(self, arg):
+        times.append((self._end("A"), self.env.now))
+        on_e3(self, arg)
+    with monkeypatch.context() as patch:
+        patch.setattr(BurstFlight, "_on_e3", timed_e3)
+        _interfered(monkeypatch, topology, verb, _idle, True)
+    return times
+
+
+def _idle(setup, rows):
+    return
+    yield
+
+
+@pytest.mark.parametrize("topology", ["pair", "star"])
+@pytest.mark.parametrize("verb", ["write", "read"])
+def test_reused_flight_flushed_after_delivery_matches_per_packet(
+        monkeypatch, topology, verb):
+    """Between the second flight's last arrival (E2) and its last
+    write-back (E3) a DMA write on the destination's engine flushes the
+    delivered flight, which reused the first's schedule, into
+    per-packet commits."""
+    (_, _), (arrived, landed) = _last_arrival_and_landing(monkeypatch,
+                                                           topology, verb)
+    assert arrived < landed
+
+    def dma_write(setup, rows):
+        dest = setup.server if verb == "write" else setup.client
+        spare = (setup.remote if verb == "write" else setup.local) \
+            + setup.page
+        yield setup.sim.timeout((arrived + landed) // 2 - setup.sim.now)
+        dest.nic.dma.write_posted(
+            spare, b"\x77" * 4096,
+            on_done=lambda: rows.append(("interfered", setup.sim.now)))
+
+    flushed = []
+    flush = BurstFlight._flush_delivered
+
+    def recorded_flush(self):
+        # Whether the flight had its columns before the flush read them.
+        flushed.append(self.expanded)
+        flush(self)
+    monkeypatch.setattr(BurstFlight, "_flush_delivered", recorded_flush)
+    sim_on, _ = _assert_matches_per_packet(monkeypatch, topology, verb,
+                                           dma_write)
+    assert _unfolds(sim_on) == 0
+    assert _folds(sim_on) == 2
+    # The reusing run's flight built them for the flush (under
+    # validation, the commit's shadow walk had); the computing run's had
+    # them.
+    assert flushed == [active().validate, True]

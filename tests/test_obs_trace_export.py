@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from repro.cluster.topology import build_star
+from repro.experiments import cluster_scaling
 from repro.experiments.cluster_scaling import run_cluster_point
 from repro.obs import chrome_trace_events, export_chrome_trace, observe
+from repro.obs.runtime import observers_for
+from repro.runmode import override
 from repro.sim import MS, US, EventTrace, Simulator
 
 
@@ -240,9 +244,24 @@ def test_observed_runs_are_deterministic(tmp_path):
     assert outputs[0][1] == outputs[1][1]
 
 
-def test_unobserved_runs_attach_no_trace():
+def test_unobserved_runs_attach_no_trace(monkeypatch):
     """Outside observe() (and without monitors), components see no
     observer slot — the disabled-mode invariant the overhead guard in
     benchmarks/bench_engine.py depends on."""
-    report = _tiny_cluster_point()
-    assert report.completed > 0
+    built = []
+
+    def build_and_keep(*args, **kwargs):
+        built.append(build_star(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(cluster_scaling, "build_star", build_and_keep)
+    with override(check=False):
+        report = _tiny_cluster_point()
+        (cluster,) = built
+        assert report.completed > 0
+        assert observers_for(cluster.env) is None
+        components = ([host.nic for host in cluster.hosts]
+                      + [host.nic.dma for host in cluster.hosts]
+                      + cluster.switches
+                      + list(cluster.access_cables.values()))
+        assert components
+        assert all(component.obs is None for component in components)

@@ -15,6 +15,7 @@ The plane's correctness argument has three legs, each tested here:
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -139,6 +140,15 @@ class TestPhysicalMemoryViews:
         assert mem_a.write_views(base, parts) == len(joined)
         mem_b.write(base, joined)
         assert mem_a.read(base, len(joined)) == mem_b.read(base, len(joined))
+
+    def test_write_views_advances_by_bytes_not_items(self):
+        """A segment wider than a byte (here 4-byte items) moves the
+        cursor and the count by its byte size, so the next segment lands
+        right after it."""
+        mem = _mem()
+        wide = array("I", [1, 2])
+        assert mem.write_views(PAGE - 4, [memoryview(wide), b"xyzw"]) == 12
+        assert mem.read(PAGE - 4, 12) == wide.tobytes() + b"xyzw"
 
     def test_bounds_checks(self):
         mem = _mem()
