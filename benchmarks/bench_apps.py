@@ -1,6 +1,8 @@
 """Application-level benches: YCSB-style KV lookups, the distributed
 radix join, and the shuffle kernel under skew."""
 
+import random
+
 import numpy as np
 from conftest import attach_rows
 
@@ -10,16 +12,13 @@ from repro.apps import (
     KvServer,
     reference_join_count,
 )
+from repro.cluster.workload import ZipfGenerator
 from repro.config import HOST_DEFAULT
 from repro.experiments.common import ExperimentResult
 from repro.host import build_fabric
 from repro.host.cpu import CpuModel
 from repro.host.tcp_rpc import TcpRpcChannel
-from repro.host.workloads import (
-    ZipfianGenerator,
-    skewed_tuples,
-    uniform_keys,
-)
+from repro.host.workloads import skewed_tuples, uniform_keys
 from repro.sim import MS, LatencySample, Simulator
 
 
@@ -38,12 +37,13 @@ def test_kvstore_zipfian_gets(benchmark):
         for key in range(1, num_keys + 1):
             store.insert(key, bytes([key % 251 or 1]) * value_bytes)
 
-        ranks = ZipfianGenerator(num_keys, seed=5).sample(60)
+        zipf = ZipfGenerator(num_keys, 0.99, random.Random(5))
+        ranks = [zipf.next() for _ in range(60)]
         samples = {"reads": LatencySample(), "strom": LatencySample(),
                    "tcp": LatencySample()}
 
         def workload():
-            for rank in ranks.tolist():
+            for rank in ranks:
                 key = rank + 1
                 result = yield from client.get_via_reads(key)
                 samples["reads"].record(result.latency_ps)

@@ -12,11 +12,6 @@ Scenarios
 ``stream_pingpong``
     Producer ``put`` + 1 ps timeout, consumer ``get`` over a capacity-8
     Stream: the per-item hand-off pattern every pipeline stage uses.
-``stream_bulk``
-    The same N items moved as 64-item bursts with ``put_many`` /
-    ``get_many`` and one timeout per burst — the word-batched accounting
-    the II=1 pipeline argument licenses (one timeout of ``n * cycle_ps``
-    stands in for n per-word events at identical timestamps).
 ``pingpong_obs_off``
     ``stream_pingpong`` with the observability hook the instrumented
     components carry — the ``obs is not None`` guard on every item —
@@ -70,7 +65,6 @@ from repro.sim.timebase import MS  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "bench_engine_baseline.json")
-BURST = 64
 RDMA_SIZE = 256 * 1024
 #: Minimum speedup of the folded 256 KiB WRITE/READ over the per-packet
 #: run measured in the same invocation.
@@ -102,29 +96,6 @@ def stream_pingpong(n: int) -> float:
     def consumer():
         for _ in range(n):
             yield stream.get()
-
-    sim.process(producer())
-    proc = sim.process(consumer())
-    start = time.perf_counter()
-    sim.run_until_complete(proc)
-    return n / (time.perf_counter() - start)
-
-
-def stream_bulk(n: int) -> float:
-    sim = Simulator()
-    stream = Stream(sim)
-
-    def producer():
-        batch = list(range(BURST))
-        for _ in range(n // BURST):
-            yield stream.put_many(batch)
-            yield sim.timeout(BURST)
-
-    def consumer():
-        got = 0
-        while got < n:
-            items = yield stream.get_many()
-            got += len(items)
 
     sim.process(producer())
     proc = sim.process(consumer())
@@ -250,7 +221,6 @@ def rdma_read_256k_burst(n: int) -> float:
 SCENARIOS = {
     "timeout_loop": timeout_loop,
     "stream_pingpong": stream_pingpong,
-    "stream_bulk": stream_bulk,
     "pingpong_obs_off": pingpong_obs_off,
     "pingpong_obs_on": pingpong_obs_on,
     "rdma_write_256k": rdma_write_256k,
@@ -290,7 +260,6 @@ def main(argv=None) -> int:
 
     n = 50_000 if args.smoke else 200_000
     repeats = 2 if args.smoke else 3
-    n -= n % BURST
     results = measure(n, repeats)
 
     baseline = None
@@ -311,8 +280,8 @@ def main(argv=None) -> int:
             failed.append((name, rate, base))
     if baseline and "seed_stream_pingpong" in baseline:
         seed = baseline["seed_stream_pingpong"]
-        speedup = results["stream_bulk"] / seed
-        print(f"\nword-batched bulk path vs seed engine ping-pong "
+        speedup = results["stream_pingpong"] / seed
+        print(f"\nping-pong vs seed engine ping-pong "
               f"({seed:,.0f}/s): {speedup:.1f}x")
     for name, delta in PAYLOAD_DELTAS.items():
         print(f"payload plane [{name}]: "

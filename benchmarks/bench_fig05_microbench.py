@@ -16,9 +16,9 @@ def test_fig5a_latency(benchmark):
         lambda: latency_experiment(NIC_10G, iterations=20),
         rounds=1, iterations=1)
     attach_rows(benchmark, result)
-    writes = result.column("write_med_us")
-    reads = result.column("read_med_us")
-    payloads = result.column("payload_B")
+    writes = [row["write_med_us"] for row in result.rows]
+    reads = [row["read_med_us"] for row in result.rows]
+    payloads = [row["payload_B"] for row in result.rows]
     # Shape: read costs more than write (full RTT + PCIe fetch vs RTT/2);
     # latency grows with payload.
     for write_us, read_us in zip(writes, reads):

@@ -52,10 +52,10 @@ def payload_copy_report(request):
 def cc_activity_report(request):
     """Print the congestion-control counter delta per benchmark
     scenario (silent for scenarios that never enable the plane)."""
-    before = CC_STATS.snapshot()
+    before = {key: getattr(CC_STATS, key) for key in CC_STATS.__slots__}
     yield
-    after = CC_STATS.snapshot()
-    delta = {key: after[key] - before[key] for key in after}
+    delta = {key: getattr(CC_STATS, key) - count
+             for key, count in before.items()}
     if any(delta.values()):
         print(f"\ncc plane [{request.node.name}]: "
               f"{delta['ce_marks']:,} CE marks, "

@@ -5,7 +5,6 @@ from .crc import (
     ChecksummedObject,
     crc64,
     crc64_bitwise,
-    crc64_incremental,
 )
 from .hashing import (
     fnv1a64,
@@ -23,7 +22,6 @@ __all__ = [
     "HyperLogLog",
     "crc64",
     "crc64_bitwise",
-    "crc64_incremental",
     "exact_cardinality",
     "fnv1a64",
     "fnv1a64_int",

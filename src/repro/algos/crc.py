@@ -20,7 +20,7 @@ each; shorter inputs use the byte-at-a-time 256-entry table.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List
+from typing import List
 
 import numpy as np
 
@@ -102,15 +102,6 @@ def crc64_bitwise(data: bytes, initial: int = 0) -> int:
                 crc = ((crc << 1) ^ CRC64_POLY) & _MASK64
             else:
                 crc = (crc << 1) & _MASK64
-    return crc
-
-
-def crc64_incremental(chunks: Iterable[bytes]) -> int:
-    """CRC64 over a stream of chunks — how the NIC pipeline consumes a
-    DMA data stream word by word."""
-    crc = 0
-    for chunk in chunks:
-        crc = crc64(chunk, crc)
     return crc
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -43,11 +42,6 @@ class JoinResult:
     local_partition_seconds: float
     join_seconds: float          # build + probe over all partitions
     partitions: int
-
-    @property
-    def total_seconds(self) -> float:
-        return (self.shuffle_seconds + self.local_partition_seconds
-                + self.join_seconds)
 
 
 #: CPU cost per build tuple (hash-table insert in a cache-resident

@@ -44,15 +44,6 @@ class CcStats:
         self.rate_cuts = 0
         self.paced_packets = 0
 
-    def snapshot(self) -> dict:
-        return {
-            "ce_marks": self.ce_marks,
-            "cnps_sent": self.cnps_sent,
-            "cnps_received": self.cnps_received,
-            "rate_cuts": self.rate_cuts,
-            "paced_packets": self.paced_packets,
-        }
-
 
 #: The global congestion-control accounting instance.
 CC_STATS = CcStats()

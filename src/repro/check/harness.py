@@ -554,15 +554,6 @@ def run_one(base_seed: int, index: int) -> Dict[str, int]:
     return row
 
 
-def run_conformance(base_seed: int, runs: int,
-                    first_run: int = 0) -> List[Dict[str, int]]:
-    """Run ``runs`` consecutive conformance runs; raises
-    :class:`InvariantViolation` / :class:`ConformanceError` on the
-    first failure."""
-    return [run_one(base_seed, index)
-            for index in range(first_run, first_run + runs)]
-
-
 def _format_row(row: Dict[str, int]) -> str:
     head = (f"run={row['run']} seed={row['seed']} "
             f"scenario={row['scenario']} ops={row['ops']} "

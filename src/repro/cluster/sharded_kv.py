@@ -29,7 +29,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..algos.hashing import fnv1a64, murmur64
 from ..apps.kvstore import GetResult, KvClient, KvServer
@@ -228,10 +228,6 @@ class ShardedKvService:
 
     def lookup_local(self, key: int) -> Optional[bytes]:
         return self.shard_for(key).lookup_local(key)
-
-    @property
-    def size(self) -> int:
-        return sum(shard.size for shard in self.shards)
 
 
 class ShardedKvClient:

@@ -220,9 +220,6 @@ class Switch:
         on its access port (the ARP module's IP->MAC mapping)."""
         self.learn(mac_for_ip(ip), port_index)
 
-    def port_for_mac(self, mac: bytes) -> Optional[int]:
-        return self._mac_table.get(mac)
-
     def clean_route(self, port_in: SwitchPort, src_ip: int,
                     dst_ip: int, now: int) -> Optional[SwitchPort]:
         """The output port for frames ``src_ip`` -> ``dst_ip`` entering
@@ -302,9 +299,6 @@ class Switch:
                 self.obs.record(port.name,
                                 "port_up" if up else "port_blackout")
         port.up = up
-
-    def __len__(self) -> int:
-        return len(self.ports)
 
     # ------------------------------------------------------------------
     # Data path

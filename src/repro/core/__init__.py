@@ -47,7 +47,6 @@ from .rpc import (
     RpcPreamble,
     is_rpc_error,
     pack_params,
-    params_body,
     rpc_error_bytes,
 )
 
@@ -80,6 +79,5 @@ __all__ = [
     "as_bytes",
     "is_rpc_error",
     "pack_params",
-    "params_body",
     "rpc_error_bytes",
 ]

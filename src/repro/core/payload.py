@@ -143,11 +143,6 @@ class PayloadRef:
         return ref
 
     @classmethod
-    def wrap(cls, data: Buffer, stable: bool = False) -> "PayloadRef":
-        """A ref over one existing buffer (no copy)."""
-        return cls((data,), stable=stable)
-
-    @classmethod
     def concat(cls, refs: Iterable["PayloadRef"]) -> "PayloadRef":
         """One ref spanning several refs' segments, in order (no copy)."""
         refs = list(refs)

@@ -73,6 +73,3 @@ class KernelRegistry:
     @property
     def deployed_opcodes(self):
         return sorted(self._kernels)
-
-    def __len__(self) -> int:
-        return len(self._kernels)

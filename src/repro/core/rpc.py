@@ -96,10 +96,3 @@ def pack_params(preamble: RpcPreamble, body: bytes = b"") -> bytes:
         raise ValueError(
             f"parameter block {len(blob)} B exceeds {MAX_PARAM_BYTES} B")
     return blob
-
-
-def params_body(params: bytes) -> bytes:
-    """The kernel-specific part after the preamble."""
-    if len(params) < PREAMBLE_SIZE:
-        raise ValueError("parameter block shorter than the preamble")
-    return params[PREAMBLE_SIZE:]

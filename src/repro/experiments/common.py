@@ -11,6 +11,13 @@ from ..host import build_fabric
 from ..sim import MS, LatencySample, LatencySummary, Simulator, timebase
 
 
+def _fmt(value: object) -> str:
+    """A table cell: floats to two decimals."""
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return str(value)
+
+
 @dataclass
 class ExperimentResult:
     """One reproduced table/figure: labelled rows, ready to print."""
@@ -24,42 +31,29 @@ class ExperimentResult:
     def add_row(self, **values: object) -> None:
         self.rows.append(values)
 
-    def column(self, name: str) -> List[object]:
-        return [row.get(name) for row in self.rows]
-
     def format_table(self) -> str:
-        def fmt(value: object) -> str:
-            if isinstance(value, float):
-                return f"{value:.2f}"
-            return str(value)
-
         widths = {c: len(c) for c in self.columns}
         for row in self.rows:
             for c in self.columns:
-                widths[c] = max(widths[c], len(fmt(row.get(c, ""))))
+                widths[c] = max(widths[c], len(_fmt(row.get(c, ""))))
         header = "  ".join(c.ljust(widths[c]) for c in self.columns)
         rule = "-" * len(header)
         lines = [f"== {self.experiment_id}: {self.title} ==", header, rule]
         for row in self.rows:
             lines.append("  ".join(
-                fmt(row.get(c, "")).rjust(widths[c]) for c in self.columns))
+                _fmt(row.get(c, "")).rjust(widths[c]) for c in self.columns))
         if self.notes:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
 
     def format_markdown(self) -> str:
         """GitHub-flavoured markdown rendering of the result table."""
-        def fmt(value: object) -> str:
-            if isinstance(value, float):
-                return f"{value:.2f}"
-            return str(value)
-
         lines = [f"### {self.experiment_id}: {self.title}", ""]
         lines.append("| " + " | ".join(self.columns) + " |")
         lines.append("|" + "|".join("---" for _ in self.columns) + "|")
         for row in self.rows:
             lines.append("| " + " | ".join(
-                fmt(row.get(c, "")) for c in self.columns) + " |")
+                _fmt(row.get(c, "")) for c in self.columns) + " |")
         if self.notes:
             lines.append("")
             lines.append(f"*{self.notes}*")

@@ -148,9 +148,6 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._events)
-
     def start(self) -> None:
         """Spawn the driver process applying the timeline in order."""
         if self._started:

@@ -1,53 +1,17 @@
 """Workload generators for the benchmarks and applications.
 
 Key and tuple distributions commonly used to evaluate KV stores and
-shuffles: uniform, Zipfian (YCSB-style skew) and skewed radix-partition
-tuples.  All generators are
-deterministic under a seed so simulated experiments are reproducible.
+shuffles: uniform keys and skewed radix-partition tuples (the Zipfian
+key generator is :class:`repro.cluster.workload.ZipfGenerator`).  All
+generators are deterministic under a seed so simulated experiments are
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ZipfianGenerator:
-    """Zipf-distributed ranks over ``[0, population)``.
-
-    Uses the classic rejection-free inverse-CDF over precomputed
-    harmonic weights — exact for the modest populations the benches use
-    (up to ~1e6 keys).
-    """
-
-    population: int
-    theta: float = 0.99
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ValueError("population must be positive")
-        if not 0.0 < self.theta < 2.0:
-            raise ValueError("theta must be within (0, 2)")
-
-    def sample(self, count: int) -> np.ndarray:
-        """``count`` ranks (uint64), most popular rank is 0."""
-        if count < 0:
-            raise ValueError("negative sample count")
-        ranks = np.arange(1, self.population + 1, dtype=np.float64)
-        weights = 1.0 / np.power(ranks, self.theta)
-        probabilities = weights / weights.sum()
-        rng = np.random.default_rng(self.seed)
-        return rng.choice(self.population, size=count,
-                          p=probabilities).astype(np.uint64)
-
-    def hottest_key_probability(self) -> float:
-        ranks = np.arange(1, self.population + 1, dtype=np.float64)
-        weights = 1.0 / np.power(ranks, self.theta)
-        return float(weights[0] / weights.sum())
 
 
 def uniform_keys(count: int, key_space: int, seed: int = 0) -> np.ndarray:

@@ -104,7 +104,7 @@ class Controller:
             REG_TLB_SPLITS: lambda: nic.tlb.splits,
             REG_TLB_ENTRIES: lambda: len(nic.tlb),
             REG_QP_COUNT: lambda: len(nic.qps),
-            REG_KERNEL_COUNT: lambda: len(nic.registry),
+            REG_KERNEL_COUNT: lambda: len(nic.registry.deployed_opcodes),
             REG_RPC_MATCHES: lambda: int(nic.registry.matches),
             REG_RPC_MISSES: lambda: int(nic.registry.misses),
             REG_TIMER_EXPIRATIONS: lambda: int(nic.timer.expirations),

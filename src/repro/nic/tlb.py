@@ -74,11 +74,6 @@ class Tlb:
         self._last_vpn = -1
         self.epoch += 1
 
-    def populate_from(self, page_table: Dict[int, int]) -> None:
-        """Bulk-install the driver's vpn -> physical-base map."""
-        for vpn, base in page_table.items():
-            self.populate(vpn, base)
-
     def translate(self, vaddr: int) -> int:
         """Translate one virtual address; raises :class:`TlbMissError`."""
         if self.pending_charge is not None:

@@ -23,7 +23,7 @@ two things.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class MetricsError(ValueError):
@@ -106,13 +106,11 @@ class MetricsSnapshot:
     """A frozen flat-dict view of a registry at one point in time.
 
     Keys are instrument names; values are plain numbers, so a snapshot
-    serializes directly to JSON and diffs with dictionary arithmetic.
+    serializes directly to JSON.
     """
 
-    def __init__(self, values: Dict[str, float],
-                 monotonic: Dict[str, bool]) -> None:
-        self._values = dict(values)
-        self._monotonic = dict(monotonic)
+    def __init__(self, values: Dict[str, float]) -> None:
+        self._values = values
 
     def as_flat_dict(self) -> Dict[str, float]:
         """Flat ``name -> number`` dict, keys sorted."""
@@ -123,22 +121,6 @@ class MetricsSnapshot:
 
     def get(self, name: str, default: float = 0) -> float:
         return self._values.get(name, default)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MetricsSnapshot):
-            return NotImplemented
-        return self._values == other._values
-
-    def diff(self, older: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The change since ``older``: monotonic entries (counters)
-        subtract; levels keep the newer value."""
-        values = {}
-        for name, value in self._values.items():
-            if self._monotonic.get(name):
-                values[name] = value - older.get(name, 0)
-            else:
-                values[name] = value
-        return MetricsSnapshot(values, self._monotonic)
 
     def to_json(self) -> str:
         """Deterministic JSON (sorted keys, no whitespace surprises)."""
@@ -186,20 +168,10 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def get(self, name: str) -> Optional[Instrument]:
-        return self._instruments.get(name)
-
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     def __iter__(self):
         """Instruments in name order (deterministic exports)."""
         for name in sorted(self._instruments):
             yield self._instruments[name]
-
-    def instruments(self, prefix: str = "") -> List[Instrument]:
-        """All instruments whose name starts with ``prefix``, sorted."""
-        return [inst for inst in self if inst.name.startswith(prefix)]
 
     def sampled_gauges(self) -> List[Gauge]:
         """Gauges that collected at least one time-series point."""
@@ -210,12 +182,7 @@ class MetricsRegistry:
     # Snapshot / merge
     # ------------------------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
-        values: Dict[str, float] = {}
-        monotonic: Dict[str, bool] = {}
-        for inst in self:
-            values[inst.name] = inst.value
-            monotonic[inst.name] = isinstance(inst, Counter)
-        return MetricsSnapshot(values, monotonic)
+        return MetricsSnapshot({inst.name: inst.value for inst in self})
 
     @classmethod
     def merge(cls, registries: Iterable["MetricsRegistry"],

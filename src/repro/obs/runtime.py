@@ -72,10 +72,6 @@ class ObsSession:
         # sorted for nothing.
         return self.merged_metrics(series=False).snapshot()
 
-    def chrome_trace(self) -> dict:
-        return export_chrome_trace(self.traces,
-                                   registry=self.merged_metrics())
-
     # ------------------------------------------------------------------
     # Artifact output
     # ------------------------------------------------------------------

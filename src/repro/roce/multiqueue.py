@@ -10,7 +10,7 @@ one holding per-list head/tail metadata, one holding the pooled elements
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List
 
 
 @dataclass
@@ -50,18 +50,6 @@ class MultiQueue:
         self._free: List[int] = list(range(total_elements))
 
     # ------------------------------------------------------------------
-    @property
-    def free_elements(self) -> int:
-        return len(self._free)
-
-    @property
-    def used_elements(self) -> int:
-        return self.total_elements - len(self._free)
-
-    def length(self, queue: int) -> int:
-        """Current length of one QP's list."""
-        return self._meta_for(queue).length
-
     def _meta_for(self, queue: int) -> _ListMeta:
         if not 0 <= queue < self.num_queues:
             raise IndexError(f"queue {queue} out of range")
@@ -121,10 +109,3 @@ class MultiQueue:
 
     def is_empty(self, queue: int) -> bool:
         return self._meta_for(queue).length == 0
-
-    def drain(self, queue: int) -> List[Any]:
-        """Pop everything from one QP's list (connection teardown)."""
-        out = []
-        while not self.is_empty(queue):
-            out.append(self.pop(queue))
-        return out

@@ -78,8 +78,10 @@ class Segments(Sequence):
 
     def sizes(self) -> Tuple[int, int, int]:
         """First, middle and last payload lengths (the operands of
-        :meth:`column`)."""
-        return self._first, self._rest, self._last
+        :meth:`column`); a message of one or two segments has no MIDDLE,
+        so its middle is its last."""
+        middle = self._rest if self._n > 2 else self._last
+        return self._first, middle, self._last
 
     def shape(self) -> tuple:
         """What the segments are a function of: count, first, middle

@@ -32,15 +32,13 @@ the point an event getter's ``succeed`` would draw its entry id.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Optional, Tuple
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
 
-#: Marker in the getter queue: a ``get_many`` with no item limit.
-_TAKE_ALL = -1
 #: Marker in the getter queue: a parked callback, served by call_soon.
 _CALLBACK = -2
 
@@ -60,12 +58,11 @@ class Stream:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        #: Blocked getters, FIFO: (event, want) where ``want`` is None for
-        #: a single-item get, _TAKE_ALL or a positive int for get_many;
-        #: (fn, _CALLBACK) for a parked callback getter.
-        self._getters: Deque[Tuple[Event, Optional[int]]] = deque()
-        #: Blocked putters, FIFO: (event, pending-items list).
-        self._putters: Deque[Tuple[Event, List[Any]]] = deque()
+        #: Blocked getters, FIFO: (event, None) for a blocked get, (fn,
+        #: _CALLBACK) for a parked callback getter.
+        self._getters: Deque[Tuple[Any, Optional[int]]] = deque()
+        #: Blocked putters, FIFO: (event, item).
+        self._putters: Deque[Tuple[Event, Any]] = deque()
         # Reusable pre-triggered singleton for the non-blocking fast path.
         fast = Event(env)
         fast._value = None
@@ -79,9 +76,6 @@ class Stream:
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    # ------------------------------------------------------------------
-    # Single-item operations
-    # ------------------------------------------------------------------
     def put(self, item: Any) -> Event:
         """Yieldable event that completes once ``item`` is in the FIFO."""
         if self._getters and not self._items:
@@ -91,7 +85,7 @@ class Stream:
             self._items.append(item)
         else:
             event = Event(self.env)
-            self._putters.append((event, [item]))
+            self._putters.append((event, item))
             return event
         fast = self._fast
         fast._value = None
@@ -129,22 +123,6 @@ class Stream:
         parking on a non-empty stream would wait for the *next* put)."""
         self._getters.append((fn, _CALLBACK))
 
-    def try_get(self) -> Any:
-        """Non-blocking get; returns None if empty (use :meth:`is_empty`
-        first when None is a legal item)."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        if self._putters:
-            self._admit_waiting_putter()
-        return item
-
-    def peek(self) -> Any:
-        """The next item without consuming it; raises if empty."""
-        if not self._items:
-            raise LookupError(f"peek() on empty stream {self.name!r}")
-        return self._items[0]
-
     def clear(self) -> int:
         """Discard every *queued* item; returns the count removed.
 
@@ -174,84 +152,6 @@ class Stream:
         return dropped
 
     # ------------------------------------------------------------------
-    # Bulk operations
-    # ------------------------------------------------------------------
-    def put_many(self, items) -> Event:
-        """Yieldable event that completes once *all* of ``items`` are in
-        the FIFO (or handed to waiting consumers), in order.
-
-        One event covers the whole batch, so N items cost one suspension
-        at most instead of N — the bulk analogue of an N-word burst
-        through an II=1 pipeline.
-        """
-        pending = list(items)
-        if not pending:
-            fast = self._fast
-            fast._value = None
-            return fast
-        # Serve blocked consumers first, longest-waiting first.
-        index = 0
-        total = len(pending)
-        while self._getters and not self._items and index < total:
-            getter, want = self._getters.popleft()
-            if want is None:
-                getter.succeed(pending[index])
-                index += 1
-            elif want == _CALLBACK:
-                self.env.call_soon(getter, pending[index])
-                index += 1
-            else:
-                take = total - index if want == _TAKE_ALL \
-                    else min(want, total - index)
-                getter.succeed(pending[index:index + take])
-                index += take
-        if index:
-            pending = pending[index:]
-        if pending:
-            room = None if self.capacity is None \
-                else self.capacity - len(self._items)
-            if room is None or room >= len(pending):
-                self._items.extend(pending)
-                pending = []
-            else:
-                if room > 0:
-                    self._items.extend(pending[:room])
-                    pending = pending[room:]
-                event = Event(self.env)
-                self._putters.append((event, pending))
-                return event
-        fast = self._fast
-        fast._value = None
-        return fast
-
-    def get_many(self, max_items: Optional[int] = None) -> Event:
-        """Yieldable event whose value is a non-empty *list* of items.
-
-        Returns every immediately available item (bounded by
-        ``max_items``); blocks until at least one item arrives when the
-        FIFO is empty.  Draining a burst costs one resume instead of one
-        per item.
-        """
-        if max_items is not None and max_items < 1:
-            raise ValueError("max_items must be at least 1 (or None)")
-        items = self._items
-        if items:
-            if max_items is None or max_items >= len(items):
-                batch = list(items)
-                items.clear()
-            else:
-                batch = [items.popleft() for _ in range(max_items)]
-            if self._putters:
-                self._admit_waiting_putter()
-            fast = self._fast
-            fast._value = batch
-            return fast
-        event = Event(self.env)
-        self._getters.append(
-            (event, _TAKE_ALL if max_items is None else max_items))
-        return event
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _hand_off(self, item: Any) -> None:
@@ -259,18 +159,16 @@ class Stream:
         getter, want = self._getters.popleft()
         if want is None:
             getter.succeed(item)
-        elif want == _CALLBACK:
-            self.env.call_soon(getter, item)
         else:
-            getter.succeed([item])
+            self.env.call_soon(getter, item)
 
     def _admit_waiting_putter(self) -> None:
-        """Move items from blocked putters into freed capacity, FIFO."""
-        while self._putters and not self.is_full:
-            event, pending = self._putters[0]
-            while pending and not self.is_full:
-                self._items.append(pending.pop(0))
-            if pending:
-                return  # head putter still partially blocked
-            self._putters.popleft()
+        """Move blocked putters' items into freed capacity, FIFO (only a
+        bounded stream has blocked putters)."""
+        putters = self._putters
+        items = self._items
+        capacity = self.capacity
+        while putters and len(items) < capacity:
+            event, item = putters.popleft()
+            items.append(item)
             event.succeed()

@@ -16,7 +16,7 @@ computed for the whole run at once (the burst fold's schedule).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Generator
+from typing import TYPE_CHECKING, Deque
 
 import numpy as np
 
@@ -93,14 +93,6 @@ class Resource:
             self._waiters.popleft().succeed()
         else:
             self._in_use -= 1
-
-    def use(self, duration: int) -> Generator[Event, None, None]:
-        """Process helper: hold one unit for ``duration`` picoseconds."""
-        yield self.acquire()
-        try:
-            yield self.env.timeout(duration)
-        finally:
-            self.release()
 
 
 class BandwidthLink:
@@ -186,11 +178,3 @@ class BandwidthLink:
         self._free_at = free_at
         self.busy_time += busy
         self.bytes_transferred += num_bytes
-
-    def transfer(self, num_bytes: int) -> Generator[Event, None, None]:
-        """Process helper: occupy the link for one transfer of
-        ``num_bytes`` (FIFO with respect to concurrent transfers)."""
-        duration = self.occupancy_ps(num_bytes)
-        start = self.reserve(duration)
-        self.bytes_transferred += num_bytes
-        yield self.env.timeout(start + duration - self.env.now)

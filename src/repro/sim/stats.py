@@ -56,10 +56,6 @@ class LatencySample:
             raise ValueError("negative latency")
         self._values_ps.append(latency_ps)
 
-    def extend(self, latencies_ps: Iterable[int]) -> None:
-        for value in latencies_ps:
-            self.record(value)
-
     def __len__(self) -> int:
         return len(self._values_ps)
 

@@ -21,11 +21,6 @@ MS = 1_000_000_000
 SEC = 1_000_000_000_000
 
 
-def from_seconds(seconds: float) -> int:
-    """Convert a duration in seconds to integer picoseconds."""
-    return int(round(seconds * SEC))
-
-
 def to_seconds(picoseconds: int) -> float:
     """Convert integer picoseconds to (float) seconds."""
     return picoseconds / SEC

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from . import timebase
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Simulator
@@ -39,16 +38,6 @@ class TraceRecord:
     source: str
     event: str
     details: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def time_us(self) -> float:
-        return timebase.to_micros(self.time_ps)
-
-    def __str__(self) -> str:
-        fields = " ".join(f"{k}={v}" for k, v in sorted(
-            self.details.items()))
-        return f"[{self.time_us:10.3f}us] {self.source:12s} " \
-               f"{self.event:12s} {fields}"
 
 
 @dataclass
@@ -128,52 +117,3 @@ class EventTrace:
     def _end_later(self, span_details) -> None:
         span, details = span_details
         self.end_span(span, **details)
-
-    def completed_spans(self, source: Optional[str] = None,
-                        name: Optional[str] = None) -> List[SpanRecord]:
-        """Closed spans matching the given source and/or span name."""
-        out = [s for s in self.spans if not s.is_open]
-        if source is not None:
-            out = [s for s in out if s.source == source]
-        if name is not None:
-            out = [s for s in out if s.name == name]
-        return out
-
-    def open_spans(self) -> List[SpanRecord]:
-        return [s for s in self.spans if s.is_open]
-
-    def filter(self, source: Optional[str] = None,
-               event: Optional[str] = None) -> List[TraceRecord]:
-        """Records matching the given source and/or event name."""
-        out = self.records
-        if source is not None:
-            out = [r for r in out if r.source == source]
-        if event is not None:
-            out = [r for r in out if r.event == event]
-        return list(out)
-
-    def count(self, source: Optional[str] = None,
-              event: Optional[str] = None) -> int:
-        return len(self.filter(source, event))
-
-    def summary(self) -> Dict[str, int]:
-        """Event-name histogram."""
-        histogram: Dict[str, int] = {}
-        for record in self.records:
-            histogram[record.event] = histogram.get(record.event, 0) + 1
-        return histogram
-
-    def dump(self, limit: int = 50) -> str:
-        """Printable tail of the trace."""
-        lines = [str(record) for record in self.records[-limit:]]
-        if self.dropped:
-            lines.append(f"... ({self.dropped} records dropped)")
-        return "\n".join(lines)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.spans.clear()
-        self.dropped = 0
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -1,6 +1,8 @@
 """Client-side resilience: request timeouts, capped retries, replica
 failover, and goodput through a shard crash/restart cycle."""
 
+import json
+
 import pytest
 
 from repro.cluster import (
@@ -153,7 +155,7 @@ def test_crash_restart_is_idempotent_and_counted():
     assert snap["kv.shard_restarts"] == 1
 
 
-def test_injected_faults_appear_in_chrome_trace():
+def test_injected_faults_appear_in_chrome_trace(tmp_path):
     """Acceptance: every injected fault shows up as an instant event in
     the Chrome trace export (source 'faults'), alongside the NIC's
     power_off/power_on instants."""
@@ -170,7 +172,9 @@ def test_injected_faults_appear_in_chrome_trace():
                                 get_path="strom", seed=5)
         run_open_loop(env, clients, config)
 
-    document = session.chrome_trace()
+    path = tmp_path / "trace.json"
+    session.write_trace(str(path))
+    document = json.loads(path.read_text())
     instants = [e for e in document["traceEvents"] if e["ph"] == "i"]
     fault_instants = [e for e in instants if e["cat"] == "faults"]
     assert {e["name"] for e in fault_instants} == \

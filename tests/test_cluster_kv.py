@@ -97,7 +97,7 @@ def test_acceptance_three_paths_byte_identical():
                                                    client.node.name)
 
     _run(env, check(), limit=50_000 * MS)
-    assert service.size == 40
+    assert sum(shard.size for shard in service.shards) == 40
 
 
 def test_get_latency_ordering():
@@ -152,7 +152,7 @@ def test_put_lands_on_owning_shard():
 
     _run(env, check())
     assert service.lookup_local(key) == value
-    assert service.size == 1
+    assert sum(shard.size for shard in service.shards) == 1
 
 
 def test_concurrent_gets_share_connection_pool():

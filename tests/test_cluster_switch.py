@@ -53,15 +53,15 @@ def test_flood_then_learn():
     h0.nic.create_queue_pair(1, 1, h1.nic.ip)
     h1.nic.create_queue_pair(1, 1, h0.nic.ip)
 
-    assert switch.port_for_mac(mac_for_ip(h0.nic.ip)) is None
+    assert switch._mac_table.get(mac_for_ip(h0.nic.ip)) is None
     payload = bytes(range(64))
     assert _write(env, h0, h1, 1, payload) == payload
 
     # First frame toward h1 had an unknown destination: flooded once.
     assert switch.frames_flooded.value == 1
     # Both endpoints were learned from traffic (data frame + ACK).
-    assert switch.port_for_mac(mac_for_ip(h0.nic.ip)) == 0
-    assert switch.port_for_mac(mac_for_ip(h1.nic.ip)) == 1
+    assert switch._mac_table.get(mac_for_ip(h0.nic.ip)) == 0
+    assert switch._mac_table.get(mac_for_ip(h1.nic.ip)) == 1
     # A second transfer is pure known-unicast: flood count is unchanged.
     assert _write(env, h0, h1, 1, payload[::-1]) == payload[::-1]
     assert switch.frames_flooded.value == 1
@@ -93,7 +93,7 @@ def test_gratuitous_announce_at_link_up():
     # The topology builder announces every host on its access port, so
     # the table is fully populated before any traffic.
     for index, host in enumerate(cluster.hosts):
-        assert switch.port_for_mac(mac_for_ip(host.nic.ip)) == index
+        assert switch._mac_table.get(mac_for_ip(host.nic.ip)) == index
     # Steady-state traffic therefore never floods.
     h0, h1 = cluster.hosts[0], cluster.hosts[1]
     qpn0, _ = cluster.connect(h0, h1)
@@ -204,4 +204,4 @@ def test_switch_port_validation():
     with pytest.raises(ValueError):
         switch.attach(cable, side="c")
     assert switch.attach(cable, side="b") == 0
-    assert len(switch) == 1
+    assert len(switch.ports) == 1

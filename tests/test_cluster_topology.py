@@ -99,7 +99,7 @@ def test_build_star_wiring():
     cluster = build_star(env, num_hosts=5)
     assert len(cluster.hosts) == 5
     assert len(cluster.switches) == 1
-    assert len(cluster.switches[0]) == 5
+    assert len(cluster.switches[0].ports) == 5
     assert len(cluster.cables) == 5
     names = [h.name for h in cluster.hosts]
     assert names == ["h0", "h1", "h2", "h3", "h4"]

@@ -10,7 +10,6 @@ from repro.check.harness import (
     ConformanceError,
     derive_run_seed,
     replay_command,
-    run_conformance,
     run_one,
 )
 
@@ -20,7 +19,7 @@ _TIER1_RUNS = 6
 
 
 def test_fixed_seed_sweep_is_clean():
-    rows = run_conformance(_TIER1_SEED, _TIER1_RUNS)
+    rows = [run_one(_TIER1_SEED, index) for index in range(_TIER1_RUNS)]
     assert len(rows) == _TIER1_RUNS
     for row in rows:
         assert row["checks"] > 0

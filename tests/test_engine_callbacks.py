@@ -158,7 +158,8 @@ def test_parked_getter_served_fifo_with_event_getters():
     before = sim.events_created
     stream.put("x")
     stream.try_put("y")
-    stream.put_many(["z", "w"])
+    stream.put("z")
+    stream.put("w")
     # One entry per hand-off, event and callback getters alike.
     assert sim.events_created == before + 3
     sim.run()

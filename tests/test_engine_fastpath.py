@@ -1,6 +1,5 @@
-"""Fast-path engine contracts: slotted events, ready-deque FIFO order,
-Stream fairness under contention, and the bulk put_many/get_many
-primitives."""
+"""Fast-path engine contracts: slotted events, ready-deque FIFO order
+and Stream fairness under contention."""
 
 import pytest
 
@@ -258,114 +257,6 @@ def test_fast_singleton_value_read_synchronously():
         return item
 
     assert env.run_until_complete(env.process(proc())) == "v"
-
-
-# ---------------------------------------------------------------------------
-# Bulk primitives
-# ---------------------------------------------------------------------------
-
-def test_put_many_get_many_roundtrip_order():
-    env = Simulator()
-    stream = Stream(env)
-    got = []
-
-    def producer():
-        yield stream.put_many(range(6))
-        yield stream.put_many([6, 7])
-
-    def consumer():
-        while len(got) < 8:
-            got.extend((yield stream.get_many()))
-
-    env.process(producer())
-    proc = env.process(consumer())
-    env.run_until_complete(proc)
-    assert got == list(range(8))
-
-
-def test_get_many_respects_max_items():
-    env = Simulator()
-    stream = Stream(env)
-
-    def proc():
-        yield stream.put_many(range(10))
-        first = yield stream.get_many(max_items=3)
-        rest = yield stream.get_many()
-        return first, rest
-
-    first, rest = env.run_until_complete(env.process(proc()))
-    assert first == [0, 1, 2]
-    assert rest == [3, 4, 5, 6, 7, 8, 9]
-
-
-def test_put_many_blocks_until_capacity_frees():
-    env = Simulator()
-    stream = Stream(env, capacity=2)
-    done_at = []
-
-    def producer():
-        yield stream.put_many([1, 2, 3, 4])
-        done_at.append(env.now)
-
-    def consumer():
-        for _ in range(4):
-            yield env.timeout(10)
-            yield stream.get()
-
-    env.process(producer())
-    proc = env.process(consumer())
-    env.run_until_complete(proc)
-    # Items 3 and 4 fit after the 2nd get at t=20.
-    assert done_at == [20]
-
-
-def test_put_many_serves_blocked_getters_first():
-    env = Simulator()
-    stream = Stream(env)
-    results = {}
-
-    def single():
-        results["single"] = yield stream.get()
-
-    def bulk():
-        results["bulk"] = yield stream.get_many(max_items=2)
-
-    def producer():
-        yield env.timeout(1)
-        yield stream.put_many([0, 1, 2, 3, 4])
-
-    env.process(single())   # blocks first -> gets item 0
-    env.process(bulk())     # blocks second -> gets [1, 2]
-    env.process(producer())
-    env.run()
-    assert results == {"single": 0, "bulk": [1, 2]}
-    # Leftovers stay queued in order.
-    assert list(stream._items) == [3, 4]
-
-
-def test_get_many_wakes_on_single_put():
-    env = Simulator()
-    stream = Stream(env)
-    got = []
-
-    def consumer():
-        got.extend((yield stream.get_many()))
-
-    def producer():
-        yield env.timeout(3)
-        yield stream.put("only")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == ["only"]
-
-
-def test_get_many_rejects_bad_limit():
-    env = Simulator()
-    stream = Stream(env)
-    with pytest.raises(ValueError):
-        stream.get_many(max_items=0)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_result_table_formatting():
     assert "demo" in table
     assert "2.35" in table
     assert "note: n" in table
-    assert result.column("a") == [1, 10]
+    assert [row["a"] for row in result.rows] == [1, 10]
 
 
 # ---------------------------------------------------------------------------

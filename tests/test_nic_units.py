@@ -250,6 +250,9 @@ def test_chunk_durations_forms_agree(vaddr, length, listed):
     assert durations.listed() == expected
     assert durations.column().tolist() == expected
     assert durations.total() == sum(expected)
+    # One occupancy per length a chunk has: none for a MIDDLE that a
+    # one- or two-chunk message lacks.
+    assert set(durations.memo) == set(segments.lengths())
 
 
 def test_dma_write_then_read_roundtrip():

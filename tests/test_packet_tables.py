@@ -253,7 +253,8 @@ def test_tlb_pieces_match_split_command(vaddr, length):
     tlbs = []
     for _ in range(2):
         tlb = Tlb(NIC_10G)
-        tlb.populate_from({0: 7 * page, 1: 2 * page, 2: 9 * page})
+        for vpn, base in {0: 7 * page, 1: 2 * page, 2: 9 * page}.items():
+            tlb.populate(vpn, base)
         tlbs.append(tlb)
     expected = list(tlbs[0].split_command(vaddr, length))
     assert tlbs[1].pieces(vaddr, length) == expected

@@ -36,31 +36,31 @@ PAGE = 4096
 
 class TestPayloadRef:
     def test_wrap_behaves_like_bytes(self):
-        ref = PayloadRef.wrap(b"hello world")
+        ref = PayloadRef((b"hello world",))
         assert len(ref) == 11
         assert ref
         assert ref == b"hello world"
         assert ref != b"hello_world"
-        assert not PayloadRef.wrap(b"")
+        assert not PayloadRef((b"",))
 
     def test_eq_against_other_refs_and_views(self):
         data = bytearray(b"abcdef")
-        ref = PayloadRef.wrap(memoryview(data))
+        ref = PayloadRef((memoryview(data),))
         assert ref == PayloadRef((b"abc", b"def"))
         assert ref == memoryview(b"abcdef")
 
     def test_concat_preserves_order_without_copy(self):
         a = bytearray(b"aaaa")
         b = bytearray(b"bbbb")
-        ref = PayloadRef.concat([PayloadRef.wrap(a), PayloadRef.wrap(b)])
+        ref = PayloadRef.concat([PayloadRef((a,)), PayloadRef((b,))])
         assert ref == b"aaaabbbb"
         # Still aliased: mutating a source buffer shows through.
         a[0] = ord("z")
         assert ref == b"zaaabbbb"
 
     def test_concat_stable_only_when_all_inputs_stable(self):
-        stable = PayloadRef.wrap(b"s", stable=True)
-        racy = PayloadRef.wrap(b"r", stable=False)
+        stable = PayloadRef((b"s",), stable=True)
+        racy = PayloadRef((b"r",), stable=False)
         assert PayloadRef.concat([stable, stable])._stable
         assert not PayloadRef.concat([stable, racy])._stable
 
@@ -77,7 +77,7 @@ class TestPayloadRef:
     def test_tobytes_counts_copy_only_when_joining(self):
         with override(validate=False):
             PAYLOAD_STATS.reset()
-            single = PayloadRef.wrap(b"already-bytes")
+            single = PayloadRef((b"already-bytes",))
             assert single.tobytes() == b"already-bytes"
             assert PAYLOAD_STATS.copy_events == 0
             assert PAYLOAD_STATS.ref_events == 1
@@ -90,7 +90,7 @@ class TestPayloadRef:
         assert as_bytes(b"raw") == b"raw"
         assert as_bytes(bytearray(b"ba")) == b"ba"
         assert as_bytes(memoryview(b"mv")) == b"mv"
-        assert as_bytes(PayloadRef.wrap(b"ref")) == b"ref"
+        assert as_bytes(PayloadRef((b"ref",))) == b"ref"
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ class TestCopyValidation:
     def test_stable_ref_mutation_raises(self):
         buf = bytearray(b"\xAA" * 32)
         with override(validate=True):
-            ref = PayloadRef.wrap(buf, stable=True)
+            ref = PayloadRef((buf,), stable=True)
             buf[3] = 0xBB
             with pytest.raises(PayloadAliasingError):
                 ref.tobytes()
@@ -174,7 +174,7 @@ class TestCopyValidation:
     def test_racy_ref_delivers_fetch_time_snapshot_silently(self):
         buf = bytearray(b"\xAA" * 32)
         with override(validate=True):
-            ref = PayloadRef.wrap(buf, stable=False)
+            ref = PayloadRef((buf,), stable=False)
             buf[3] = 0xBB
             # A READ-vs-local-write race is legal: hardware pins the
             # content at DMA-fetch time, which is what the snapshot is.
@@ -182,7 +182,7 @@ class TestCopyValidation:
 
     def test_untouched_stable_ref_passes(self):
         with override(validate=True):
-            ref = PayloadRef.wrap(bytearray(b"ok"), stable=True)
+            ref = PayloadRef((bytearray(b"ok"),), stable=True)
             assert ref.tobytes() == b"ok"
             assert ref.segments() == (b"ok",)
 

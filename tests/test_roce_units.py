@@ -186,6 +186,18 @@ def test_segment_write_multi_packet():
     assert sum(s.length for s in segments) == size
 
 
+def test_segment_sizes_name_only_lengths_a_segment_has():
+    """A message of one or two segments has no MIDDLE: its middle size
+    is its last, not the MIDDLE capacity."""
+    assert segment_write(100).sizes() == (100, 100, 100)
+    two = segment_write(config.MAX_PAYLOAD_WITH_RETH + 10)
+    assert two.sizes() == (config.MAX_PAYLOAD_WITH_RETH, 10, 10)
+    three = segment_write(config.MAX_PAYLOAD_WITH_RETH
+                          + config.MAX_PAYLOAD_NO_RETH + 10)
+    assert three.sizes() == (config.MAX_PAYLOAD_WITH_RETH,
+                             config.MAX_PAYLOAD_NO_RETH, 10)
+
+
 def test_segment_write_zero_length():
     segments = segment_write(0)
     assert len(segments) == 1 and segments[0].length == 0
@@ -358,6 +370,14 @@ def test_multiqueue_fifo_per_queue():
     assert mq.pop(1) == "x"
 
 
+def _drain(mq, queue):
+    """Pop everything from one queue's list, in order."""
+    out = []
+    while not mq.is_empty(queue):
+        out.append(mq.pop(queue))
+    return out
+
+
 def test_multiqueue_shared_pool_exhaustion():
     mq = MultiQueue(num_queues=2, total_elements=3)
     mq.push(0, 1)
@@ -365,10 +385,11 @@ def test_multiqueue_shared_pool_exhaustion():
     mq.push(1, 3)
     with pytest.raises(MultiQueueFullError):
         mq.push(1, 4)
-    assert mq.free_elements == 0
     mq.pop(0)
     mq.push(1, 4)  # freed element is reusable by any queue
-    assert mq.used_elements == 3
+    with pytest.raises(MultiQueueFullError):
+        mq.push(0, 5)
+    assert _drain(mq, 0) == [2] and _drain(mq, 1) == [3, 4]
 
 
 def test_multiqueue_variable_lengths():
@@ -378,9 +399,9 @@ def test_multiqueue_variable_lengths():
     for i in range(5):
         mq.push(0, i)
     mq.push(2, "z")
-    assert mq.length(0) == 5
-    assert mq.length(1) == 0
-    assert mq.length(2) == 1
+    assert _drain(mq, 0) == [0, 1, 2, 3, 4]
+    assert _drain(mq, 1) == []
+    assert _drain(mq, 2) == ["z"]
 
 
 def test_multiqueue_empty_pop():
@@ -396,7 +417,7 @@ def test_multiqueue_peek_and_drain():
     mq.push(0, "p")
     mq.push(0, "q")
     assert mq.peek(0) == "p"
-    assert mq.drain(0) == ["p", "q"]
+    assert _drain(mq, 0) == ["p", "q"]
     assert mq.is_empty(0)
 
 
@@ -416,7 +437,7 @@ def test_multiqueue_matches_reference_deques(ops):
     counter = 0
     for queue, is_push in ops:
         if is_push:
-            if mq.free_elements == 0:
+            if sum(map(len, reference)) == 16:
                 continue
             mq.push(queue, counter)
             reference[queue].append(counter)
@@ -426,7 +447,7 @@ def test_multiqueue_matches_reference_deques(ops):
                 continue
             assert mq.pop(queue) == reference[queue].popleft()
     for q in range(4):
-        assert mq.length(q) == len(reference[q])
+        assert _drain(mq, q) == list(reference[q])
 
 
 # ---------------------------------------------------------------------------

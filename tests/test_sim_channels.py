@@ -80,25 +80,6 @@ def test_stream_try_put_full():
     assert len(stream) == 2
 
 
-def test_stream_try_get_empty():
-    sim = Simulator()
-    stream = Stream(sim)
-    assert stream.try_get() is None
-    stream.try_put("v")
-    assert stream.try_get() == "v"
-
-
-def test_stream_peek():
-    sim = Simulator()
-    stream = Stream(sim)
-    with pytest.raises(LookupError):
-        stream.peek()
-    stream.try_put(1)
-    stream.try_put(2)
-    assert stream.peek() == 1
-    assert len(stream) == 2
-
-
 def test_stream_capacity_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -159,7 +140,9 @@ def test_resource_capacity_two():
     done = []
 
     def worker(tag):
-        yield from resource.use(10 * NS)
+        yield resource.acquire()
+        yield sim.timeout(10 * NS)
+        resource.release()
         done.append((tag, sim.now))
 
     for tag in "abc":
@@ -192,14 +175,16 @@ def test_bandwidth_link_serializes_transfers():
     finish = []
 
     def mover(tag):
-        yield from link.transfer(1250)
+        duration = link.occupancy_ps(1250)
+        start = link.reserve(duration)
+        yield sim.timeout(start + duration - sim.now)
         finish.append((tag, sim.now))
 
     sim.process(mover("a"))
     sim.process(mover("b"))
     sim.run()
     assert finish == [("a", US), ("b", 2 * US)]
-    assert link.bytes_transferred == 2500
+    assert link.free_at == link.busy_time == 2 * US
 
 
 def test_bandwidth_link_overhead():

@@ -26,7 +26,8 @@ def test_percentile_validation():
 
 def test_latency_sample_summary():
     sample = LatencySample("writes")
-    sample.extend([1 * US, 2 * US, 3 * US, 4 * US, 5 * US])
+    for value in [1 * US, 2 * US, 3 * US, 4 * US, 5 * US]:
+        sample.record(value)
     summary = sample.summary()
     assert summary.count == 5
     assert summary.median_us == 3.0
@@ -49,7 +50,8 @@ def test_latency_sample_empty_summary():
 
 def test_latency_sample_merge():
     a = LatencySample("a")
-    a.extend([1 * US, 3 * US])
+    for value in [1 * US, 3 * US]:
+        a.record(value)
     b = LatencySample("b")
     b.record(2 * US)
     merged = LatencySample.merge([a, b], name="both")
@@ -73,7 +75,8 @@ def test_latency_sample_merge_empty():
 
 def test_latency_sample_percentiles_configurable():
     sample = LatencySample()
-    sample.extend([1 * US, 2 * US, 3 * US, 4 * US])
+    for value in [1 * US, 2 * US, 3 * US, 4 * US]:
+        sample.record(value)
     pct = sample.percentiles([0.0, 0.5, 0.9, 1.0])
     assert pct[0.0] == 1.0
     assert pct[0.5] == 2.5  # interpolated, matching percentile()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import HOST_DEFAULT, NIC_10G, NIC_100G
 from repro.host.workloads import (
-    ZipfianGenerator,
     partition_histogram,
     skewed_tuples,
     uniform_keys,
@@ -69,31 +68,6 @@ def test_stage_budgets_structure():
 # ---------------------------------------------------------------------------
 # Workload generators
 # ---------------------------------------------------------------------------
-
-def test_zipfian_skew():
-    gen = ZipfianGenerator(population=1000, theta=0.99, seed=1)
-    sample = gen.sample(20_000)
-    assert sample.min() >= 0 and sample.max() < 1000
-    # Rank 0 must be sampled far more often than a uniform draw would.
-    rank0_share = np.mean(sample == 0)
-    assert rank0_share > 5 / 1000
-    assert abs(rank0_share - gen.hottest_key_probability()) < 0.02
-
-
-def test_zipfian_deterministic():
-    a = ZipfianGenerator(100, seed=7).sample(500)
-    b = ZipfianGenerator(100, seed=7).sample(500)
-    assert np.array_equal(a, b)
-
-
-def test_zipfian_validation():
-    with pytest.raises(ValueError):
-        ZipfianGenerator(0)
-    with pytest.raises(ValueError):
-        ZipfianGenerator(10, theta=3.0)
-    with pytest.raises(ValueError):
-        ZipfianGenerator(10).sample(-1)
-
 
 def test_uniform_keys_range():
     keys = uniform_keys(10_000, key_space=256, seed=2)

@@ -13,6 +13,12 @@ def make_tlb():
     return Tlb(config), config
 
 
+def _populate(tlb, page_table):
+    """Install the driver's vpn -> physical-base map entry by entry."""
+    for vpn, base in page_table.items():
+        tlb.populate(vpn, base)
+
+
 def test_translate_hit_and_offset():
     tlb, config = make_tlb()
     page = config.page_bytes
@@ -54,7 +60,7 @@ def test_addressable_bytes_tracks_entries():
     tlb, config = make_tlb()
     page = config.page_bytes
     assert tlb.addressable_bytes == 0
-    tlb.populate_from({0: 0, 1: page, 2: 2 * page})
+    _populate(tlb, {0: 0, 1: page, 2: 2 * page})
     assert len(tlb) == 3
     assert tlb.addressable_bytes == 3 * page
 
@@ -74,7 +80,7 @@ def test_split_command_straddles_page_boundaries():
     tlb, config = make_tlb()
     page = config.page_bytes
     # Virtually contiguous, physically scattered pages.
-    tlb.populate_from({0: 10 * page, 1: 3 * page, 2: 8 * page})
+    _populate(tlb, {0: 10 * page, 1: 3 * page, 2: 8 * page})
     start = page - 100
     pieces = list(tlb.split_command(start, 100 + page + 50))
     assert pieces == [
@@ -108,7 +114,7 @@ def test_last_translation_cache_hit_miss_invalidate():
     pages, and is invalidated when the driver remaps a page."""
     tlb, config = make_tlb()
     page = config.page_bytes
-    tlb.populate_from({0: 4 * page, 1: 9 * page})
+    _populate(tlb, {0: 4 * page, 1: 9 * page})
 
     assert tlb.translate(10) == 4 * page + 10
     assert tlb.cache_hits == 0  # cold: table probe filled the cache
@@ -170,7 +176,7 @@ def test_split_run_matches_per_chunk_split_command(start_offset, lengths,
     vaddr = page + start_offset
     expected_tlb, run_tlb = Tlb(config), Tlb(config)
     for tlb in (expected_tlb, run_tlb):
-        tlb.populate_from(scattered)
+        _populate(tlb, scattered)
         if warm_vpn is not None:
             tlb.translate(warm_vpn * page)
     expected = _per_chunk(expected_tlb, vaddr, lengths)
@@ -207,7 +213,7 @@ def test_segments_run_matches_listed_lengths(segmenter, start_offset,
     segments = segmenter(length)
     listed_tlb, closed_tlb = Tlb(config), Tlb(config)
     for tlb in (listed_tlb, closed_tlb):
-        tlb.populate_from(scattered)
+        _populate(tlb, scattered)
     listed = listed_tlb.chunk_run(vaddr, segments.lengths())
     closed = closed_tlb.chunk_run(vaddr, segments)
     n = len(segments)
@@ -216,7 +222,7 @@ def test_segments_run_matches_listed_lengths(segmenter, start_offset,
     assert closed.total == listed.total == length
     assert closed.pieces == listed.pieces
     span_tlb = Tlb(config)
-    span_tlb.populate_from(scattered)
+    _populate(span_tlb, scattered)
     assert closed.span() == listed.span() == \
         _per_chunk(span_tlb, vaddr, [length])[0]
     assert [closed.piece_count(j, n) for j in range(n)] == \
@@ -231,7 +237,7 @@ def test_split_run_pure_lookup_then_charge_run():
     page = config.page_bytes
     expected_tlb, run_tlb = Tlb(config), Tlb(config)
     for tlb in (expected_tlb, run_tlb):
-        tlb.populate_from({0: 4 * page, 1: 9 * page})
+        _populate(tlb, {0: 4 * page, 1: 9 * page})
         tlb.translate(0)
     lengths = [1456] * 10
     vaddr = page - 4000
