@@ -37,11 +37,15 @@ Usage::
                                                   # check vs the baseline
     python benchmarks/bench_engine.py --update-baseline
 
-The checked-in baseline (``bench_engine_baseline.json``) records the
-rates measured when the fast-path engine landed, plus the rate of the
-pre-fast-path ("seed") engine on ``stream_pingpong`` for the speedup
-column.  ``--smoke`` exits non-zero if any scenario drops more than
-``--threshold`` (default 30 %) below its baseline.
+The checked-in baseline (``bench_engine_baseline.json``) records each
+scenario's rate on the *reference host* of ``perfbench/speed.py``: every
+repeat of a scenario runs between speed probes, and the best host rate
+is divided by the probes' :func:`speed.scale`, so a slower or busier
+host reads the same rate as a fast idle one.  It also keeps the rate of
+the pre-fast-path ("seed") engine on ``stream_pingpong`` for the
+speedup column.  ``--smoke`` exits non-zero if any scenario's
+reference-host rate drops more than ``--threshold`` (default 30 %)
+below its baseline.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..",
+                                "perfbench"))
 
 from repro.config import NIC_100G  # noqa: E402
 from repro.core.payload import PAYLOAD_STATS  # noqa: E402
@@ -62,6 +68,7 @@ from repro.runmode import override  # noqa: E402
 from repro.sim.channels import Stream  # noqa: E402
 from repro.sim.core import Simulator  # noqa: E402
 from repro.sim.timebase import MS  # noqa: E402
+from speed import probe, scale  # noqa: E402
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "bench_engine_baseline.json")
@@ -69,6 +76,9 @@ RDMA_SIZE = 256 * 1024
 #: Minimum speedup of the folded 256 KiB WRITE/READ over the per-packet
 #: run measured in the same invocation.
 FOLD_SPEEDUP_GATE = 4
+#: Speed probes (wall clock, like the scenarios) run before each repeat
+#: of a scenario and after its last.
+PROBES = 5
 
 
 def timeout_loop(n: int) -> float:
@@ -230,11 +240,23 @@ SCENARIOS = {
 }
 
 
-def measure(n: int, repeats: int) -> dict:
-    results = {}
+def _probes() -> list:
+    return [probe(time.perf_counter) for _ in range(PROBES)]
+
+
+def measure(n: int, repeats: int):
+    """Best rate of each scenario on this host, and that rate on the
+    reference host (scaled by the probes taken around its repeats)."""
+    results, scaled = {}, {}
     for name, fn in SCENARIOS.items():
-        results[name] = max(fn(n) for _ in range(repeats))
-    return results
+        probes, best = [], 0.0
+        for _ in range(repeats):
+            probes += _probes()
+            best = max(best, fn(n))
+        probes += _probes()
+        results[name] = best
+        scaled[name] = best / scale(probes)
+    return results, scaled
 
 
 def load_baseline() -> dict:
@@ -260,20 +282,20 @@ def main(argv=None) -> int:
 
     n = 50_000 if args.smoke else 200_000
     repeats = 2 if args.smoke else 3
-    results = measure(n, repeats)
+    results, scaled = measure(n, repeats)
 
     baseline = None
     if os.path.exists(BASELINE_PATH) and not args.update_baseline:
         baseline = load_baseline()
 
     width = max(len(name) for name in SCENARIOS)
-    print(f"{'scenario':<{width}}  {'events/s':>12}  {'baseline':>12}"
-          f"  {'ratio':>6}")
+    print(f"{'scenario':<{width}}  {'events/s':>12}  {'reference':>12}"
+          f"  {'baseline':>12}  {'ratio':>6}")
     failed = []
-    for name, rate in results.items():
+    for name, rate in scaled.items():
         base = baseline["rates"].get(name) if baseline else None
         ratio = rate / base if base else float("nan")
-        print(f"{name:<{width}}  {rate:>12,.0f}  "
+        print(f"{name:<{width}}  {results[name]:>12,.0f}  {rate:>12,.0f}  "
               f"{(f'{base:,.0f}' if base else '-'):>12}  "
               f"{(f'{ratio:.2f}' if base else '-'):>6}")
         if base and rate < base * (1.0 - args.threshold):
@@ -327,7 +349,7 @@ def main(argv=None) -> int:
     obs_failed = hooked < plain * (1.0 - args.obs_threshold)
 
     if args.update_baseline:
-        payload = {"rates": results}
+        payload = {"rates": scaled}
         if os.path.exists(BASELINE_PATH):
             # Historical reference rates (seed engine) are measurements
             # of *replaced* code: carry them forward, they cannot be
@@ -342,7 +364,8 @@ def main(argv=None) -> int:
 
     if args.json:
         with open(args.json, "w") as handle:
-            json.dump({"rates": results}, handle, indent=2, sort_keys=True)
+            json.dump({"rates": scaled, "host_rates": results}, handle,
+                      indent=2, sort_keys=True)
             handle.write("\n")
 
     if obs_failed:

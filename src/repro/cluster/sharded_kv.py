@@ -35,7 +35,6 @@ from ..algos.hashing import fnv1a64, murmur64
 from ..apps.kvstore import GetResult, KvClient, KvServer
 from ..host.node import Fabric, HostNode
 from ..host.tcp_rpc import TcpRpcChannel
-from ..net.link import effective_fault_seed
 from ..obs.runtime import registry_for
 from ..roce.qp import QpError
 from ..sim import Resource, Simulator
@@ -248,8 +247,7 @@ class ShardedKvClient:
         #: event ordering); a policy enables timeouts/retries/failover.
         self.retry_policy = retry_policy
         self._seed = seed
-        self._retry_rng = random.Random(
-            effective_fault_seed(seed) ^ 0x5E7B)
+        self._retry_rng = random.Random(seed ^ 0x5E7B)
         self._free: List[deque] = []
         self._slots: List[Resource] = []
         #: Connections built per shard (salts reconnection TCP seeds).

@@ -25,7 +25,7 @@ Model
   configured that is the failure mode of a real RoCE deployment without
   PFC or congestion control.
 - **Optional ECN marking.**  With an :class:`~repro.cc.ecn.EcnConfig`
-  (``SwitchConfig.ecn`` or :meth:`Switch.enable_ecn`, normally via
+  (:meth:`Switch.enable_ecn`, normally via
   ``Cluster.enable_congestion_control``), enqueue runs the RED-style
   Kmin/Kmax ramp over the *instantaneous* queue depth and sets the CE
   codepoint on a copy of the frame (queued packets alias retransmit
@@ -79,9 +79,6 @@ class SwitchConfig:
     forwarding_latency: int = 300 * NS
     #: Per-output-port queue depth in frames; tail-drop beyond it.
     buffer_frames: int = 64
-    #: ECN marking at egress enqueue (the DCQCN congestion signal);
-    #: ``None`` disables marking — no RNG, no code-path change.
-    ecn: Optional[EcnConfig] = None
 
 
 SWITCH_DEFAULT = SwitchConfig()
@@ -171,8 +168,9 @@ class Switch:
         self.ports: List[SwitchPort] = []
         self._mac_table: Dict[bytes, int] = {}
         #: RED/DCQCN marker shared by all output queues (one seeded RNG
-        #: per switch); ``None`` when the config carries no ecn entry.
-        self.ecn_marker = EcnMarker(config.ecn) if config.ecn else None
+        #: per switch); ``None`` until :meth:`enable_ecn` (no RNG, no
+        #: code-path change).
+        self.ecn_marker = None
         metrics = registry_for(env)
         self.metrics = metrics
         self.obs = observers_for(env)

@@ -54,8 +54,8 @@ class Cluster:
     def enable_congestion_control(self, config=None) -> None:
         """Turn on DCQCN end to end: ECN marking on every switch plus
         CNP generation, rate control, and pacing on every NIC.  Without
-        this call (and with no ``ecn`` switch config) seeded runs are
-        bit-identical to the pre-congestion-control simulator."""
+        this call seeded runs are bit-identical to the
+        pre-congestion-control simulator."""
         from ..cc.plane import CcConfig
         if config is None:
             config = CcConfig()
@@ -91,8 +91,7 @@ def build_pair(env: Simulator,
                host_config: HostConfig = HOST_DEFAULT,
                memory_bytes: int = 1024 * 1024 * 1024,
                faults: Optional[LinkFaults] = None,
-               seed: int = 1,
-               names: Tuple[str, str] = ("client", "server")) -> Cluster:
+               seed: int = 1) -> Cluster:
     """Two directly connected hosts — no switch, one queue pair each way.
 
     The caller's ``faults`` seed is used verbatim (no per-link
@@ -100,7 +99,7 @@ def build_pair(env: Simulator,
     and the original two-node experiments depend on the exact schedule.
     """
     hosts = _make_hosts(env, 2, nic_config, host_config, memory_bytes,
-                        seed, names=list(names))
+                        seed, names=["client", "server"])
     cable = Cable(env, bits_per_second=nic_config.line_rate_bps,
                   propagation=nic_config.wire_propagation,
                   faults=faults)
@@ -136,7 +135,6 @@ def _wire_host_to_switch(cluster: Cluster, host: HostNode, switch: Switch,
 def build_star(env: Simulator, num_hosts: int,
                nic_config: NicConfig = NIC_10G,
                host_config: HostConfig = HOST_DEFAULT,
-               memory_bytes: int = 1024 * 1024 * 1024,
                faults: Optional[LinkFaults] = None,
                seed: int = 1,
                switch_config: SwitchConfig = SWITCH_DEFAULT,
@@ -144,7 +142,7 @@ def build_star(env: Simulator, num_hosts: int,
                name: str = "star") -> Cluster:
     """``num_hosts`` hosts hanging off one store-and-forward switch."""
     hosts = _make_hosts(env, num_hosts, nic_config, host_config,
-                        memory_bytes, seed, names=names)
+                        1024 * 1024 * 1024, seed, names=names)
     switch = Switch(env, switch_config, name=f"{name}.sw0")
     cluster = Cluster(env=env, hosts=hosts, switches=[switch])
     for host in hosts:

@@ -153,12 +153,11 @@ class WorkloadReport:
 
 
 def run_open_loop(env: Simulator, clients: List[ShardedKvClient],
-                  config: WorkloadConfig,
-                  drain_limit_ps: int = 2_000 * MS) -> WorkloadReport:
+                  config: WorkloadConfig) -> WorkloadReport:
     """Drive ``clients`` open-loop for one arrival window and drain.
 
     The simulator is advanced until every issued request has completed
-    (``drain_limit_ps`` bounds runaway runs).  Returns the report with
+    (2 s of simulated time bound runaway runs).  Returns the report with
     per-client samples and merged percentiles.
     """
     if not clients:
@@ -223,7 +222,7 @@ def run_open_loop(env: Simulator, clients: List[ShardedKvClient],
 
     start = env.now
     env.run_until_complete(env.process(master()),
-                           limit=start + drain_limit_ps)
+                           limit=start + 2_000 * MS)
     return WorkloadReport(config=config, issued=state["issued"],
                           completed=state["completed"],
                           completed_in_window=state["in_window"],

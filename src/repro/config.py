@@ -10,7 +10,7 @@ they read them from a :class:`NicConfig` / :class:`HostConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .sim import timebase
 from .sim.timebase import NS, US

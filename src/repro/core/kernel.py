@@ -73,7 +73,8 @@ class RpcInvocation:
 class KernelStreams:
     """The eight FIFOs of the fixed kernel interface."""
 
-    def __init__(self, env: Simulator, depth: int = 64) -> None:
+    def __init__(self, env: Simulator) -> None:
+        depth = 64  # the four output FIFOs' depth
         self.qpn_in = Stream(env, name="qpnIn")
         self.param_in = Stream(env, name="paramIn")
         self.roce_data_in = Stream(env, name="roceDataIn")

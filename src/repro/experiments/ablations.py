@@ -13,9 +13,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from ..config import HOST_DEFAULT, NIC_10G, NIC_100G, HostConfig, scaled_config
+from ..config import HOST_DEFAULT, NIC_10G, NIC_100G, scaled_config
 from ..fpga import XCVU9P, estimate_nic_resources
 from ..sim.timebase import NS
 from . import flowmodel
@@ -30,15 +28,14 @@ INTERCONNECTS = [
 ]
 
 
-def interconnect_latency_ablation(list_length: int = 16,
-                                  iterations: int = 10
+def interconnect_latency_ablation(iterations: int = 10
                                   ) -> ExperimentResult:
     """Footnote 7: how much faster does remote pointer chasing get when
     the FPGA's memory interconnect improves?"""
     result = ExperimentResult(
         experiment_id="ablation-interconnect",
-        title=f"Traversal kernel vs NIC-memory interconnect "
-              f"(list length {list_length})",
+        title="Traversal kernel vs NIC-memory interconnect "
+              "(list length 16)",
         columns=["interconnect", "read_rtt_ns", "strom_us",
                  "rdma_read_us", "speedup"],
         notes="each traversal hop costs one interconnect round trip; "
@@ -46,7 +43,7 @@ def interconnect_latency_ablation(list_length: int = 16,
     for name, rtt in INTERCONNECTS:
         config = scaled_config(NIC_10G, pcie_read_latency=rtt)
         sweep = linked_list_experiment(nic_config=config,
-                                       lengths=[list_length],
+                                       lengths=[16],
                                        iterations=iterations)
         row = sweep.rows[0]
         result.add_row(interconnect=name,
@@ -57,12 +54,10 @@ def interconnect_latency_ablation(list_length: int = 16,
     return result
 
 
-def datapath_width_ablation(widths: Optional[List[int]] = None
-                            ) -> ExperimentResult:
+def datapath_width_ablation() -> ExperimentResult:
     """Sections 3.5/4.1: the data path scales in power-of-two steps from
     8 B to 64 B, giving 10-80 Gbit/s at 156.25 MHz; state structures are
     untouched, so resources grow sublinearly."""
-    widths = widths or [8, 16, 32, 64]
     result = ExperimentResult(
         experiment_id="ablation-datapath",
         title="Data-path width scaling at 156.25 MHz (Section 4.1)",
@@ -70,7 +65,7 @@ def datapath_width_ablation(widths: Optional[List[int]] = None
                  "luts_k", "bram", "ffs_k"],
         notes="'The width can be varied from 8 B to 64 B resulting in a "
               "bandwidth of 10-80 Gbit/s at 156.25 MHz'")
-    for width in widths:
+    for width in (8, 16, 32, 64):
         line_rate = width * 8 * 156.25e6
         config = scaled_config(NIC_10G, datapath_bytes=width,
                                line_rate_bps=line_rate,
@@ -86,44 +81,36 @@ def datapath_width_ablation(widths: Optional[List[int]] = None
     return result
 
 
-def outstanding_reads_ablation(depths: Optional[List[int]] = None,
-                               payload_bytes: int = 64
-                               ) -> ExperimentResult:
+def outstanding_reads_ablation() -> ExperimentResult:
     """Section 4.1: the Multi-Queue's total capacity bounds outstanding
     READs; small depths throttle the read rate to depth/RTT."""
-    depths = depths or [1, 2, 4, 8, 16, 32, 64]
     result = ExperimentResult(
         experiment_id="ablation-outstanding-reads",
-        title=f"READ message rate vs Multi-Queue depth "
-              f"({payload_bytes} B payloads, 10 G)",
+        title="READ message rate vs Multi-Queue depth "
+              "(64 B payloads, 10 G)",
         columns=["depth", "read_mops", "bottleneck"],
         notes="rate = min(wire, host, outstanding/RTT): the Multi-Queue "
               "must cover the bandwidth-delay product")
-    for depth in depths:
+    for depth in (1, 2, 4, 8, 16, 32, 64):
         config = scaled_config(NIC_10G, max_outstanding_reads=depth)
-        point = flowmodel.read_throughput(config, HOST_DEFAULT,
-                                          payload_bytes)
+        point = flowmodel.read_throughput(config, HOST_DEFAULT, 64)
         result.add_row(depth=depth,
                        read_mops=point.message_rate_mops,
                        bottleneck=point.bottleneck)
     return result
 
 
-def doorbell_batching_ablation(batch_sizes: Optional[List[int]] = None,
-                               payload_bytes: int = 256,
-                               host: HostConfig = HOST_DEFAULT
-                               ) -> ExperimentResult:
+def doorbell_batching_ablation() -> ExperimentResult:
     """Section 7.1: 'Batching of application commands will eliminate
     this limitation of the current implementation.'"""
-    batch_sizes = batch_sizes or [1, 2, 4, 8, 16, 32]
     result = ExperimentResult(
         experiment_id="ablation-batching",
-        title=f"100 G message rate vs doorbell batch size "
-              f"({payload_bytes} B payloads)",
+        title="100 G message rate vs doorbell batch size "
+              "(256 B payloads)",
         columns=["batch_size", "write_mops", "goodput_gbps", "bottleneck"],
         notes="one MMIO store per batch amortizes the host command cost")
-    for batch in batch_sizes:
-        point = flowmodel.write_throughput(NIC_100G, host, payload_bytes,
+    for batch in (1, 2, 4, 8, 16, 32):
+        point = flowmodel.write_throughput(NIC_100G, HOST_DEFAULT, 256,
                                            batch_size=batch)
         result.add_row(batch_size=batch,
                        write_mops=point.message_rate_mops,

@@ -28,7 +28,7 @@ from ..cluster import (
     populate,
     run_open_loop,
 )
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G
 from ..sim import MS, Simulator
 from .common import ExperimentResult
 
@@ -38,27 +38,23 @@ def run_cluster_point(num_shards: int,
                       window_ps: int,
                       get_path: str = "strom",
                       num_keys: int = 256,
-                      value_bytes: int = 128,
-                      read_fraction: float = 0.95,
-                      nic_config: NicConfig = NIC_10G,
-                      host_config: HostConfig = HOST_DEFAULT,
                       seed: int = 1) -> WorkloadReport:
     """One operating point: ``num_shards`` servers + as many clients on
     a single switch, offered load scaled with the shard count."""
     env = Simulator()
     cluster = build_star(env, num_hosts=2 * num_shards,
-                         nic_config=nic_config, host_config=host_config,
+                         nic_config=NIC_10G, host_config=HOST_DEFAULT,
                          seed=seed)
     servers = cluster.hosts[:num_shards]
     client_hosts = cluster.hosts[num_shards:]
     service = ShardedKvService(cluster, servers)
-    populate(service, num_keys=num_keys, value_bytes=value_bytes)
+    populate(service, num_keys=num_keys, value_bytes=128)
     clients = [ShardedKvClient(cluster, service, node, seed=seed + i)
                for i, node in enumerate(client_hosts)]
     config = WorkloadConfig(
         offered_ops_per_s=offered_per_shard * num_shards,
         window_ps=window_ps, num_keys=num_keys,
-        read_fraction=read_fraction, value_bytes=value_bytes,
+        read_fraction=0.95, value_bytes=128,
         get_path=get_path, seed=seed)
     return run_open_loop_checked(env, clients, config)
 
@@ -76,25 +72,22 @@ def run_open_loop_checked(env: Simulator,
 
 def cluster_scaling_experiment(
         shard_counts: Sequence[int] = (1, 2, 3, 4),
-        paths: Sequence[str] = GET_PATHS,
         offered_per_shard: float = 120_000.0,
-        window_ps: int = 2 * MS,
-        experiment_id: str = "cluster-scaling",
-        seed: int = 1) -> ExperimentResult:
+        window_ps: int = 2 * MS) -> ExperimentResult:
     """Aggregate throughput and latency tails, 1..S shards, per path."""
     result = ExperimentResult(
-        experiment_id=experiment_id,
+        experiment_id="cluster-scaling",
         title="Sharded KV scale-out on a switched fabric (weak scaling)",
         columns=["path", "shards", "offered_kops", "achieved_kops",
                  "p50_us", "p99_us"],
         notes=("open loop, Poisson arrivals, Zipf(0.99) keys, "
                f"{offered_per_shard / 1e3:.0f} kops/s offered per shard; "
                "TCP GETs serialize on one RPC core per server"))
-    for path in paths:
+    for path in GET_PATHS:
         for shards in shard_counts:
             report = run_cluster_point(
                 shards, offered_per_shard=offered_per_shard,
-                window_ps=window_ps, get_path=path, seed=seed)
+                window_ps=window_ps, get_path=path)
             pct = report.latency_percentiles_us()
             result.add_row(
                 path=path, shards=shards,

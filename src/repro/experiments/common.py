@@ -108,12 +108,11 @@ def measure_write_latency(nic_config: NicConfig = NIC_10G,
 def measure_read_latency(nic_config: NicConfig = NIC_10G,
                          host_config: HostConfig = HOST_DEFAULT,
                          payload_bytes: int = 64,
-                         iterations: int = 50,
-                         seed: int = 2) -> LatencySummary:
+                         iterations: int = 50) -> LatencySummary:
     """READ latency: post one READ, wait for the data to land locally."""
     env = Simulator()
     fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+                          host_config=host_config, seed=2)
     client, server = fabric.client, fabric.server
     local = client.alloc(max(payload_bytes, 64) * 2, "read_dst")
     remote = server.alloc(max(payload_bytes, 64) * 2, "read_src")
@@ -146,12 +145,11 @@ def measure_read_latency(nic_config: NicConfig = NIC_10G,
 def measure_write_throughput(nic_config: NicConfig = NIC_10G,
                              host_config: HostConfig = HOST_DEFAULT,
                              payload_bytes: int = 4096,
-                             messages: int = 64,
-                             seed: int = 3) -> float:
+                             messages: int = 64) -> float:
     """Goodput (Gbit/s) of ``messages`` pipelined writes (detailed sim)."""
     env = Simulator()
     fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+                          host_config=host_config, seed=3)
     client = fabric.client
     src = client.alloc(payload_bytes, "tp_src")
     dst = fabric.server.alloc(payload_bytes, "tp_dst")

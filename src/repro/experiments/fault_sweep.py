@@ -19,7 +19,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..cluster import (
     RetryPolicy,
@@ -30,7 +30,7 @@ from ..cluster import (
     populate,
     run_open_loop,
 )
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G
 from ..faults import FaultSchedule
 from ..net.link import GilbertElliott, LinkFaults
 from ..obs.runtime import registry_for
@@ -46,34 +46,24 @@ def run_fault_point(mean_loss: float,
                     seed: int = 7,
                     num_shards: int = 2,
                     offered_per_shard: float = 60_000.0,
-                    window_ps: int = 2 * MS,
-                    get_path: str = "strom",
-                    num_keys: int = 128,
-                    value_bytes: int = 128,
-                    read_fraction: float = 0.95,
-                    burst_frames: float = 8.0,
-                    nic_config: NicConfig = NIC_10G,
-                    host_config: HostConfig = HOST_DEFAULT,
-                    retry_policy: Optional[RetryPolicy] = None
-                    ) -> Dict[str, object]:
+                    window_ps: int = 2 * MS) -> Dict[str, object]:
     """One operating point; returns a flat row of goodput + fault
     counters (plain numbers only, so rows serialize to JSON)."""
     env = Simulator()
     faults = None
     if mean_loss > 0.0:
         faults = LinkFaults(
-            burst=GilbertElliott.from_mean_loss(mean_loss,
-                                               burst_frames=burst_frames),
+            burst=GilbertElliott.from_mean_loss(mean_loss, burst_frames=8.0),
             seed=seed)
     cluster = build_star(env, num_hosts=2 * num_shards,
-                         nic_config=nic_config, host_config=host_config,
+                         nic_config=NIC_10G, host_config=HOST_DEFAULT,
                          faults=faults, seed=seed)
     servers = cluster.hosts[:num_shards]
     client_hosts = cluster.hosts[num_shards:]
     service = ShardedKvService(cluster, servers,
                                replicas=min(2, num_shards))
-    populate(service, num_keys=num_keys, value_bytes=value_bytes)
-    policy = retry_policy or RetryPolicy()
+    populate(service, num_keys=128, value_bytes=128)
+    policy = RetryPolicy()
     clients = [ShardedKvClient(cluster, service, node, seed=seed + i,
                                retry_policy=policy)
                for i, node in enumerate(client_hosts)]
@@ -86,9 +76,9 @@ def run_fault_point(mean_loss: float,
 
     config = WorkloadConfig(
         offered_ops_per_s=offered_per_shard * num_shards,
-        window_ps=window_ps, num_keys=num_keys,
-        read_fraction=read_fraction, value_bytes=value_bytes,
-        get_path=get_path, seed=seed)
+        window_ps=window_ps, num_keys=128,
+        read_fraction=0.95, value_bytes=128,
+        get_path="strom", seed=seed)
     report = run_open_loop(env, clients, config)
     if report.completed != report.issued:
         raise RuntimeError(
@@ -126,11 +116,10 @@ def fault_sweep_experiment(
         crash_modes: Sequence[bool] = (False, True),
         seed: int = 7,
         offered_per_shard: float = 60_000.0,
-        window_ps: int = 2 * MS,
-        experiment_id: str = "fault-sweep") -> ExperimentResult:
+        window_ps: int = 2 * MS) -> ExperimentResult:
     """Goodput/p99 degradation curves vs burst loss x crash injection."""
     result = ExperimentResult(
-        experiment_id=experiment_id,
+        experiment_id="fault-sweep",
         title="Goodput under bursty loss, link faults, and shard crashes",
         columns=["mean_loss", "crash", "offered_kops", "goodput_kops",
                  "p50_us", "p99_us", "failed", "retransmits",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G, NicConfig
 from . import flowmodel
 from .common import (
     ExperimentResult,
@@ -26,7 +26,6 @@ MESSAGE_RATE_PAYLOADS = [64, 256, 1024, 4096]
 
 
 def latency_experiment(nic_config: NicConfig = NIC_10G,
-                       host_config: HostConfig = HOST_DEFAULT,
                        payloads: Optional[List[int]] = None,
                        iterations: int = 50,
                        experiment_id: str = "fig5a") -> ExperimentResult:
@@ -41,9 +40,9 @@ def latency_experiment(nic_config: NicConfig = NIC_10G,
                  "read_p99_us"],
         notes="write latency = ping-pong RTT/2 (paper methodology)")
     for payload in payloads:
-        write = measure_write_latency(nic_config, host_config, payload,
+        write = measure_write_latency(nic_config, HOST_DEFAULT, payload,
                                       iterations)
-        read = measure_read_latency(nic_config, host_config, payload,
+        read = measure_read_latency(nic_config, HOST_DEFAULT, payload,
                                     iterations)
         result.add_row(payload_B=payload,
                        write_med_us=write.median_us,
@@ -56,7 +55,6 @@ def latency_experiment(nic_config: NicConfig = NIC_10G,
 
 
 def throughput_experiment(nic_config: NicConfig = NIC_10G,
-                          host_config: HostConfig = HOST_DEFAULT,
                           payloads: Optional[List[int]] = None,
                           experiment_id: str = "fig5b") -> ExperimentResult:
     """Figure 5b / 12b (flow model; detailed spot checks in the tests)."""
@@ -67,8 +65,8 @@ def throughput_experiment(nic_config: NicConfig = NIC_10G,
         columns=["payload_B", "write_gbps", "read_gbps", "ideal_gbps",
                  "bottleneck"])
     for payload in payloads:
-        write = flowmodel.write_throughput(nic_config, host_config, payload)
-        read = flowmodel.read_throughput(nic_config, host_config, payload)
+        write = flowmodel.write_throughput(nic_config, HOST_DEFAULT, payload)
+        read = flowmodel.read_throughput(nic_config, HOST_DEFAULT, payload)
         result.add_row(payload_B=payload,
                        write_gbps=write.goodput_gbps,
                        read_gbps=read.goodput_gbps,
@@ -78,7 +76,6 @@ def throughput_experiment(nic_config: NicConfig = NIC_10G,
 
 
 def message_rate_experiment(nic_config: NicConfig = NIC_10G,
-                            host_config: HostConfig = HOST_DEFAULT,
                             payloads: Optional[List[int]] = None,
                             experiment_id: str = "fig5c"
                             ) -> ExperimentResult:
@@ -90,8 +87,8 @@ def message_rate_experiment(nic_config: NicConfig = NIC_10G,
         columns=["payload_B", "write_mops", "read_mops", "ideal_mops",
                  "bottleneck"])
     for payload in payloads:
-        write = flowmodel.write_throughput(nic_config, host_config, payload)
-        read = flowmodel.read_throughput(nic_config, host_config, payload)
+        write = flowmodel.write_throughput(nic_config, HOST_DEFAULT, payload)
+        read = flowmodel.read_throughput(nic_config, HOST_DEFAULT, payload)
         result.add_row(payload_B=payload,
                        write_mops=write.message_rate_mops,
                        read_mops=read.message_rate_mops,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G, NicConfig
 from ..core.rpc import RpcOpcode
 from ..host import build_fabric
 from ..host.tcp_rpc import TcpRpcChannel
@@ -22,6 +22,7 @@ from .common import ExperimentResult, run_proc
 
 LIST_LENGTHS = [4, 8, 16, 32]
 VALUE_BYTES = 64
+SEED = 7
 
 
 def _build_linked_list(server, keys, value_bytes):
@@ -41,42 +42,37 @@ def _build_linked_list(server, keys, value_bytes):
 
 
 def linked_list_experiment(nic_config: NicConfig = NIC_10G,
-                           host_config: HostConfig = HOST_DEFAULT,
                            lengths: Optional[List[int]] = None,
-                           iterations: int = 30,
-                           value_bytes: int = VALUE_BYTES,
-                           seed: int = 7) -> ExperimentResult:
+                           iterations: int = 30) -> ExperimentResult:
     lengths = lengths or LIST_LENGTHS
     result = ExperimentResult(
         experiment_id="fig7",
         title="Remote linked-list traversal latency (median us, "
-              f"value {value_bytes} B)",
+              f"value {VALUE_BYTES} B)",
         columns=["list_length", "rdma_read_us", "strom_us", "tcp_rpc_us",
                  "read_p99_us", "strom_p99_us", "tcp_p99_us"],
         notes="READ grows linearly (one RTT per hop); StRoM sublinearly "
               "(one PCIe access per hop); TCP RPC is flat")
     for length in lengths:
-        rows = _measure_for_length(nic_config, host_config, length,
-                                   iterations, value_bytes, seed)
+        rows = _measure_for_length(nic_config, length, iterations)
         result.add_row(list_length=length, **rows)
     return result
 
 
-def _measure_for_length(nic_config, host_config, length, iterations,
-                        value_bytes, seed):
+def _measure_for_length(nic_config, length, iterations):
     env = Simulator()
     fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+                          host_config=HOST_DEFAULT, seed=SEED)
     client, server = fabric.client, fabric.server
     kernel = TraversalKernel(env, server.nic.config)
     server.nic.deploy_kernel(RpcOpcode.TRAVERSAL, kernel)
-    tcp = TcpRpcChannel(env, host_config, seed=seed)
+    tcp = TcpRpcChannel(env, HOST_DEFAULT, seed=SEED)
 
     keys = [1000 + i for i in range(length)]
-    addresses = _build_linked_list(server, keys, value_bytes)
+    addresses = _build_linked_list(server, keys, VALUE_BYTES)
     entry_buf = client.alloc(64 * 2, "entry")
-    value_buf = client.alloc(max(value_bytes, 64) * 2, "value")
-    rng = random.Random(seed)
+    value_buf = client.alloc(max(VALUE_BYTES, 64) * 2, "value")
+    rng = random.Random(SEED)
 
     read_sample = LatencySample("read")
     strom_sample = LatencySample("strom")
@@ -95,7 +91,7 @@ def _measure_for_length(nic_config, host_config, length, iterations,
             if entry_key == key:
                 yield from client.read_sync(fabric.client_qpn,
                                             value_buf.vaddr, value_ptr,
-                                            value_bytes)
+                                            VALUE_BYTES)
                 break
             address = next_ptr
         read_sample.record(env.now - start)
@@ -104,21 +100,21 @@ def _measure_for_length(nic_config, host_config, length, iterations,
         start = env.now
         params = TraversalParams(
             response_vaddr=value_buf.vaddr, remote_address=addresses[0],
-            value_size=value_bytes, key=key, key_mask=1,
+            value_size=VALUE_BYTES, key=key, key_mask=1,
             predicate_op=PredicateOp.EQUAL, value_ptr_position=4,
             is_relative_position=False, next_element_ptr_position=2,
             next_element_ptr_valid=True)
         yield from client.post_rpc(fabric.client_qpn, RpcOpcode.TRAVERSAL,
                                    params.pack())
         yield from client.wait_for_data(value_buf.vaddr,
-                                        min(value_bytes, 8))
+                                        min(VALUE_BYTES, 8))
         strom_sample.record(env.now - start)
 
     def via_tcp(position):
         start = env.now
         yield from tcp.call(
             request_bytes=32,
-            server_work=tcp.linked_list_handler(position + 1, value_bytes))
+            server_work=tcp.linked_list_handler(position + 1, VALUE_BYTES))
         tcp_sample.record(env.now - start)
 
     def driver():

@@ -12,22 +12,19 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G
 from ..apps.kvstore import KvClient, KvServer
-from ..core.rpc import RpcOpcode
 from ..host import build_fabric
 from ..host.tcp_rpc import TcpRpcChannel
 from ..sim import MS, LatencySample, Simulator
 from .common import ExperimentResult, run_proc
 
 VALUE_SIZES = [64, 128, 256, 512, 1024, 2048, 4096]
+SEED = 8
 
 
-def hash_table_experiment(nic_config: NicConfig = NIC_10G,
-                          host_config: HostConfig = HOST_DEFAULT,
-                          value_sizes: Optional[List[int]] = None,
-                          iterations: int = 30,
-                          seed: int = 8) -> ExperimentResult:
+def hash_table_experiment(value_sizes: Optional[List[int]] = None,
+                          iterations: int = 30) -> ExperimentResult:
     value_sizes = value_sizes or VALUE_SIZES
     result = ExperimentResult(
         experiment_id="fig8",
@@ -37,22 +34,20 @@ def hash_table_experiment(nic_config: NicConfig = NIC_10G,
         notes="READ = 2 round trips (entry + value); StRoM = 1 round trip "
               "saving ~one network RTT per lookup")
     for value_bytes in value_sizes:
-        row = _measure_for_value_size(nic_config, host_config, value_bytes,
-                                      iterations, seed)
+        row = _measure_for_value_size(value_bytes, iterations)
         result.add_row(value_B=value_bytes, **row)
     return result
 
 
-def _measure_for_value_size(nic_config, host_config, value_bytes,
-                            iterations, seed):
+def _measure_for_value_size(value_bytes, iterations):
     env = Simulator()
-    fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+    fabric = build_fabric(env, nic_config=NIC_10G,
+                          host_config=HOST_DEFAULT, seed=SEED)
     server_store = KvServer(fabric.server, num_slots=1024,
                             value_capacity=max(4 << 20,
                                                value_bytes * 64))
     server_store.deploy_traversal_kernel()
-    tcp = TcpRpcChannel(env, host_config, seed=seed)
+    tcp = TcpRpcChannel(env, HOST_DEFAULT, seed=SEED)
     client_store = KvClient(fabric, server_store, tcp=tcp)
 
     # Insert collision-free keys (best case: one entry probe), as the

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..algos.crc import ChecksummedObject
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G
 from ..core.rpc import RpcOpcode
 from ..host import build_fabric
 from ..host.baselines import read_with_sw_check
@@ -30,10 +30,10 @@ FAILURE_RATES = [0.0, 0.005, 0.05, 0.5]
 FAILURE_SIZES = [64, 512, 4096]
 
 
-def _setup(nic_config, host_config, object_bytes, failure_rate, seed):
+def _setup(object_bytes, failure_rate, seed):
     env = Simulator()
-    fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+    fabric = build_fabric(env, nic_config=NIC_10G,
+                          host_config=HOST_DEFAULT, seed=seed)
     kernel_injector = (seeded_failure_injector(failure_rate, seed + 1)
                        if failure_rate else None)
     kernel = ConsistencyKernel(env, fabric.server.nic.config,
@@ -48,11 +48,8 @@ def _setup(nic_config, host_config, object_bytes, failure_rate, seed):
     return env, fabric, obj, local
 
 
-def consistency_latency_experiment(nic_config: NicConfig = NIC_10G,
-                                   host_config: HostConfig = HOST_DEFAULT,
-                                   object_sizes: Optional[List[int]] = None,
-                                   iterations: int = 30,
-                                   seed: int = 9) -> ExperimentResult:
+def consistency_latency_experiment(object_sizes: Optional[List[int]] = None,
+                                   iterations: int = 30) -> ExperimentResult:
     """Figure 9: latency vs object size, no failures."""
     object_sizes = object_sizes or OBJECT_SIZES
     result = ExperimentResult(
@@ -63,19 +60,15 @@ def consistency_latency_experiment(nic_config: NicConfig = NIC_10G,
         notes="READ+SW pays CPU CRC64 (up to ~40% at 4KB); the StRoM "
               "kernel adds ~1 us (<8%)")
     for object_bytes in object_sizes:
-        row = _measure_latency(nic_config, host_config, object_bytes,
-                               failure_rate=0.0, iterations=iterations,
-                               seed=seed)
+        row = _measure_latency(object_bytes, failure_rate=0.0,
+                               iterations=iterations, seed=9)
         result.add_row(object_B=object_bytes, **row)
     return result
 
 
-def failure_rate_experiment(nic_config: NicConfig = NIC_10G,
-                            host_config: HostConfig = HOST_DEFAULT,
-                            failure_rates: Optional[List[float]] = None,
+def failure_rate_experiment(failure_rates: Optional[List[float]] = None,
                             object_sizes: Optional[List[int]] = None,
-                            iterations: int = 40,
-                            seed: int = 10) -> ExperimentResult:
+                            iterations: int = 40) -> ExperimentResult:
     """Figure 10: average latency vs failure rate and object size."""
     failure_rates = failure_rates if failure_rates is not None \
         else FAILURE_RATES
@@ -88,9 +81,8 @@ def failure_rate_experiment(nic_config: NicConfig = NIC_10G,
               "re-read for StRoM (first retry always succeeds)")
     for object_bytes in object_sizes:
         for rate in failure_rates:
-            row = _measure_latency(nic_config, host_config, object_bytes,
-                                   failure_rate=rate,
-                                   iterations=iterations, seed=seed,
+            row = _measure_latency(object_bytes, failure_rate=rate,
+                                   iterations=iterations, seed=10,
                                    mean=True)
             result.add_row(object_B=object_bytes, failure_rate=rate,
                            read_sw_us=row["read_sw_us"],
@@ -98,12 +90,11 @@ def failure_rate_experiment(nic_config: NicConfig = NIC_10G,
     return result
 
 
-def _measure_latency(nic_config, host_config, object_bytes, failure_rate,
-                     iterations, seed, mean=False):
-    env, fabric, obj, local = _setup(nic_config, host_config, object_bytes,
-                                     failure_rate, seed)
+def _measure_latency(object_bytes, failure_rate, iterations, seed,
+                     mean=False):
+    env, fabric, obj, local = _setup(object_bytes, failure_rate, seed)
     client = fabric.client
-    cpu = CpuModel(host_config)
+    cpu = CpuModel(HOST_DEFAULT)
     sw_injector = (seeded_failure_injector(failure_rate, seed + 2)
                    if failure_rate else None)
 

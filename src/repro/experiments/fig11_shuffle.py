@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G
 from ..core.rpc import RpcOpcode
 from ..host import build_fabric
 from ..host.baselines import SoftwarePartitioner
@@ -28,11 +28,10 @@ from .common import ExperimentResult, run_proc
 from .flowmodel import shuffle_times
 
 INPUT_MIB = [128, 256, 512, 1024]
+SEED = 11
 
 
-def shuffle_experiment(nic_config: NicConfig = NIC_10G,
-                       host_config: HostConfig = HOST_DEFAULT,
-                       input_mib: Optional[List[int]] = None
+def shuffle_experiment(input_mib: Optional[List[int]] = None
                        ) -> ExperimentResult:
     """The published sweep (flow model)."""
     input_mib = input_mib or INPUT_MIB
@@ -45,7 +44,7 @@ def shuffle_experiment(nic_config: NicConfig = NIC_10G,
               "a plain WRITE; the SW baseline pays a serial partition "
               "pass")
     for mib in input_mib:
-        times = shuffle_times(nic_config, host_config, mib * 1024 * 1024)
+        times = shuffle_times(NIC_10G, HOST_DEFAULT, mib * 1024 * 1024)
         result.add_row(
             input_MiB=mib,
             sw_write_s=times.sw_write_s,
@@ -56,11 +55,8 @@ def shuffle_experiment(nic_config: NicConfig = NIC_10G,
     return result
 
 
-def shuffle_detailed_run(nic_config: NicConfig = NIC_10G,
-                         host_config: HostConfig = HOST_DEFAULT,
-                         num_tuples: int = 16384,
-                         partition_bits: int = 3,
-                         seed: int = 11):
+def shuffle_detailed_run(num_tuples: int = 16384,
+                         partition_bits: int = 3):
     """Scaled-down detailed validation: runs the real shuffle kernel and
     both baselines over the packet-level simulation.
 
@@ -68,14 +64,14 @@ def shuffle_detailed_run(nic_config: NicConfig = NIC_10G,
     functional evidence (tuples partitioned per approach).
     """
     total_bytes = num_tuples * 8
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     values = rng.integers(0, 2 ** 63, size=num_tuples, dtype=np.uint64)
     num_partitions = 1 << partition_bits
 
     # ---------------- plain RDMA WRITE --------------------------------
     env = Simulator()
-    fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+    fabric = build_fabric(env, nic_config=NIC_10G,
+                          host_config=HOST_DEFAULT, seed=SEED)
     src = fabric.client.alloc(total_bytes, "src")
     dst = fabric.server.alloc(total_bytes, "dst")
     fabric.client.space.write(src.vaddr, values.tobytes())
@@ -90,8 +86,8 @@ def shuffle_detailed_run(nic_config: NicConfig = NIC_10G,
 
     # ---------------- StRoM shuffle kernel ----------------------------
     env = Simulator()
-    fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
+    fabric = build_fabric(env, nic_config=NIC_10G,
+                          host_config=HOST_DEFAULT, seed=SEED)
     kernel = ShuffleKernel(env, fabric.server.nic.config)
     fabric.server.nic.deploy_kernel(RpcOpcode.SHUFFLE, kernel,
                                     sequential_dma=False)
@@ -123,9 +119,9 @@ def shuffle_detailed_run(nic_config: NicConfig = NIC_10G,
 
     # ---------------- SW partition + WRITE ----------------------------
     env = Simulator()
-    fabric = build_fabric(env, nic_config=nic_config,
-                          host_config=host_config, seed=seed)
-    partitioner = SoftwarePartitioner(CpuModel(host_config), partition_bits)
+    fabric = build_fabric(env, nic_config=NIC_10G,
+                          host_config=HOST_DEFAULT, seed=SEED)
+    partitioner = SoftwarePartitioner(CpuModel(HOST_DEFAULT), partition_bits)
     src = fabric.client.alloc(total_bytes, "src")
     dst = fabric.server.alloc(total_bytes + num_partitions * 64, "dst")
 

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..config import HOST_DEFAULT, NIC_100G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_100G
 from ..host.baselines import CpuHllIngest
 from ..host.cpu import CpuModel
 from ..algos.hyperloglog import exact_cardinality
@@ -29,16 +29,14 @@ PAYLOADS_13B = [64, 128, 512, 1024, 4096, 16384]
 NIC_INGEST_GBPS = 25.0
 
 
-def hll_cpu_experiment(host_config: HostConfig = HOST_DEFAULT,
-                       threads: Optional[List[int]] = None,
-                       sample_tuples: int = 200_000,
-                       seed: int = 13) -> ExperimentResult:
+def hll_cpu_experiment(threads: Optional[List[int]] = None,
+                       sample_tuples: int = 200_000) -> ExperimentResult:
     """Figure 13a."""
     threads = threads or THREAD_COUNTS
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     values = rng.integers(0, 2 ** 62, size=sample_tuples, dtype=np.uint64)
     truth = exact_cardinality(values.tolist())
-    cpu = CpuModel(host_config)
+    cpu = CpuModel(HOST_DEFAULT)
     result = ExperimentResult(
         experiment_id="fig13a",
         title="CPU HLL throughput receiving data through StRoM (Gbit/s)",
@@ -55,23 +53,21 @@ def hll_cpu_experiment(host_config: HostConfig = HOST_DEFAULT,
     return result
 
 
-def hll_kernel_experiment(nic_config: NicConfig = NIC_100G,
-                          host_config: HostConfig = HOST_DEFAULT,
-                          payloads: Optional[List[int]] = None
+def hll_kernel_experiment(payloads: Optional[List[int]] = None
                           ) -> ExperimentResult:
     """Figure 13b."""
     payloads = payloads or PAYLOADS_13B
     result = ExperimentResult(
         experiment_id="fig13b",
-        title=f"StRoM Write vs Write+HLL throughput on {nic_config.name} "
+        title=f"StRoM Write vs Write+HLL throughput on {NIC_100G.name} "
               "(Gbit/s)",
         columns=["payload_B", "write_gbps", "write_hll_gbps",
                  "overhead_pct"],
         notes="the HLL kernel runs at II=1 (one word/cycle >= line rate): "
               "zero throughput overhead")
     for payload in payloads:
-        write = write_throughput(nic_config, host_config, payload)
-        with_hll = hll_kernel_throughput(nic_config, host_config, payload)
+        write = write_throughput(NIC_100G, HOST_DEFAULT, payload)
+        with_hll = hll_kernel_throughput(NIC_100G, HOST_DEFAULT, payload)
         overhead = 0.0
         if write.goodput_gbps > 0:
             overhead = 100.0 * (write.goodput_gbps - with_hll.goodput_gbps) \

@@ -146,8 +146,8 @@ def bulk_write_goodput_bps(nic: NicConfig) -> float:
 
 
 def shuffle_times(nic: NicConfig, host: HostConfig,
-                  input_bytes: int, tuple_bytes: int = 8) -> ShuffleTimes:
-    """Figure 11's three bars for one input size.
+                  input_bytes: int) -> ShuffleTimes:
+    """Figure 11's three bars for one input size (8 B tuples).
 
     - RDMA WRITE: pure transmission at bulk goodput.
     - StRoM: same transmission; partitioning happens on the receiving
@@ -169,7 +169,7 @@ def shuffle_times(nic: NicConfig, host: HostConfig,
     strom_s = input_bytes * 8 / strom_rate \
         + timebase.to_seconds(2 * nic.pcie_read_latency)  # RPC + flush tail
 
-    num_tuples = input_bytes // tuple_bytes
+    num_tuples = input_bytes // 8
     partition_s = timebase.to_seconds(cpu.partition_time(num_tuples))
     sw_s = partition_s + transmit_s
 

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence
 
 from ..cc import CcConfig
 from ..cluster import build_star
-from ..config import HOST_DEFAULT, NIC_10G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G
 from ..obs.runtime import registry_for
 from ..sim import MS, Simulator
 from ..sim.stats import LatencySample
@@ -32,6 +32,8 @@ from .common import ExperimentResult
 
 #: Swept fan-in degrees (senders per receiver).
 DEFAULT_SENDER_COUNTS = (2, 4, 8)
+#: Payload of every WRITE.
+MESSAGE_BYTES = 16384
 
 
 def _metric_sum(flat: Dict[str, object], suffix: str) -> int:
@@ -43,16 +45,12 @@ def run_incast_point(senders: int,
                      cc: bool,
                      seed: int = 7,
                      messages: int = 100,
-                     message_bytes: int = 16384,
                      window: int = 4,
-                     deadline_ps: int = 1000 * MS,
-                     cc_config: Optional[CcConfig] = None,
-                     nic_config: NicConfig = NIC_10G,
-                     host_config: HostConfig = HOST_DEFAULT
+                     cc_config: Optional[CcConfig] = None
                      ) -> Dict[str, object]:
     """One N:1 operating point; returns a flat JSON-able row.
 
-    Each sender keeps ``window`` WRITEs of ``message_bytes`` in flight
+    Each sender keeps ``window`` WRITEs of ``MESSAGE_BYTES`` in flight
     until it has issued ``messages`` of them.  With congestion control
     off a message that exhausts its QP's retry budget completes with an
     error and is counted in ``errors`` (its bytes never count toward
@@ -60,7 +58,7 @@ def run_incast_point(senders: int,
     """
     env = Simulator()
     cluster = build_star(env, num_hosts=senders + 1,
-                         nic_config=nic_config, host_config=host_config,
+                         nic_config=NIC_10G, host_config=HOST_DEFAULT,
                          seed=seed)
     receiver = cluster.hosts[0]
     sender_hosts = cluster.hosts[1:]
@@ -73,8 +71,8 @@ def run_incast_point(senders: int,
     latency = LatencySample("incast")
 
     def sender_proc(host, qpn):
-        local = host.alloc(message_bytes).vaddr
-        remote = receiver.alloc(message_bytes).vaddr
+        local = host.alloc(MESSAGE_BYTES).vaddr
+        remote = receiver.alloc(MESSAGE_BYTES).vaddr
         outstanding = []
 
         def reap(posted_ps, completion):
@@ -87,7 +85,7 @@ def run_incast_point(senders: int,
 
         for _ in range(messages):
             completion = yield from host.write(qpn, local, remote,
-                                               message_bytes)
+                                               MESSAGE_BYTES)
             outstanding.append((env.now, completion))
             if len(outstanding) >= window:
                 posted_ps, head = outstanding.pop(0)
@@ -99,11 +97,11 @@ def run_incast_point(senders: int,
 
     for host in sender_hosts:
         env.process(sender_proc(host, qpns[host.name]))
-    env.run(until=deadline_ps)
+    env.run(until=1000 * MS)
 
     flat = registry_for(env).snapshot().as_flat_dict()
     makespan_ps = tally["finish_ps"] or env.now
-    goodput_bps = (tally["completed"] * message_bytes * 8
+    goodput_bps = (tally["completed"] * MESSAGE_BYTES * 8
                    / (makespan_ps / 1e12))
     pct = (latency.percentiles([0.50, 0.99]) if len(latency)
            else {0.50: 0.0, 0.99: 0.0})
@@ -129,26 +127,21 @@ def run_incast_point(senders: int,
 
 def incast_sweep_experiment(
         sender_counts: Sequence[int] = DEFAULT_SENDER_COUNTS,
-        cc_modes: Sequence[bool] = (False, True),
         seed: int = 7,
-        messages: int = 100,
-        message_bytes: int = 16384,
-        window: int = 4,
-        experiment_id: str = "incast-sweep") -> ExperimentResult:
+        messages: int = 100) -> ExperimentResult:
     """Goodput/p99/drop curves vs fan-in degree, CC off vs on."""
     result = ExperimentResult(
-        experiment_id=experiment_id,
+        experiment_id="incast-sweep",
         title="N:1 incast goodput with and without ECN/DCQCN",
         columns=["senders", "cc", "completed", "errors", "goodput_gbps",
                  "p50_us", "p99_us", "makespan_ms", "tail_drops",
                  "ce_marks", "cnps", "retransmits", "qp_errors"],
         notes=(f"star topology, one 10G bottleneck port, seed {seed}; "
-               f"{messages} x {message_bytes} B WRITEs per sender, "
-               f"window {window}; cc=1 enables switch ECN marking + "
+               f"{messages} x {MESSAGE_BYTES} B WRITEs per sender, "
+               "window 4; cc=1 enables switch ECN marking + "
                "per-QP DCQCN rate control + pacing"))
-    for cc in cc_modes:
+    for cc in (False, True):
         for senders in sender_counts:
             result.add_row(**run_incast_point(
-                senders, cc, seed=seed, messages=messages,
-                message_bytes=message_bytes, window=window))
+                senders, cc, seed=seed, messages=messages))
     return result

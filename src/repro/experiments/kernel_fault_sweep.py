@@ -72,9 +72,7 @@ def _hostile_params(response_vaddr: int, remote: int) -> bytes:
 def run_kernel_fault_point(fault_level: int,
                            seed: int = 7,
                            offered_per_shard: float = 40_000.0,
-                           window_ps: int = 2 * MS,
-                           num_keys: int = 128,
-                           value_bytes: int = 128
+                           window_ps: int = 2 * MS
                            ) -> Dict[str, object]:
     """One operating point; returns a flat JSON-serializable row."""
     num_shards = 2
@@ -85,7 +83,7 @@ def run_kernel_fault_point(fault_level: int,
                                kernel_protection=True,
                                kernel_budget=HARDENED_BUDGET,
                                quarantine_threshold=3)
-    populate(service, num_keys=num_keys, value_bytes=value_bytes)
+    populate(service, num_keys=128, value_bytes=128)
     clients = [ShardedKvClient(cluster, service, node, seed=seed + i,
                                retry_policy=RetryPolicy())
                for i, node in enumerate(cluster.hosts[num_shards:])]
@@ -162,8 +160,8 @@ def run_kernel_fault_point(fault_level: int,
 
     config = WorkloadConfig(
         offered_ops_per_s=offered_per_shard * num_shards,
-        window_ps=window_ps, num_keys=num_keys, read_fraction=0.95,
-        value_bytes=value_bytes, get_path="strom", seed=seed)
+        window_ps=window_ps, num_keys=128, read_fraction=0.95,
+        value_bytes=128, get_path="strom", seed=seed)
     report = run_open_loop(env, clients, config)
     env.run()  # drain the attacker's trailing shots
     if report.completed != report.issued:
@@ -207,11 +205,10 @@ def kernel_fault_sweep_experiment(
         fault_levels: Sequence[int] = DEFAULT_FAULT_LEVELS,
         seed: int = 7,
         offered_per_shard: float = 40_000.0,
-        window_ps: int = 2 * MS,
-        experiment_id: str = "kernel-fault-sweep") -> ExperimentResult:
+        window_ps: int = 2 * MS) -> ExperimentResult:
     """Degradation curves vs hostile kernel invocations per window."""
     result = ExperimentResult(
-        experiment_id=experiment_id,
+        experiment_id="kernel-fault-sweep",
         title="Sharded-KV service under hostile kernel invocations "
               "(protection domains + watchdog budgets on)",
         columns=["fault_level", "offered_kops", "goodput_kops", "p50_us",

@@ -162,27 +162,25 @@ def write_markdown_report(results: List[ExperimentResult],
             handle.write("\n\n")
 
 
-def print_metrics_report(path: str, stream=None) -> None:
+def print_metrics_report(path: str) -> None:
     """Pretty-print a ``--metrics-out`` snapshot grouped by component.
     Raises :class:`OSError` for an unreadable file and
     :class:`ValueError` for one that is not a snapshot."""
-    stream = stream or sys.stdout
     with open(path) as handle:
         snapshot = json.load(handle)
     if not isinstance(snapshot, dict):
         raise ValueError("not a metrics snapshot (expected a JSON object "
                          "of metric name -> value)")
-    print(f"metrics snapshot: {path} ({len(snapshot)} series)",
-          file=stream)
+    print(f"metrics snapshot: {path} ({len(snapshot)} series)")
     previous_root = None
     for name in sorted(snapshot):
         root = name.split(".", 1)[0]
         if root != previous_root:
-            print(f"\n[{root}]", file=stream)
+            print(f"\n[{root}]")
             previous_root = root
         value = snapshot[name]
         formatted = f"{value:.6g}" if isinstance(value, float) else value
-        print(f"  {name:<48} {formatted}", file=stream)
+        print(f"  {name:<48} {formatted}")
 
 
 def _unwritable(path: str) -> Optional[str]:

@@ -11,9 +11,9 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..config import HOST_DEFAULT, NIC_10G, NIC_100G, HostConfig, NicConfig
+from ..config import HOST_DEFAULT, NIC_10G, NIC_100G, NicConfig
 from ..roce.stack_model import line_rate_verdict
 from . import flowmodel
 from .common import ExperimentResult, measure_write_throughput
@@ -28,22 +28,19 @@ DEFAULT_POINTS: List[Tuple[NicConfig, int, int]] = [
 ]
 
 
-def flow_vs_detailed_experiment(points=None,
-                                host: HostConfig = HOST_DEFAULT
-                                ) -> ExperimentResult:
+def flow_vs_detailed_experiment() -> ExperimentResult:
     """Write-goodput agreement between the two fidelity modes."""
-    points = points or DEFAULT_POINTS
     result = ExperimentResult(
         experiment_id="validation-flow",
         title="Flow model vs detailed packet simulation (write goodput)",
         columns=["build", "payload_B", "detailed_gbps", "flow_gbps",
                  "gap_pct"],
         notes="finite-run pipeline-fill effects explain the residual gap")
-    for config, payload, messages in points:
-        detailed = measure_write_throughput(config, host,
+    for config, payload, messages in DEFAULT_POINTS:
+        detailed = measure_write_throughput(config, HOST_DEFAULT,
                                             payload_bytes=payload,
                                             messages=messages)
-        flow = flowmodel.write_throughput(config, host, payload)
+        flow = flowmodel.write_throughput(config, HOST_DEFAULT, payload)
         gap = 100.0 * abs(detailed - flow.goodput_gbps) / flow.goodput_gbps
         result.add_row(build=config.name, payload_B=payload,
                        detailed_gbps=detailed,
@@ -51,8 +48,7 @@ def flow_vs_detailed_experiment(points=None,
     return result
 
 
-def stack_budget_experiment(host: HostConfig = HOST_DEFAULT
-                            ) -> ExperimentResult:
+def stack_budget_experiment() -> ExperimentResult:
     """Section 4.1's line-rate argument for both builds."""
     result = ExperimentResult(
         experiment_id="validation-stack-budget",
@@ -64,7 +60,7 @@ def stack_budget_experiment(host: HostConfig = HOST_DEFAULT
               "rate (Section 4.1/7.1)")
     for config in (NIC_10G, NIC_100G):
         for payload in (1, 64, 1440):
-            verdict = line_rate_verdict(config, host, payload)
+            verdict = line_rate_verdict(config, HOST_DEFAULT, payload)
             result.add_row(build=config.name, payload_B=payload,
                            arrival_cycles=verdict.arrival_cycles,
                            stage_cycles=verdict.worst_stage_cycles,

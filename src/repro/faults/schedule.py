@@ -9,9 +9,8 @@ metrics registry (``faults.injected`` plus one counter per fault kind).
 
 Determinism: the schedule itself is explicit (caller-provided times), and
 the optional :attr:`FaultSchedule.rng` — for building *randomized*
-timelines (e.g. crash times drawn per run) — is seeded through
-:func:`repro.net.link.effective_fault_seed`, so ``REPRO_FAULT_SEED``
-pins randomized schedules the same way it pins per-link loss draws.
+timelines (e.g. crash times drawn per run) — is seeded with the
+schedule's ``seed``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..net.link import Cable, effective_fault_seed
+from ..net.link import Cable
 from ..obs.runtime import observers_for, registry_for
 from ..sim import Simulator
 
@@ -46,11 +45,10 @@ class FaultSchedule:
     Events at equal times apply in insertion order.
     """
 
-    def __init__(self, env: Simulator, seed: int = 0,
-                 name: str = "faults") -> None:
+    def __init__(self, env: Simulator, seed: int = 0) -> None:
         self.env = env
-        self.name = name
-        self.seed = effective_fault_seed(seed)
+        self.name = "faults"
+        self.seed = seed
         #: For randomized timeline construction; unused by the driver.
         self.rng = random.Random(self.seed)
         self._events: List[FaultEvent] = []
@@ -58,7 +56,7 @@ class FaultSchedule:
         metrics = registry_for(env)
         self.metrics = metrics
         self.obs = observers_for(env)
-        self.injected = metrics.counter(f"{name}.injected")
+        self.injected = metrics.counter("faults.injected")
 
     # ------------------------------------------------------------------
     # Timeline construction
@@ -119,7 +117,8 @@ class FaultSchedule:
                        kind="shard_restart", target=f"shard{shard_index}")
 
     # ------------------------------------------------------------------
-    # Kernel-plane faults (see DESIGN.md, "Kernel protection & watchdog")
+    # Kernel-plane faults (see docs/ARCHITECTURE.md §4, "Kernel
+    # protection & watchdog")
     # ------------------------------------------------------------------
     def corrupt_pointer(self, at: int, node, vaddr: int,
                         pointer: int) -> "FaultSchedule":

@@ -17,7 +17,6 @@ CPU cost model for the time it takes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -26,25 +25,25 @@ import numpy as np
 from ..algos.crc import ChecksummedObject
 from ..algos.hashing import radix_hash_array
 from ..algos.hyperloglog import HyperLogLog
-from ..config import HostConfig
 from .cpu import CpuModel
 from .node import Fabric
 
 
 def read_with_sw_check(fabric: Fabric, local_vaddr: int, remote_vaddr: int,
                        object_size: int, cpu: CpuModel,
-                       failure_injector=None, max_retries: int = 64):
+                       failure_injector=None):
     """Process helper: Pilaf-style consistent GET on the requester CPU.
 
     Returns (data, attempts).  ``failure_injector()`` forces the first
     check to fail (a torn read racing a writer); retries re-READ over the
-    network, exactly the cost the consistency kernel avoids.
+    network, exactly the cost the consistency kernel avoids (at most 64
+    retries).
     """
     client = fabric.client
     injected = failure_injector is not None and failure_injector()
     attempts = 0
     data = b""
-    for attempt in range(1 + max_retries):
+    for attempt in range(1 + 64):
         attempts += 1
         yield from client.read_sync(fabric.client_qpn, local_vaddr,
                                     remote_vaddr, object_size)

@@ -12,14 +12,12 @@ from .link import (
     Cable,
     GilbertElliott,
     LinkFaults,
-    effective_fault_seed,
     link_seed,
 )
 
 __all__ = [
     "Cable",
     "GilbertElliott",
-    "effective_fault_seed",
     "link_seed",
     "EthernetHeader",
     "Ipv4Header",

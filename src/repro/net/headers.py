@@ -14,7 +14,7 @@ repetitive) IPv4/UDP header byte strings of a flow are memoized with
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 _U16 = struct.Struct("!H")

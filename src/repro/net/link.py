@@ -25,30 +25,17 @@ Fault model (see DESIGN.md, "Fault model & recovery"):
 
 All stochastic draws come from one seeded RNG per cable; with per-link
 seed derivation (:func:`link_seed`) every cable in a topology owns an
-independent, reproducible fault schedule.  Set ``REPRO_FAULT_SEED`` (the
-run-mode table in :mod:`repro.runmode` and README) to pin every link to
-one known seed when reproducing a stress-test failure (the tests print
-the effective seeds on failure).
+independent, reproducible fault schedule.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..obs.runtime import observers_for, registry_for
-from ..runmode import active
 from ..sim import BandwidthLink, Simulator, Stream, timebase
-
-
-def effective_fault_seed(seed: int) -> int:
-    """``seed``, unless the run mode's ``fault_seed`` pins a global
-    override (reproduction aid: protocol-stress failures print the
-    effective seed; pinning it re-runs the exact same fault schedule
-    regardless of derivation)."""
-    pinned = active().fault_seed
-    return seed if pinned is None else pinned
 
 
 def link_seed(seed: int, link_name: str) -> int:
@@ -193,10 +180,7 @@ class Cable:
         self.propagation = propagation
         self.faults = faults or LinkFaults()
         self.name = name
-        #: The seed actually feeding this cable's RNG (after any
-        #: ``REPRO_FAULT_SEED`` pin) — printed by stress tests on failure.
-        self.fault_seed = effective_fault_seed(self.faults.seed)
-        self._rng = random.Random(self.fault_seed)
+        self._rng = random.Random(self.faults.seed)
         #: Carrier state: False models a downed link (fault injection).
         self.up = True
         #: Transient extra one-way delay (latency-spike injection).

@@ -419,7 +419,6 @@ class DmaEngine:
         return data
 
     def read_plan(self, vaddr: int, chunk_lengths,
-                  sequential: bool = True,
                   stable: bool = False) -> FetchPlan:
         """Streaming fetch, zero-copy fast path: synchronously reserve
         one PCIe burst (latency folded into the slot's floor) for all of
@@ -431,7 +430,7 @@ class DmaEngine:
         run = self.tlb.chunk_run(vaddr, chunk_lengths)
         total_bytes = run.total
         link = self.read_link
-        durations = self._chunk_durations(link, run, sequential)
+        durations = self._chunk_durations(link, run, True)
         cum = durations.total()
         start = link.reserve_after(
             self.env.now + self.config.pcie_read_latency, cum)
@@ -449,7 +448,7 @@ class DmaEngine:
         return FetchPlan(self, durations, start, stable=stable)
 
     def read_stream(self, vaddr: int, chunk_lengths, out_stream,
-                    sequential: bool = True, stable: bool = False):
+                    stable: bool = False):
         """Streaming fetch: deliver consecutive chunks of
         ``chunk_lengths`` bytes into ``out_stream`` as they cross PCIe.
 
@@ -467,7 +466,7 @@ class DmaEngine:
         total_bytes = run.total
         env = self.env
         link = self.read_link
-        durations = self._chunk_durations(link, run, sequential).listed()
+        durations = self._chunk_durations(link, run, True).listed()
         per_word = self.config.per_word_accounting
         if per_word:
             yield env.timeout(self.config.pcie_read_latency)
@@ -484,7 +483,7 @@ class DmaEngine:
             due += duration
             if per_word:
                 yield from self._word_charges(
-                    link, [n for _, n in pieces], sequential)
+                    link, [n for _, n in pieces], True)
             elif due > env.now:
                 yield env.timeout(due - env.now)
             yield out_stream.put(self._view_of(pieces, stable))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import NicConfig
 from ..core.guard import (ABORT_SENTINEL, InvocationBudget, KernelGuard,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional
 
 from .opcodes import Opcode
 

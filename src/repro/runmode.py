@@ -18,15 +18,12 @@ Variable              Accepted values        Effect
 ``REPRO_CHECK``       same as above          Every new simulator gets the
                                              invariant monitors
                                              (:mod:`repro.check`).
-``REPRO_FAULT_SEED``  an integer (``42``,    Pins every link's and fault
-                      ``0x2a``) / unset or   schedule's RNG seed (replays a
-                      empty                  printed stress-test seed).
 ====================  =====================  ================================
 
 Values are case-insensitive and stripped; anything else raises
 :class:`RunModeError` naming the variable.  Other ``REPRO_*`` names
-(including the retired fold and validation switches) are ignored.  The
-burst fold (:mod:`repro.roce.burst`) is always on; its gates pick the
+(including the retired fold, validation and fault-seed switches) are
+ignored.  The burst fold (:mod:`repro.roce.burst`) is always on; its gates pick the
 per-packet path whenever CC, faults, monitors or tracing need it.  :attr:`RunMode.fold` has no variable: it exists so dual-run
 oracles can select the per-packet reference with :func:`override`.
 
@@ -43,7 +40,6 @@ from typing import Iterator, Mapping, Optional
 
 VALIDATE_ENV = "REPRO_VALIDATE"
 CHECK_ENV = "REPRO_CHECK"
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
 
 _TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"", "0", "false", "no", "off"})
@@ -68,16 +64,13 @@ class RunMode:
     validate: bool = False
     #: Invariant monitors on every new simulator.
     check: bool = False
-    #: Global override of every fault RNG seed, or None.
-    fault_seed: Optional[int] = None
 
     @classmethod
     def from_environ(cls, environ: Mapping[str, str] = os.environ
                      ) -> "RunMode":
         """Parse the ``REPRO_*`` variables of ``environ``."""
         return cls(validate=_flag(environ, VALIDATE_ENV),
-                   check=_flag(environ, CHECK_ENV),
-                   fault_seed=_seed(environ, FAULT_SEED_ENV))
+                   check=_flag(environ, CHECK_ENV))
 
 
 def _flag(environ: Mapping[str, str], name: str) -> bool:
@@ -89,16 +82,6 @@ def _flag(environ: Mapping[str, str], name: str) -> bool:
         return False
     raise RunModeError(name, value, "one of 1/true/yes/on or "
                                     "0/false/no/off")
-
-
-def _seed(environ: Mapping[str, str], name: str) -> Optional[int]:
-    value = environ.get(name, "")
-    if not value.strip():
-        return None
-    try:
-        return int(value.strip(), 0)
-    except ValueError:
-        raise RunModeError(name, value, "an integer") from None
 
 
 _active: Optional[RunMode] = None

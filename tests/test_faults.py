@@ -12,7 +12,6 @@ from repro.host import build_fabric
 from repro.net import Cable, GilbertElliott, LinkFaults
 from repro.obs import observe, registry_for
 from repro.roce import QpError, RetransmissionTimer
-from repro.runmode import override
 from repro.sim import MS, US, Simulator
 
 
@@ -419,14 +418,6 @@ def test_fault_schedule_validation():
         schedule.link_flap(0, cable, down_for=0)
     with pytest.raises(ValueError):
         schedule.latency_spike(0, cable, 10, duration=0)
-
-
-def test_fault_seed_env_pins_schedule_rng():
-    with override(fault_seed=42):
-        a = FaultSchedule(Simulator(), seed=1)
-        b = FaultSchedule(Simulator(), seed=999)
-    assert a.seed == b.seed == 42
-    assert a.rng.random() == b.rng.random()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.host import build_fabric
 from repro.net import LinkFaults
 from repro.obs import registry_for
-from repro.runmode import FAULT_SEED_ENV
 from repro.sim import MS, Simulator
 
 
@@ -62,11 +61,10 @@ def run_workload(seed, drop, corrupt, num_ops, duplicate=0.0):
         assert got == bytes(expected_server)
     except Exception:
         # Reproduction aid: the exact fault schedule depends only on
-        # this seed; pin it to replay the failing run.
-        print(f"protocol-stress failure: cable fault seed = "
-              f"{fabric.cable.fault_seed} (export "
-              f"{FAULT_SEED_ENV}={fabric.cable.fault_seed} to replay)",
-              file=sys.stderr)
+        # this seed; call run_workload with it to replay the failing run.
+        print(f"protocol-stress failure: run_workload(seed={seed}, "
+              f"drop={drop}, corrupt={corrupt}, num_ops={num_ops}, "
+              f"duplicate={duplicate})", file=sys.stderr)
         raise
     return fabric
 
@@ -86,6 +84,47 @@ def test_stress_clean_link():
         assert snap[f"{host}.nic.naks_tx"] == 0
         assert snap[f"{host}.nic.pkts_dropped"] == 0
         assert snap[f"{host}.nic.timer.expirations"] == 0
+
+
+def _clean_bulk_writes(size, messages):
+    """``messages`` pipelined WRITEs of ``size`` bytes over a fault-free
+    10 G cable; returns the client's retransmit count once all landed."""
+    env = Simulator()
+    fabric = build_fabric(env)
+    src = fabric.client.alloc(size, "src")
+    dst = fabric.server.alloc(size, "dst")
+    blob = bytes(i % 251 for i in range(size))
+    fabric.client.space.write(src.vaddr, blob)
+
+    def writer():
+        last = None
+        for _ in range(messages):
+            last = yield from fabric.client.write(
+                fabric.client_qpn, src.vaddr, dst.vaddr, size)
+        yield last
+
+    env.run_until_complete(env.process(writer()),
+                           limit=messages * 100 * MS)
+    assert fabric.server.space.read(dst.vaddr, size) == blob
+    return int(fabric.client.nic.retransmitted)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "spurious RTO: _handle_ack re-arms the retransmission timer when an "
+    "ACK retires message k while message k+1 is still in _send_message, "
+    "and WRITE ACKs come only at a message's tail (3 243 retransmits, "
+    "9 expirations)"))
+def test_clean_link_pipelined_256k_writes_do_not_retransmit():
+    assert _clean_bulk_writes(256 * 1024, messages=16) == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "TX runs ahead of the wire: the TX loop charges streaming_time of the "
+    "l3 bytes while the cable serializes l3 + 38 framing bytes, so the "
+    "deadline armed at a message's end starts before its last frame "
+    "leaves (50 retransmits)"))
+def test_clean_link_8mib_write_does_not_retransmit():
+    assert _clean_bulk_writes(8 * 1024 * 1024, messages=1) == 0
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])

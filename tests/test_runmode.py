@@ -23,7 +23,7 @@ def _clean_env(**variables):
 
 def test_defaults_without_variables():
     assert RunMode.from_environ({}) == RunMode(
-        fold=True, validate=False, check=False, fault_seed=None)
+        fold=True, validate=False, check=False)
 
 
 @pytest.mark.parametrize("word", ["1", "true", "YES", " on "])
@@ -48,22 +48,11 @@ def test_malformed_flag_names_the_variable(name):
     assert caught.value.value == "maybe"
 
 
-@pytest.mark.parametrize("value, seed", [("42", 42), ("0x2a", 42),
-                                         (" 7 ", 7), ("", None)])
-def test_fault_seed_values(value, seed):
-    assert RunMode.from_environ({"REPRO_FAULT_SEED": value}).fault_seed \
-        == seed
-
-
-def test_malformed_fault_seed_names_the_variable():
-    with pytest.raises(RunModeError, match="REPRO_FAULT_SEED"):
-        RunMode.from_environ({"REPRO_FAULT_SEED": "abc"})
-
-
 def test_other_variables_are_ignored():
-    """Only the three table names are parsed; any other ``REPRO_*``
+    """Only the two table names are parsed; any other ``REPRO_*``
     name (retired switches included) is ignored, not rejected."""
-    others = {"REPRO_UNKNOWN": "bogus", "REPRO_FOLD": "0"}
+    others = {"REPRO_UNKNOWN": "bogus", "REPRO_FOLD": "0",
+              "REPRO_FAULT_SEED": "abc"}
     assert RunMode.from_environ(others) == RunMode()
 
 
@@ -73,8 +62,7 @@ def test_override_is_scoped_and_nests():
         assert active() is outer and not outer.fold
         with override(validate=True):
             assert active() == RunMode(
-                fold=False, validate=True, check=before.check,
-                fault_seed=before.fault_seed)
+                fold=False, validate=True, check=before.check)
         assert active() is outer
     assert active() is before
 
@@ -82,7 +70,7 @@ def test_override_is_scoped_and_nests():
 def test_override_restores_after_an_exception():
     before = active()
     with pytest.raises(RuntimeError):
-        with override(fault_seed=3):
+        with override(validate=True):
             raise RuntimeError("boom")
     assert active() is before
 
@@ -120,7 +108,7 @@ def test_fresh_simulator_folds_by_default():
 
 
 @pytest.mark.parametrize("variable, value", [
-    ("REPRO_FAULT_SEED", "abc"), ("REPRO_CHECK", "maybe")])
+    ("REPRO_VALIDATE", "maybe"), ("REPRO_CHECK", "maybe")])
 def test_cli_rejects_malformed_variable_in_one_line(variable, value):
     done = subprocess.run(
         [sys.executable, "-m", "repro", "fig7", "--fast"],

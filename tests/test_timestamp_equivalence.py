@@ -55,10 +55,8 @@ def test_fig5a_write_latency_identical(nic):
 
 def test_fig7_traversal_latencies_identical():
     batched, per_word = both_modes(NIC_10G)
-    a = _measure_for_length(batched, HOST_DEFAULT, length=4, iterations=3,
-                            value_bytes=64, seed=7)
-    b = _measure_for_length(per_word, HOST_DEFAULT, length=4, iterations=3,
-                            value_bytes=64, seed=7)
+    a = _measure_for_length(batched, length=4, iterations=3)
+    b = _measure_for_length(per_word, length=4, iterations=3)
     assert a == b
 
 

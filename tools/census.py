@@ -70,7 +70,9 @@ threading.setprofile(_hook)
 def product_commands(scratch: Path) -> list[tuple[list[str], dict]]:
     """Every product entry point, as an argv run from the repo root and
     the ``REPRO_*`` variables it runs under: the CI runs of perfbench
-    (a traced run, and bulk_256k under validation) included."""
+    (a traced run, and bulk_256k under validation) included, plus a
+    traced offload_kernels run, whose layer report alone reads the
+    kernel registry (:meth:`KernelRegistry.match`)."""
     py = sys.executable
     metrics = str(scratch / "metrics.json")
     commands = [
@@ -90,6 +92,8 @@ def product_commands(scratch: Path) -> list[tuple[list[str], dict]]:
     commands = [(argv, {}) for argv in commands]
     commands += [
         ([py, "perfbench/run.py", "--workload", "incast_cc",
+          "--seconds", "1", "--trace", "1"], {}),
+        ([py, "perfbench/run.py", "--workload", "offload_kernels",
           "--seconds", "1", "--trace", "1"], {}),
         ([py, "perfbench/run.py", "--workload", "bulk_256k",
           "--seconds", "1"], {"REPRO_VALIDATE": "1"}),
