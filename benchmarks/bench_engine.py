@@ -183,15 +183,15 @@ def _rdma_large(n: int, kind: str, fold: bool = False) -> float:
                     fabric.client_qpn, src.vaddr, dst.vaddr, RDMA_SIZE)
 
     proc = sim.process(driver())
-    before = PAYLOAD_STATS.snapshot()
+    before = {key: getattr(PAYLOAD_STATS, key)
+              for key in PAYLOAD_STATS.__slots__}
     with override(fold=fold):
         start = time.perf_counter()
         sim.run_until_complete(proc, limit=10_000 * MS)
         rate = RDMA_SIZE * reps / (time.perf_counter() - start)
-    after = PAYLOAD_STATS.snapshot()
     name = f"rdma_{kind}_256k" + ("_burst" if fold else "")
-    PAYLOAD_DELTAS[name] = {
-        key: after[key] - before[key] for key in after}
+    PAYLOAD_DELTAS[name] = {key: getattr(PAYLOAD_STATS, key) - count
+                            for key, count in before.items()}
     flat = registry_for(sim).snapshot().as_flat_dict()
     EVENT_COSTS[name] = {
         "events_per_kib":

@@ -15,8 +15,8 @@ from repro.experiments.incast_sweep import incast_sweep_experiment
 
 def test_incast_cc_off_vs_on(benchmark):
     """8:1 fan-in: CC-on must at least double CC-off goodput with a
-    lower p99 and fewer tail-drops (the bench_cluster --incast gate
-    asserts the same shape against a checked-in baseline)."""
+    lower p99 and fewer tail-drops (``tests/test_golden.py`` asserts
+    the same shape on the golden incast-sweep rows)."""
     result = benchmark.pedantic(
         lambda: incast_sweep_experiment(sender_counts=(2, 8), seed=7,
                                         messages=40),

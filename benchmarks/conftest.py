@@ -38,11 +38,11 @@ def attach_rows(benchmark, result) -> None:
 @pytest.fixture(autouse=True)
 def payload_copy_report(request):
     """Print the payload-plane counter delta per benchmark scenario."""
-    before = PAYLOAD_STATS.snapshot()
+    copied = PAYLOAD_STATS.bytes_copied
+    referenced = PAYLOAD_STATS.bytes_referenced
     yield
-    after = PAYLOAD_STATS.snapshot()
-    copied = after["bytes_copied"] - before["bytes_copied"]
-    referenced = after["bytes_referenced"] - before["bytes_referenced"]
+    copied = PAYLOAD_STATS.bytes_copied - copied
+    referenced = PAYLOAD_STATS.bytes_referenced - referenced
     if copied or referenced:
         print(f"\npayload plane [{request.node.name}]: {copied:,} B "
               f"copied, {referenced:,} B by reference")

@@ -87,14 +87,6 @@ class PayloadPlaneStats:
         self.bytes_referenced = 0
         self.ref_events = 0
 
-    def snapshot(self) -> dict:
-        return {
-            "bytes_copied": self.bytes_copied,
-            "copy_events": self.copy_events,
-            "bytes_referenced": self.bytes_referenced,
-            "ref_events": self.ref_events,
-        }
-
 
 #: The global payload-plane accounting instance.
 PAYLOAD_STATS = PayloadPlaneStats()

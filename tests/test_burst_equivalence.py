@@ -19,6 +19,7 @@ import pytest
 from repro.cluster.topology import build_pair, build_star
 from repro.config import (MAX_PAYLOAD_NO_RETH, MAX_PAYLOAD_WITH_RETH,
                           NIC_100G)
+from repro.core.payload import PAYLOAD_STATS
 from repro.obs import registry_for
 from repro.roce import burst
 from repro.runmode import active, override
@@ -450,6 +451,50 @@ def _noop(sim, cluster, h1, h2, qp21, side_src, side_dst):
 def test_star_clean_path_folds():
     sim = _dual(_star_scenario, 9_000 * MS, _noop)
     assert _folds(sim) > 0
+    assert _unfolds(sim) == 0
+
+
+def _large_point_scenario(runs):
+    """Eight 256 KiB WRITEs, then eight READs, between two 100 G hosts
+    through the switch.  Appends its rows to ``runs``; the last row is
+    the payload bytes the run copied."""
+    sim = Simulator()
+    cluster = build_star(sim, 2, nic_config=NIC_100G, seed=1)
+    h0, h1 = cluster.hosts
+    qp01, _ = cluster.connect(h0, h1)
+    src = h0.alloc(BIG, "src")
+    dst = h1.alloc(BIG, "dst")
+    h0.space.write(src.vaddr, bytes(i % 251 for i in range(BIG)))
+    rows = []
+
+    def driver():
+        for _ in range(8):
+            yield from h0.write_sync(qp01, src.vaddr, dst.vaddr, BIG)
+        rows.append(("writes", sim.now))
+        for _ in range(8):
+            yield from h0.read_sync(qp01, src.vaddr, dst.vaddr, BIG)
+        rows.append(("reads", sim.now))
+
+    copied = PAYLOAD_STATS.bytes_copied
+    _drive(sim, driver())
+    rows.append(("copied", PAYLOAD_STATS.bytes_copied - copied))
+    runs.append(rows)
+    mem = (bytes(h0.space.read(src.vaddr, BIG)),
+           bytes(h1.space.read(dst.vaddr, BIG)))
+    return rows, mem, cluster
+
+
+def test_star_large_point_pinned():
+    """The zero-copy payload plane's large-message point: exact
+    completion times (36.2 / 35.9 Gbit/s per direction), every packet
+    folded, and no payload byte copied on any hop."""
+    runs = []
+    sim = _dual(_large_point_scenario, runs)
+    assert runs[-1] == [("writes", 463_506_760), ("reads", 930_639_112),
+                        ("copied", 0)]
+    assert sum(v for k, v in
+               registry_for(sim).snapshot().as_flat_dict().items()
+               if k.endswith(".burst.folded_packets")) == 2896
     assert _unfolds(sim) == 0
 
 

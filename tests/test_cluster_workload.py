@@ -15,6 +15,7 @@ from repro.cluster import (
     run_open_loop,
 )
 from repro.experiments.cluster_scaling import run_cluster_point
+from repro.experiments.fault_sweep import run_fault_point
 from repro.sim import MS, Simulator
 
 
@@ -143,3 +144,27 @@ def test_weak_scaling_throughput_increases():
                                    num_keys=64, seed=4)
         achieved.append(report.achieved_ops_per_s)
     assert achieved[1] > achieved[0]
+
+
+def test_cluster_point_pinned():
+    """The sharded-KV operating point (2 shards + 2 clients, 120 kops/s
+    offered per shard, 1 ms window, seed 1), clean over the StRoM
+    traversal path and under 1 % Gilbert-Elliott bursty loss with
+    replica failover, pinned to its exact simulated service metrics."""
+    report = run_cluster_point(2, offered_per_shard=120_000,
+                               window_ps=1 * MS, get_path="strom", seed=1)
+    assert (report.issued, report.completed) == (226, 226)
+    assert report.achieved_ops_per_s == 226_000.0
+    pct = report.latency_percentiles_us()
+    assert (pct[0.50], pct[0.99]) == (8.223167, 72.57840575)
+
+    row = run_fault_point(0.01, crash=False, seed=1, num_shards=2,
+                          offered_per_shard=120_000, window_ps=1 * MS)
+    assert row == {
+        "mean_loss": 0.01, "crash": 0, "offered_kops": 240.0,
+        "goodput_kops": 217.0, "p50_us": 10.2869855,
+        "p99_us": 384.53576125, "issued": 226, "failed": 0,
+        "burst_drops": 30, "retransmits": 34, "recoveries": 3,
+        "qp_errors": 0, "timeouts": 0, "failovers": 0,
+        "faults_injected": 0,
+    }

@@ -1,6 +1,10 @@
 """Smoke and shape tests for the experiment harnesses (reduced sizes)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,26 @@ def test_report_unreadable_input_is_one_line_error(tmp_path, content):
         main(["report", str(path)])
     message = str(exit_info.value.code)
     assert message.startswith("error: report ") and "\n" not in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "repro"],
+    ["-m", "repro", "report"],
+    ["-m", "repro", "conformance"],
+    ["benchmarks/bench_engine.py"],
+    ["tools/stage_cost.py"],
+], ids=["repro", "report", "conformance", "bench_engine", "stage_cost"])
+def test_help_exits_cleanly(argv):
+    """Every argparse entry point prints its --help: argparse formats
+    each help string with %, so a stray % there ends in a traceback."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, *argv, "--help"], cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("usage:")
 
 
 def test_unknown_experiment_id_is_one_line_error():

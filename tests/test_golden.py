@@ -21,6 +21,11 @@ adds cnp, qp_error and the DCQCN rate series).  A change that means to move a tr
     PYTHONPATH=src python -m repro fig7 fault-sweep kernel-fault-sweep \\
         cluster-scaling --fast --seed 7 --trace-out trace.json
     sha256sum trace.json | cut -d' ' -f1 > tests/golden/fast_seed7_trace.sha256
+
+The paper's claims are shapes (who wins, by roughly how much), so the
+shape assertions read the golden rows themselves: they hold on every run
+that matches the golden, and they must still hold on the rows of any
+re-record.
 """
 
 import hashlib
@@ -29,6 +34,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from repro.experiments.runner import _registry
 
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
@@ -90,3 +97,70 @@ def test_fast_seed7_trace_matches_golden_digest(tmp_path):
     actual = hashlib.sha256(trace.read_bytes()).hexdigest()
     assert actual == expected, (
         f"--trace-out digest {actual} differs from the golden {expected}")
+
+
+def _golden_rows():
+    return json.loads((GOLDEN / "fast_seed7.json").read_bytes())
+
+
+def test_golden_rows_keep_the_paper_shapes():
+    golden = _golden_rows()
+    assert sorted(golden) == sorted(_registry(True))
+    assert len(golden) == 25
+
+    # Incast: uncontrolled 8:1 fan-in collapses; DCQCN at least doubles
+    # its goodput with a lower p99, fewer tail drops and no QP errors,
+    # and does not tax the barely oversubscribed 2:1 case.
+    incast = {(r["senders"], r["cc"]): r for r in golden["incast-sweep"]}
+    off, on = incast[(8, 0)], incast[(8, 1)]
+    assert off["tail_drops"] > 1000
+    assert on["goodput_gbps"] >= 2.0 * off["goodput_gbps"]
+    assert on["ce_marks"] > 0 and on["cnps"] > 0
+    assert on["p99_us"] < off["p99_us"]
+    assert on["tail_drops"] < off["tail_drops"]
+    assert on["qp_errors"] == 0
+    assert incast[(2, 1)]["goodput_gbps"] >= incast[(2, 0)]["goodput_gbps"]
+
+    # Chaos: every point injects its faults and the sweep recovers
+    # retransmissions.
+    faults = golden["fault-sweep"]
+    assert sum(r["recoveries"] for r in faults) > 0
+    assert all(r["faults_injected"] > 0 for r in faults)
+
+    # Hostile kernels: no client request fails; at the hottest level the
+    # watchdog aborts, the abused kernel quarantines and clients fall
+    # back to one-sided READs.
+    kernel_faults = golden["kernel-fault-sweep"]
+    assert all(r["failed"] == 0 for r in kernel_faults)
+    hot = max(kernel_faults, key=lambda r: r["fault_level"])
+    assert (hot["aborts_protection"] + hot["aborts_cycle"]
+            + hot["aborts_timeout"]) > 0
+    assert hot["quarantined"] > 0
+    assert hot["strom_fallbacks"] > 0
+
+    # Fig 9: software CRC costs over 30 % at 4 KiB, and StRoM beats
+    # READ+SW from 2 KiB up.
+    fig9 = {r["object_B"]: r for r in golden["fig9"]}
+    assert fig9[4096]["sw_overhead_pct"] > 30
+    assert [size for size, r in fig9.items()
+            if size >= 2048 and r["strom_us"] >= r["read_sw_us"]] == []
+
+
+def test_standalone_experiments_match_golden_slices(tmp_path):
+    """Run outside the full reproduction, these experiments must write
+    the golden's rows for their ids: state leaking from one experiment
+    into the next would show up as a difference."""
+    ids = ("incast-sweep", "fault-sweep", "kernel-fault-sweep", "fig9",
+           "fig10", "fig13a")
+    rows = tmp_path / "rows.json"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *ids, "--fast",
+         "--seed", "7", "--json", str(rows)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    written = json.loads(rows.read_bytes())
+    golden = _golden_rows()
+    assert sorted(written) == sorted(ids)
+    for experiment in ids:
+        assert written[experiment] == golden[experiment], experiment

@@ -86,8 +86,6 @@ def product_commands(scratch: Path) -> list[tuple[list[str], dict]]:
     ]
     commands += [[py, "perfbench/run.py", "--workload", w,
                   "--seconds", "1", "--trace", "0"] for w in WORKLOADS]
-    commands += [[py, "benchmarks/bench_cluster.py", "--smoke", *leg]
-                 for leg in ([], ["--lossy"], ["--large"], ["--incast"])]
     commands += [[py, f"examples/{name}.py"] for name in EXAMPLES]
     commands = [(argv, {}) for argv in commands]
     commands += [
